@@ -19,7 +19,7 @@ and executes alone:
 
 With ``--processes N`` it instead measures the *executor* axis: the same
 traffic through the threaded executor (GIL-bound, per-context lock) versus
-the :class:`~repro.serve.executor.ProcessExecutor` (N worker-process
+the :class:`~repro.net.remote.ProcessExecutor` (N worker-process
 context replicas, no cross-request lock), on a CPU-bound program mix.
 Process outputs are cross-checked bit-identical (BGV) / tolerance-equal
 (CKKS) against solo threaded runs.  Real multi-core speedup obviously

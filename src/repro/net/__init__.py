@@ -1,27 +1,31 @@
-"""Network tier: multi-host sharded serving over a socket transport.
+"""Replica tier: one replicate/execute protocol for process pools and hosts.
 
-The F1 paper scales by replicating many independent compute clusters
-behind one dispatch point; PR 5's process executor was that architecture
-on one box.  This package lifts it across machine boundaries — the
-ROADMAP's "multi-host sharded serving" item:
+The F1 paper scales by replicating many identical compute clusters
+behind one dispatch point with one explicitly managed data-movement
+protocol.  This package is that shape in software: one coordinator, one
+replica-side handler set and one framed wire, whether the replicas are
+forked children on this box or worker hosts across machines.
 
 - :mod:`repro.net.framing` — the **wire layer**: length-prefixed binary
-  frames over TCP with a versioned, checksummed header and a small
-  message-type vocabulary (HELLO/REPLICATE/EXECUTE/RESULT/HEARTBEAT/
-  ERROR).  Payloads ride the existing ``to_state()`` pickles; the frame
-  layer rejects oversized/garbage/truncated input *before* any byte is
-  unpickled.
-- :mod:`repro.net.worker` — a **worker host** (``python -m
-  repro.net.worker --port N``): accepts replicated registry entries
-  (keygen happens once, on the coordinator — workers never keygen),
-  executes :class:`~repro.serve.executor.BatchJob` traffic through the
-  PR 5 executor seam, and answers heartbeats.
-- :mod:`repro.net.remote` — :class:`RemoteExecutor`, an
-  :class:`~repro.serve.executor.Executor` fronting a pool of worker
-  hosts: same-signature traffic is sharded by consistent hash of
-  ``(signature, params)`` with least-inflight tie-breaking, and the pool
-  is self-healing (heartbeat-detected dead hosts fail their in-flight
-  batches, are routed around, and re-replicate on reconnect).
+  frames with a versioned, checksummed header and a small message-type
+  vocabulary (HELLO/REPLICATE/EXECUTE/RESULT/HEARTBEAT/ERROR).  Payloads
+  ride the existing ``to_state()`` pickles; the frame layer rejects
+  oversized/garbage/truncated input *before* any byte is unpickled.
+- :mod:`repro.net.worker` — :class:`~repro.net.worker.WorkerHost`, the
+  **replica side**: accepts replicated registry entries (keygen happens
+  once, on the coordinator — workers never keygen), executes
+  :class:`~repro.serve.executor.BatchJob` traffic through the executor
+  seam, and answers heartbeats.  Served over TCP by ``python -m
+  repro.net.worker --port N``, or over an inherited ``socketpair`` by a
+  forked pool replica.
+- :mod:`repro.net.remote` — the **coordinator**:
+  :class:`RemoteExecutor` fronts worker hosts (same-signature traffic
+  sharded by consistent hash of ``(signature, params)`` with
+  least-inflight tie-breaking) and :class:`ProcessExecutor` is the same
+  coordinator over forked replicas.  Both are self-healing (a dead
+  replica fails over its in-flight batches, is routed around, and
+  re-replicates once redialed / re-forked) and share retry, breakers
+  and the deadline watchdog.
 - :mod:`repro.net.cluster` — :class:`LocalCluster`, a harness that
   spawns N local worker subprocesses so ``FheServer(executor="remote")``
   and the tests/benchmarks work out of the box.
@@ -55,8 +59,8 @@ from repro.net.framing import (
     recv_msg,
     send_msg,
 )
-from repro.net.cluster import LocalCluster, cluster_smoke, remote_executor
-from repro.net.remote import RemoteExecutor, shard_key
+from repro.net.cluster import LocalCluster, remote_executor, replica_smoke
+from repro.net.remote import ProcessExecutor, RemoteExecutor, shard_key
 
 __all__ = [
     "BadChecksum",
@@ -71,15 +75,16 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "MsgType",
     "PeerClosed",
+    "ProcessExecutor",
     "RemoteExecutor",
     "Truncated",
     "chaos_smoke",
     "chaos_soak",
-    "cluster_smoke",
     "decode_frame",
     "encode_frame",
     "recv_msg",
     "remote_executor",
+    "replica_smoke",
     "send_msg",
     "shard_key",
 ]

@@ -1,12 +1,13 @@
-"""Length-prefixed binary framing for the network serving tier.
+"""Length-prefixed binary framing for the replica protocol.
 
-Every message on a coordinator<->worker connection is one *frame*:
+Every message on a coordinator<->replica connection — TCP to a worker
+host, or a socketpair to a forked pool replica — is one *frame*:
 
 .. code-block:: text
 
     offset  size  field
     0       2     magic        b"FH"
-    2       1     version      FRAME_VERSION (1)
+    2       1     version      FRAME_VERSION
     3       1     msg_type     MsgType value
     4       4     payload_len  big-endian u32, <= max_frame
     8       4     payload_crc  crc32 of the payload bytes
@@ -15,8 +16,7 @@ Every message on a coordinator<->worker connection is one *frame*:
 followed by ``payload_len`` payload bytes.  Payloads are pickles of
 plain-data messages riding the FHE layer's ``to_state()`` serialization
 (PR 5): parameters, secret coefficients, limb arrays — derived caches
-are rebuilt on the receiving side, never shipped, exactly as on the
-process-executor pipe.
+are rebuilt on the receiving side, never shipped.
 
 The header exists so a receiver can reject junk *before* unpickling
 anything: pickle is an arbitrary-code-execution format, so the transport
@@ -25,7 +25,7 @@ rejected (with a typed :class:`FrameError`, which servers answer with a
 clean ``ERROR`` reply) when the magic or version is wrong, the declared
 length exceeds the cap, either checksum fails, or the stream ends
 mid-frame.  This is integrity/robustness, not authentication — the wire
-protocol is for trusted cluster networks, like the pipes it replaces.
+protocol is for trusted cluster networks.
 
 The codec is exposed both as pure byte functions (:func:`encode_frame` /
 :func:`decode_frame` — what ``check_perf.py`` times as
@@ -44,7 +44,9 @@ from contextlib import contextmanager
 #: carries it so mismatched peers part cleanly instead of mis-parsing.
 #: v2: EXECUTE request tuples gained a trace-id element and RESULT /
 #: HEARTBEAT replies gained span and metrics payloads (repro.obs).
-FRAME_VERSION = 2
+#: v3: REPLICATE ``program`` is keyed by (signature, width, plain_width,
+#: capacity) and EXECUTE dropped ``batched`` (the key says it).
+FRAME_VERSION = 3
 
 MAGIC = b"FH"
 
@@ -60,7 +62,7 @@ HEADER_BYTES = _HEADER.size + _HEADER_CRC.size
 
 
 class MsgType(enum.IntEnum):
-    """The wire vocabulary (mirrors the process-executor pipe ops)."""
+    """The wire vocabulary."""
 
     HELLO = 1        # version/identity handshake, first frame each way
     REPLICATE = 2    # ship/drop registry state: context, program, backend

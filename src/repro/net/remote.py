@@ -1,41 +1,46 @@
-"""RemoteExecutor: shard flushed batches across remote worker hosts.
+"""The replica coordinator: shard flushed batches across worker replicas.
 
-This is the PR 5 :class:`~repro.serve.executor.Executor` seam stretched
-over the network — the ROADMAP's intended insertion point.  Where
-:class:`~repro.serve.executor.ProcessExecutor` replicates registry
-entries into forked worker processes over pipes, this executor
-replicates them into :mod:`repro.net.worker` hosts over the framed
-socket transport, with the same invariants:
+One coordinator-side implementation of the replicate/execute protocol
+serves both pool kinds.  :class:`RemoteExecutor` fronts
+:mod:`repro.net.worker` hosts over TCP; :class:`ProcessExecutor` is the
+same coordinator over forked children, each running the same
+:class:`~repro.net.worker.WorkerHost` on its end of a
+``socket.socketpair()``.  The two differ only in how a connection is
+(re)made — dial + HELLO vs (re)fork + socketpair — and in the
+least-inflight tie-break (ring rank vs fewest dispatched).  The
+invariants both inherit:
 
-- **keygen once, converge everywhere** — every host restores its context
-  from the coordinator entry's serialized secret (workers never keygen),
-  and each host's RNG is reseeded with fresh entropy at replication time
-  so no two nodes share an encryption-randomness stream;
+- **keygen once, converge everywhere** — every replica restores its
+  context from the coordinator entry's serialized secret (workers never
+  keygen), and each replica's RNG is reseeded with fresh entropy at
+  replication time so no two share an encryption-randomness stream;
 - **pinned replication** — entries and backends are keyed by identity
   and pinned (a strong reference) until released, so a freed entry's
   ``id()`` can never be reused and silently resolve to the wrong
-  host-side context;
+  replica-side context;
 - **requests carry their own seeds** — ``repro.run(..., seed=)``
-  determinism holds regardless of which host serves a request.
+  determinism holds regardless of which replica serves a request.
 
 Routing: same-signature traffic is sharded by **consistent hash** of
 ``(signature, params)`` over the host ring (so one signature's hint
 caches warm on a stable primary host and adding/removing a host only
 remaps ``1/hosts`` of the traffic), with **least-inflight
 tie-breaking** along the ring walk — an overloaded primary spills onto
-the next hosts instead of queueing behind itself.
+the next hosts instead of queueing behind itself.  An address-less
+local pool has no ring: least in-flight, then fewest dispatched.
 
 Self-healing: a monitor thread heartbeats every host.  A host that
 misses its heartbeat (or fails a send mid-batch) is marked dead: its
 sockets are shut down so in-flight batches fail immediately with a
 distinct error instead of hanging, new traffic routes around it, and
-the monitor keeps dialing until the host returns — at which point its
-replication sets start empty (and its inflight/latency stats reset, so
-least-inflight routing is not skewed by the bounced process), and
-everything it needs re-replicates on first use.
+the monitor keeps reconnecting (redialing a host, re-forking a local
+replica) until it returns — at which point its replication sets start
+empty (and its inflight/latency stats reset, so least-inflight routing
+is not skewed by the bounced process), and everything it needs
+re-replicates on first use.
 
-Resilience (PR 9): a failed batch no longer poisons its futures.
-``execute`` retries transport-level failures on surviving hosts with
+Resilience (PR 9): a failed batch does not poison its futures.
+``execute`` retries transport-level failures on surviving replicas with
 capped, deadline-aware exponential backoff + jitter — safe because
 execution is pure and seeds ride the requests, so a re-executed batch
 is bit-identical and *batched == solo* is preserved.  Each EXECUTE
@@ -58,6 +63,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
+import multiprocessing
 import random
 import socket
 import threading
@@ -126,17 +132,21 @@ class _Channel:
 
 
 class _Host:
-    """Coordinator-side handle for one worker host."""
+    """Coordinator-side handle for one replica: a worker host at ``addr``,
+    or an address-less local replica (a forked child) when ``addr`` is
+    ``None``."""
 
-    def __init__(self, addr: tuple[str, int], index: int):
+    def __init__(self, addr: tuple[str, int] | None, index: int):
         self.addr = addr
         self.index = index
+        self.label = f"{addr[0]}:{addr[1]}" if addr else f"local:{index}"
         self.channels: list[_Channel] = []
         self.hb_sock: socket.socket | None = None
         self.hb_lock = threading.Lock()
         self.state_lock = threading.Lock()
-        #: ("ctx"|"prog"|"be", key) -> Event set once replication completed;
-        #: waiters on other channels block until the owner's RESULT lands.
+        #: ("context"|"program"|"backend", key) -> Event set once
+        #: replication completed; waiters on other channels block until
+        #: the owner's RESULT lands.
         self.replicated: dict[tuple, threading.Event] = {}
         self.dead = True          # comes alive on first successful connect
         self.inflight = 0
@@ -154,14 +164,16 @@ class _Host:
         self.latencies_ms = Histogram()
         self.remote: dict = {}    # last heartbeat reply (pid, load)
         #: latest metrics blob piggybacked on a HEARTBEAT or RESULT
-        #: reply (cumulative per host process, so latest-wins folds)
+        #: reply (cumulative per replica process, so latest-wins folds)
         self.metrics: dict | None = None
         self._rr = itertools.count()
 
     def next_channel(self) -> _Channel:
         channels = self.channels
         if not channels:
-            raise RuntimeError(f"host {self.addr} has no live connection")
+            raise HostFailure(
+                f"worker host {self.label} has no live connection",
+                self.index)
         return channels[next(self._rr) % len(channels)]
 
 
@@ -186,7 +198,9 @@ def _dial(addr: tuple[str, int], *, timeout: float,
         raise
 
 
-def _parse_addr(host) -> tuple[str, int]:
+def _parse_addr(host) -> tuple[str, int] | None:
+    if host is None:   # an address-less local replica
+        return None
     if isinstance(host, tuple):
         return (host[0], int(host[1]))
     name, _, port = str(host).rpartition(":")
@@ -197,11 +211,13 @@ class RemoteExecutor:
     """Runs functional batches on a pool of remote worker hosts.
 
     ``hosts`` is a list of ``"host:port"`` strings or ``(host, port)``
-    tuples; ``channels`` command connections are opened per host, so a
-    host can execute that many batches concurrently (pair with worker
-    ``--processes``).  Backends that do not execute encrypted values
-    fall back to an inner :class:`ThreadExecutor`, exactly like the
-    process pool.
+    tuples (``None`` entries are address-less local replicas — see
+    :class:`ProcessExecutor`); ``channels`` command connections are
+    opened per host, so a host can execute that many batches
+    concurrently (pair with worker ``--processes``).  Backends that do
+    not execute encrypted values (f1/cpu/heax models, the plaintext
+    reference) have no per-replica state worth replicating and fall back
+    to an inner :class:`ThreadExecutor`.
 
     Failure policy knobs: ``retry`` is the
     :class:`~repro.serve.resilience.RetryPolicy` for transport-level
@@ -248,10 +264,15 @@ class RemoteExecutor:
                         "breaker_opens": 0, "breaker_closes": 0}
         self._fallback = ThreadExecutor()
         self._guard = threading.Lock()
-        self._ctx_keys: dict[int, tuple[int, ContextEntry]] = {}
-        self._ctx_counter = itertools.count()
-        self._backend_keys: dict[int, tuple[int, object]] = {}
-        self._backend_counter = itertools.count()
+        # ("context"|"backend", id(obj)) -> (replication key, strong
+        # reference).  The reference pins the entry/backend alive until
+        # release() or close(), so a freed object's id can never be
+        # reused by a different one and silently resolve to the wrong
+        # replica-side state.  Backends are pinned like entries: shipped
+        # once, then referenced by key on every EXECUTE (a context-bound
+        # backend would otherwise re-serialize its context per batch).
+        self._pinned: dict[tuple[str, int], tuple[int, object]] = {}
+        self._key_counter = itertools.count()
         self._closed = False
         self._owned_cluster = None   # set by cluster.remote_executor
         self._hosts = [_Host(addr, i) for i, addr in enumerate(addrs)]
@@ -262,12 +283,10 @@ class RemoteExecutor:
                 on_transition=(lambda old, new, h=host:
                                self._breaker_transition(h, old, new)),
             )
-        ring = []
-        for host in self._hosts:
-            for v in range(VNODES):
-                ring.append((_ring_point(f"{host.addr[0]}:{host.addr[1]}#{v}"),
-                             host.index))
-        ring.sort()
+        # Only addressed hosts sit on the ring; a local pool has none.
+        ring = sorted((_ring_point(f"{host.label}#{v}"), host.index)
+                      for host in self._hosts if host.addr
+                      for v in range(VNODES))
         self._ring_points = [p for p, _ in ring]
         self._ring_hosts = [i for _, i in ring]
         errors = []
@@ -275,7 +294,7 @@ class RemoteExecutor:
             try:
                 self._connect_host(host)
             except OSError as exc:
-                errors.append(f"{host.addr}: {exc}")
+                errors.append(f"{host.label}: {exc}")
         if all(h.dead for h in self._hosts):
             raise ConnectionError(
                 "could not reach any worker host: " + "; ".join(errors)
@@ -300,23 +319,27 @@ class RemoteExecutor:
             self._note_event("breaker_opens")
         elif old == CircuitBreaker.OPEN or new == CircuitBreaker.CLOSED:
             self._note_event("breaker_closes")
-        tracer().event("breaker", addr=f"{host.addr[0]}:{host.addr[1]}",
-                       old=old, new=new)
+        tracer().event("breaker", addr=host.label, old=old, new=new)
 
     # ----------------------------------------------------------- connections
+    def _open(self, host: _Host) -> tuple[list[socket.socket],
+                                          socket.socket | None]:
+        """Make the connections to one replica: ``(command sockets,
+        heartbeat socket or None)``.  This is the one thing a worker
+        host and a forked replica differ in — here, dial + HELLO."""
+        socks = [_dial(host.addr, timeout=self.connect_timeout,
+                       max_frame=self.max_frame)
+                 for _ in range(self.channels + 1)]
+        hb = socks.pop()
+        hb.settimeout(self.heartbeat_timeout)
+        return socks, hb
+
     def _connect_host(self, host: _Host) -> None:
         """(Re)establish every connection to one host; resets its
         replication sets, so state re-replicates on first use."""
-        channels = [
-            _Channel(_dial(host.addr, timeout=self.connect_timeout,
-                           max_frame=self.max_frame))
-            for _ in range(self.channels)
-        ]
-        hb = _dial(host.addr, timeout=self.connect_timeout,
-                   max_frame=self.max_frame)
-        hb.settimeout(self.heartbeat_timeout)
+        socks, hb = self._open(host)
         with host.state_lock:
-            host.channels = channels
+            host.channels = [_Channel(sock) for sock in socks]
             host.hb_sock = hb
             host.replicated = {}
             host.dead = False
@@ -400,14 +423,15 @@ class RemoteExecutor:
         A host is routable when it is alive *and* its circuit breaker
         admits traffic (closed or half-open) — an open breaker takes a
         sick-but-connected host out of rotation before anyone pays a
-        timeout on it.
+        timeout on it.  A ring-less local pool walks in index order.
         """
+        n = len(self._ring_hosts)
         start = bisect.bisect_left(self._ring_points, key)
+        walk = ((self._ring_hosts[(start + step) % n] for step in range(n))
+                if n else range(len(self._hosts)))
         seen: set[int] = set()
         ordered: list[tuple[int, _Host]] = []
-        n = len(self._ring_hosts)
-        for step in range(n):
-            idx = self._ring_hosts[(start + step) % n]
+        for idx in walk:
             if idx in seen:
                 continue
             seen.add(idx)
@@ -439,9 +463,13 @@ class RemoteExecutor:
             if preferred:
                 candidates = preferred
             rank = {id(host): r for r, host in candidates}
+            # Ties break by ring rank (an idle cluster keeps a signature
+            # on its stable primary) or, without a ring, by fewest
+            # dispatched (an idle local pool round-robins).
             host = pick_least_inflight(
                 [host for _, host in candidates],
-                tiebreak=lambda h: rank[id(h)],
+                tiebreak=((lambda h: rank[id(h)]) if self._ring_hosts
+                          else None),
             )
             host.inflight += 1
             host.dispatched += 1
@@ -455,21 +483,26 @@ class RemoteExecutor:
                 host.inflight -= 1
 
     # ---------------------------------------------------------- replication
-    def _ctx_key(self, entry: ContextEntry) -> int:
+    def _key(self, tag: str, obj) -> int:
+        """The replication key of an entry (``"context"``) or backend
+        (``"backend"``), pinning the object on first sight."""
         with self._guard:
-            known = self._ctx_keys.get(id(entry))
+            known = self._pinned.get((tag, id(obj)))
             if known is None:
-                known = (next(self._ctx_counter), entry)
-                self._ctx_keys[id(entry)] = known
+                known = (next(self._key_counter), obj)
+                self._pinned[(tag, id(obj))] = known
             return known[0]
 
-    def _backend_key(self, backend) -> int:
+    def _fail(self, host: _Host, why: str) -> HostFailure:
+        """A transport-level failure on ``host`` (death, watchdog
+        timeout, stream desync): route around it and type the error as
+        retryable — the batch fails over to a survivor instead of
+        failing its futures."""
+        self._mark_dead(host)
+        host.breaker.record_failure()
         with self._guard:
-            known = self._backend_keys.get(id(backend))
-            if known is None:
-                known = (next(self._backend_counter), backend)
-                self._backend_keys[id(backend)] = known
-            return known[0]
+            host.failed += 1
+        return HostFailure(f"worker host {host.label} {why}", host.index)
 
     def _call(self, host: _Host, channel: _Channel, msg_type: MsgType,
               message: dict) -> dict:
@@ -480,46 +513,28 @@ class RemoteExecutor:
             reply_type, reply = recv_msg(channel.sock,
                                          max_frame=self.max_frame)
         except (OSError, FrameError, ConnectionError) as exc:
-            # Transport failure (death, watchdog timeout, stream
-            # desync): typed as retryable — the batch fails over to a
-            # survivor instead of failing its futures.
-            self._mark_dead(host)
-            host.breaker.record_failure()
-            with self._guard:
-                host.failed += 1
-            failure = HostFailure(
-                f"worker host {host.addr[0]}:{host.addr[1]} died mid-call "
-                f"({type(exc).__name__}: {exc}); the batch fails over and "
-                f"the host will be redialed"
-            )
-            failure.host_index = host.index
-            raise failure from None
+            raise self._fail(
+                host, f"died mid-call ({type(exc).__name__}: {exc}); the "
+                      f"batch fails over and the host will be reconnected"
+            ) from None
         if reply_type is MsgType.ERROR:
             if reply.get("fatal"):
                 # Framing violations desynchronize the stream — the
                 # host is healthy-ish but this connection set is not;
                 # treat like a transport failure so the batch retries.
-                self._mark_dead(host)
-                host.breaker.record_failure()
-                with self._guard:
-                    host.failed += 1
-                failure = HostFailure(
-                    f"worker host {host.addr[0]}:{host.addr[1]} rejected "
-                    f"the stream: {reply.get('error')}"
-                )
-                failure.host_index = host.index
-                raise failure
+                raise self._fail(
+                    host, f"rejected the stream: {reply.get('error')}")
             # Non-fatal ERROR = remote execution error: deterministic
             # (execution is pure), so retrying elsewhere would fail
             # identically — surface it without retry.
             raise RuntimeError(
-                f"worker host {host.addr[0]}:{host.addr[1]} failed: "
+                f"worker host {host.label} failed: "
                 f"{reply.get('error')}\n{reply.get('traceback', '')}"
             )
         return reply
 
     def _ship_once(self, host: _Host, channel: _Channel, tag: str, key,
-                   message: dict) -> None:
+                   payload: dict) -> None:
         """Replicate one piece of state to ``host`` exactly once.
 
         The first channel to need it ships it (holding its own channel
@@ -529,9 +544,8 @@ class RemoteExecutor:
         """
         with host.state_lock:
             if host.dead:
-                failure = HostFailure(f"worker host {host.addr} is down")
-                failure.host_index = host.index
-                raise failure
+                raise HostFailure(f"worker host {host.label} is down",
+                                  host.index)
             event = host.replicated.get((tag, key))
             owner = event is None
             if owner:
@@ -539,7 +553,8 @@ class RemoteExecutor:
                 host.replicated[(tag, key)] = event
         if owner:
             try:
-                self._call(host, channel, MsgType.REPLICATE, message)
+                self._call(host, channel, MsgType.REPLICATE,
+                           {"kind": tag, "key": key, **payload})
             except BaseException:
                 with host.state_lock:
                     if host.replicated.get((tag, key)) is event:
@@ -548,43 +563,56 @@ class RemoteExecutor:
                 raise
             event.set()
         elif not event.wait(timeout=60.0):
-            failure = HostFailure(
-                f"timed out waiting for replication to {host.addr}"
-            )
-            failure.host_index = host.index
-            raise failure
+            raise HostFailure(
+                f"timed out waiting for replication to {host.label}",
+                host.index)
         elif (tag, key) not in host.replicated:
             # The owner failed after we started waiting; one retry ships
             # it ourselves (recursion depth is bounded by the retry).
-            self._ship_once(host, channel, tag, key, message)
+            self._ship_once(host, channel, tag, key, payload)
 
-    def _ensure_replicated(self, host: _Host, channel: _Channel,
-                           job: BatchJob, key: int, backend_key: int) -> int:
-        entry = job.context_entry
+    def _ship_context(self, host: _Host, channel: _Channel,
+                      entry: ContextEntry, key: int) -> int:
+        """Ship one entry's serialized state (``to_state()``: params,
+        secret coefficients, RNG state — derived caches are rebuilt
+        replica-side, never shipped); returns the authoritative key."""
         with self._guard:
             # Re-pin under the guard (a concurrent release may have
             # unpinned the entry between key capture and now), keeping
-            # any newer key — same scheme as ProcessExecutor.
-            known = self._ctx_keys.setdefault(id(entry), (key, entry))
-        key = known[0]
-        self._ship_once(host, channel, "ctx", key, {
-            "kind": "context", "key": key,
+            # any newer key, so whatever ships below stays reachable —
+            # and therefore evictable — from the pin map.
+            key = self._pinned.setdefault(("context", id(entry)),
+                                          (key, entry))[0]
+        self._ship_once(host, channel, "context", key, {
             "state": entry.context.to_state(),
-            "signature": job.signature,
-            # Fresh entropy per (host, entry): no two replicas — here or
-            # in any process pool — share an encryption-randomness stream.
+            "signature": entry.signature,
+            # Fresh entropy per (replica, entry): no two replicas (nor
+            # the coordinator) share an encryption-randomness stream.
             "reseed": np.random.SeedSequence().entropy,
         })
-        batcher = job.batcher
-        self._ship_once(host, channel, "prog", job.signature, {
-            "kind": "program", "key": job.signature, "program": job.program,
-            "width": batcher.width if batcher is not None else 1,
-            "max_batch": batcher.capacity if batcher is not None else 1,
-        })
-        self._ship_once(host, channel, "be", backend_key, {
-            "kind": "backend", "key": backend_key, "backend": job.backend,
-        })
         return key
+
+    def _ensure_replicated(self, host: _Host, channel: _Channel,
+                           job: BatchJob, key: int,
+                           backend_key: int) -> tuple[int, tuple]:
+        """Ship context/program/backend state to ``host`` once; returns
+        the authoritative ``(context key, program key)``.
+
+        The program key carries the batch layout — ``(signature, width,
+        plain_width, capacity)``, zeros for unbatched traffic — so the
+        replica rebuilds exactly the coordinator's batcher even when one
+        signature is served under several layouts.
+        """
+        key = self._ship_context(host, channel, job.context_entry, key)
+        b = job.batcher
+        program_key = (job.signature,) + (
+            (b.width, b.plain_width, b.capacity) if b is not None
+            else (0, 0, 0))
+        self._ship_once(host, channel, "program", program_key,
+                        {"program": job.program})
+        self._ship_once(host, channel, "backend", backend_key,
+                        {"backend": job.backend})
+        return key, program_key
 
     # ---------------------------------------------------------------- public
     def _watchdog_s(self, deadline: float | None) -> float | None:
@@ -608,29 +636,23 @@ class RemoteExecutor:
             chosen.append(host.index)
         start = time.perf_counter()
         try:
-            try:
-                channel = host.next_channel()
-            except RuntimeError as exc:
-                failure = HostFailure(str(exc))
-                failure.host_index = host.index
-                raise failure from None
+            channel = host.next_channel()
             with channel.lock:
                 with socket_timeout(channel.sock, self._watchdog_s(deadline)):
-                    key = self._ensure_replicated(host, channel, job, key,
-                                                  backend_key)
+                    key, program_key = self._ensure_replicated(
+                        host, channel, job, key, backend_key)
                     reply = self._call(host, channel, MsgType.EXECUTE, {
-                        "ctx": key, "program": job.signature,
+                        "ctx": key, "program": program_key,
                         "backend": backend_key,
-                        "batched": job.batcher is not None,
                         "requests": [(r.inputs, r.plains, r.seed, r.level,
                                       getattr(r, "trace", None))
                                      for r in job.requests],
                     })
             host.breaker.record_success()
             host.latencies_ms.observe((time.perf_counter() - start) * 1e3)
-            # Fold the host's observability payload into the coordinator:
-            # spans it captured for traced requests, its cumulative
-            # metrics blob, and which host actually served the batch.
+            # Fold the replica's observability payload into the
+            # coordinator: spans it captured for traced requests, its
+            # cumulative metrics blob, and which replica served the batch.
             tracer().ingest(reply.get("spans"))
             if reply.get("metrics") is not None:
                 host.metrics = reply["metrics"]
@@ -639,7 +661,8 @@ class RemoteExecutor:
                 inner = result.stats.get("executed_on") or {}
                 result.stats["executed_on"] = {
                     "executor": self.name,
-                    "addr": f"{host.addr[0]}:{host.addr[1]}",
+                    "replica": host.index,
+                    "addr": host.label,
                     "pid": reply.get("pid"),
                     "via": inner.get("executor"),
                 }
@@ -713,8 +736,8 @@ class RemoteExecutor:
         backend = job.backend
         if not isinstance(backend, FunctionalBackend) or job.context_entry is None:
             return self._fallback.execute(job)
-        key = self._ctx_key(job.context_entry)
-        backend_key = self._backend_key(backend)
+        key = self._key("context", job.context_entry)
+        backend_key = self._key("backend", backend)
         deadline = job.deadline
         failures = 0
         causes: list[BaseException] = []
@@ -758,29 +781,31 @@ class RemoteExecutor:
                 time.sleep(delay)
 
     def release(self, entry: ContextEntry) -> None:
-        """Unpin a replicated entry and evict it from every live host.
+        """Unpin a replicated entry and evict it from every live replica.
 
-        Long-lived pools cycling through many ``(signature, params)``
-        combinations should release retired entries, or host-side memory
-        (contexts plus their growing hint caches) accumulates without
-        bound.  Releasing an entry that was never replicated is a no-op;
-        a later batch for it simply replicates again.
+        Replication pins each entry (and its growing hint caches) for
+        the pool's lifetime — the right default for steady traffic, but
+        a long-lived pool cycling through many ``(signature, params)``
+        combinations should release retired entries, or memory grows
+        without bound on both sides of the wire.  Releasing an entry
+        that was never replicated is a no-op; a later batch for it
+        simply replicates again.  Backends follow the same pinning
+        scheme (a context-bound backend can be as heavy as an entry) —
+        retire one with :meth:`release_backend`.
         """
-        with self._guard:
-            known = self._ctx_keys.pop(id(entry), None)
-        if known is None:
-            return
-        self._drop("ctx", known[0], {"kind": "drop_context", "key": known[0]})
+        self._unpin("context", entry)
 
     def release_backend(self, backend) -> None:
-        """Unpin a shipped backend and evict it from every live host."""
+        """Unpin a shipped backend and evict it from every live replica
+        (see :meth:`release`)."""
+        self._unpin("backend", backend)
+
+    def _unpin(self, tag: str, obj) -> None:
         with self._guard:
-            known = self._backend_keys.pop(id(backend), None)
+            known = self._pinned.pop((tag, id(obj)), None)
         if known is None:
             return
-        self._drop("be", known[0], {"kind": "drop_backend", "key": known[0]})
-
-    def _drop(self, tag: str, key, message: dict) -> None:
+        key = known[0]
         for host in self._hosts:
             with host.state_lock:
                 held = not host.dead and (tag, key) in host.replicated
@@ -791,57 +816,60 @@ class RemoteExecutor:
             try:
                 channel = host.next_channel()
                 with channel.lock:
-                    self._call(host, channel, MsgType.REPLICATE, message)
+                    self._call(host, channel, MsgType.REPLICATE,
+                               {"kind": f"drop_{tag}", "key": key})
             except RuntimeError:
                 pass   # a dead host forgot everything anyway
 
     def probe(self, entry: ContextEntry) -> list[dict]:
-        """Replicate ``entry`` to every live host and report each host's
-        view (same secret everywhere, distinct pids, RNGs seeded apart)."""
-        key = self._ctx_key(entry)
-        program = _probe_program(entry)
-        job = BatchJob(program=program, signature=program.signature(),
-                       requests=[], batcher=None,
-                       backend=FunctionalBackend(validate=False),
-                       context_entry=entry)
+        """Replicate ``entry`` to every live replica and report each
+        one's view.
+
+        Diagnostic/test hook for the replication invariant: every
+        replica must hold the coordinator's secret (same ``secret_sha``)
+        in a distinct process (different ``pid``) with its RNG seeded
+        apart — workers never keygen on their own.
+        """
+        key = self._key("context", entry)
         out = []
         for host in self._hosts:
             if host.dead:
                 continue
             channel = host.next_channel()
             with channel.lock:
-                key = self._ensure_replicated(
-                    host, channel, job, key, self._backend_key(job.backend)
-                )
+                key = self._ship_context(host, channel, entry, key)
                 out.append(self._call(host, channel, MsgType.REPLICATE,
                                       {"kind": "probe", "key": key}))
         return out
 
     def stats(self) -> dict:
-        """Per-host observability: inflight/dispatched/latency/reconnects.
+        """Per-replica observability: inflight/dispatched/latency/reconnects.
 
         Surfaces through ``FheServer.stats()["executor"]`` — the README's
         telemetry section documents the schema.
         """
         with self._guard:
-            hosts = []
-            for host in self._hosts:
-                hosts.append({
-                    "addr": f"{host.addr[0]}:{host.addr[1]}",
-                    "alive": not host.dead,
-                    "breaker": host.breaker.state,
-                    "inflight": host.inflight,
-                    "dispatched": host.dispatched,
-                    "failed": host.failed,
-                    "reconnects": max(host.reconnects, 0),
-                    "latency_ms": host.latencies_ms.summary(),
-                    "remote": dict(host.remote),
-                })
+            hosts = [{
+                "addr": host.label,
+                "alive": not host.dead,
+                "breaker": host.breaker.state,
+                "inflight": host.inflight,
+                "dispatched": host.dispatched,
+                "failed": host.failed,
+                "reconnects": max(host.reconnects, 0),
+                "latency_ms": host.latencies_ms.summary(),
+                "remote": dict(host.remote),
+            } for host in self._hosts]
             out = {
                 "executor": self.name,
                 "hosts": hosts,
-                "dispatched": sum(h.dispatched for h in self._hosts),
-                "reconnects": sum(max(h.reconnects, 0) for h in self._hosts),
+                "dispatched": sum(h["dispatched"] for h in hosts),
+                "dispatched_per_replica": [h["dispatched"] for h in hosts],
+                "inflight_per_replica": [h["inflight"] for h in hosts],
+                "replicated_contexts": [
+                    sum(tag == "context" for tag, _ in list(host.replicated))
+                    for host in self._hosts],
+                "reconnects": sum(h["reconnects"] for h in hosts),
                 "fallback": self._fallback.stats(),
             }
         with self._events_lock:
@@ -851,14 +879,14 @@ class RemoteExecutor:
     def healthy(self) -> bool:
         """True when at least one host is routable (alive with a closed
         or half-open breaker).  The server consults this while degraded
-        to decide when to hand traffic back to the remote pool."""
+        to decide when to hand traffic back to the pool."""
         return any(not h.dead and h.breaker.would_allow()
                    for h in self._hosts)
 
     def metrics_blobs(self) -> list[dict]:
-        """Latest metrics snapshot from each worker host (piggybacked on
-        HEARTBEAT and RESULT replies; cumulative per host process), for
-        the server to merge into its registry."""
+        """Latest metrics snapshot from each replica (piggybacked on
+        HEARTBEAT and RESULT replies; cumulative per replica process),
+        for the server to merge into its registry."""
         with self._guard:
             return [h.metrics for h in self._hosts if h.metrics]
 
@@ -873,26 +901,84 @@ class RemoteExecutor:
             host.dead = False   # force the socket teardown below
             self._mark_dead(host)
         with self._guard:
-            self._ctx_keys.clear()
-            self._backend_keys.clear()
+            self._pinned.clear()
         self._fallback.close()
         if self._owned_cluster is not None:
             self._owned_cluster.close()
             self._owned_cluster = None
 
-    def __enter__(self) -> "RemoteExecutor":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
 
-def _probe_program(entry: ContextEntry):
-    """A minimal program matching the entry's scheme, for probe shipping."""
-    from repro.dsl.program import Program
+#: Local replicas are forked where the platform can (children inherit
+#: the warmed interpreter: no re-import, copy-on-write pages); elsewhere
+#: the platform's default start method applies.
+_MP = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
-    program = Program(n=entry.params.n, scheme=entry.scheme,
-                      name="net_probe")
-    x = program.input(1, name="x")
-    program.output(x)
-    return program
+
+class ProcessExecutor(RemoteExecutor):
+    """Runs functional batches on a pool of forked worker processes.
+
+    The same coordinator as :class:`RemoteExecutor`, over ``processes``
+    address-less local replicas: each is a child process running a
+    :class:`~repro.net.worker.WorkerHost` on its end of a
+    ``socket.socketpair()``.  Replicas are forked at construction (create
+    the executor *before* starting server threads).  The first batch of
+    each ``(signature, params)`` replicates the registry entry's context
+    into the chosen replica from its serialized keys — amortized exactly
+    like the registry's keygen — and later batches of that signature
+    shard across replicas by least-in-flight.  There is no per-context
+    execution lock: each replica owns its context copy outright, so
+    same-signature traffic runs in true parallel on multi-core hosts.
+
+    What differs from a TCP host is only how a connection is (re)made: a
+    dead replica (killed, hung past the watchdog, or desynchronized) is
+    re-forked by the monitor with an empty replication set.  Retry,
+    breakers and the deadline watchdog apply unchanged.
+    """
+
+    name = "process"
+
+    def __init__(self, processes: int = 2):
+        if processes < 1:
+            raise ValueError("processes must be >= 1")
+        self.processes = processes
+        self._procs: list = [None] * processes
+        # One command channel per replica (a replica runs one batch at a
+        # time) and no heartbeat socket: a dead child is seen as EOF on
+        # the next exchange, so the monitor period only bounds how long
+        # a dead replica waits for its re-fork.
+        super().__init__([None] * processes, channels=1, heartbeat_s=0.05)
+
+    def _open(self, host: _Host):
+        """(Re)fork replica ``host.index`` onto a fresh socketpair."""
+        from repro.net.worker import serve_socketpair  # imports this module
+
+        old = self._procs[host.index]
+        if old is not None:
+            old.kill()   # no-op when it already exited
+            old.join(timeout=5)
+        ours, theirs = socket.socketpair()
+        proc = _MP.Process(
+            target=serve_socketpair, args=(theirs, ours, host.index),
+            name=f"fhe-executor-{host.index}", daemon=True,
+        )
+        proc.start()
+        theirs.close()
+        self._procs[host.index] = proc
+        return [ours], None
+
+    def stats(self) -> dict:
+        return {**super().stats(), "processes": self.processes}
+
+    def close(self) -> None:
+        super().close()   # shuts the socketpairs down: children see EOF
+        for proc in filter(None, self._procs):
+            proc.join(timeout=5)
+            if proc.is_alive():
+                proc.kill()

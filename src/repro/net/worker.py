@@ -1,7 +1,11 @@
-"""Worker host: one remote execution node of the sharded serving tier.
+"""Worker host: the replica side of the replicate/execute protocol.
 
-Run one per machine (or several per machine — each is an independent
-process, the F1 many-independent-clusters shape)::
+:class:`WorkerHost` is the one replica-side implementation: a TCP worker
+(:func:`serve`) and a forked pool replica (:func:`serve_socketpair`, what
+:class:`~repro.net.remote.ProcessExecutor` forks) run the same handlers
+over the same frames.  Run one TCP worker per machine (or several per
+machine — each is an independent process, the F1
+many-independent-clusters shape)::
 
     PYTHONPATH=src python -m repro.net.worker --port 7100
     PYTHONPATH=src python -m repro.net.worker --port 0        # pick a port
@@ -20,13 +24,14 @@ Protocol (see :mod:`repro.net.framing` for the frame format):
   **workers never keygen**; every context is restored from the
   coordinator's serialized secret, and replicas are reseeded apart so no
   two nodes share an encryption-randomness stream), ``program`` (the
-  :class:`~repro.dsl.program.Program` plus its batcher layout config),
-  ``backend``, the matching ``drop_*`` evictions, and ``probe`` (the
+  :class:`~repro.dsl.program.Program`, keyed by ``(signature, width,
+  plain_width, capacity)`` — the coordinator's batch layout), ``backend``,
+  the ``drop_context`` / ``drop_backend`` evictions, and ``probe`` (the
   replication-invariant diagnostic).  Replies ``RESULT {ok: True}``.
-- ``EXECUTE {ctx, program, backend, batched, requests}`` — one flushed
-  batch, executed through the PR 5 executor seam (an in-process
+- ``EXECUTE {ctx, program, backend, requests}`` — one flushed batch,
+  executed through the executor seam (an in-process
   :class:`~repro.serve.executor.ThreadExecutor` by default, or a
-  ``--processes N`` :class:`~repro.serve.executor.ProcessExecutor` for
+  ``--processes N`` :class:`~repro.net.remote.ProcessExecutor` for
   multi-core hosts); replies ``RESULT {outputs, result, pid, spans,
   metrics}`` — captured trace spans for traced requests, plus this
   host's cumulative :mod:`repro.obs.metrics` blob, which the
@@ -44,6 +49,7 @@ desynchronized past a framing violation).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import socket
 import threading
@@ -64,8 +70,10 @@ from repro.net.framing import (
     recv_msg,
     send_msg,
 )
-from repro.serve.batcher import BatchUnsupported, Request, SlotBatcher
-from repro.serve.executor import BatchJob, ProcessExecutor, ThreadExecutor
+from repro.fhe.context import context_from_state
+from repro.net.remote import ProcessExecutor
+from repro.serve.batcher import Request, SlotBatcher
+from repro.serve.executor import BatchJob, ThreadExecutor
 from repro.serve.registry import ContextEntry
 
 
@@ -73,8 +81,9 @@ class WorkerHost:
     """Shared state and frame handlers for one worker process.
 
     Replicated state (contexts/programs/backends) is process-wide and
-    shared across connections, exactly like the process-executor worker's
-    dicts; the inner executor provides the execution-safety story
+    shared across connections; programs, the twiddle/Shoup caches and
+    key-switch hints populate lazily in this process as batches execute.
+    The inner executor provides the execution-safety story
     (:class:`ThreadExecutor` holds the per-context lock, so concurrent
     connections hitting the same entry serialize instead of corrupting
     the shared RNG/hint caches).
@@ -93,23 +102,22 @@ class WorkerHost:
         self.chaos = chaos
         self._guard = threading.Lock()
         self._entries: dict[int, ContextEntry] = {}
-        #: signature -> (program, batcher or None for unbatchable traffic)
-        self._programs: dict[str, tuple] = {}
+        #: (signature, width, plain_width, capacity) -> (program, batcher
+        #: or None for unbatched traffic, which ships zeros)
+        self._programs: dict[tuple, tuple] = {}
         self._backends: dict[int, object] = {}
         self._inflight = 0
         self._served = 0
 
     # ------------------------------------------------------------- handlers
     def _handle_replicate(self, msg: dict) -> tuple[MsgType, dict]:
-        kind = msg["kind"]
+        kind, key = msg["kind"], msg["key"]
         if kind == "context":
-            from repro.fhe.context import context_from_state
-
             ctx = context_from_state(msg["state"])
             if msg.get("reseed") is not None:
                 # Replicas must not share the coordinator's (or each
                 # other's) randomness stream: identical (a, e) draws
-                # across hosts would leak plaintext differences.  The
+                # across replicas would leak plaintext differences.  The
                 # secret key — the part that must converge — is untouched.
                 ctx.rng = np.random.default_rng(
                     np.random.SeedSequence(msg["reseed"])
@@ -119,34 +127,33 @@ class WorkerHost:
                 params=ctx.params, context=ctx,
             )
             with self._guard:
-                self._entries[msg["key"]] = entry
+                self._entries[key] = entry
         elif kind == "program":
+            # The key is the coordinator's batch layout, so the batcher
+            # rebuilt here is the coordinator's batcher — whatever other
+            # layouts this signature has been served under.
+            _signature, width, plain_width, capacity = key
             program = msg["program"]
-            try:
-                batcher = SlotBatcher(program, width=msg["width"],
-                                      max_batch=msg["max_batch"])
-            except BatchUnsupported:
-                batcher = None
+            batcher = (SlotBatcher(program, width=width,
+                                   plain_width=plain_width,
+                                   max_batch=capacity) if width else None)
             with self._guard:
-                self._programs[msg["key"]] = (program, batcher)
+                self._programs[key] = (program, batcher)
         elif kind == "backend":
             with self._guard:
-                self._backends[msg["key"]] = msg["backend"]
-        elif kind == "drop_context":
+                self._backends[key] = msg["backend"]
+        elif kind in ("drop_context", "drop_backend"):
+            table, release = ((self._entries, "release")
+                              if kind == "drop_context"
+                              else (self._backends, "release_backend"))
             with self._guard:
-                entry = self._entries.pop(msg["key"], None)
-            if entry is not None and isinstance(self.executor, ProcessExecutor):
-                self.executor.release(entry)
-        elif kind == "drop_backend":
-            with self._guard:
-                backend = self._backends.pop(msg["key"], None)
-            if backend is not None and isinstance(self.executor, ProcessExecutor):
-                self.executor.release_backend(backend)
+                dropped = table.pop(key, None)
+            # An inner process pool pinned (and replicated) it too.
+            if dropped is not None and hasattr(self.executor, release):
+                getattr(self.executor, release)(dropped)
         elif kind == "probe":
-            import hashlib
-
             with self._guard:
-                entry = self._entries[msg["key"]]
+                entry = self._entries[key]
             return MsgType.RESULT, {
                 "ok": True,
                 "pid": os.getpid(),
@@ -154,8 +161,8 @@ class WorkerHost:
                     entry.context.secret.coeffs.tobytes()
                 ).hexdigest(),
                 "moduli": entry.params.basis.moduli,
-                # Diagnostic draw (advances this host's stream): lets
-                # tests verify hosts were reseeded apart.
+                # Diagnostic draw (advances this replica's stream): lets
+                # tests verify replicas were reseeded apart.
                 "rng_fingerprint": entry.context.rng.integers(
                     0, 2**63, 4
                 ).tolist(),
@@ -179,13 +186,13 @@ class WorkerHost:
             requests = [Request(inputs=i, plains=p, seed=s, level=lv, trace=t)
                         for i, p, s, lv, t in msg["requests"]]
             job = BatchJob(
-                program=program, signature=msg["program"], requests=requests,
-                batcher=batcher if msg["batched"] else None,
+                program=program, signature=msg["program"][0],
+                requests=requests, batcher=batcher,
                 backend=backend, context_entry=entry,
             )
-            # Traced batches capture this host's spans (including any
+            # Traced batches capture this replica's spans (including any
             # forwarded by an inner process pool) and ship them on the
-            # reply; every reply piggybacks the host's merged metrics
+            # reply; every reply piggybacks the replica's merged metrics
             # blob so coordinator percentiles cover worker-side time.
             tr = tracer()
             cap = (tr.capture() if any(r.trace for r in requests)
@@ -236,7 +243,7 @@ class WorkerHost:
         """
         try:
             peer = "%s:%s" % conn.getpeername()[:2]
-        except OSError:
+        except (OSError, TypeError):   # TypeError: an unnamed socketpair end
             peer = "unknown"
         with conn:
             while True:
@@ -291,10 +298,25 @@ class WorkerHost:
         """This host's cumulative metrics: the process-global registry
         merged with any inner pool replicas' snapshots."""
         blobs = getattr(self.executor, "metrics_blobs", lambda: [])()
-        return merge_snapshots(global_metrics().snapshot(), *blobs)
+        snapshot = global_metrics().snapshot()
+        return merge_snapshots(snapshot, *blobs) if blobs else snapshot
 
     def close(self) -> None:
         self.executor.close()
+
+
+def serve_socketpair(conn: socket.socket, peer: socket.socket,
+                     index: int) -> None:
+    """Child-process entry point of one forked pool replica: serve frames
+    on ``conn`` until the coordinator hangs up.
+
+    ``peer`` is the coordinator's end, inherited through the fork; it is
+    closed here so the coordinator dying reads as EOF instead of leaving
+    an orphan blocked on a socket it itself keeps open.
+    """
+    peer.close()
+    tracer().set_label(f"replica {index}")
+    WorkerHost().serve_connection(conn)
 
 
 def serve(host: str = "127.0.0.1", port: int = 0, *, processes: int = 0,

@@ -5,7 +5,7 @@ Three parts, one join key:
 - :mod:`repro.obs.trace` — per-request spans (``admit -> queue -> pack
   -> dispatch -> execute -> unpack -> demux``) in a bounded ring,
   exportable as Chrome trace-event JSON (Perfetto-viewable).  The trace
-  id rides ``Request`` through pipes and the wire so coordinator and
+  id rides ``Request`` over the replica wire so coordinator and
   worker spans stitch into one timeline.
 - :mod:`repro.obs.metrics` — counters/gauges/fixed-log-bucket
   histograms whose snapshots merge across processes; worker hosts and

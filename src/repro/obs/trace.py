@@ -9,10 +9,10 @@ A span is a plain picklable dict::
 Spans are recorded into a bounded ring buffer (oldest spans drop first)
 on the process-wide :func:`tracer`.  The ``trace`` arg is the join key:
 the coordinator mints one id per request at ``submit`` time, the id
-rides ``Request.trace`` through the batcher, the ``ProcessExecutor``
-pipe, and the ``EXECUTE`` wire payload, and workers ship the spans they
-captured back on the reply — so one request yields one stitched
-timeline spanning every process that touched it.
+rides ``Request.trace`` through the batcher and the ``EXECUTE`` wire
+payload (forked pool replicas and worker hosts alike), and workers
+ship the spans they captured back on the reply — so one request yields
+one stitched timeline spanning every process that touched it.
 
 Timestamps are wall-clock microseconds (``time.time`` epoch), derived
 from ``time.perf_counter`` plus a per-process epoch offset captured at

@@ -12,9 +12,10 @@ amortize cost across many values; this package applies it across *users*:
   outputs, k requests for one request's price;
 - :mod:`repro.serve.executor` — the :class:`Executor` seam batches run
   through: :class:`ThreadExecutor` (in-process, per-context lock) or
-  :class:`ProcessExecutor` (a pool of worker processes, each holding its
-  own context replica restored from the parent's serialized keys — true
-  multi-core parallelism with no cross-request lock);
+  :class:`ProcessExecutor` (:mod:`repro.net.remote`'s replica coordinator
+  over forked worker processes, each holding its own context replica
+  restored from the parent's serialized keys — true multi-core
+  parallelism with no cross-request lock);
 - :mod:`repro.serve.server` — :class:`FheServer` ties them to a bounded
   queue, a priority/deadline-aware size-or-deadline flush policy, and a
   worker pool, with per-request and aggregate telemetry.
@@ -40,7 +41,6 @@ from repro.serve.batcher import (
 from repro.serve.executor import (
     BatchJob,
     Executor,
-    ProcessExecutor,
     ThreadExecutor,
     resolve_executor,
 )
@@ -62,6 +62,9 @@ from repro.serve.server import (
     FheServer,
     RequestResult,
 )
+
+# Last: repro.net builds on the serve modules above.
+from repro.net.remote import ProcessExecutor  # noqa: E402
 
 __all__ = [
     "BatchJob",

@@ -77,7 +77,7 @@ class Request:
 
     ``trace`` is the observability join key (``repro.obs``): minted by
     the server at submit when tracing is on, it travels with the request
-    through executor pipes and the wire so every span recorded for this
+    over the replica wire so every span recorded for this
     request — in any process — lands on one stitched timeline.
     """
 

@@ -2,51 +2,39 @@
 
 F1 gets its throughput from many independent compute clusters operating on
 decoupled ciphertext state; the software serving analogue is a pool of
-*worker processes*, each holding its own replica of the per-signature FHE
+*worker replicas*, each holding its own copy of the per-signature FHE
 context.  This module names that seam: :class:`FheServer` hands every
-flushed batch to an :class:`Executor`, and two implementations exist:
+flushed batch to an :class:`Executor`.  One implementation lives here:
 
 - :class:`ThreadExecutor` — in-process execution.  Because a
   :class:`~repro.fhe.context.FheContext` is shared mutable state (RNG,
   hint caches), it serializes batches per context with an execution lock.
-  This is the pre-executor behavior, now an implementation detail of this
-  class rather than of the registry.
-- :class:`repro.net.remote.RemoteExecutor` (the network tier) — the same
-  seam stretched over the framed socket transport: registry entries
-  replicate into :mod:`repro.net.worker` hosts instead of forked
-  processes, sharded by consistent hash of ``(signature, params)``.
-- :class:`ProcessExecutor` — warms N worker processes and *replicates* a
-  registry entry's context into each worker exactly once, from its
-  serialized keys (``context.to_state()``: params + secret coefficients +
-  RNG state; derived caches — NTT twiddles, Shoup quotients, key-switch
-  hints — are rebuilt worker-side, never shipped).  After replication,
-  batches are sharded across replicas with **no cross-request lock**: each
-  replica owns its context copy outright, so same-signature traffic runs
-  in true parallel on multi-core hosts.
 
-Replication correctness: every replica is restored from the parent's
-serialized secret key — workers never keygen — so decrypted outputs are
-bit-identical (BGV) / tolerance-equal (CKKS) to the parent's, regardless
-of which replica served a request.  Each replica's RNG is reseeded with
-fresh entropy at replication time (identical encryption-randomness
-streams across replicas would leak plaintext differences), and
-regenerated hints likewise draw fresh worker randomness — both are
-semantically irrelevant, since ciphertext randomness never affects
-decrypted values.  ``Request.seed`` travels inside the job payload, so
+The replica pools live in :mod:`repro.net.remote` and share one
+coordinator and one wire protocol (:mod:`repro.net.worker` is the replica
+side of both):
+
+- :class:`~repro.net.remote.ProcessExecutor` — N forked worker processes
+  on one box, each serving frames on a ``socketpair``; batches shard
+  across replicas with **no cross-request lock**, so same-signature
+  traffic runs in true parallel on multi-core hosts.
+- :class:`~repro.net.remote.RemoteExecutor` — the same pool stretched
+  over TCP: worker hosts sharded by consistent hash of
+  ``(signature, params)``.
+
+Inside a replica, batches run through this module's :class:`Executor`
+seam again (a :class:`ThreadExecutor`, or a nested process pool for
+``--processes N`` hosts).  ``Request.seed`` travels inside the job, so
 ``repro.run(..., seed=)`` determinism holds across process boundaries:
 the seed rides with the request, not with whichever process runs it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import os
 import threading
 import time
-import traceback
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.backends import (
@@ -87,7 +75,7 @@ class BatchJob:
 
 @runtime_checkable
 class Executor(Protocol):
-    """Where a :class:`BatchJob` runs: in-process threads or a process pool."""
+    """Where a :class:`BatchJob` runs: in-process threads or a replica pool."""
 
     name: str
 
@@ -111,10 +99,11 @@ def pick_least_inflight(candidates, *, tiebreak=None):
     work first, ties broken by ``tiebreak`` (fewest total dispatches by
     default, so an idle pool round-robins instead of pinning one member).
 
-    Used by :class:`ProcessExecutor` across its worker replicas and by
-    :class:`repro.net.remote.RemoteExecutor` along its consistent-hash
-    ring walk (there the tiebreak is ring order, so an idle cluster keeps
-    one signature's traffic on its stable primary host).
+    Used by the :mod:`repro.net.remote` coordinator: the default for a
+    :class:`~repro.net.remote.ProcessExecutor`'s local replicas, ring
+    order along a :class:`~repro.net.remote.RemoteExecutor`'s
+    consistent-hash walk (so an idle cluster keeps one signature's
+    traffic on its stable primary host).
     """
     if tiebreak is None:
         tiebreak = lambda c: c.dispatched  # noqa: E731 — tiny default
@@ -180,7 +169,7 @@ class ThreadExecutor:
     lock (attached to the context object, shared by every executor that
     touches it) for their duration.  Distinct signatures still proceed in
     parallel; same-signature batches serialize — the limitation
-    :class:`ProcessExecutor` removes.
+    :class:`~repro.net.remote.ProcessExecutor` removes.
     """
 
     name = "thread"
@@ -249,476 +238,6 @@ class ThreadExecutor:
         pass
 
 
-# --------------------------------------------------------------- process pool
-def _worker_main(conn) -> None:
-    """Worker-process loop: replicate contexts once, then run batches.
-
-    Contexts arrive as compact serialized state and are cached by key;
-    programs are cached by signature.  Twiddle/Shoup/hint caches populate
-    lazily in this process as batches execute.
-    """
-    from repro.fhe.context import context_from_state
-
-    contexts: dict[int, object] = {}
-    programs: dict[str, Program] = {}
-    backends: dict[int, object] = {}
-    while True:
-        try:
-            msg = conn.recv()
-        except EOFError:
-            return
-        op = msg["op"]
-        if op == "exit":
-            return
-        try:
-            if op == "context":
-                ctx = context_from_state(msg["state"])
-                if msg.get("reseed") is not None:
-                    # Replicas must not share the parent's randomness
-                    # stream: identical (a, e) draws across replicas would
-                    # leak plaintext differences.  Fresh per-replica
-                    # entropy replaces the restored RNG; the secret key —
-                    # the part that must converge — is untouched.
-                    import numpy as np
-
-                    ctx.rng = np.random.default_rng(
-                        np.random.SeedSequence(msg["reseed"])
-                    )
-                contexts[msg["key"]] = ctx
-                conn.send({"ok": True})
-            elif op == "program":
-                programs[msg["key"]] = msg["program"]
-                conn.send({"ok": True})
-            elif op == "backend":
-                backends[msg["key"]] = msg["backend"]
-                conn.send({"ok": True})
-            elif op == "drop_context":
-                contexts.pop(msg["key"], None)
-                conn.send({"ok": True})
-            elif op == "drop_backend":
-                backends.pop(msg["key"], None)
-                conn.send({"ok": True})
-            elif op == "probe":
-                ctx = contexts[msg["key"]]
-                conn.send({
-                    "ok": True,
-                    "pid": os.getpid(),
-                    "secret_sha": hashlib.sha256(
-                        ctx.secret.coeffs.tobytes()
-                    ).hexdigest(),
-                    "moduli": ctx.params.basis.moduli,
-                    # Diagnostic draw (advances this replica's stream):
-                    # lets tests verify replicas were reseeded apart.
-                    "rng_fingerprint": ctx.rng.integers(
-                        0, 2**63, 4
-                    ).tolist(),
-                })
-            elif op == "run":
-                ctx = contexts[msg["key"]]
-                program = programs[msg["program_key"]]
-                backend = backends[msg["backend_key"]]
-                # Traced batches capture this replica's spans and ship
-                # them back on the reply; every reply piggybacks the
-                # replica's metrics snapshot so the parent's percentiles
-                # cover worker-side time.
-                tr = tracer()
-                if msg["mode"] == "batched":
-                    traces = msg.get("traces") or []
-                    cap = tr.capture() if traces else nullcontext([])
-                    with _obs_profile.attributed(msg["program_key"]), \
-                            cap as spans:
-                        t0 = time.perf_counter()
-                        with tr.span("execute", traces=traces):
-                            result = backend.run(
-                                program, inputs=msg["inputs"],
-                                plains=msg["plains"], context=ctx,
-                                batch_layout=msg.get("layout"),
-                            )
-                        global_metrics().histogram(
-                            "serve.execute_ms"
-                        ).observe((time.perf_counter() - t0) * 1e3)
-                    conn.send({"ok": True, "result": result,
-                               "pid": os.getpid(), "spans": spans,
-                               "metrics": global_metrics().snapshot()})
-                else:
-                    requests = [Request(inputs=i, plains=p, seed=s,
-                                        level=lv, trace=t)
-                                for i, p, s, lv, t in msg["requests"]]
-                    traced = any(r.trace for r in requests)
-                    cap = tr.capture() if traced else nullcontext([])
-                    with _obs_profile.attributed(msg["program_key"]), \
-                            cap as spans:
-                        t0 = time.perf_counter()
-                        outputs, result = _run_singly(
-                            program, requests, backend, context=ctx
-                        )
-                        global_metrics().histogram(
-                            "serve.execute_ms"
-                        ).observe((time.perf_counter() - t0) * 1e3)
-                    conn.send({"ok": True, "result": result,
-                               "outputs": outputs, "pid": os.getpid(),
-                               "spans": spans,
-                               "metrics": global_metrics().snapshot()})
-            else:
-                conn.send({"ok": False,
-                           "error": f"unknown op {op!r}", "traceback": ""})
-        except BaseException as exc:  # noqa: BLE001 — reported to the parent
-            conn.send({
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-            })
-
-
-class _Replica:
-    """Parent-side handle for one worker process: pipe + replication sets."""
-
-    def __init__(self, mp_ctx, index: int):
-        parent_conn, child_conn = mp_ctx.Pipe()
-        self.conn = parent_conn
-        #: serializes the request/response exchange on this replica's pipe
-        self.lock = threading.Lock()
-        self.index = index
-        self.contexts: set[int] = set()
-        self.programs: set[str] = set()
-        self.backends: set[int] = set()
-        self.inflight = 0
-        self.dispatched = 0
-        self.dead = False
-        #: latest metrics snapshot piggybacked on a run reply (cumulative
-        #: per worker process, so latest-wins is the correct fold)
-        self.metrics: dict | None = None
-        self.process = mp_ctx.Process(
-            target=_worker_main, args=(child_conn,),
-            name=f"fhe-executor-{index}", daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    def call(self, msg: dict) -> dict:
-        """One request/response exchange (caller must hold ``lock``).
-
-        A broken pipe (worker crashed or was killed) marks this replica
-        dead so the dispatcher routes around it and revives a successor.
-        """
-        try:
-            self.conn.send(msg)
-            reply = self.conn.recv()
-        except (BrokenPipeError, EOFError, OSError):
-            self.dead = True
-            raise RuntimeError(
-                f"executor worker {self.index} died (pipe closed); "
-                f"the batch fails and the replica will be respawned"
-            ) from None
-        if not reply.get("ok"):
-            raise RuntimeError(
-                f"executor worker failed: {reply.get('error')}\n"
-                f"{reply.get('traceback', '')}"
-            )
-        return reply
-
-
-class ProcessExecutor:
-    """Runs functional batches on a pool of warmed worker processes.
-
-    ``processes`` worker replicas are forked at construction (create the
-    executor *before* starting server threads).  The first batch of each
-    ``(signature, params)`` replicates the registry entry's context into
-    the chosen worker from its serialized keys — amortized exactly like
-    the registry's keygen — and later batches of that signature shard
-    across replicas by least-in-flight.  There is no per-context execution
-    lock: each replica owns its context replica outright.
-
-    Backends that do not execute encrypted values (f1/cpu/heax models, the
-    plaintext reference) have no per-process state worth replicating and
-    fall back to an inner :class:`ThreadExecutor`.
-    """
-
-    name = "process"
-
-    def __init__(self, processes: int = 2, *, start_method: str | None = None):
-        if processes < 1:
-            raise ValueError("processes must be >= 1")
-        import multiprocessing as mp
-
-        if start_method is None:
-            start_method = ("fork" if "fork" in mp.get_all_start_methods()
-                            else None)
-        mp_ctx = mp.get_context(start_method)
-        self._mp_ctx = mp_ctx
-        self.processes = processes
-        self._fallback = ThreadExecutor()
-        self._guard = threading.Lock()
-        # id(entry) -> (replication key, strong reference).  The reference
-        # pins the entry alive until release() or close(), so a freed
-        # entry's id can never be reused by a different entry and silently
-        # resolve to the wrong worker-side context.
-        self._ctx_keys: dict[int, tuple[int, ContextEntry]] = {}
-        self._ctx_counter = itertools.count()
-        # Same id-pinning scheme for backends: shipped to a worker once,
-        # then referenced by key on every run message (a context-bound
-        # backend would otherwise re-serialize its context per batch).
-        self._backend_keys: dict[int, tuple[int, object]] = {}
-        self._backend_counter = itertools.count()
-        self._closed = False
-        self._replicas = [_Replica(mp_ctx, i) for i in range(processes)]
-
-    # ------------------------------------------------------------- internals
-    def _ctx_key(self, entry: ContextEntry) -> int:
-        with self._guard:
-            known = self._ctx_keys.get(id(entry))
-            if known is None:
-                known = (next(self._ctx_counter), entry)
-                self._ctx_keys[id(entry)] = known
-            return known[0]
-
-    def _backend_key(self, backend) -> int:
-        with self._guard:
-            known = self._backend_keys.get(id(backend))
-            if known is None:
-                known = (next(self._backend_counter), backend)
-                self._backend_keys[id(backend)] = known
-            return known[0]
-
-    def _pick(self) -> _Replica:
-        with self._guard:
-            if self._closed:
-                raise RuntimeError("executor is closed")
-            self._revive_dead_locked()
-            # Least in-flight first; ties (an idle pool) break by fewest
-            # total dispatches, so sequential traffic round-robins instead
-            # of pinning one replica.
-            replica = pick_least_inflight(self._replicas)
-            replica.inflight += 1
-            replica.dispatched += 1
-            return replica
-
-    def _revive_dead_locked(self) -> None:
-        """Replace crashed workers with fresh ones (caller holds _guard).
-
-        A replacement starts with empty replication sets, so the next
-        batch routed to it re-ships context/program/backend state —
-        self-healing at the cost of one re-replication.
-        """
-        for i, replica in enumerate(self._replicas):
-            if replica.dead:
-                if replica.process.is_alive():
-                    replica.process.terminate()
-                self._replicas[i] = _Replica(self._mp_ctx, replica.index)
-
-    def _release(self, replica: _Replica) -> None:
-        with self._guard:
-            replica.inflight -= 1
-
-    @staticmethod
-    def _replicate_context(replica: _Replica, entry: ContextEntry,
-                           key: int) -> None:
-        """Ship one entry's serialized state to this replica (caller holds
-        the replica lock).  Each replica's RNG is reseeded with fresh OS
-        entropy so no two replicas (or the parent) ever draw the same
-        encryption randomness; the secret key still converges."""
-        import numpy as np
-
-        replica.call({
-            "op": "context", "key": key,
-            "state": entry.context.to_state(),
-            "reseed": np.random.SeedSequence().entropy,
-        })
-        replica.contexts.add(key)
-
-    def _ensure_replicated(self, replica: _Replica, job: BatchJob,
-                           key: int, backend_key: int) -> int:
-        """Ship context/program/backend state to this replica once (caller
-        holds the replica lock); returns the authoritative context key."""
-        entry = job.context_entry
-        with self._guard:
-            # A concurrent release() may have unpinned the entry between
-            # key capture and this point; re-pin (keeping any newer key)
-            # so whatever we ship below stays reachable — and therefore
-            # evictable — from the parent map.
-            known = self._ctx_keys.setdefault(id(entry), (key, entry))
-        key = known[0]
-        if key not in replica.contexts:
-            self._replicate_context(replica, entry, key)
-        if job.signature not in replica.programs:
-            replica.call({
-                "op": "program", "key": job.signature,
-                "program": job.program,
-            })
-            replica.programs.add(job.signature)
-        if backend_key not in replica.backends:
-            replica.call({
-                "op": "backend", "key": backend_key,
-                "backend": job.backend,
-            })
-            replica.backends.add(backend_key)
-        return key
-
-    # ---------------------------------------------------------------- public
-    def execute(self, job: BatchJob) -> tuple[list[dict], RunResult]:
-        backend = job.backend
-        if not isinstance(backend, FunctionalBackend) or job.context_entry is None:
-            return self._fallback.execute(job)
-        key = self._ctx_key(job.context_entry)
-        backend_key = self._backend_key(backend)
-        tr = tracer()
-        traces = [r.trace for r in job.requests if getattr(r, "trace", None)]
-        replica = self._pick()
-        try:
-            with replica.lock:
-                key = self._ensure_replicated(replica, job, key, backend_key)
-                if job.batcher is not None:
-                    with tr.span("pack", traces=traces, k=len(job.requests)):
-                        inputs, plains = job.batcher.pack(job.requests)
-                        layout = job.batcher.layout(job.requests)
-                    # The layout (levels, rotation masking) is computed
-                    # parent-side with the packing and travels with the
-                    # run message — it is a small frozen dataclass.
-                    reply = replica.call({
-                        "op": "run", "mode": "batched", "key": key,
-                        "program_key": job.signature,
-                        "backend_key": backend_key,
-                        "inputs": inputs, "plains": plains,
-                        "layout": layout, "traces": traces,
-                    })
-                    result = self._absorb(replica, reply)
-                    with tr.span("unpack", traces=traces):
-                        outputs = job.batcher.unpack(
-                            result.outputs, len(job.requests)
-                        )
-                    return outputs, result
-                reply = replica.call({
-                    "op": "run", "mode": "singly", "key": key,
-                    "program_key": job.signature,
-                    "backend_key": backend_key,
-                    "requests": [(r.inputs, r.plains, r.seed, r.level,
-                                  getattr(r, "trace", None))
-                                 for r in job.requests],
-                })
-                return reply["outputs"], self._absorb(replica, reply)
-        finally:
-            self._release(replica)
-
-    def _absorb(self, replica: _Replica, reply: dict) -> RunResult:
-        """Fold a run reply's observability payload into the parent:
-        ingest worker spans, keep the replica's latest metrics blob, and
-        stamp execution attribution onto the result."""
-        tracer().ingest(reply.get("spans"))
-        if reply.get("metrics") is not None:
-            replica.metrics = reply["metrics"]
-        result = reply["result"]
-        if isinstance(result.stats, dict):
-            result.stats["executed_on"] = {
-                "executor": self.name,
-                "replica": replica.index,
-                "pid": reply.get("pid"),
-            }
-        return result
-
-    def release(self, entry: ContextEntry) -> None:
-        """Drop a replicated entry: unpin it in the parent and evict its
-        replica from every worker.
-
-        Replication pins each entry (and its growing hint caches) for the
-        pool's lifetime — the right default for steady traffic, but a
-        long-lived pool cycling through many ``(signature, params)``
-        combinations should release entries it has retired, or memory
-        grows without bound on both sides of the pipe.  Releasing an
-        entry that was never replicated is a no-op; a later batch for it
-        simply replicates again.  Backends follow the same pinning scheme
-        (a context-bound backend can be as heavy as an entry) — retire
-        one with :meth:`release_backend`.
-        """
-        with self._guard:
-            known = self._ctx_keys.pop(id(entry), None)
-        if known is None:
-            return
-        key = known[0]
-        for replica in self._replicas:
-            with replica.lock:
-                if key in replica.contexts:
-                    replica.call({"op": "drop_context", "key": key})
-                    replica.contexts.discard(key)
-
-    def release_backend(self, backend) -> None:
-        """Drop a shipped backend: unpin it in the parent and evict it
-        from every worker (see :meth:`release`)."""
-        with self._guard:
-            known = self._backend_keys.pop(id(backend), None)
-        if known is None:
-            return
-        key = known[0]
-        for replica in self._replicas:
-            with replica.lock:
-                if key in replica.backends:
-                    replica.call({"op": "drop_backend", "key": key})
-                    replica.backends.discard(key)
-
-    def probe(self, entry: ContextEntry) -> list[dict]:
-        """Replicate ``entry`` everywhere and report each replica's view.
-
-        Diagnostic/test hook for the replication invariant: every replica
-        must hold the parent's secret (same ``secret_sha``) in a distinct
-        process (different ``pid``) — workers never keygen on their own.
-        """
-        key = self._ctx_key(entry)
-        out = []
-        for replica in self._replicas:
-            with replica.lock:
-                if key not in replica.contexts:
-                    self._replicate_context(replica, entry, key)
-                out.append(replica.call({"op": "probe", "key": key}))
-        return out
-
-    def stats(self) -> dict:
-        with self._guard:
-            return {
-                "executor": self.name,
-                "processes": self.processes,
-                "dispatched": sum(r.dispatched for r in self._replicas),
-                "dispatched_per_replica": [r.dispatched
-                                           for r in self._replicas],
-                "inflight_per_replica": [r.inflight
-                                         for r in self._replicas],
-                "replicated_contexts": [len(r.contexts)
-                                        for r in self._replicas],
-                "fallback": self._fallback.stats(),
-            }
-
-    def metrics_blobs(self) -> list[dict]:
-        """Latest metrics snapshot from each replica (cumulative per
-        worker process), for the server to merge into its registry."""
-        with self._guard:
-            return [r.metrics for r in self._replicas if r.metrics]
-
-    def close(self) -> None:
-        with self._guard:
-            if self._closed:
-                return
-            self._closed = True
-        for replica in self._replicas:
-            with replica.lock:
-                try:
-                    replica.conn.send({"op": "exit"})
-                except (BrokenPipeError, OSError):
-                    pass
-                replica.conn.close()
-        for replica in self._replicas:
-            replica.process.join(timeout=5)
-            if replica.process.is_alive():
-                replica.process.terminate()
-        with self._guard:
-            self._ctx_keys.clear()
-            self._backend_keys.clear()
-        self._fallback.close()
-
-    def __enter__(self) -> "ProcessExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def resolve_executor(executor) -> Executor:
     """Accept an Executor instance or a name: ``"thread"``, ``"process"``,
     or ``"remote"``.
@@ -732,7 +251,10 @@ def resolve_executor(executor) -> Executor:
     if isinstance(executor, str):
         if executor == "thread":
             return ThreadExecutor()
+        # The replica pools build on this module, so they load lazily.
         if executor == "process":
+            from repro.net.remote import ProcessExecutor
+
             return ProcessExecutor()
         if executor == "remote":
             from repro.net.cluster import remote_executor
@@ -745,54 +267,3 @@ def resolve_executor(executor) -> Executor:
     if isinstance(executor, Executor):
         return executor
     raise TypeError(f"not an executor: {executor!r}")
-
-
-def process_smoke(processes: int = 2, *, verbose: bool = True) -> int:
-    """Tiny end-to-end exercise of the fork path, for CI gating.
-
-    Builds a context in the parent, replicates it into ``processes``
-    workers, checks the replication invariant (same secret, distinct
-    pids), and verifies a process-executed batch is bit-identical to the
-    thread-executed one.  Returns 0 on success (suitable as an exit code).
-    """
-    import numpy as np
-
-    from repro.dsl.program import Program
-    from repro.serve.registry import ProgramRegistry
-
-    program = Program(n=128, scheme="bgv", name="process_smoke")
-    x = program.input(2, name="x")
-    w = program.input_plain(2, name="w")
-    program.output(program.mul_plain(x, w))
-    registry = ProgramRegistry()
-    entry, _ = registry.context_for(program, seed=11)
-    batcher = SlotBatcher(program, width=4)
-    rng = np.random.default_rng(0)
-    shared_w = rng.integers(0, 256, 4)
-    requests = [Request(inputs={x.op_id: rng.integers(0, 256, 4)},
-                        plains={w.op_id: shared_w}) for _ in range(4)]
-    backend = FunctionalBackend(validate=False)
-    job = BatchJob(program=program, signature=program.signature(),
-                   requests=requests, batcher=batcher, backend=backend,
-                   context_entry=entry)
-    with ProcessExecutor(processes) as executor:
-        probes = executor.probe(entry)
-        shas = {p["secret_sha"] for p in probes}
-        pids = {p["pid"] for p in probes}
-        if len(shas) != 1 or len(pids) != processes:
-            if verbose:
-                print(f"process smoke FAILED: replicas diverged "
-                      f"(secrets={len(shas)}, pids={len(pids)})")
-            return 1
-        proc_outputs, _ = executor.execute(job)
-    thread_outputs, _ = ThreadExecutor().execute(job)
-    for got, want in zip(proc_outputs, thread_outputs):
-        for out_id in want:
-            if not np.array_equal(got[out_id], want[out_id]):
-                if verbose:
-                    print("process smoke FAILED: outputs diverged")
-                return 1
-    if verbose:
-        print(f"process smoke OK: {processes} replicas, shared secret, "
-              f"batched outputs bit-identical to in-process execution")
-    return 0

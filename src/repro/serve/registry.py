@@ -24,7 +24,7 @@ mutable state (one RNG, one hint cache), and whichever
 :class:`~repro.serve.executor.Executor` runs batches decides how to keep
 that safe — :class:`~repro.serve.executor.ThreadExecutor` holds one
 execution lock per entry, while
-:class:`~repro.serve.executor.ProcessExecutor` gives each worker process
+:class:`~repro.net.remote.ProcessExecutor` gives each worker process
 its own context replica and needs no lock at all.
 
 **Cross-process convergence rule**: registry entries for the same

@@ -45,7 +45,12 @@ class ResilienceError(RuntimeError):
 class HostFailure(ResilienceError):
     """One worker host failed a call at the transport level (died,
     timed out, or desynchronized its stream) — the batch is retryable
-    on a survivor."""
+    on a survivor.  ``host_index`` names the failed host so the retry
+    prefers a different one."""
+
+    def __init__(self, message: str, host_index: int | None = None):
+        super().__init__(message)
+        self.host_index = host_index
 
 
 class ExecutorUnavailable(ResilienceError):

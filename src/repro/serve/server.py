@@ -29,7 +29,7 @@ the PR 2 backend API plus the registry/batcher/executor of this package:
    request's :class:`RequestResult`.  The default
    :class:`~repro.serve.executor.ThreadExecutor` runs batches in-process
    under a per-context lock; a
-   :class:`~repro.serve.executor.ProcessExecutor` shards them across
+   :class:`~repro.net.remote.ProcessExecutor` shards them across
    worker-process context replicas with no cross-request lock at all.
 4. Programs a batcher cannot pack (BGV rotations/ct x ct MUL, CKKS
    negative-step rotations) still serve correctly in batches of one —
@@ -302,7 +302,7 @@ class FheServer:
 
     ``executor`` decides where flushed batches run: ``"thread"`` (default,
     in-process with a per-context lock), ``"process"``/a
-    :class:`~repro.serve.executor.ProcessExecutor` instance (a pool of
+    :class:`~repro.net.remote.ProcessExecutor` instance (a pool of
     worker-process context replicas, no cross-request lock), ``"remote"``/
     a :class:`~repro.net.remote.RemoteExecutor` instance (worker *hosts*
     over the socket transport, sharded by consistent hash — the string
@@ -323,7 +323,7 @@ class FheServer:
             raise ValueError("workers must be >= 1")
         if trace:
             # Per-request span tracing: ids minted at submit ride each
-            # request through pipes/sockets; dump_trace() exports the
+            # request over the replica wire; dump_trace() exports the
             # stitched Chrome trace-event timeline.
             tracer().set_label("coordinator")
             tracer().enable()
@@ -336,7 +336,7 @@ class FheServer:
         # so every worker thread can drive its own process replica.
         self._own_executor = isinstance(executor, str)
         if executor == "process":
-            from repro.serve.executor import ProcessExecutor
+            from repro.net.remote import ProcessExecutor
 
             self.executor: Executor = ProcessExecutor(workers)
         elif executor == "remote":
@@ -372,7 +372,7 @@ class FheServer:
         self._queue_ms = self.metrics.histogram("serve.queue_ms")
         self._occupancies = self.metrics.histogram("serve.occupancy")
         #: wall time of executor.execute per batch — the dispatch cost the
-        #: executor tier adds (pipe/socket round-trips included)
+        #: executor tier adds (socket round-trips included)
         self._dispatch_ms = self.metrics.histogram("serve.dispatch_ms")
         self._completed = self.metrics.counter("serve.requests")
         self._batches = self.metrics.counter("serve.batches")
@@ -969,12 +969,11 @@ class FheServer:
 
         ``executor`` is the executor tier's own telemetry (see the README
         observability section for the schema): dispatch counters and, for
-        the pool executors, per-worker/per-host breakdowns —
-        ``inflight_per_replica`` on a process pool, and per-host
-        ``inflight``/``dispatched``/``reconnects``/``latency_ms`` rows on
-        a remote pool.  ``dispatch_ms`` is the server-side wall time of
-        ``executor.execute`` per batch — what the executor tier (pipe or
-        socket round-trips included) adds on top of the FHE math.
+        the pool executors (process and remote share one schema),
+        per-replica breakdowns — ``inflight_per_replica`` and per-host
+        ``inflight``/``dispatched``/``reconnects``/``latency_ms`` rows.  ``dispatch_ms`` is the server-side wall time of
+        ``executor.execute`` per batch — what the executor tier (socket
+        round-trips included) adds on top of the FHE math.
         """
         with self._groups_lock:
             groups = list(self._groups.values())

@@ -21,11 +21,10 @@ Steps, in order:
 ``-m "not slow"`` (deselecting the bootstrapping/GSW functional suites, see
 ``pytest.ini``) and skips the perf gate and examples smoke, so fast checks
 — including the multi-threaded serving stress tests — finish in seconds
-instead of minutes.  Both modes additionally run a 2-process executor
-smoke (fresh interpreter, forked worker pool, context replication from
-serialized keys), a 2-host cluster smoke (worker-host subprocesses
-behind the framed socket transport, replication over the wire), a
-2-host observability smoke (traced requests: span stitching across the
+instead of minutes.  Both modes additionally run a 2-replica smoke over
+both pool kinds (forked socketpair replicas, then worker-host
+subprocesses over TCP: context replication from serialized keys over
+the one framed protocol), a 2-host observability smoke (traced requests: span stitching across the
 wire, worker metrics blobs merged into coordinator percentiles, Chrome
 trace-event export), a 2-host chaos smoke (seeded drop/corrupt/delay
 injection with a worker kill mid-run: zero lost futures, every ok result
@@ -86,22 +85,17 @@ def main(argv: list[str] | None = None) -> int:
         tier1 = _step("tier-1", [py, "-m", "pytest", "-x", "-q",
                                  "tests", "benchmarks"])
     results = [tier1]
-    # A 2-process executor smoke in a fresh interpreter: exercises the fork
-    # path, context replication from serialized keys, and thread-vs-process
-    # output bit-identity — cheap enough to keep in the --fast gate.
-    results.append(_step(
-        "process smoke",
-        [py, "-c", "import sys; from repro.serve.executor import "
-                   "process_smoke; sys.exit(process_smoke(2))"],
-    ))
-    # A 2-host cluster smoke: spawns two repro.net.worker subprocesses,
-    # replicates a registry entry over the framed socket transport, checks
-    # the keygen-once invariant host-side, and verifies remote batched
+    # One replica smoke over both pool kinds, in a fresh interpreter: two
+    # forked socketpair replicas, then two repro.net.worker subprocesses
+    # over TCP.  Each replicates a registry entry over the framed
+    # protocol, checks the keygen-once invariant replica-side (same
+    # secret, distinct pids, RNGs reseeded apart), and verifies pool
     # outputs are bit-identical to in-process execution.
     results.append(_step(
-        "cluster smoke",
-        [py, "-c", "import sys; from repro.net.cluster import "
-                   "cluster_smoke; sys.exit(cluster_smoke(2))"],
+        "replica smoke",
+        [py, "-c", "import sys; from repro.net.cluster import replica_smoke; "
+                   "sys.exit(replica_smoke('process', 2) "
+                   "or replica_smoke('remote', 2))"],
     ))
     # A 2-host observability smoke: traced requests over the socket
     # transport, asserting coordinator/worker span stitching, worker

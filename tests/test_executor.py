@@ -10,8 +10,13 @@ The process-pool invariants:
 - ``repro.run(..., seed=)`` determinism holds across process boundaries
   (the seed rides the request, not the process);
 - worker-side failures surface on the submitting future, not in a
-  worker process's stderr.
+  worker process's stderr;
+- a killed replica loses no batch — process pools and worker hosts share
+  one coordinator, so the failure contract is tested once over both.
 """
+
+import time
+from contextlib import ExitStack, nullcontext
 
 import numpy as np
 import pytest
@@ -29,7 +34,8 @@ from repro.serve import (
     ThreadExecutor,
     resolve_executor,
 )
-from repro.serve.executor import process_smoke
+from repro.net import LocalCluster, replica_smoke
+from repro.serve.resilience import ExecutorUnavailable, RetriesExhausted
 
 N = 256
 WIDTH = 8
@@ -155,7 +161,7 @@ class TestProcessExecutor:
         with ProcessExecutor(1) as fresh:
             registry = ProgramRegistry()
             entry, _ = registry.context_for(linear_bgv(), seed=5)
-            first_key = fresh._ctx_key(entry)
+            first_key = fresh._key("context", entry)
             entry_id = id(entry)
             del entry, registry
             gc.collect()
@@ -163,9 +169,9 @@ class TestProcessExecutor:
             # executor still resolves the old id to the pinned old entry.
             registry2 = ProgramRegistry()
             entry2, _ = registry2.context_for(poly_ckks(), seed=9)
-            key2 = fresh._ctx_key(entry2)
+            key2 = fresh._key("context", entry2)
             assert key2 != first_key
-            assert fresh._ctx_keys[entry_id][0] == first_key
+            assert fresh._pinned[("context", entry_id)][0] == first_key
 
     def test_bgv_server_matches_solo_runs(self, pool):
         program = linear_bgv()
@@ -289,7 +295,7 @@ class TestProcessExecutor:
             outputs_before, _ = fresh.execute(job)
             assert fresh.stats()["replicated_contexts"] == [1]
             fresh.release(entry)
-            assert fresh._ctx_keys == {}
+            assert ("context", id(entry)) not in fresh._pinned
             assert fresh.stats()["replicated_contexts"] == [0]
             fresh.release(entry)   # double release is a no-op
             outputs_after, _ = fresh.execute(job)   # re-replicates
@@ -311,9 +317,14 @@ class TestProcessExecutor:
             result = server.request(program, inputs=request.inputs)
             assert result.values
 
-    def test_dead_worker_fails_batch_then_pool_heals(self):
-        """A crashed worker fails its in-flight batch, then is respawned:
-        the next batch re-replicates state and succeeds."""
+    @pytest.mark.parametrize("kind,n", [("process", 2), ("remote", 2),
+                                        ("process", 1)])
+    def test_dead_worker_fails_batch_then_pool_heals(self, kind, n):
+        """Kill a replica under traffic: with a survivor, the batch that
+        hits the dead replica is retried there and returns solo-identical
+        outputs; either way the killed replica comes back (re-forked /
+        redialed) with an empty replication set and re-replicates on
+        first use."""
         program = linear_bgv()
         registry = ProgramRegistry()
         entry, _ = registry.context_for(program, seed=5)
@@ -322,18 +333,60 @@ class TestProcessExecutor:
                        requests=bgv_requests(program, 2), batcher=batcher,
                        backend=FunctionalBackend(validate=False),
                        context_entry=entry)
-        with ProcessExecutor(1) as fresh:
-            healthy, _ = fresh.execute(job)
-            victim = fresh._replicas[0].process
-            victim.kill()
-            victim.join(timeout=5)
-            with pytest.raises(RuntimeError, match="died"):
-                fresh.execute(job)
-            healed, _ = fresh.execute(job)   # respawned + re-replicated
-            assert fresh._replicas[0].process is not victim
-        for a, b in zip(healthy, healed):
-            for out_id in a:
-                assert np.array_equal(a[out_id], b[out_id])
+        solo, _ = ThreadExecutor().execute(job)
+
+        def same_as_solo(outputs):
+            return all(np.array_equal(a[out_id], b[out_id])
+                       for a, b in zip(outputs, solo) for out_id in b)
+
+        with ExitStack() as stack:
+            if kind == "process":
+                pool = stack.enter_context(ProcessExecutor(n))
+
+                def kill(i):
+                    pool._procs[i].kill()
+                    pool._procs[i].join(timeout=5)
+                revive = lambda i: None   # noqa: E731 — the monitor re-forks
+            else:
+                cluster = stack.enter_context(LocalCluster(n))
+                pool = stack.enter_context(cluster.executor(heartbeat_s=0.1))
+                kill, revive = cluster.kill, cluster.restart
+            old_pids = [p["pid"] for p in pool.probe(entry)]
+            outputs, result = pool.execute(job)
+            assert same_as_solo(outputs)
+            assert pool.stats()["replicated_contexts"] == [1] * n
+            # The next batch goes to the stable primary (hosts: ring rank)
+            # or to the replica with fewer dispatches (local pool).
+            served = result.stats["executed_on"]["replica"]
+            victim = served if kind == "remote" else (served + 1) % n
+            # Holding a host's heartbeat lock keeps the monitor from
+            # noticing the death before the batch does.
+            with (pool._hosts[victim].hb_lock if kind == "remote"
+                  else nullcontext()):
+                kill(victim)
+                try:
+                    outputs, _ = pool.execute(job)
+                    assert same_as_solo(outputs)
+                except (RetriesExhausted, ExecutorUnavailable):
+                    assert n == 1   # no survivor to retry on
+            if n > 1:
+                assert pool.stats()["resilience"]["retries"] >= 1
+            revive(victim)
+            deadline = time.monotonic() + 30
+            while not pool.stats()["hosts"][victim]["alive"]:
+                assert time.monotonic() < deadline, "replica never came back"
+                time.sleep(0.02)
+            stats = pool.stats()
+            assert stats["hosts"][victim]["reconnects"] >= 1
+            if n > 1:   # (a lone replica already served the retried batch)
+                assert stats["replicated_contexts"][victim] == 0
+            probes = pool.probe(entry)
+            assert len(probes) == n
+            assert len({p["secret_sha"] for p in probes}) == 1
+            assert probes[victim]["pid"] != old_pids[victim]
+            assert pool.stats()["replicated_contexts"] == [1] * n
+            outputs, _ = pool.execute(job)
+            assert same_as_solo(outputs)
 
     def test_closed_executor_rejects_work(self):
         executor = ProcessExecutor(1)
@@ -346,4 +399,4 @@ class TestProcessExecutor:
             executor.execute(entry_job)
 
     def test_process_smoke_passes(self):
-        assert process_smoke(2, verbose=False) == 0
+        assert replica_smoke("process", 2, verbose=False) == 0

@@ -4,7 +4,10 @@ The wire invariants:
 
 - frames round-trip exactly; oversized/garbage/truncated/corrupted input
   is rejected with a typed ``FrameError`` *before* anything is unpickled,
-  and a live worker answers such input with a clean ``ERROR`` reply;
+  and a live worker — a TCP host or a forked socketpair replica —
+  answers such input with a clean ``ERROR`` reply;
+- the replica-side batcher is the coordinator's batcher: one pool serves
+  one signature under several batch layouts, bit-identically;
 - a ``RemoteExecutor``-served batch is bit-identical (BGV) /
   tolerance-equal (CKKS) to in-process execution, whichever host serves
   it — hosts restore the coordinator's secret and never keygen;
@@ -20,6 +23,8 @@ The wire invariants:
 import pickle
 import socket
 import time
+import zlib
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 import pytest
@@ -38,10 +43,14 @@ from repro.net import (
     send_msg,
     shard_key,
 )
+from repro.net import framing
 from repro.net.framing import FRAME_VERSION, HEADER_BYTES, Truncated
+from repro.net.remote import _MP
+from repro.net.worker import serve_socketpair
 from repro.serve import (
     BatchJob,
     FheServer,
+    ProcessExecutor,
     ProgramRegistry,
     Request,
     RetryPolicy,
@@ -161,47 +170,86 @@ class TestFraming:
 
 # ------------------------------------------------------ live-worker robustness
 class TestWorkerRobustness:
-    def _raw(self, cluster, index=0):
-        host, port = cluster._addrs[index]
-        sock = socket.create_connection((host, port), timeout=10)
-        sock.settimeout(10)
-        return sock
+    """Both transports of the one replica protocol: a TCP worker host and
+    a forked socketpair replica (what ``ProcessExecutor`` forks)."""
+
+    TRANSPORTS = ("tcp", "socketpair")
+
+    @contextmanager
+    def _raw(self, cluster, transport):
+        """A raw socket to a live replica.  A forked replica lives as
+        long as its one connection, and must exit cleanly when it ends —
+        malformed input never crashes it."""
+        if transport == "tcp":
+            with socket.create_connection(cluster._addrs[0],
+                                          timeout=10) as sock:
+                sock.settimeout(10)
+                yield sock
+            return
+        sock, theirs = socket.socketpair()
+        proc = _MP.Process(
+            target=serve_socketpair, args=(theirs, sock, 0), daemon=True)
+        proc.start()
+        theirs.close()
+        with sock:
+            sock.settimeout(10)
+            yield sock
+        proc.join(timeout=10)
+        assert proc.exitcode == 0, f"forked replica exit {proc.exitcode}"
 
     def test_malformed_frames_get_clean_error(self, cluster):
         """Garbage on the wire draws an ERROR reply (or a clean close),
         never a worker crash; the worker keeps serving afterwards."""
-        rng = np.random.default_rng(99)
-        for _ in range(20):
-            size = int(rng.integers(1, 400))
-            junk = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
-            with self._raw(cluster) as sock:
-                sock.sendall(junk)
-                try:
-                    # EOF our half so short junk reads as a truncated
-                    # frame; the worker may have already hung up on
-                    # longer junk, which is equally acceptable.
-                    sock.shutdown(socket.SHUT_WR)
-                except OSError:
-                    continue
-                try:
+        for transport in self.TRANSPORTS:
+            rng = np.random.default_rng(99)
+            for _ in range(20):
+                size = int(rng.integers(1, 400))
+                junk = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+                with self._raw(cluster, transport) as sock:
+                    sock.sendall(junk)
+                    try:
+                        # EOF our half so short junk reads as a truncated
+                        # frame; the worker may have already hung up on
+                        # longer junk, which is equally acceptable.
+                        sock.shutdown(socket.SHUT_WR)
+                    except OSError:
+                        continue
+                    try:
+                        msg_type, reply = recv_msg(sock)
+                    except (ConnectionError, FrameError, OSError):
+                        continue   # clean close is acceptable too
+                    assert msg_type is MsgType.ERROR, transport
+                    assert "error" in reply, transport
+                    # ... and the desynchronized connection is closed.
+                    with pytest.raises((ConnectionError, OSError)):
+                        recv_msg(sock)
+            # Oversized and bad-CRC frames are typed, answered, closed.
+            header = framing._HEADER.pack(framing.MAGIC, FRAME_VERSION,
+                                          int(MsgType.EXECUTE), 1 << 31, 0)
+            oversized = header + framing._HEADER_CRC.pack(zlib.crc32(header))
+            flipped = bytearray(encode_frame(MsgType.EXECUTE, b"payload"))
+            flipped[-1] ^= 0xFF
+            for frame, fault in ((oversized, "FrameTooLarge"),
+                                 (bytes(flipped), "BadChecksum")):
+                with self._raw(cluster, transport) as sock:
+                    sock.sendall(frame)
                     msg_type, reply = recv_msg(sock)
-                except (ConnectionError, FrameError, OSError):
-                    continue   # clean close is acceptable too
-                assert msg_type is MsgType.ERROR
-                assert "error" in reply
-        # The worker survived the fuzz and still answers the handshake.
-        with self._raw(cluster) as sock:
-            send_msg(sock, MsgType.HELLO, {"version": FRAME_VERSION})
-            msg_type, reply = recv_msg(sock)
-            assert msg_type is MsgType.HELLO
-            assert reply["pid"] > 0
+                    assert msg_type is MsgType.ERROR and reply["fatal"]
+                    assert fault in reply["error"], transport
+            # The worker survived the fuzz and still answers the handshake.
+            with self._raw(cluster, transport) as sock:
+                send_msg(sock, MsgType.HELLO, {"version": FRAME_VERSION})
+                msg_type, reply = recv_msg(sock)
+                assert msg_type is MsgType.HELLO, transport
+                assert reply["pid"] > 0
 
     def test_version_mismatch_parts_cleanly(self, cluster):
-        with self._raw(cluster) as sock:
-            send_msg(sock, MsgType.HELLO, {"version": 999})
-            msg_type, reply = recv_msg(sock)
-            assert msg_type is MsgType.ERROR
-            assert "version" in reply["error"]
+        for transport in self.TRANSPORTS:
+            with self._raw(cluster, transport) as sock:
+                send_msg(sock, MsgType.HELLO, {"version": 999})
+                msg_type, reply = recv_msg(sock)
+                assert msg_type is MsgType.ERROR, transport
+                assert "version" in reply["error"]
 
     def test_execution_error_ships_remote_traceback(self, pool):
         registry = ProgramRegistry()
@@ -263,6 +311,45 @@ class TestRemoteExecution:
             for out_id in want:
                 assert np.array_equal(got[out_id], want[out_id])
 
+    @pytest.mark.parametrize("kind", ["process", "remote"])
+    @pytest.mark.parametrize("first", [8, 4])
+    def test_one_signature_many_batch_layouts(self, cluster, kind, first):
+        """The replica-side batcher is the coordinator's batcher: one pool
+        serves one program at width 8 and 4 (either order), then with
+        ``plain_width`` 2 and 8, bit-identically to in-process execution
+        (a replica keyed by signature alone kept the first layout)."""
+        program = linear_bgv()
+        x, w = (op.op_id for op in program.ops[:2])
+        entry, _ = ProgramRegistry().context_for(program, seed=11)
+        rng = np.random.default_rng(first)
+        layouts = [(first, None), (12 - first, None), (4, 2), (4, 8)]
+        with ExitStack() as stack:
+            executor = stack.enter_context(
+                ProcessExecutor(2) if kind == "process"
+                else cluster.executor())
+            for width, plain_width in layouts:
+                batcher = SlotBatcher(program, width=width,
+                                      plain_width=plain_width)
+                shared_w = rng.integers(0, 256, batcher.plain_width)
+                job = BatchJob(
+                    program=program, signature=program.signature(),
+                    requests=[Request(
+                        inputs={x: rng.integers(0, 256, width)},
+                        plains={w: shared_w}) for _ in range(3)],
+                    batcher=batcher,
+                    backend=FunctionalBackend(validate=False),
+                    context_entry=entry,
+                )
+                want, _ = ThreadExecutor().execute(job)
+                # Twice: a local pool round-robins, so both replicas
+                # serve every layout.
+                for _ in range(2):
+                    got, _ = executor.execute(job)
+                    for g, t in zip(got, want):
+                        for out_id in t:
+                            assert g[out_id].shape == t[out_id].shape
+                            assert np.array_equal(g[out_id], t[out_id])
+
     def test_replication_invariant(self, pool):
         """Same secret on every host, distinct processes, RNGs apart —
         keygen happened exactly once, on the coordinator."""
@@ -280,7 +367,7 @@ class TestRemoteExecution:
         before = max(p["replicated"]["contexts"]
                      for p in pool.probe(entry))
         pool.release(entry)
-        assert id(entry) not in pool._ctx_keys   # coordinator pin dropped
+        assert ("context", id(entry)) not in pool._pinned   # pin dropped
         # probe() re-replicates the entry it probes, so compare counts:
         # after release every host dropped it (and re-gained exactly it).
         after = max(p["replicated"]["contexts"] for p in pool.probe(entry))
