@@ -21,7 +21,9 @@ and the network tier: the frame codec round-trip and a full remote batch
 dispatch against a live local worker-host subprocess, plus the
 observability guards: the disabled-tracing span check and a metrics-blob
 histogram merge, and the resilience guards: the per-routing-decision
-circuit-breaker check and the retry wrapper's no-fault dispatch overhead)
+circuit-breaker check and the retry wrapper's no-fault dispatch overhead,
+and the paper-side compiler: translation, data-movement scheduling, cycle
+scheduling and the schedule checker on one Table-3 program)
 and compares each against the recorded baseline in ``BENCH_engine.json``
 next to this script.  A kernel regresses if it is more than ``--tolerance``
 times slower than baseline (generous by default: baselines travel between
@@ -232,6 +234,22 @@ def _kernels():
     # resilience tier adds to every dispatch.
     from repro.serve.resilience import breaker_check_probe, retry_overhead_probe
 
+    # The F1 compiler, phase by phase, and the schedule checker, each on the
+    # artifacts of the phase before it: Table 3's logistic regression at
+    # scale 0.05 (40 370 instructions, 48 124 movement events).
+    from repro.bench.workloads import benchmark_suite
+    from repro.compiler import (
+        compile_program,
+        compile_to_instructions,
+        schedule_cycles,
+        schedule_data_movement,
+    )
+    from repro.sim.simulator import check_schedule
+
+    f1_program = benchmark_suite(scale=0.05)["logistic_regression"]
+    f1 = compile_program(f1_program)
+    f1_graph = f1.translation.graph
+
     return {
         "ntt_forward_all_limb": lambda: ctx.forward(limbs),
         "ntt_inverse_all_limb": lambda: ctx.inverse(evals),
@@ -278,6 +296,18 @@ def _kernels():
         "metrics_histogram_merge": lambda: merge_snapshots(blob_a, blob_b),
         "resilience_breaker_check": lambda: breaker_check_probe(),
         "retry_dispatch_overhead": lambda: retry_overhead_probe(),
+        "f1_translate": lambda: compile_to_instructions(
+            f1_program, capacity_rvecs=f1.movement.capacity_rvecs
+        ),
+        "f1_data_schedule": lambda: schedule_data_movement(
+            f1_graph, f1.translation.outputs, f1.config
+        ),
+        "f1_cycle_schedule": lambda: schedule_cycles(
+            f1_graph, f1.movement, f1.config
+        ),
+        "f1_check_schedule": lambda: check_schedule(
+            f1_graph, f1.movement, f1.schedule
+        ),
     }
 
 

@@ -29,7 +29,7 @@ from repro.core.config import F1Config
 from repro.core.isa import InstructionGraph
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduledInstr:
     instr_id: int
     start: int
@@ -40,7 +40,7 @@ class ScheduledInstr:
     occupancy: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduledTransfer:
     kind: str         # "load" | "store"
     value_id: int
@@ -73,31 +73,7 @@ class CycleSchedule:
         return self.hbm_busy_cycles / max(1, self.makespan)
 
 
-class _FuPool:
-    """Per-(cluster, kind) unit timelines with pipelined issue slots."""
-
-    def __init__(self, config: F1Config):
-        self.config = config
-        self.next_free = {
-            fu: [[0] * config._spec(fu).count for _ in range(config.clusters)]
-            for fu in ("ntt", "aut", "mul", "add")
-        }
-
-    def schedule(self, fu: str, ready: int, occupancy: int) -> tuple[int, int, int]:
-        """Greedy earliest-start assignment; returns (start, cluster, unit)."""
-        best = None
-        for cluster in range(self.config.clusters):
-            for unit, free in enumerate(self.next_free[fu][cluster]):
-                start = max(ready, free)
-                if best is None or start < best[0]:
-                    best = (start, cluster, unit)
-                    if start == ready:
-                        break
-            if best and best[0] == ready:
-                break
-        start, cluster, unit = best
-        self.next_free[fu][cluster][unit] = start + occupancy
-        return start, cluster, unit
+FU_FAMILIES = ("ntt", "aut", "mul", "add")
 
 
 def schedule_cycles(
@@ -106,27 +82,69 @@ def schedule_cycles(
     config: F1Config,
 ) -> CycleSchedule:
     instructions = graph.instructions
-    pool = _FuPool(config)
-    value_ready: dict[int, float] = {}
+    n = graph.n
+    # Per FU family, fixed for the whole graph: occupancy, issue-to-result
+    # latency (NTT/INTT and ADD/SUB share theirs), units per cluster, and the
+    # next-free cycle of every unit, flat in (cluster, unit) order.
+    families = {}
+    for fu in FU_FAMILIES:
+        per_cluster = getattr(config, fu).count
+        families[fu] = (config.fu_occupancy(fu, n), config.fu_latency(fu, n),
+                        per_cluster, [0] * (per_cluster * config.clusters))
+    value_ready: list[float] = [0.0] * len(graph.values)
+    last_use_end: list[float] = [0.0] * len(graph.values)
     event_end: list[float] = [0.0] * len(movement.events)
     hbm_next_free = 0.0
     hbm_busy = 0.0
-    load_cycles = config.load_cycles(graph.n)
-    transfer = config.transfer_cycles(graph.n)
+    load_cycles = config.load_cycles(n)
+    transfer = config.transfer_cycles(n)
     latency_hbm = config.hbm_latency_cycles
 
     scheduled: list[ScheduledInstr] = []
     transfers: list[ScheduledTransfer] = []
-    fu_busy: dict[str, int] = {"ntt": 0, "aut": 0, "mul": 0, "add": 0}
+    fu_busy: dict[str, int] = dict.fromkeys(FU_FAMILIES, 0)
     makespan = 0.0
 
-    last_use_end: dict[int, float] = {}
-
     for idx, event in enumerate(movement.events):
-        if event.kind == "evict":
-            # The slot is free once the victim's last scheduled use completes.
-            event_end[idx] = last_use_end.get(event.target, 0.0)
-        elif event.kind == "load":
+        kind = event.kind
+        if kind == "exec":
+            instr = instructions[event.target]
+            fu = instr.kind.fu
+            occupancy, latency, per_cluster, next_free = families[fu]
+            inputs = instr.inputs
+            ready = 0.0
+            for vid in inputs:
+                if value_ready[vid] > ready:
+                    ready = value_ready[vid]
+            # Operand delivery over the on-chip network.
+            ready = int(round(ready + transfer))
+            # Greedy earliest start: the first unit (lowest cluster, then
+            # lowest unit) free at ``ready``, else the first of the earliest.
+            start = min(next_free)
+            if start >= ready:
+                index = next_free.index(start)
+            else:
+                start = ready
+                for index, free in enumerate(next_free):
+                    if free <= ready:
+                        break
+            next_free[index] = start + occupancy
+            cluster, unit = divmod(index, per_cluster)
+            end = start + latency
+            output = instr.output
+            value_ready[output] = end
+            event_end[idx] = end
+            for vid in inputs:
+                if end > last_use_end[vid]:
+                    last_use_end[vid] = end
+            if end > last_use_end[output]:
+                last_use_end[output] = end
+            fu_busy[fu] += occupancy
+            scheduled.append(ScheduledInstr(
+                instr.instr_id, start, end, cluster, unit, fu, occupancy))
+            if end > makespan:
+                makespan = end
+        elif kind == "load":
             earliest = 0.0
             if event.frees_slot_of is not None and event.frees_slot_of >= 0:
                 earliest = event_end[event.frees_slot_of]
@@ -137,47 +155,27 @@ def schedule_cycles(
             value_ready[event.target] = end
             event_end[idx] = end
             transfers.append(ScheduledTransfer("load", event.target, start, end))
-        elif event.kind == "store":
-            ready = value_ready.get(event.target, 0.0)
-            start = max(hbm_next_free, ready)
+        elif kind == "store":
+            start = max(hbm_next_free, value_ready[event.target])
             hbm_next_free = start + load_cycles
             hbm_busy += load_cycles
             end = start + load_cycles
             event_end[idx] = end
             transfers.append(ScheduledTransfer("store", event.target, start, end))
-            makespan = max(makespan, end)
-        else:  # exec
-            instr = instructions[event.target]
-            fu = instr.kind.fu
-            occupancy = config.fu_occupancy(fu, instr.n)
-            latency = config.fu_latency(instr.kind.value if fu == "ntt" else fu, instr.n)
-            ready = max(
-                (value_ready.get(vid, 0.0) for vid in instr.inputs), default=0.0
-            )
-            # Operand delivery over the on-chip network.
-            ready += transfer
-            start, cluster, unit = pool.schedule(fu, int(round(ready)), occupancy)
-            end = start + latency
-            value_ready[instr.output] = end
-            event_end[idx] = end
-            for vid in instr.inputs:
-                last_use_end[vid] = max(last_use_end.get(vid, 0.0), end)
-            last_use_end[instr.output] = max(last_use_end.get(instr.output, 0.0), end)
-            fu_busy[fu] += occupancy
-            scheduled.append(
-                ScheduledInstr(
-                    instr_id=instr.instr_id, start=start, end=end,
-                    cluster=cluster, unit=unit, fu=fu, occupancy=occupancy,
-                )
-            )
-            makespan = max(makespan, end)
+            if end > makespan:
+                makespan = end
+        elif kind == "evict":
+            # The slot is free once the victim's last scheduled use completes.
+            event_end[idx] = last_use_end[event.target]
+        else:
+            raise ValueError(f"unknown movement event kind {kind!r}")
 
     return CycleSchedule(
         makespan=int(round(makespan)),
         instrs=scheduled,
         transfers=transfers,
         config=config,
-        n=graph.n,
+        n=n,
         fu_busy_cycles=fu_busy,
         hbm_busy_cycles=hbm_busy,
     )

@@ -18,17 +18,16 @@ loads; intermediate fills and spill stores are always non-compulsory.
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro.core.config import F1Config
-from repro.core.isa import InstructionGraph, Value, ValueKind
+from repro.core.isa import InstructionGraph, ValueKind
 
 INFINITY = float("inf")
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     kind: str                 # "load" | "exec" | "store" | "evict"
     target: int               # value id (load/store/evict) or instr id (exec)
@@ -82,6 +81,11 @@ class DataMovementSchedule:
     outputs: set[int] = field(default_factory=set)  # program output values
 
 
+# Traffic counters in TrafficStats field order: a first load of an off-chip
+# value counts at its kind's slot, a repeated one at the slot after it.
+_KSH, _INPUT, _PLAIN, _FILL, _SPILL, _OUT = 0, 2, 4, 6, 7, 8
+
+
 def schedule_data_movement(
     graph: InstructionGraph,
     outputs: set[int],
@@ -96,127 +100,129 @@ def schedule_data_movement(
     """
     instructions = graph.instructions
     values = graph.values
+    # Per value, the visit positions of its users, ascending; a cursor per
+    # value marks the first one not yet issued (next-use estimation and
+    # dead-value detection).  Phase 1 appends users in instruction order,
+    # which is the default visit order, so the lists are used as they are.
     if order is None:
         order = list(range(len(instructions)))
-    position_of = {instr_id: pos for pos, instr_id in enumerate(order)}
-
-    # Remaining-user queues in visit order, for next-use estimation and
-    # dead-value detection.
-    user_queues: list[deque[int]] = [
-        deque(sorted(v.users, key=lambda u: position_of[u])) for v in values
-    ]
+        uses = [v.users for v in values]
+    else:
+        position_of = {instr_id: pos for pos, instr_id in enumerate(order)}
+        uses = [sorted(position_of[u] for u in v.users) for v in values]
+    cursor = [0] * len(values)
 
     capacity = graph_capacity(graph, config)
     resident: dict[int, bool] = {}          # value id -> dirty
     touched: set[int] = set()               # values loaded at least once
     spilled: set[int] = set()               # intermediates with off-chip copy
     events: list[Event] = []
-    traffic = TrafficStats()
+    add_event = events.append
+    traffic = [0] * 9
     # Eviction heap of (-next_use_position, value id); entries may be stale.
     evict_heap: list[tuple[float, int]] = []
+    ksh, program_input, plain = ValueKind.KSH, ValueKind.INPUT, ValueKind.PLAIN
 
-    def next_use(vid: int) -> float:
-        q = user_queues[vid]
-        return position_of[q[0]] if q else INFINITY
-
-    def push_evictable(vid: int) -> None:
-        heapq.heappush(evict_heap, (-next_use(vid), vid))
-
-    def classify_load(v: Value) -> None:
-        first = v.value_id not in touched
-        touched.add(v.value_id)
-        if v.kind is ValueKind.KSH:
-            if first:
-                traffic.ksh_compulsory += 1
-            else:
-                traffic.ksh_capacity += 1
-        elif v.kind is ValueKind.INPUT:
-            if first:
-                traffic.input_compulsory += 1
-            else:
-                traffic.input_capacity += 1
-        elif v.kind is ValueKind.PLAIN:
-            if first:
-                traffic.plain_compulsory += 1
-            else:
-                traffic.plain_capacity += 1
-        else:
-            traffic.intermediate_loads += 1
-
-    def make_space(pinned: set[int]) -> int | None:
+    def make_space(pinned: tuple[int, ...], output: int) -> int:
         """Evict until a slot is free; returns the freeing event index."""
-        freeing_event: int | None = None
         while len(resident) >= capacity:
             while True:
                 if not evict_heap:
                     raise RuntimeError(
                         "scratchpad thrashing: everything resident is pinned "
-                        f"(capacity {capacity}, pinned {len(pinned)})"
+                        f"(capacity {capacity}, "
+                        f"pinned {len(set(pinned) | {output})})"
                     )
-                neg_use, vid = heapq.heappop(evict_heap)
-                if vid not in resident or vid in pinned:
+                neg_use, vid = heappop(evict_heap)
+                if vid not in resident or vid in pinned or vid == output:
                     continue
-                if -neg_use != next_use(vid):
-                    push_evictable(vid)  # stale entry; refresh
+                at, users = cursor[vid], uses[vid]
+                next_use = users[at] if at < len(users) else INFINITY
+                if -neg_use != next_use:
+                    heappush(evict_heap, (-next_use, vid))  # stale; refresh
                     continue
                 break
             dirty = resident.pop(vid)
-            if dirty and (user_queues[vid] or vid in outputs):
+            live = at < len(users)
+            if dirty and (live or vid in outputs):
                 # Live intermediate: spill it so it can be refilled later.
-                events.append(Event("store", vid))
-                if vid in outputs and not user_queues[vid]:
-                    traffic.output_stores += 1
-                else:
-                    traffic.intermediate_stores += 1
+                add_event(Event("store", vid))
+                if live:
+                    traffic[_SPILL] += 1
                     spilled.add(vid)
+                else:
+                    traffic[_OUT] += 1
             else:
                 # Clean (or dead) copy: drop it; the explicit event lets the
                 # cycle scheduler know when the slot actually becomes free.
-                events.append(Event("evict", vid))
-            freeing_event = len(events) - 1
-        return freeing_event
+                add_event(Event("evict", vid))
+        return len(events) - 1
 
-    for instr_id in order:
+    for pos, instr_id in enumerate(order):
         instr = instructions[instr_id]
-        pinned = set(instr.inputs) | {instr.output}
+        inputs, output = instr.inputs, instr.output
         # Load missing operands.
-        for vid in instr.inputs:
+        for vid in inputs:
             if vid in resident:
                 continue
-            v = values[vid]
-            if not v.off_chip_master and vid not in spilled:
+            kind = values[vid].kind
+            if kind is ksh:
+                slot = _KSH
+            elif kind is program_input:
+                slot = _INPUT
+            elif kind is plain:
+                slot = _PLAIN
+            elif vid in spilled:
+                slot = _FILL
+            else:
                 raise RuntimeError(
                     f"instr {instr_id} needs value {vid} which is neither "
                     "resident nor recoverable (order not topological?)"
                 )
-            free_evt = make_space(pinned)
-            classify_load(v)
-            events.append(Event("load", vid, frees_slot_of=free_evt))
+            free_evt = (None if len(resident) < capacity
+                        else make_space(inputs, output))
+            if slot != _FILL and vid in touched:
+                slot += 1                   # a capacity reload, not compulsory
+            touched.add(vid)
+            traffic[slot] += 1
+            add_event(Event("load", vid, free_evt))
             resident[vid] = False
-            push_evictable(vid)
+            at, users = cursor[vid], uses[vid]
+            heappush(evict_heap,
+                     (-users[at] if at < len(users) else -INFINITY, vid))
         # Space for the result.
-        free_evt = make_space(pinned)
-        events.append(Event("exec", instr_id, frees_slot_of=free_evt))
-        resident[instr.output] = True  # produced on-chip: dirty
-        push_evictable(instr.output)
+        free_evt = (None if len(resident) < capacity
+                    else make_space(inputs, output))
+        add_event(Event("exec", instr_id, free_evt))
+        resident[output] = True  # produced on-chip: dirty
+        at, users = cursor[output], uses[output]
+        heappush(evict_heap,
+                 (-users[at] if at < len(users) else -INFINITY, output))
         # Retire this use; free dead values (no store needed).
-        for vid in set(instr.inputs):
-            q = user_queues[vid]
-            while q and q[0] == instr_id:
-                q.popleft()
-            if not q and vid in resident and vid not in outputs:
+        if len(inputs) > 1 and (len(inputs) > 2 or inputs[0] == inputs[1]):
+            inputs = tuple(dict.fromkeys(inputs))
+        for vid in inputs:
+            at, users = cursor[vid], uses[vid]
+            while at < len(users) and users[at] == pos:
+                at += 1
+            cursor[vid] = at
+            if vid not in resident:
+                continue
+            if at < len(users):
+                heappush(evict_heap, (-users[at], vid))
+            elif vid in outputs:
+                heappush(evict_heap, (-INFINITY, vid))
+            else:
                 del resident[vid]
-            elif vid in resident:
-                push_evictable(vid)
 
     # Store surviving outputs.
     for vid in sorted(outputs):
-        if vid in resident and resident[vid]:
-            events.append(Event("store", vid))
-            traffic.output_stores += 1
+        if resident.get(vid):
+            add_event(Event("store", vid))
+            traffic[_OUT] += 1
     return DataMovementSchedule(
-        events=events, traffic=traffic, capacity_rvecs=capacity, order=order,
-        outputs=set(outputs),
+        events=events, traffic=TrafficStats(*traffic), capacity_rvecs=capacity,
+        order=order, outputs=set(outputs),
     )
 
 

@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 from repro.core.isa import InstructionGraph, InstrKind, ValueKind
 from repro.dsl.program import HeOp, OpKind, Program
 
+NTT, INTT, MUL = InstrKind.NTT, InstrKind.INTT, InstrKind.MUL
+ADD, SUB, AUT = InstrKind.ADD, InstrKind.SUB, InstrKind.AUT
+
 
 # ----------------------------------------------------------------- ordering
 def order_he_ops(program: Program, *, capacity_rvecs: int = 1024) -> list[int]:
@@ -121,7 +124,13 @@ class TranslationResult:
 
 
 class _Translator:
-    """Lowers one program to an InstructionGraph, caching hint values."""
+    """Lowers one program to an InstructionGraph, caching hint values.
+
+    Each homomorphic op is lowered as a few ``(kind, inputs)`` blocks handed
+    to :meth:`InstructionGraph.emit_many`.  A block's k-th entry produces
+    value ``first + k`` (``first`` = ``graph.next_value_id`` when the block
+    is started), which is how an entry names an earlier one's result.
+    """
 
     def __init__(self, program: Program, ks_choice: KsChoice):
         self.program = program
@@ -143,12 +152,10 @@ class _Translator:
         grids = self._hints_v1.get(hint_id)
         if grids is None:
             g = self.graph
-            hint0 = [[g.new_value(ValueKind.KSH, hint_id=hint_id,
-                                  name=f"{hint_id}.h0[{i}][{j}]")
-                      for j in range(level)] for i in range(level)]
-            hint1 = [[g.new_value(ValueKind.KSH, hint_id=hint_id,
-                                  name=f"{hint_id}.h1[{i}][{j}]")
-                      for j in range(level)] for i in range(level)]
+            hint0 = [[g.new_value(ValueKind.KSH, hint_id=hint_id)
+                      for _ in range(level)] for _ in range(level)]
+            hint1 = [[g.new_value(ValueKind.KSH, hint_id=hint_id)
+                      for _ in range(level)] for _ in range(level)]
             grids = (hint0, hint1)
             self._hints_v1[hint_id] = grids
             self.result.hint_rvecs[hint_id] = 2 * level * level
@@ -160,10 +167,8 @@ class _Translator:
             g = self.graph
             ext = 2 * level  # extended basis Q*P with P ~ Q
             key = hint_id + ":v2"
-            hint0 = [g.new_value(ValueKind.KSH, hint_id=key, name=f"{key}.h0[{j}]")
-                     for j in range(ext)]
-            hint1 = [g.new_value(ValueKind.KSH, hint_id=key, name=f"{key}.h1[{j}]")
-                     for j in range(ext)]
+            hint0 = [g.new_value(ValueKind.KSH, hint_id=key) for _ in range(ext)]
+            hint1 = [g.new_value(ValueKind.KSH, hint_id=key) for _ in range(ext)]
             pair = (hint0, hint1)
             self._hints_v2[hint_id] = pair
             self.result.hint_rvecs[key] = 2 * ext
@@ -184,16 +189,35 @@ class _Translator:
         g = self.graph
         level = len(x)
         hint0, hint1 = self.hint_v1_values(hint_id, level)
-        y = [g.emit(InstrKind.INTT, (x[i],), he_op=he_op) for i in range(level)]
-        u0: list[int | None] = [None] * level
-        u1: list[int | None] = [None] * level
+        y = g.emit_many([(INTT, (xi,)) for xi in x], he_op)
+        # ~90% of all instructions come out of this loop: per (i, j) an NTT
+        # of digit i at modulus j (off the diagonal), the two hint products,
+        # and (past the first digit) their accumulation into u0[j], u1[j].
+        out = g.next_value_id
+        block = []
+        op = block.append
+        u0 = [0] * level
+        u1 = [0] * level
         for i in range(level):
+            row0, row1, digit = hint0[i], hint1[i], (y[i],)
             for j in range(level):
-                xqj = x[i] if i == j else g.emit(InstrKind.NTT, (y[i],), he_op=he_op)
-                p0 = g.emit(InstrKind.MUL, (xqj, hint0[i][j]), he_op=he_op)
-                p1 = g.emit(InstrKind.MUL, (xqj, hint1[i][j]), he_op=he_op)
-                u0[j] = p0 if u0[j] is None else g.emit(InstrKind.ADD, (u0[j], p0), he_op=he_op)
-                u1[j] = p1 if u1[j] is None else g.emit(InstrKind.ADD, (u1[j], p1), he_op=he_op)
+                if i == j:
+                    xqj = x[i]
+                else:
+                    op((NTT, digit))
+                    xqj = out
+                    out += 1
+                op((MUL, (xqj, row0[j])))
+                op((MUL, (xqj, row1[j])))
+                if i == 0:
+                    u0[j], u1[j] = out, out + 1
+                    out += 2
+                else:
+                    op((ADD, (u0[j], out)))
+                    op((ADD, (u1[j], out + 1)))
+                    u0[j], u1[j] = out + 2, out + 3
+                    out += 4
+        g.emit_many(block, he_op)
         return u0, u1
 
     def _key_switch_v2(self, x: list[int], hint_id: str, he_op: int):
@@ -202,40 +226,53 @@ class _Translator:
         level = len(x)
         hint0, hint1 = self.hint_v2_values(hint_id, level)
         # Digits (coefficient domain).
-        y = [g.emit(InstrKind.INTT, (x[i],), he_op=he_op) for i in range(level)]
-        # Base extension: each of the L special limbs is a digit-weighted MAC.
+        y = g.emit_many([(INTT, (xi,)) for xi in x], he_op)
+        # Base extension: each of the L special limbs is a digit-weighted MAC
+        # (L products, L-1 accumulating adds) followed by an NTT.
         ext: list[int] = list(x)
+        out = g.next_value_id
+        block = []
         for _ in range(level):
-            acc = None
-            for i in range(level):
-                p = g.emit(InstrKind.MUL, (y[i],), he_op=he_op)
-                acc = p if acc is None else g.emit(InstrKind.ADD, (acc, p), he_op=he_op)
-            ext.append(g.emit(InstrKind.NTT, (acc,), he_op=he_op))
+            block.append((MUL, (y[0],)))
+            acc = out
+            out += 1
+            for i in range(1, level):
+                block += [(MUL, (y[i],)), (ADD, (acc, out))]
+                acc = out + 1
+                out += 2
+            block.append((NTT, (acc,)))
+            ext.append(out)
+            out += 1
+        g.emit_many(block, he_op)
         # Hint multiply over the extended basis.
-        u0_ext = [g.emit(InstrKind.MUL, (ext[j], hint0[j]), he_op=he_op)
-                  for j in range(2 * level)]
-        u1_ext = [g.emit(InstrKind.MUL, (ext[j], hint1[j]), he_op=he_op)
-                  for j in range(2 * level)]
+        u0_ext = g.emit_many([(MUL, pair) for pair in zip(ext, hint0)], he_op)
+        u1_ext = g.emit_many([(MUL, pair) for pair in zip(ext, hint1)], he_op)
         # Scale down by P: INTT special limbs, reconstruct delta, correct each
         # remaining limb (NTT(delta), SUB, MUL by P^{-1}).
         u0 = self._scale_down(u0_ext, level, he_op)
         u1 = self._scale_down(u1_ext, level, he_op)
         return u0, u1
 
-    def _scale_down(self, ext: list[int], level: int, he_op: int) -> list[int]:
+    def _scale_down(self, ext: range, level: int, he_op: int) -> list[int]:
         g = self.graph
-        special = ext[level:]
-        digits = [g.emit(InstrKind.INTT, (s,), he_op=he_op) for s in special]
+        digits = g.emit_many([(INTT, (s,)) for s in ext[level:]], he_op)
         # delta reconstruction: digit-weighted accumulation (elementwise).
         acc = digits[0]
-        for d in digits[1:]:
-            acc = g.emit(InstrKind.ADD, (acc, d), he_op=he_op)
-        out = []
-        for j in range(level):
-            delta_j = g.emit(InstrKind.NTT, (acc,), he_op=he_op)
-            diff = g.emit(InstrKind.SUB, (ext[j], delta_j), he_op=he_op)
-            out.append(g.emit(InstrKind.MUL, (diff,), he_op=he_op))
-        return out
+        if level > 1:
+            out = g.next_value_id
+            block = [(ADD, (acc, digits[1]))]
+            block += [(ADD, (out + k - 2, digits[k])) for k in range(2, level)]
+            acc = g.emit_many(block, he_op)[-1]
+        return self._subtract_and_scale(acc, ext[:level], he_op)
+
+    def _subtract_and_scale(self, coeff: int, limbs, he_op: int) -> list[int]:
+        """Per limb j: NTT(coeff) at modulus j, limbs[j] - that, one MUL."""
+        out = self.graph.next_value_id
+        block = []
+        for k, limb in enumerate(limbs):
+            delta = out + 3 * k
+            block += [(NTT, (coeff,)), (SUB, (limb, delta)), (MUL, (delta + 1,))]
+        return list(self.graph.emit_many(block, he_op)[2::3])
 
     # ------------------------------------------------------------- HE ops
     def translate_op(self, op: HeOp) -> None:
@@ -243,25 +280,22 @@ class _Translator:
         g = self.graph
         if kind is OpKind.INPUT:
             self.ct[op.op_id] = CtValues(
-                a=[g.new_value(ValueKind.INPUT, name=f"in{op.op_id}.a[{j}]")
-                   for j in range(op.level)],
-                b=[g.new_value(ValueKind.INPUT, name=f"in{op.op_id}.b[{j}]")
-                   for j in range(op.level)],
+                a=[g.new_value(ValueKind.INPUT) for _ in range(op.level)],
+                b=[g.new_value(ValueKind.INPUT) for _ in range(op.level)],
                 level=op.level,
             )
             return
         if kind is OpKind.INPUT_PLAIN:
             self.plain[op.op_id] = [
-                g.new_value(ValueKind.PLAIN, name=f"pt{op.op_id}[{j}]")
-                for j in range(op.level)
+                g.new_value(ValueKind.PLAIN) for _ in range(op.level)
             ]
             return
         if kind in (OpKind.ADD, OpKind.SUB):
             x, y = (self.ct[a] for a in op.args)
-            ik = InstrKind.ADD if kind is OpKind.ADD else InstrKind.SUB
+            ik = ADD if kind is OpKind.ADD else SUB
             self.ct[op.op_id] = CtValues(
-                a=[g.emit(ik, (x.a[j], y.a[j]), he_op=op.op_id) for j in range(op.level)],
-                b=[g.emit(ik, (x.b[j], y.b[j]), he_op=op.op_id) for j in range(op.level)],
+                a=self._elementwise(ik, x.a, y.a, op),
+                b=self._elementwise(ik, x.b, y.b, op),
                 level=op.level,
             )
             return
@@ -269,9 +303,7 @@ class _Translator:
             x = self.ct[op.args[0]]
             p = self.plain[op.args[1]]
             self.ct[op.op_id] = CtValues(
-                a=list(x.a),
-                b=[g.emit(InstrKind.ADD, (x.b[j], p[j]), he_op=op.op_id)
-                   for j in range(op.level)],
+                a=list(x.a), b=self._elementwise(ADD, x.b, p, op),
                 level=op.level,
             )
             return
@@ -279,10 +311,8 @@ class _Translator:
             x = self.ct[op.args[0]]
             p = self.plain[op.args[1]]
             self.ct[op.op_id] = CtValues(
-                a=[g.emit(InstrKind.MUL, (x.a[j], p[j]), he_op=op.op_id)
-                   for j in range(op.level)],
-                b=[g.emit(InstrKind.MUL, (x.b[j], p[j]), he_op=op.op_id)
-                   for j in range(op.level)],
+                a=self._elementwise(MUL, x.a, p, op),
+                b=self._elementwise(MUL, x.b, p, op),
                 level=op.level,
             )
             return
@@ -303,22 +333,31 @@ class _Translator:
             return
         raise ValueError(f"unhandled op kind {kind}")
 
+    def _elementwise(self, kind: InstrKind, xs, ys, op: HeOp) -> list[int]:
+        """One two-operand instruction per limb of the op's level."""
+        level = op.level
+        return list(self.graph.emit_many(
+            [(kind, pair) for pair in zip(xs[:level], ys[:level], strict=True)],
+            op.op_id))
+
     def _translate_mul(self, op: HeOp) -> None:
         """Tensor (4L mul + L add) + key switch + recombination (Sec. 2.2.1)."""
         g = self.graph
         x, y = (self.ct[a] for a in op.args)
         level = op.level
-        l2 = [g.emit(InstrKind.MUL, (x.a[j], y.a[j]), he_op=op.op_id) for j in range(level)]
-        l1 = []
+        l2 = self._elementwise(MUL, x.a, y.a, op)
+        out = g.next_value_id
+        block = []
         for j in range(level):
-            t0 = g.emit(InstrKind.MUL, (x.a[j], y.b[j]), he_op=op.op_id)
-            t1 = g.emit(InstrKind.MUL, (y.a[j], x.b[j]), he_op=op.op_id)
-            l1.append(g.emit(InstrKind.ADD, (t0, t1), he_op=op.op_id))
-        l0 = [g.emit(InstrKind.MUL, (x.b[j], y.b[j]), he_op=op.op_id) for j in range(level)]
+            t0 = out + 3 * j
+            block += [(MUL, (x.a[j], y.b[j])), (MUL, (y.a[j], x.b[j])),
+                      (ADD, (t0, t0 + 1))]
+        l1 = g.emit_many(block, op.op_id)[2::3]
+        l0 = self._elementwise(MUL, x.b, y.b, op)
         u0, u1 = self.key_switch(l2, op.hint_id, op.op_id)
         self.ct[op.op_id] = CtValues(
-            a=[g.emit(InstrKind.ADD, (l1[j], u1[j]), he_op=op.op_id) for j in range(level)],
-            b=[g.emit(InstrKind.ADD, (l0[j], u0[j]), he_op=op.op_id) for j in range(level)],
+            a=self._elementwise(ADD, l1, u1, op),
+            b=self._elementwise(ADD, l0, u0, op),
             level=level,
         )
 
@@ -328,32 +367,24 @@ class _Translator:
         x = self.ct[op.args[0]]
         level = op.level
         k = op.rotate_steps
-        a_sig = [g.emit(InstrKind.AUT, (x.a[j],), he_op=op.op_id, rotate_exponent=k)
-                 for j in range(level)]
-        b_sig = [g.emit(InstrKind.AUT, (x.b[j],), he_op=op.op_id, rotate_exponent=k)
-                 for j in range(level)]
+        a_sig = list(g.emit_many([(AUT, (v,)) for v in x.a[:level]], op.op_id, k))
+        b_sig = g.emit_many([(AUT, (v,)) for v in x.b[:level]], op.op_id, k)
         u0, u1 = self.key_switch(a_sig, op.hint_id, op.op_id)
         self.ct[op.op_id] = CtValues(
-            a=list(u1),
-            b=[g.emit(InstrKind.ADD, (b_sig[j], u0[j]), he_op=op.op_id)
-               for j in range(level)],
-            level=level,
+            a=list(u1), b=self._elementwise(ADD, b_sig, u0, op), level=level,
         )
 
     def _translate_mod_switch(self, op: HeOp) -> None:
         """Per component: INTT last limb, rebuild delta at each remaining
         modulus (NTT), subtract and scale (Sec. 2.2.2, RNS form)."""
-        g = self.graph
         x = self.ct[op.args[0]]
         new_level = op.level  # already level-1
-        out_a, out_b = [], []
-        for src, dst in ((x.a, out_a), (x.b, out_b)):
-            last_coeff = g.emit(InstrKind.INTT, (src[new_level],), he_op=op.op_id)
-            for j in range(new_level):
-                delta = g.emit(InstrKind.NTT, (last_coeff,), he_op=op.op_id)
-                diff = g.emit(InstrKind.SUB, (src[j], delta), he_op=op.op_id)
-                dst.append(g.emit(InstrKind.MUL, (diff,), he_op=op.op_id))
-        self.ct[op.op_id] = CtValues(a=out_a, b=out_b, level=new_level)
+        halves = []
+        for src in (x.a, x.b):
+            last_coeff = self.graph.emit(INTT, (src[new_level],), he_op=op.op_id)
+            halves.append(
+                self._subtract_and_scale(last_coeff, src[:new_level], op.op_id))
+        self.ct[op.op_id] = CtValues(a=halves[0], b=halves[1], level=new_level)
 
 
 def compile_to_instructions(

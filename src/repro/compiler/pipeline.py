@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.compiler.csr_scheduler import csr_order
 from repro.compiler.cycle_scheduler import CycleSchedule, schedule_cycles
@@ -27,6 +27,24 @@ class CompiledProgram:
     @property
     def time_ms(self) -> float:
         return self.schedule.time_ms
+
+    def retimed(self, config: F1Config) -> "CompiledProgram":
+        """This program cycle-scheduled for another architecture.
+
+        Phases 1 and 2 read the architecture only through the scratchpad
+        capacity, so a config that keeps it (other FUs, cluster counts, HBM
+        bandwidth) shares this translation and data movement and needs phase
+        3 alone.  A different capacity is refused rather than recompiled.
+        """
+        capacity = config.scratchpad_capacity_rvecs(self.program.n)
+        if capacity != self.movement.capacity_rvecs:
+            raise ValueError(
+                f"{config.name} holds {capacity} residue vectors, the data "
+                f"movement was scheduled for {self.movement.capacity_rvecs}: "
+                "compile_program() it instead"
+            )
+        schedule = schedule_cycles(self.translation.graph, self.movement, config)
+        return replace(self, schedule=schedule, config=config)
 
     def traffic_breakdown_bytes(self) -> dict:
         return self.movement.traffic.breakdown(self.config.rvec_bytes(self.program.n))

@@ -14,6 +14,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+#: instruction mnemonic -> functional-unit family executing it
+_FU_FAMILY = {"ntt": "ntt", "intt": "ntt", "mul": "mul",
+              "add": "add", "sub": "add", "aut": "aut"}
+
 
 class InstrKind(enum.Enum):
     NTT = "ntt"
@@ -23,16 +27,10 @@ class InstrKind(enum.Enum):
     SUB = "sub"
     AUT = "aut"
 
-    @property
-    def fu(self) -> str:
-        """Functional-unit family executing this instruction."""
-        if self in (InstrKind.NTT, InstrKind.INTT):
-            return "ntt"
-        if self is InstrKind.AUT:
-            return "aut"
-        if self is InstrKind.MUL:
-            return "mul"
-        return "add"
+    def __init__(self, mnemonic: str):
+        #: functional-unit family executing this instruction (a plain member
+        #: attribute: the schedulers read it once per instruction)
+        self.fu: str = _FU_FAMILY[mnemonic]
 
 
 class ValueKind(enum.Enum):
@@ -43,16 +41,15 @@ class ValueKind(enum.Enum):
     OUTPUT = "output"
 
 
-@dataclass
+@dataclass(slots=True)
 class Value:
     """One residue vector flowing through the instruction DFG."""
 
     value_id: int
     kind: ValueKind
     producer: int | None = None          # instruction id, None for off-chip
-    users: list[int] = field(default_factory=list)
+    users: list[int] = field(default_factory=list)   # ascending instr ids
     hint_id: str | None = None           # for KSH values: which hint
-    name: str = ""
 
     @property
     def off_chip_master(self) -> bool:
@@ -60,16 +57,15 @@ class Value:
         return self.kind in (ValueKind.INPUT, ValueKind.KSH, ValueKind.PLAIN)
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
-    """One vector operation; ``priority`` is the phase-1 global order."""
+    """One vector operation over ``graph.n``-element residue vectors;
+    ``instr_id`` is also its phase-1 priority (the global issue order)."""
 
     instr_id: int
     kind: InstrKind
     inputs: tuple[int, ...]
     output: int
-    n: int
-    priority: int = 0
     he_op: int = -1                      # originating homomorphic op
     rotate_exponent: int = 0             # for AUT
 
@@ -83,28 +79,42 @@ class InstructionGraph:
         self.values: list[Value] = []
 
     # ------------------------------------------------------------- building
-    def new_value(self, kind: ValueKind, *, producer: int | None = None,
-                  hint_id: str | None = None, name: str = "") -> int:
-        v = Value(value_id=len(self.values), kind=kind, producer=producer,
-                  hint_id=hint_id, name=name)
-        self.values.append(v)
-        return v.value_id
+    def new_value(self, kind: ValueKind, *, hint_id: str | None = None) -> int:
+        """Append an off-chip value (input, plaintext or hint RVec)."""
+        vid = len(self.values)
+        self.values.append(Value(vid, kind, None, [], hint_id))
+        return vid
+
+    @property
+    def next_value_id(self) -> int:
+        """The id the next appended value gets (see :meth:`emit_many`)."""
+        return len(self.values)
+
+    def emit_many(self, ops, he_op: int = -1, rotate_exponent: int = 0) -> range:
+        """Append a block of ``(kind, inputs)`` instructions, in order.
+
+        Returns the produced value ids.  They are consecutive from
+        :attr:`next_value_id`, so an entry may name the output of an earlier
+        entry of the same block as ``next_value_id + k``.
+        """
+        instructions, values = self.instructions, self.values
+        instr_id = len(instructions)
+        first = out = len(values)
+        intermediate = ValueKind.INTERMEDIATE
+        for kind, inputs in ops:
+            values.append(Value(out, intermediate, instr_id, [], None))
+            for vid in inputs:
+                values[vid].users.append(instr_id)
+            instructions.append(
+                Instruction(instr_id, kind, inputs, out, he_op, rotate_exponent))
+            instr_id += 1
+            out += 1
+        return range(first, out)
 
     def emit(self, kind: InstrKind, inputs: tuple[int, ...], *,
-             he_op: int = -1, rotate_exponent: int = 0,
-             out_kind: ValueKind = ValueKind.INTERMEDIATE) -> int:
-        """Append an instruction; returns the produced value id."""
-        instr_id = len(self.instructions)
-        out = self.new_value(out_kind, producer=instr_id)
-        instr = Instruction(
-            instr_id=instr_id, kind=kind, inputs=inputs, output=out,
-            n=self.n, priority=instr_id, he_op=he_op,
-            rotate_exponent=rotate_exponent,
-        )
-        for vid in inputs:
-            self.values[vid].users.append(instr_id)
-        self.instructions.append(instr)
-        return out
+             he_op: int = -1, rotate_exponent: int = 0) -> int:
+        """Append one instruction; returns the produced value id."""
+        return self.emit_many(((kind, inputs),), he_op, rotate_exponent)[0]
 
     # ------------------------------------------------------------ queries
     def stats(self) -> dict:
@@ -122,16 +132,27 @@ class InstructionGraph:
         }
 
     def validate(self) -> None:
-        """Structural invariants: SSA, topological order, user lists correct."""
+        """Structural invariants: SSA, topological order, user lists correct.
+
+        User lists are in ascending instruction order, so one cursor per
+        value walks them in step with the instruction list.
+        """
+        values = self.values
+        cursor = [0] * len(values)
         for ins in self.instructions:
+            instr_id = ins.instr_id
             for vid in ins.inputs:
-                v = self.values[vid]
-                if v.producer is not None and v.producer >= ins.instr_id:
+                v = values[vid]
+                if v.producer is not None and v.producer >= instr_id:
                     raise ValueError(
-                        f"instr {ins.instr_id} uses value {vid} produced later"
+                        f"instr {instr_id} uses value {vid} produced later"
                     )
-                if ins.instr_id not in v.users:
+                at = cursor[vid]
+                if at == len(v.users) or v.users[at] != instr_id:
                     raise ValueError(f"user list of value {vid} is stale")
-            out = self.values[ins.output]
-            if out.producer != ins.instr_id:
-                raise ValueError(f"output of instr {ins.instr_id} mislinked")
+                cursor[vid] = at + 1
+            if values[ins.output].producer != instr_id:
+                raise ValueError(f"output of instr {instr_id} mislinked")
+        for v, at in zip(values, cursor):
+            if at != len(v.users):
+                raise ValueError(f"user list of value {v.value_id} is stale")

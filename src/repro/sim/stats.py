@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compiler.cycle_scheduler import CycleSchedule
+from repro.compiler.cycle_scheduler import FU_FAMILIES, CycleSchedule
 from repro.compiler.data_scheduler import DataMovementSchedule
 from repro.core.config import F1Config
 from repro.core.energy import EnergyModel
@@ -27,35 +27,53 @@ def utilization_timeline(schedule: CycleSchedule, *, windows: int = 64) -> Timel
     makespan = max(1, schedule.makespan)
     window = max(1, makespan // windows)
     n_bins = (makespan + window - 1) // window
-    fus = {"ntt": np.zeros(n_bins), "aut": np.zeros(n_bins),
-           "mul": np.zeros(n_bins), "add": np.zeros(n_bins)}
-    for s in schedule.instrs:
-        _spread(fus[s.fu], s.start, s.start + s.occupancy, window)
-    hbm = np.zeros(n_bins)
-    load_cycles = schedule.config.load_cycles(schedule.n)
-    for tr in schedule.transfers:
-        _spread(hbm, tr.start, tr.start + load_cycles, window)
+    instrs, transfers = schedule.instrs, schedule.transfers
+    issue = np.fromiter((s.start for s in instrs), np.float64, len(instrs))
+    busy_until = issue + np.fromiter(
+        (s.occupancy for s in instrs), np.float64, len(instrs))
+    family = np.array([s.fu for s in instrs], dtype=object)
+    active_fus = {}
+    for fu in FU_FAMILIES:
+        mine = family == fu
+        active_fus[fu] = _bin_intervals(
+            issue[mine], busy_until[mine], window, n_bins) / window
+    sent = np.fromiter((tr.start for tr in transfers), np.float64, len(transfers))
+    hbm = _bin_intervals(sent, sent + schedule.config.load_cycles(schedule.n),
+                         window, n_bins)
     freq_ghz = schedule.config.frequency_ghz
     return Timeline(
         window_cycles=window,
         time_us=np.arange(n_bins) * window / (freq_ghz * 1e3),
-        active_fus={k: v / window for k, v in fus.items()},
+        active_fus=active_fus,
         hbm_utilization=hbm / window,
     )
 
 
-def _spread(bins: np.ndarray, start: float, end: float, window: int) -> None:
-    """Add an interval's cycle count to the windows it overlaps."""
-    lo = int(start // window)
-    hi = int((end - 1e-9) // window)
-    if lo == hi:
-        if 0 <= lo < len(bins):
-            bins[lo] += end - start
-        return
-    for b in range(max(lo, 0), min(hi, len(bins) - 1) + 1):
-        left = max(start, b * window)
-        right = min(end, (b + 1) * window)
-        bins[b] += max(0.0, right - left)
+def _bin_intervals(start: np.ndarray, end: np.ndarray, window: int,
+                   n_bins: int) -> np.ndarray:
+    """Cycles of the ``[start, end)`` intervals falling in each window.
+
+    An interval inside one window adds its length there; a longer one adds
+    its head to its first window, its tail to its last, and a full window to
+    each one between (a difference array, summed once).  Whatever lies
+    outside ``[0, n_bins)`` is dropped.
+    """
+    bins = np.zeros(n_bins)
+    first = np.floor_divide(start, window).astype(np.int64)
+    last = np.floor_divide(end - 1e-9, window).astype(np.int64)
+
+    def add(where: np.ndarray, cycles: np.ndarray, mask: np.ndarray) -> None:
+        mask = mask & (where >= 0) & (where < n_bins)
+        np.add.at(bins, where[mask], cycles[mask])
+
+    short = first == last
+    add(first, end - start, short)
+    add(first, (first + 1) * window - start, ~short)
+    add(last, end - last * window, ~short)
+    full = np.zeros(n_bins + 1)
+    np.add.at(full, np.clip(first[~short] + 1, 0, n_bins), window)
+    np.add.at(full, np.clip(last[~short], 0, n_bins), -window)
+    return bins + np.cumsum(full)[:-1]
 
 
 def power_breakdown(

@@ -138,3 +138,85 @@ def test_raise_if_failed(pieces):
     report = check_schedule(translation.graph, hacked_movement, schedule, cfg)
     with pytest.raises(AssertionError):
         report.raise_if_failed()
+
+
+# ------------------------------------------------------- refills and re-loads
+@pytest.fixture(scope="module")
+def refilling():
+    """A schedule that spills and refills intermediates (130 refill loads)
+    and re-loads evicted key-switch hints."""
+    from repro.bench.workloads import benchmark_suite
+    from repro.compiler.pipeline import compile_program
+
+    compiled = compile_program(benchmark_suite(scale=0.05)["bgv_bootstrapping"])
+    assert compiled.movement.traffic.intermediate_loads > 0
+    assert compiled.movement.traffic.ksh_capacity > 0
+    return compiled
+
+
+def _delay_transfer(schedule, index):
+    """The schedule with one transfer moved past the end of all others."""
+    victim = schedule.transfers[index]
+    after = max(tr.end for tr in schedule.transfers) + 1.0
+    hacked = dataclasses.replace(schedule)
+    hacked.transfers = list(schedule.transfers)
+    hacked.transfers[index] = dataclasses.replace(
+        victim, start=after, end=after + (victim.end - victim.start))
+    return hacked
+
+
+def _nth_load(schedule, wanted, nth):
+    """Index of the nth (0-based) load transfer of the first value that has
+    that many and satisfies ``wanted(value_id)``."""
+    seen: dict[int, int] = {}
+    for index, tr in enumerate(schedule.transfers):
+        if tr.kind == "load" and wanted(tr.value_id):
+            seen[tr.value_id] = seen.get(tr.value_id, 0) + 1
+            if seen[tr.value_id] == nth + 1:
+                return index
+    raise AssertionError("no such load in the schedule")
+
+
+@pytest.mark.parametrize("case", ["refill", "hint_reload"])
+def test_detects_consumer_before_its_refill_lands(refilling, case):
+    """An operand is available from its *latest* load-or-produce event before
+    the consumer, not from its producer's end or its first load.
+
+    Regression: a spilled-and-refilled intermediate was held to its
+    producer's completion and a re-loaded hint to its earliest load, so a
+    consumer could start before the copy it actually reads had arrived."""
+    graph, schedule = refilling.translation.graph, refilling.schedule
+    if case == "refill":     # first load of a value an instruction produced
+        index = _nth_load(
+            schedule, lambda vid: graph.values[vid].producer is not None, 0)
+    else:                    # second load of a key-switch hint RVec
+        index = _nth_load(
+            schedule, lambda vid: graph.values[vid].hint_id is not None, 1)
+    moved = schedule.transfers[index].value_id
+    report = check_schedule(graph, refilling.movement,
+                            _delay_transfer(schedule, index))
+    assert not report.ok
+    assert all(f"before operand {moved} " in v for v in report.violations), \
+        report.violations[:3]
+
+
+def test_valid_refilling_schedule_passes(refilling):
+    report = check_schedule(refilling.translation.graph, refilling.movement,
+                            refilling.schedule)
+    assert report.ok, report.violations[:3]
+    assert report.peak_resident_rvecs == refilling.movement.capacity_rvecs
+
+
+def test_detects_load_event_without_its_transfer(refilling):
+    """The k-th load event of a value is timed by its k-th load transfer; a
+    schedule that drops one cannot be timed and is rejected."""
+    schedule = refilling.schedule
+    index = _nth_load(schedule, lambda vid: True, 0)
+    hacked = dataclasses.replace(schedule)
+    hacked.transfers = [tr for i, tr in enumerate(schedule.transfers)
+                        if i != index]
+    report = check_schedule(refilling.translation.graph, refilling.movement,
+                            hacked)
+    value = schedule.transfers[index].value_id
+    assert any(f"value {value}: a load event without a load transfer" in v
+               for v in report.violations)
