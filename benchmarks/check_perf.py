@@ -15,7 +15,8 @@ the lazy word-matmul CRT reconstruction on a tall 16-limb basis, a
 2-thread stacked NTT, Listing-1 key switch, hoisted rotations, the
 chained modulus switch, plus the serving hot paths: slot pack/unpack, registry lookup,
 the context serde round-trip paid when replicating state into a worker
-process, the executor's batch-dispatch overhead, the level/rotation
+process, the executor's batch-dispatch overhead, the server's
+ready-bucket pick, the level/rotation
 batching paths: a mixed-level BGV batch and a masked CKKS rotation batch,
 and the network tier: the frame codec round-trip and a full remote batch
 dispatch against a live local worker-host subprocess, plus the
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -155,6 +157,27 @@ def _kernels():
         program=serve_program, signature=serve_program.signature(),
         requests=serve_requests, batcher=batcher, backend=CpuBackend(),
     )
+
+    # The scheduling decision every free worker makes under the server's
+    # one lock: pick_ready over 8 buckets x 64 pending, a quarter carrying
+    # deadlines, all past their wait bound (the worst case: every bucket
+    # is scanned for its due instant *and* ranked).  Tens of µs, or the
+    # workers serialize on it.
+    from concurrent.futures import Future
+
+    from repro.serve import Request
+    from repro.serve.server import _Group, _Pending, pick_ready
+
+    pick_groups = []
+    for _ in range(8):
+        group = _Group(serve_program, serve_program.signature(), 4, None)
+        group.pending = [
+            _Pending(Request(), Future(), i * 1e-4, priority=i % 3,
+                     deadline=1.0 + i * 1e-3 if i % 4 == 0 else math.inf,
+                     flush_by=i * 1e-4 + 0.01)
+            for i in range(64)
+        ]
+        pick_groups.append(group)
 
     # Level- and rotation-aware batching hot paths: a mixed-level BGV
     # batch (per-cohort encrypt + mod-switch + merge at the INPUTs) and a
@@ -280,6 +303,7 @@ def _kernels():
         ),
         "serde_context_roundtrip": lambda: pickle.loads(pickle.dumps(bgv)),
         "serve_dispatch": lambda: dispatch_executor.execute(dispatch_job),
+        "serve_schedule_pick": lambda: pick_ready(pick_groups, 0.05),
         "serve_cross_level_pack": lambda: cross_batcher.run(
             cross_requests, backend=serve_backend,
             context=cross_entry.context, seed=3,

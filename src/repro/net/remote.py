@@ -667,6 +667,14 @@ class RemoteExecutor:
                     "via": inner.get("executor"),
                 }
             return reply["outputs"], result
+        except OSError as exc:
+            # Another dispatch (or the monitor) marked the host dead and
+            # closed this channel after next_channel() handed it out: the
+            # watchdog's settimeout then raises EBADF outside _call.  The
+            # same transport failure, so it takes the same retry path.
+            raise self._fail(
+                host, f"closed the connection under a dispatch "
+                      f"({type(exc).__name__}: {exc})") from None
         finally:
             self._release_slot(host, epoch)
 

@@ -17,8 +17,9 @@ amortize cost across many values; this package applies it across *users*:
   restored from the parent's serialized keys — true multi-core
   parallelism with no cross-request lock);
 - :mod:`repro.serve.server` — :class:`FheServer` ties them to a bounded
-  queue, a priority/deadline-aware size-or-deadline flush policy, and a
-  worker pool, with per-request and aggregate telemetry.
+  queue and a worker pool in which a free worker pulls the most urgent
+  ready bucket (full, ``max_wait_ms`` old, or near a deadline), with
+  per-request and aggregate telemetry.
 
 Ten-line tour::
 

@@ -7,20 +7,21 @@ the PR 2 backend API plus the registry/batcher/executor of this package:
    :class:`concurrent.futures.Future` immediately; admission is bounded
    (``queue_depth``), so overload applies backpressure instead of growing
    without limit.
-2. Requests are bucketed by ``Program.signature()``.  A bucket flushes
-   when it reaches the batch capacity (``max_batch`` clamped to the slot
-   layout's), when its oldest request's adaptive flush bound lapses (a
-   per-signature :class:`_FlushController` predicts fill time from the
-   measured arrival rate and shortens the wait accordingly —
-   ``max_wait_ms`` stays the hard ceiling), or when a request's
-   ``deadline_ms`` is about to lapse — buckets flush
-   earliest-deadline-first, and within a bucket the most urgent
-   (earliest deadline, then highest priority) requests claim the batch
-   slots.  A request whose deadline has already passed fails fast with
-   ``status="expired"`` instead of occupying a batch slot.  Requests at
-   different arrival depths (``submit(level=)``) share a bucket: the
-   pack mod-switches everything to the deepest arrival's waterline.
-3. Worker threads hand flushed batches to the server's
+2. Requests are bucketed by ``Program.signature()``, and a batch is
+   formed only when a worker is free to run it (:func:`pick_ready`).  A
+   bucket is ready when it holds the batch capacity (``max_batch``
+   clamped to the slot layout's), when its oldest request has waited
+   ``max_wait_ms``, when a ``deadline_ms`` is about to lapse, or when
+   ``flush()`` / ``close()`` said so; an idle worker sleeps until the
+   earliest such instant, and busy workers cut nothing — the buckets
+   fill on their own.  Ready buckets are taken earliest-deadline-first,
+   and within a bucket the most urgent (earliest deadline, then highest
+   priority) requests claim the batch slots.  A request whose deadline
+   has already passed fails fast with ``status="expired"`` instead of
+   occupying a batch slot.  Requests at different arrival depths
+   (``submit(level=)``) share a bucket: the pack mod-switches everything
+   to the deepest arrival's waterline.
+3. The worker hands its batch to the server's
    :class:`~repro.serve.executor.Executor`: compile/keygen artifacts come
    from the shared :class:`~repro.serve.registry.ProgramRegistry` (so only
    the first request of a signature pays setup), values are packed by the
@@ -48,9 +49,10 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
+from collections.abc import Iterable
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -134,82 +136,28 @@ class _Pending:
     future: Future
     enqueued: float
     priority: int = 0
-    deadline: float | None = None    # absolute perf_counter seconds
-    #: when the size-or-wait policy owes this request a flush; caps the
-    #: urgency key so deadline-free requests age instead of starving
+    deadline: float = math.inf    # absolute perf_counter seconds
+    #: ``enqueued + max_wait`` (brought forward to "now" by ``flush()`` /
+    #: ``close()``): when an idle worker stops waiting for a fuller batch
     flush_by: float = math.inf
+    #: EDF order: earliest effective deadline (the request's own, capped
+    #: at ``flush_by`` so deadline-free requests age instead of
+    #: starving), then highest priority, then FIFO
+    urgency: tuple = field(init=False)
 
-    def urgency(self) -> tuple:
-        """EDF order: earliest effective deadline (the request's own, or
-        its max_wait flush bound — so nothing starves), then highest
-        priority, then FIFO."""
-        effective = min(self.deadline if self.deadline is not None
-                        else math.inf, self.flush_by)
-        return (effective, -self.priority, self.enqueued)
+    def __post_init__(self):
+        self.urgency = (min(self.deadline, self.flush_by), -self.priority,
+                        self.enqueued)
 
 
-class _FlushController:
-    """Per-signature adaptive flush policy, driven by the group's own
-    arrival/occupancy telemetry.
-
-    The static policy ("wait ``max_wait_ms``, hoping the bucket fills")
-    is right only when the arrival rate is unknown.  Once this signature
-    has traffic history, the controller predicts how long filling the
-    *remaining* capacity will actually take (mean recent inter-arrival
-    gap x remaining slots x a 25% safety margin) and bounds the wait by
-    that — so slow traffic stops paying the full window for occupancy
-    that was never coming, and bursty traffic keeps batching up to
-    capacity via the size trigger as before.
-
-    The controller only ever *shortens* the wait: ``max_wait_ms``
-    remains the documented ceiling (every existing timing contract
-    holds), and a floor of ``max_wait/8`` keeps a noisy gap estimate
-    from degenerating into flush-per-request.  Groups with capacity 1
-    (unbatchable programs) always use the floor — waiting cannot improve
-    their occupancy.
-    """
-
-    WINDOW = 64          # arrival timestamps / occupancy samples retained
-    FLOOR_FRACTION = 1 / 8
-    SAFETY = 1.25
-
-    def __init__(self, base_wait_s: float, capacity: int):
-        self.base_wait_s = base_wait_s
-        self.capacity = capacity
-        self.arrivals: deque[float] = deque(maxlen=self.WINDOW)
-        self.occupancies: deque[float] = deque(maxlen=self.WINDOW)
-
-    def observe_submit(self, now: float, pending_count: int) -> float:
-        """Record one arrival; returns this request's flush wait (s)."""
-        self.arrivals.append(now)
-        return self.effective_wait_s(pending_count)
-
-    def observe_batch(self, occupancy: float) -> None:
-        self.occupancies.append(occupancy)
-
-    def interarrival_s(self) -> float | None:
-        """Mean gap between recent submits, or None with no history."""
-        if len(self.arrivals) < 2:
-            return None
-        span = self.arrivals[-1] - self.arrivals[0]
-        return span / (len(self.arrivals) - 1)
-
-    def effective_wait_s(self, pending_count: int = 0) -> float:
-        base = self.base_wait_s
-        floor = base * self.FLOOR_FRACTION
-        if self.capacity <= 1:
-            return floor
-        gap = self.interarrival_s()
-        if gap is None:
-            return base    # cold start: no rate estimate, honor the window
-        remaining = max(self.capacity - pending_count, 0)
-        predicted = remaining * gap * self.SAFETY
-        return min(base, max(floor, predicted))
+# C-speed key reads: every scan below runs under the workers' one lock.
+_URGENCY, _FLUSH_BY, _DEADLINE = map(attrgetter,
+                                     ("urgency", "flush_by", "deadline"))
 
 
 class _Group:
     """All state for one program signature: batcher, bucket, registry
-    entry, flush controller, and per-signature telemetry histograms."""
+    entry, and per-signature telemetry histograms."""
 
     def __init__(self, program: Program, signature: str, width: int,
                  max_batch: int | None, max_wait_s: float = 0.01,
@@ -225,6 +173,12 @@ class _Group:
         except BatchUnsupported:
             self.batcher = None
             self.capacity = 1
+        self.max_wait_s = max_wait_s
+        #: a deadline readies its bucket this long *before* it lapses, so
+        #: the batch can still execute inside the budget.  A constant
+        #: derived from ``max_wait``, not a knob, and all of it execution
+        #: margin: a sleeping worker wakes at the instant itself.
+        self.deadline_slack_s = 2 * min(max(max_wait_s / 4, 0.5e-3), 50e-3)
         self.pending: list[_Pending] = []
         #: shared MUL_PLAIN operands of the *current* bucket; re-established
         #: whenever the bucket empties, so weights may change between
@@ -234,8 +188,6 @@ class _Group:
         #: batcher already has one; unbatchable programs get their own)
         self.level_plan = (self.batcher.level_plan if self.batcher is not None
                           else level_alignment_plan(program))
-        self.lock = threading.Lock()
-        self.controller = _FlushController(max_wait_s, self.capacity)
         # Per-signature telemetry (guarded by the server's telemetry
         # lock): mergeable log-bucket histograms in the server's metrics
         # registry — bounded memory by construction, and the same schema
@@ -249,28 +201,30 @@ class _Group:
         self.completed = 0
         self.batches = 0
 
-    def due_time(self, deadline_slack_s: float) -> float:
-        """When this bucket must flush (caller holds ``lock``).
-
-        Each pending request is due at its ``flush_by`` bound (assigned
-        at submit by the adaptive controller, never later than
-        ``enqueued + max_wait``) or slightly *before* its deadline
-        (``deadline_slack_s`` early, so a deadline-driven batch can
-        still execute inside its budget), whichever comes first; the
-        bucket is due with its most urgent request — the flusher visits
-        buckets earliest-deadline-first.
+    def due_time(self, now: float) -> float:
+        """The instant from which a free worker may take this bucket
+        (ready means ``<= now``): ``now`` once it is full, else its most
+        urgent request's ``flush_by`` bound or ``deadline_slack_s``
+        *before* its deadline, whichever comes first.  A lapsed request
+        therefore readies its bucket and expires at once.
         """
+        if len(self.pending) >= self.capacity:
+            return now
         return min(
-            (min(p.flush_by,
-                 p.deadline - deadline_slack_s if p.deadline is not None
-                 else math.inf)
-             for p in self.pending),
-            default=math.inf,
+            min(map(_FLUSH_BY, self.pending), default=math.inf),
+            min(map(_DEADLINE, self.pending), default=math.inf)
+            - self.deadline_slack_s,
         )
 
-    def take_batch(self) -> list[_Pending]:
-        """Claim up to ``capacity`` live requests, most urgent first
-        (caller holds ``lock``).
+    def urgency(self, now: float) -> tuple:
+        """Rank among ready buckets: the most urgent *live* request's
+        key.  Lapsed ride-alongs are excluded — a past deadline must not
+        put a bucket with no urgent live work ahead of an urgent one."""
+        live = [p for p in self.pending if p.deadline > now]
+        return min(map(_URGENCY, live or self.pending))
+
+    def take_batch(self, now: float) -> list[_Pending]:
+        """Claim up to ``capacity`` live requests, most urgent first.
 
         Requests whose deadline has already lapsed do *not* count against
         capacity — they ride along at the end of the returned list purely
@@ -278,15 +232,32 @@ class _Group:
         releases their admission slots; the batch's capacity slots all go
         to live requests.
         """
-        now = time.perf_counter()
         live: list[_Pending] = []
         lapsed: list[_Pending] = []
         for p in self.pending:
-            (lapsed if p.deadline is not None and p.deadline <= now
-             else live).append(p)
-        live.sort(key=_Pending.urgency)
+            (lapsed if p.deadline <= now else live).append(p)
+        live.sort(key=_URGENCY)
         batch, self.pending = live[: self.capacity], live[self.capacity:]
         return batch + lapsed
+
+
+def pick_ready(groups: Iterable[_Group],
+               now: float) -> tuple[_Group | None, float]:
+    """The scheduling policy: the bucket a free worker takes at ``now``
+    (the most urgent ready one, by the key that orders requests inside a
+    bucket), or ``(None, instant)`` with the earliest instant one becomes
+    ready (``inf``: all empty).  The caller holds the scheduler lock.
+    """
+    best, best_key, wake = None, None, math.inf
+    for group in groups:
+        due = group.due_time(now)     # inf for an empty bucket
+        if due > now:
+            wake = min(wake, due)
+            continue
+        key = group.urgency(now)
+        if best is None or key < best_key:
+            best, best_key = group, key
+    return best, wake
 
 
 class FheServer:
@@ -300,7 +271,7 @@ class FheServer:
     honored when building cached contexts; ``seed`` (the server's, not
     the backend's) seeds each signature's cached encryption keys.
 
-    ``executor`` decides where flushed batches run: ``"thread"`` (default,
+    ``executor`` decides where batches run: ``"thread"`` (default,
     in-process with a per-context lock), ``"process"``/a
     :class:`~repro.net.remote.ProcessExecutor` instance (a pool of
     worker-process context replicas, no cross-request lock), ``"remote"``/
@@ -353,15 +324,11 @@ class FheServer:
         self.seed = seed
         self._admission = threading.BoundedSemaphore(queue_depth)
         self._groups: dict[str, _Group] = {}
-        self._groups_lock = threading.Lock()
-        #: (urgency, group, batch) triples; workers pop the most urgent
-        self._jobs: list[tuple[tuple, _Group, list[_Pending]]] = []
-        self._jobs_ready = threading.Condition()
-        #: separate from _jobs_ready so a worker-bound notify is never
-        #: consumed by the flusher (and vice versa)
-        self._flusher_wake = threading.Condition()
-        self._closed = False   # admission gate (set first during close)
-        self._stop = False     # worker/flusher shutdown
+        #: the one scheduler lock: guards ``_groups``, every bucket and
+        #: ``_closed``; idle workers wait on it, submit/flush/close notify
+        self._cond = threading.Condition()
+        #: admission gate; workers exit once it is set and all is drained
+        self._closed = False
         self._telemetry_lock = threading.Lock()
         # Serving telemetry lives in a mergeable metrics registry
         # (repro.obs.metrics): counters stay exact, latency/queue/
@@ -400,10 +367,6 @@ class FheServer:
         ]
         for thread in self._workers:
             thread.start()
-        self._flusher = threading.Thread(
-            target=self._flusher_loop, name="fhe-flusher", daemon=True
-        )
-        self._flusher.start()
 
     # ------------------------------------------------------------ client API
     def submit(self, program: Program, inputs=None, plains=None, *,
@@ -418,8 +381,8 @@ class FheServer:
         when ``queue_depth`` requests are already in flight.
 
         ``priority`` breaks ties among equally urgent requests (higher
-        first); ``deadline_ms`` is the client's latency budget — it pulls
-        the bucket's flush forward, orders batch admission
+        first); ``deadline_ms`` is the client's latency budget — it makes
+        the bucket ready early, orders batch admission
         earliest-deadline-first, and a request whose budget lapses before
         execution resolves with ``status="expired"`` instead of occupying
         a batch slot.  ``seed`` pins per-request randomness for requests
@@ -474,9 +437,8 @@ class FheServer:
         with self._telemetry_lock:
             if self._first_submit is None:
                 self._first_submit = now
-        ready = None
         try:
-            with group.lock:
+            with self._cond:
                 if self._closed:
                     # close() set the flag before its final flush; anything
                     # appended now would be stranded, so refuse instead.
@@ -486,17 +448,15 @@ class FheServer:
                         group.shared_plains = shared
                     else:
                         self._check_shared(group, shared)
-                wait_s = group.controller.observe_submit(
-                    now, len(group.pending)
-                )
                 group.pending.append(_Pending(
                     request, future, now, priority=priority,
                     deadline=(now + deadline_ms / 1e3
-                              if deadline_ms is not None else None),
-                    flush_by=now + wait_s,
+                              if deadline_ms is not None else math.inf),
+                    flush_by=now + group.max_wait_s,
                 ))
-                if len(group.pending) >= group.capacity:
-                    ready = group.take_batch()
+                # It may have filled the bucket or brought the earliest
+                # due instant forward: an idle worker looks again.
+                self._cond.notify()
         except Exception:
             self._admission.release()
             self._shedder.resolved()
@@ -507,14 +467,6 @@ class FheServer:
             tr.record("admit", perf_to_us(admit_start),
                       (end - admit_start) * 1e6, trace=request.trace,
                       signature=group.signature[:16])
-        if ready is not None:
-            self._dispatch(group, ready)
-        elif deadline_ms is not None:
-            # Tight budgets cannot wait for the flusher's next scheduled
-            # scan: wake it so a deadline shorter than the scan tick is
-            # dispatched (and served) rather than discovered already dead.
-            with self._flusher_wake:
-                self._flusher_wake.notify()
         return future
 
     def request(self, program: Program, inputs=None, plains=None, *,
@@ -528,35 +480,28 @@ class FheServer:
                            seed=seed, level=level).result()
 
     def flush(self) -> None:
-        """Dispatch every pending bucket now, regardless of age or size."""
-        with self._groups_lock:
-            groups = list(self._groups.values())
-        for group in groups:
-            while True:
-                with group.lock:
-                    if not group.pending:
-                        break
-                    ready = group.take_batch()
-                self._dispatch(group, ready)
+        """Make every pending request due now, regardless of age or bucket
+        size: free workers take them at once, busy ones as they finish."""
+        now = time.perf_counter()
+        with self._cond:
+            for group in self._groups.values():
+                group.pending = [replace(p, flush_by=min(p.flush_by, now))
+                                 for p in group.pending]
+            self._cond.notify_all()
 
     def close(self) -> None:
-        """Flush, drain, and stop the worker/flusher threads."""
-        with self._groups_lock:
+        """Flush, drain, and stop the worker threads."""
+        with self._cond:
             if self._closed:
                 return
             self._closed = True
         # _closed is set before this flush, so a racing submit either got
-        # its request into a bucket we are about to drain or observes the
-        # flag under the group lock and raises — no future is stranded.
+        # its request into a bucket the workers are about to drain or
+        # observes the flag under the scheduler lock and raises — no
+        # future is stranded.
         self.flush()
-        with self._jobs_ready:
-            self._stop = True
-            self._jobs_ready.notify_all()
-        with self._flusher_wake:
-            self._flusher_wake.notify_all()
         for thread in self._workers:
             thread.join()
-        self._flusher.join()
         if self._own_executor:
             self.executor.close()
         if self._fallback is not None:
@@ -589,7 +534,7 @@ class FheServer:
     def _group_for(self, program: Program, request: Request,
                    width: int | None) -> _Group:
         signature = program.signature()
-        with self._groups_lock:
+        with self._cond:
             group = self._groups.get(signature)
             if group is None:
                 if width is None:
@@ -628,63 +573,19 @@ class FheServer:
         ))
         return future
 
-    def _dispatch(self, group: _Group, batch: list[_Pending]) -> None:
-        # Jobs carry their batch's best urgency: when workers are saturated
-        # and batches queue up, the most urgent batch (earliest deadline,
-        # then highest priority) is executed first — this is where
-        # ``priority=`` becomes observable under load.  Already-lapsed
-        # ride-along requests are excluded from the key: their past
-        # deadlines must not let a batch with no urgent live work preempt
-        # a genuinely urgent one.
-        now = time.perf_counter()
-        live = [p for p in batch
-                if p.deadline is None or p.deadline > now]
-        urgency = min(p.urgency() for p in (live or batch))
-        with self._jobs_ready:
-            self._jobs.append((urgency, group, batch))
-            self._jobs_ready.notify()
-
-    def _flusher_loop(self) -> None:
-        tick = min(max(self.max_wait_ms / 4.0, 0.5), 50.0) / 1e3
-        while True:
-            with self._jobs_ready:
-                if self._stop:
-                    return
-            now = time.perf_counter()
-            with self._groups_lock:
-                groups = list(self._groups.values())
-            # Earliest-deadline-first across buckets: the most urgent
-            # bucket's batch reaches the job queue (and a worker) first.
-            due: list[tuple[float, _Group]] = []
-            for group in groups:
-                with group.lock:
-                    # Two ticks of deadline slack: one is consumed by the
-                    # scan interval itself, the second is real execution
-                    # margin — without it a serviceable request could be
-                    # discovered exactly at its deadline and expire idle.
-                    when = group.due_time(2 * tick)
-                if when <= now:
-                    due.append((when, group))
-            for _, group in sorted(due, key=lambda pair: pair[0]):
-                with group.lock:
-                    ready = group.take_batch() if group.pending else None
-                if ready:
-                    self._dispatch(group, ready)
-            with self._flusher_wake:
-                # Sleep one tick, but wake early for tight-deadline
-                # submits (see submit()).
-                self._flusher_wake.wait(timeout=tick)
-
     def _worker_loop(self) -> None:
         while True:
-            with self._jobs_ready:
-                while not self._jobs and not self._stop:
-                    self._jobs_ready.wait()
-                if not self._jobs and self._stop:
-                    return
-                next_idx = min(range(len(self._jobs)),
-                               key=lambda i: self._jobs[i][0])
-                _, group, batch = self._jobs.pop(next_idx)
+            with self._cond:
+                while True:
+                    now = time.perf_counter()
+                    group, wake = pick_ready(self._groups.values(), now)
+                    if group is not None:
+                        batch = group.take_batch(now)
+                        break
+                    if self._closed and wake == math.inf:
+                        return
+                    self._cond.wait(None if wake == math.inf
+                                    else wake - now)
             try:
                 self._execute(group, batch)
             except (RetriesExhausted, ExecutorUnavailable) as exc:
@@ -716,7 +617,7 @@ class FheServer:
             # executor can bound its per-attempt watchdog and its retry
             # backoff by the real budget.
             deadline=min((p.deadline for p in batch
-                          if p.deadline is not None), default=None),
+                          if p.deadline < math.inf), default=None),
         )
         hit = False
         if isinstance(self.backend, FunctionalBackend):
@@ -857,7 +758,7 @@ class FheServer:
         now = time.perf_counter()
         live_batch = []
         for pending in batch:
-            if pending.deadline is not None and now >= pending.deadline:
+            if now >= pending.deadline:
                 self._expire(group, pending, now)
             else:
                 live_batch.append(pending)
@@ -911,7 +812,6 @@ class FheServer:
                       (demux_done - done) * 1e6,
                       traces=[p.request.trace for p in live_batch
                               if p.request.trace], k=k)
-        group.controller.observe_batch(occupancy)
         with self._telemetry_lock:
             self._batches.inc()
             self._completed.inc(k)
@@ -964,8 +864,7 @@ class FheServer:
 
         ``per_signature`` breaks the same occupancy/latency/queue numbers
         down by program signature, each with an exact batch-size
-        histogram and the flush controller's current effective wait —
-        the adaptive controller's inputs, exposed for dashboards.
+        histogram.
 
         ``executor`` is the executor tier's own telemetry (see the README
         observability section for the schema): dispatch counters and, for
@@ -975,7 +874,7 @@ class FheServer:
         ``executor.execute`` per batch — what the executor tier (socket
         round-trips included) adds on top of the FHE math.
         """
-        with self._groups_lock:
+        with self._cond:
             groups = list(self._groups.values())
         merged = self.metrics_snapshot()
 
@@ -1019,8 +918,6 @@ class FheServer:
                         "batch_size_histogram": dict(sorted(
                             g.batch_sizes.items()
                         )),
-                        "effective_wait_ms":
-                            g.controller.effective_wait_s() * 1e3,
                     }
                     for g in groups if g.completed
                 },

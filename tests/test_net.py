@@ -515,6 +515,25 @@ class TestFailover:
                 # The reconnect re-shipped the entry (fresh shipped-set).
                 assert len(host.replicated) >= 3
 
+    def test_channel_closed_under_a_dispatch_retries(self):
+        """A dispatch can hold a channel that another thread has just
+        closed (it marked the host dead after ``next_channel()`` handed
+        the channel out).  The watchdog's ``settimeout`` then fails with
+        EBADF before ``_call`` is reached; that must ride the retry loop
+        like any transport failure, not escape as a raw ``OSError``."""
+        with LocalCluster(1) as cluster:
+            with cluster.executor(
+                heartbeat_s=0.05, channels=1, execute_timeout_s=60.0,
+                retry=RetryPolicy(max_attempts=8, base_delay_s=0.05,
+                                  max_delay_s=0.2),
+            ) as pool:
+                job, _ = bgv_job(ProgramRegistry())
+                pool.execute(job)
+                pool._hosts[0].channels[0].sock.close()
+                outputs, _ = pool.execute(job)
+                assert len(outputs) == len(job.requests)
+                assert pool.stats()["resilience"]["retries"] >= 1
+
     def test_dead_host_reconnects_and_rereplicates(self):
         with LocalCluster(2) as cluster:
             with cluster.executor(heartbeat_s=0.1) as pool:

@@ -256,7 +256,6 @@ PER_SIGNATURE = {
     "program": str, "requests": int, "batches": int, "capacity": int,
     "batchable": bool, "mean_occupancy": float, "latency_ms": dict,
     "queue_ms": dict, "batch_size_histogram": dict,
-    "effective_wait_ms": float,
 }
 
 REGISTRY_KEYS = {"entries", "contexts", "compiled", "hits", "misses",

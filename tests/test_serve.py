@@ -13,14 +13,17 @@ The serving-layer invariants:
 - malformed ``repro.run`` requests fail fast with clear errors.
 """
 
+import math
+import random
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 import repro
-from repro.backends import FunctionalBackend, validate_run_args
+from repro.backends import FunctionalBackend, RunResult, validate_run_args
 from repro.dsl.program import Program
 from repro.serve import (
     STATUS_EXPIRED,
@@ -33,9 +36,14 @@ from repro.serve import (
     unbatchable_reason,
 )
 from repro.serve.batcher import solo_layout
+from repro.serve.server import _Group, _Pending, pick_ready
 
 N = 256
 WIDTH = 8
+#: "now" for the scheduler-policy tests: the policy is pure in the time
+#: it is handed, so they run on synthetic instants, no clock and no sleep
+T0 = 1000.0
+MS = 1e-3
 
 
 def linear_bgv(n=N, name="linear", level=3):
@@ -504,6 +512,96 @@ class TestFheServer:
         assert stats["registry"]["contexts"] == 2
         assert stats["registry"]["hit_rate"] > 0.5
 
+    def test_submit_racing_close_loses_no_future(self):
+        """Seeded submit-vs-close() race: every submit either raises
+        "server is closed" or returns a future that resolves — workers
+        exit only once the server is closed *and* every bucket is empty."""
+        program = poly_ckks()
+        submitters, per_thread = 4, 12
+        for seed in range(6):
+            rng = random.Random(seed)
+            server = FheServer(backend="cpu", max_batch=4, max_wait_ms=2.0,
+                               workers=2, queue_depth=8)
+            assert sum(t.name.startswith("fhe-worker-")
+                       for t in threading.enumerate()) == 2
+            accepted, refused, errors = [], [], []
+            start = threading.Barrier(submitters + 1)
+
+            def submitter(pauses):
+                start.wait()
+                for pause in pauses:
+                    time.sleep(pause)
+                    try:
+                        accepted.append(server.submit(program, width=WIDTH))
+                    except RuntimeError as exc:
+                        (refused if "server is closed" in str(exc)
+                         else errors).append(exc)
+
+            def closer(pause):
+                start.wait()
+                time.sleep(pause)
+                server.close()
+
+            threads = [
+                threading.Thread(target=submitter, args=(
+                    [rng.uniform(0, 2 * MS) for _ in range(per_thread)],))
+                for _ in range(submitters)
+            ] + [threading.Thread(target=closer,
+                                  args=(rng.uniform(0, 12 * MS),))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), seed
+            assert not errors, errors[:1]
+            assert len(accepted) + len(refused) == submitters * per_thread
+            assert all(f.result(timeout=60).status == STATUS_OK
+                       for f in accepted), seed
+            assert not any(t.name.startswith("fhe-worker-")
+                           for t in threading.enumerate())
+
+    def test_busy_worker_lets_the_bucket_fill(self):
+        """Batches are cut when a worker is free, not when a timer fires:
+        requests that arrive while the only worker is busy form one wide
+        batch however long past ``max_wait_ms`` they sit (the parent's
+        flusher cut them into small batches queued behind the worker)."""
+        entered, release = threading.Event(), threading.Event()
+        batch_sizes = []
+
+        class BlockingExecutor:
+            name = "blocking"
+
+            def execute(self, job):
+                batch_sizes.append(len(job.requests))
+                entered.set()
+                assert release.wait(timeout=60)
+                return ([{} for _ in job.requests],
+                        RunResult(backend="cpu", program=job.program.name))
+
+            def stats(self):
+                return {}
+
+            def close(self):
+                pass
+
+        program = poly_ckks()
+        capacity = SlotBatcher(program, width=WIDTH).capacity
+        server = FheServer(backend="cpu", workers=1, max_wait_ms=1.0,
+                           executor=BlockingExecutor())
+        try:
+            futures = [server.submit(program, width=WIDTH)]
+            assert entered.wait(timeout=60)
+            for _ in range(2):   # two waves, each left well past max_wait
+                futures += [server.submit(program, width=WIDTH)
+                            for _ in range(10)]
+                time.sleep(0.05)
+        finally:
+            release.set()
+            server.close()
+        assert batch_sizes[:2] == [1, min(20, capacity)]
+        assert sum(batch_sizes) == 21
+        assert all(f.done() for f in futures)
+
     def test_injected_backend_params_honored(self):
         """Server-built contexts use the injected backend's explicit params."""
         params = repro.FheParams.build(n=N, levels=5, prime_bits=28,
@@ -717,8 +815,8 @@ class TestPriorityDeadline:
         assert elapsed < 3.0   # nowhere near the 5 s size-or-wait flush
 
     def test_sub_tick_deadline_served_on_idle_server(self):
-        """A budget shorter than the flusher scan tick wakes the flusher:
-        the request is served, not discovered already expired."""
+        """A budget far shorter than max_wait wakes an idle worker at
+        submit: the request is served, not discovered already expired."""
         program = poly_ckks()
         requests = ckks_requests(program, 2)
         with FheServer(max_batch=64, max_wait_ms=300.0) as server:
@@ -739,13 +837,10 @@ class TestPriorityDeadline:
     def test_urgent_requests_claim_batch_slots(self):
         """EDF ordering: with more pending than capacity, the earliest
         deadline and highest priority win the batch (white-box)."""
-        from repro.serve.server import _Group, _Pending
-        from concurrent.futures import Future
-
         program = poly_ckks()
         group = _Group(program, program.signature(), WIDTH, max_batch=2)
-        now = time.perf_counter()
-        lax = _Pending(Request(), Future(), now, priority=0, deadline=None)
+        now = T0
+        lax = _Pending(Request(), Future(), now, priority=0)
         soon = _Pending(Request(), Future(), now + 1e-6, priority=0,
                         deadline=now + 0.010)
         late = _Pending(Request(), Future(), now + 2e-6, priority=0,
@@ -753,61 +848,24 @@ class TestPriorityDeadline:
         vip = _Pending(Request(), Future(), now + 3e-6, priority=9,
                        deadline=now + 0.500)
         group.pending = [lax, soon, late, vip]
-        batch = group.take_batch()
+        batch = group.take_batch(now)
         assert batch == [soon, vip]          # EDF first, then priority
         assert group.pending == [late, lax]  # leftovers keep EDF order
 
     def test_expired_requests_do_not_claim_batch_slots(self):
         """A lapsed request rides along for fast expiry but its capacity
         slot goes to a live request (white-box)."""
-        from concurrent.futures import Future
-        from repro.serve.server import _Group, _Pending
-
         program = poly_ckks()
         group = _Group(program, program.signature(), WIDTH, max_batch=2)
-        now = time.perf_counter()
+        now = T0
         live_a = _Pending(Request(), Future(), now)
         lapsed = _Pending(Request(), Future(), now + 1e-6,
                           deadline=now - 1e-3)
         live_b = _Pending(Request(), Future(), now + 2e-6)
         group.pending = [live_a, lapsed, live_b]
-        batch = group.take_batch()
+        batch = group.take_batch(now)
         assert batch == [live_a, live_b, lapsed]
         assert group.pending == []
-
-    def test_saturated_workers_run_urgent_batches_first(self):
-        """Queued jobs are popped most-urgent-first (white-box): this is
-        where priority= becomes observable under load."""
-        from concurrent.futures import Future
-        from repro.serve.server import _Pending
-
-        program = poly_ckks()
-        request = ckks_requests(program, 1)[0]
-        server = FheServer(workers=1, max_wait_ms=10_000.0)
-        try:
-            group = server._group_for(program, request, WIDTH)
-            now = time.perf_counter()
-
-            def job(priority, deadline=None):
-                pending = _Pending(Request(), Future(), now,
-                                   priority=priority, deadline=deadline)
-                return (pending.urgency(), group, [pending])
-
-            with server._jobs_ready:
-                server._jobs.extend([
-                    job(0), job(9), job(0, deadline=now + 0.01),
-                ])
-                order = []
-                while server._jobs:
-                    idx = min(range(len(server._jobs)),
-                              key=lambda i: server._jobs[i][0])
-                    order.append(server._jobs.pop(idx))
-            # Deadline-bearing batch first, then highest priority, then FIFO.
-            assert [j[2][0].deadline is not None for j in order] \
-                == [True, False, False]
-            assert [j[2][0].priority for j in order] == [0, 9, 0]
-        finally:
-            server.close()
 
     def test_mixed_deadline_traffic_all_accounted(self):
         """Expired and served requests both resolve; nothing strands."""
@@ -828,6 +886,76 @@ class TestPriorityDeadline:
                    for r in served_results)
         assert stats["expired"] == 3
         assert stats["requests"] == 3   # only live requests count as served
+
+
+class TestSchedulerPolicy:
+    """``pick_ready`` on hand-built buckets at synthetic instants: which
+    bucket a free worker takes, or when an idle one wakes."""
+
+    MAX_WAIT = 10 * MS      # deadline slack is then 2 x 2.5 ms
+
+    def bucket(self, *pending, max_batch=4):
+        program = poly_ckks()
+        group = _Group(program, program.signature(), WIDTH,
+                       max_batch=max_batch, max_wait_s=self.MAX_WAIT)
+        group.pending = list(pending)
+        return group
+
+    def pending(self, enqueued, *, priority=0, deadline=math.inf):
+        return _Pending(Request(), Future(), enqueued, priority=priority,
+                        deadline=deadline,
+                        flush_by=enqueued + self.MAX_WAIT)
+
+    def test_earliest_deadline_first_across_buckets(self):
+        lax = self.bucket(self.pending(T0, deadline=T0 + 9 * MS))
+        tight = self.bucket(self.pending(T0 + 1 * MS, deadline=T0 + 6 * MS))
+        assert pick_ready([lax, tight], T0 + 5 * MS) == (tight, math.inf)
+
+    def test_priority_breaks_ties(self):
+        plain = self.bucket(self.pending(T0))
+        vip = self.bucket(self.pending(T0, priority=9))
+        assert pick_ready([plain, vip], T0 + 10 * MS)[0] is vip
+
+    def test_deadline_free_requests_age_via_the_max_wait_cap(self):
+        """A deadline-free request's effective deadline is enqueued +
+        max_wait, so it overtakes deadline traffic instead of starving."""
+        budgeted = self.bucket(self.pending(T0 + 5 * MS,
+                                            deadline=T0 + 12 * MS))
+        old = self.bucket(self.pending(T0))              # cap: T0 + 10 ms
+        young = self.bucket(self.pending(T0 + 4 * MS))   # cap: T0 + 14 ms
+        assert pick_ready([budgeted, old], T0 + 11 * MS)[0] is old
+        assert pick_ready([budgeted, young], T0 + 14 * MS)[0] is budgeted
+
+    def test_lapsed_ride_alongs_do_not_lend_urgency(self):
+        """A lapsed request makes its bucket ready (it must expire fast)
+        but its past deadline does not rank the bucket."""
+        stale = self.bucket(self.pending(T0, deadline=T0 + 1 * MS),
+                            self.pending(T0 + 9 * MS))
+        urgent = self.bucket(self.pending(T0 + 5 * MS,
+                                          deadline=T0 + 13 * MS))
+        now = T0 + 9.5 * MS
+        assert stale.due_time(now) <= now
+        assert pick_ready([stale, urgent], now)[0] is urgent
+        # ... and still goes out, lapsed request riding along, once the
+        # urgent bucket has been taken.
+        urgent.take_batch(now)
+        assert pick_ready([stale, urgent], now)[0] is stale
+
+    def test_full_bucket_is_ready_before_it_is_due(self):
+        now = T0 + 1 * MS
+        one = self.bucket(self.pending(T0), max_batch=2)
+        assert pick_ready([one], now) == (None, T0 + self.MAX_WAIT)
+        full = self.bucket(self.pending(T0), self.pending(T0), max_batch=2)
+        assert pick_ready([one, full], now)[0] is full
+
+    def test_nothing_ready_returns_the_wake_up_instant(self):
+        waiting = self.bucket(self.pending(T0))
+        budgeted = self.bucket(self.pending(T0, deadline=T0 + 8 * MS))
+        empty = self.bucket()
+        # The deadline's slack (5 ms) comes before either max_wait bound.
+        assert pick_ready([waiting, budgeted, empty], T0 + 1 * MS) \
+            == (None, pytest.approx(T0 + 3 * MS))
+        assert pick_ready([empty], T0) == (None, math.inf)
 
 
 class TestRunValidation:
