@@ -18,6 +18,8 @@ the context serde round-trip paid when replicating state into a worker
 process, the executor's batch-dispatch overhead, the server's
 ready-bucket pick, the level/rotation
 batching paths: a mixed-level BGV batch and a masked CKKS rotation batch,
+the CKKS encoder at N=1024 / 4096, the same two batches on two contexts
+from one thread and from two (gated as a ratio, ``CONVOY_LIMIT``),
 and the network tier: the frame codec round-trip and a full remote batch
 dispatch against a live local worker-host subprocess, plus the
 observability guards: the disabled-tracing span check and a metrics-blob
@@ -52,6 +54,9 @@ import numpy as np
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 DEFAULT_TOLERANCE = 2.5
+#: serve_two_contexts_threaded may read at most this multiple of
+#: serve_two_contexts_serial: two worker threads must not convoy on the GIL.
+CONVOY_LIMIT = 1.25
 
 
 def _kernels():
@@ -204,6 +209,39 @@ def _kernels():
     rot_entry, _ = registry.context_for(rot_program, seed=3)
     serve_backend = FunctionalBackend(validate=False)
 
+    # The CKKS encoder, both directions (one length-N FFT each), and the
+    # GIL-convoy pair: the same two N=512 batches on two different
+    # contexts, eight times each, through ThreadExecutor.execute from one
+    # thread, then from two (a convoy needs a sustained run to form).  The
+    # executor's process-wide gate is what keeps the second from reading
+    # ~2x the first (see CONVOY_LIMIT).
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.fhe.encoding import CkksEncoder
+
+    enc_slots = {n: rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2)
+                 for n in (1024, 4096)}
+    encoders = {n: CkksEncoder(n, 2.0**30) for n in enc_slots}
+    enc_coeffs = {n: encoders[n].encode(z) for n, z in enc_slots.items()}
+
+    two_program = poly_ckks_program(512)
+    two_batcher = SlotBatcher(two_program, width=16)
+    two_jobs = [
+        BatchJob(
+            program=two_program, signature=two_program.signature(),
+            requests=synthetic_requests(
+                two_program, two_batcher.capacity, width=16, seed=seed),
+            batcher=two_batcher, backend=serve_backend,
+            context_entry=registry.context_for(two_program, seed=seed)[0],
+        )
+        for seed in (3, 4)
+    ]
+    two_threads = ThreadPoolExecutor(2)
+
+    def _eight_batches(job):
+        for _ in range(8):
+            dispatch_executor.execute(job)
+
     # Network tier: the wire codec on a representative EXECUTE payload
     # (header build + validation + both checksums, both directions), and a
     # full dispatch round-trip — coordinator-side pickling, framed socket
@@ -312,6 +350,16 @@ def _kernels():
             rot_requests, backend=serve_backend,
             context=rot_entry.context, seed=3,
         ),
+        "ckks_encode_1024": lambda: encoders[1024].encode(enc_slots[1024]),
+        "ckks_decode_1024": lambda: encoders[1024].decode(enc_coeffs[1024]),
+        "ckks_encode_4096": lambda: encoders[4096].encode(enc_slots[4096]),
+        "ckks_decode_4096": lambda: encoders[4096].decode(enc_coeffs[4096]),
+        "serve_two_contexts_serial": lambda: [
+            _eight_batches(job) for job in two_jobs
+        ],
+        "serve_two_contexts_threaded": lambda: list(
+            two_threads.map(_eight_batches, two_jobs)
+        ),
         "net_frame_roundtrip": lambda: decode_frame(
             encode_frame(MsgType.EXECUTE, frame_payload)
         ),
@@ -356,18 +404,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     measured = {name: _time(fn) for name, fn in _kernels().items()}
+    convoy = (measured["serve_two_contexts_threaded"]
+              / measured["serve_two_contexts_serial"])
+    convoy_line = (f"two contexts, threaded/serial = {convoy:.2f}x "
+                   f"(limit {CONVOY_LIMIT}x)")
 
     if args.compare:
         baseline = (
             json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else {}
         )
-        print(f"{'kernel':24s} {'baseline':>10s} {'now':>10s} {'speedup':>8s}")
+        print(f"{'kernel':28s} {'baseline':>10s} {'now':>10s} {'speedup':>8s}")
         for name, t in measured.items():
             ref = baseline.get(name)
             if ref is None:
-                print(f"{name:24s} {'(new)':>10s} {t * 1e3:9.3f}ms        -")
+                print(f"{name:28s} {'(new)':>10s} {t * 1e3:9.3f}ms        -")
             else:
-                print(f"{name:24s} {ref * 1e3:9.3f}ms {t * 1e3:9.3f}ms "
+                print(f"{name:28s} {ref * 1e3:9.3f}ms {t * 1e3:9.3f}ms "
                       f"{ref / t:7.2f}x")
         hoisted = measured.get("rotate_many_hoisted")
         seq = measured.get("rotate_sequential")
@@ -385,6 +437,7 @@ def main(argv: list[str] | None = None) -> int:
             if measured.get(fast) and measured.get(ref):
                 print(f"{label}: reference/fast = "
                       f"{measured[ref] / measured[fast]:.2f}x")
+        print(convoy_line)
         return 0
 
     if args.write:
@@ -394,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"baseline written to {BASELINE_PATH}")
         for name, t in measured.items():
-            print(f"  {name:24s} {t * 1e3:8.3f} ms")
+            print(f"  {name:28s} {t * 1e3:8.3f} ms")
         return 0
 
     if not BASELINE_PATH.exists():
@@ -403,20 +456,24 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline = json.loads(BASELINE_PATH.read_text())
     failed = []
-    print(f"{'kernel':24s} {'baseline':>10s} {'now':>10s} {'ratio':>7s}")
+    print(f"{'kernel':28s} {'baseline':>10s} {'now':>10s} {'ratio':>7s}")
     for name, t in measured.items():
         ref = baseline.get(name)
         if ref is None:
-            print(f"{name:24s} {'(new)':>10s} {t * 1e3:9.3f}ms      -")
+            print(f"{name:28s} {'(new)':>10s} {t * 1e3:9.3f}ms      -")
             continue
         ratio = t / ref
         flag = "  REGRESSION" if ratio > args.tolerance else ""
-        print(f"{name:24s} {ref * 1e3:9.3f}ms {t * 1e3:9.3f}ms {ratio:6.2f}x{flag}")
+        print(f"{name:28s} {ref * 1e3:9.3f}ms {t * 1e3:9.3f}ms {ratio:6.2f}x{flag}")
         if ratio > args.tolerance:
             failed.append(name)
+    print(f"\n{convoy_line}")
+    if convoy > CONVOY_LIMIT:
+        failed.append("serve_two_contexts_threaded/serial")
     if failed:
         print(f"\nperf regression in: {', '.join(failed)} "
-              f"(> {args.tolerance}x baseline)", file=sys.stderr)
+              f"(> {args.tolerance}x baseline, or the convoy limit)",
+              file=sys.stderr)
         return 1
     print("\nall kernels within tolerance")
     return 0

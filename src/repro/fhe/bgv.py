@@ -124,7 +124,7 @@ class BgvContext(FheContext):
     def encrypt(self, plaintext, *, level: int | None = None) -> Ciphertext:
         """Secret-key encrypt a length-<=N vector of integers mod t."""
         m = self.encode(plaintext)
-        basis = self.params.basis_at(level) if level else self.params.basis
+        basis = self.params.basis_at(level) if level is not None else self.params.basis
         n = self.params.n
         a = uniform_poly(basis, n, self.rng, Domain.NTT)
         e = small_poly(basis, sample_error(n, self.params.error_width, self.rng), Domain.NTT)

@@ -86,8 +86,8 @@ class CkksContext(BgvContext):
     def encrypt_values(self, values, *, level: int | None = None, scale: float | None = None) -> Ciphertext:
         """Encrypt complex/real slot values at the given scale."""
         scale = scale or self.default_scale
-        coeffs = CkksEncoder(self.params.n, scale).encode(values)
-        basis = self.params.basis_at(level) if level else self.params.basis
+        coeffs = self.encoder.encode(values, scale)
+        basis = self.params.basis_at(level) if level is not None else self.params.basis
         n = self.params.n
         a = uniform_poly(basis, n, self.rng, Domain.NTT)
         e = small_poly(basis, sample_error(n, self.params.error_width, self.rng), Domain.NTT)
@@ -103,9 +103,7 @@ class CkksContext(BgvContext):
         """
         phase = ct.b - ct.a * self.secret.poly(ct.basis)
         wide = phase.to_int_coeffs(centered=True)
-        slots = CkksEncoder(self.params.n, ct.scale).decode(
-            np.array(wide, dtype=np.float64)
-        )
+        slots = self.encoder.decode(np.array(wide, dtype=np.float64), ct.scale)
         return slots[:count] if count is not None else slots
 
     # --------------------------------------------------------------- HE ops
@@ -122,13 +120,13 @@ class CkksContext(BgvContext):
         return out
 
     def add_plain(self, ct: Ciphertext, values) -> Ciphertext:
-        coeffs = CkksEncoder(self.params.n, ct.scale).encode(values)
+        coeffs = self.encoder.encode(values, ct.scale)
         m = small_poly(ct.basis, coeffs, Domain.NTT)
         return ct.with_polys(ct.a, ct.b + m)
 
     def mul_plain(self, ct: Ciphertext, values, *, scale: float | None = None) -> Ciphertext:
         scale = scale or self.default_scale
-        coeffs = CkksEncoder(self.params.n, scale).encode(values)
+        coeffs = self.encoder.encode(values, scale)
         m = small_poly(ct.basis, coeffs, Domain.NTT)
         return ct.with_polys(ct.a * m, ct.b * m, scale=ct.scale * scale)
 

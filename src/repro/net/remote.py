@@ -940,9 +940,9 @@ class ProcessExecutor(RemoteExecutor):
     each ``(signature, params)`` replicates the registry entry's context
     into the chosen replica from its serialized keys — amortized exactly
     like the registry's keygen — and later batches of that signature
-    shard across replicas by least-in-flight.  There is no per-context
-    execution lock: each replica owns its context copy outright, so
-    same-signature traffic runs in true parallel on multi-core hosts.
+    shard across replicas by least-in-flight.  Each replica
+    owns its context copy (and its own execution gate) outright, so
+    traffic runs in true parallel on multi-core hosts.
 
     What differs from a TCP host is only how a connection is (re)made: a
     dead replica (killed, hung past the watchdog, or desynchronized) is

@@ -84,9 +84,9 @@ class WorkerHost:
     shared across connections; programs, the twiddle/Shoup caches and
     key-switch hints populate lazily in this process as batches execute.
     The inner executor provides the execution-safety story
-    (:class:`ThreadExecutor` holds the per-context lock, so concurrent
-    connections hitting the same entry serialize instead of corrupting
-    the shared RNG/hint caches).
+    (:class:`ThreadExecutor` runs one batch at a time per process, so
+    concurrent connections serialize instead of corrupting a shared
+    RNG/hint cache).
     """
 
     def __init__(self, *, processes: int = 0,

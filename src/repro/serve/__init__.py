@@ -11,7 +11,7 @@ amortize cost across many values; this package applies it across *users*:
   requests into one ciphertext's unused lanes and demultiplexes the
   outputs, k requests for one request's price;
 - :mod:`repro.serve.executor` — the :class:`Executor` seam batches run
-  through: :class:`ThreadExecutor` (in-process, per-context lock) or
+  through: :class:`ThreadExecutor` (in-process, one batch at a time) or
   :class:`ProcessExecutor` (:mod:`repro.net.remote`'s replica coordinator
   over forked worker processes, each holding its own context replica
   restored from the parent's serialized keys — true multi-core

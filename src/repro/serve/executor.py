@@ -6,9 +6,8 @@ decoupled ciphertext state; the software serving analogue is a pool of
 context.  This module names that seam: :class:`FheServer` hands every
 flushed batch to an :class:`Executor`.  One implementation lives here:
 
-- :class:`ThreadExecutor` — in-process execution.  Because a
-  :class:`~repro.fhe.context.FheContext` is shared mutable state (RNG,
-  hint caches), it serializes batches per context with an execution lock.
+- :class:`ThreadExecutor` — in-process execution, one batch at a time
+  per process behind a single execution gate.
 
 The replica pools live in :mod:`repro.net.remote` and share one
 coordinator and one wire protocol (:mod:`repro.net.worker` is the replica
@@ -138,38 +137,31 @@ def _run_singly(program: Program, requests: list[Request], backend,
     return outputs, result
 
 
-#: guards lazy creation of per-context execution locks (see _context_lock)
-_context_lock_guard = threading.Lock()
+#: The process-wide execution gate: one batch executes at a time per
+#: process, whichever :class:`ThreadExecutor` or context it belongs to.
+#: A cached :class:`~repro.fhe.context.FheContext` is not thread-safe (one
+#: RNG, one hint cache), and two threads interleaving batches under the
+#: GIL are slower than one thread running both (1.7-3.4x at N=512, never
+#: faster up to N=16384), so replicas are the parallelism.
+_gate = threading.Lock()
 
 
-def _context_lock(context) -> threading.RLock:
-    """The process-wide execution lock for one context instance.
+def _reset_gate() -> None:
+    """A replica forked while another thread held the gate starts with it
+    free (the holder does not exist in the child)."""
+    global _gate
+    _gate = threading.Lock()
 
-    Stored on the context object itself so that *every* ThreadExecutor in
-    the process — e.g. two servers sharing one registry — serializes on
-    the same lock, and so the lock's lifetime matches the context's
-    (``to_state()`` never ships it; a restored context starts unlocked).
-    """
-    lock = getattr(context, "_exec_lock", None)
-    if lock is None:
-        with _context_lock_guard:
-            lock = getattr(context, "_exec_lock", None)
-            if lock is None:
-                lock = threading.RLock()
-                context._exec_lock = lock
-    return lock
+
+os.register_at_fork(after_in_child=_reset_gate)
 
 
 class ThreadExecutor:
-    """Runs batches on the calling worker thread.
-
-    Shared-context safety lives here: a cached
-    :class:`~repro.fhe.context.FheContext` is not thread-safe (one RNG, one
-    hint cache), so batches hold that context's process-wide execution
-    lock (attached to the context object, shared by every executor that
-    touches it) for their duration.  Distinct signatures still proceed in
-    parallel; same-signature batches serialize — the limitation
-    :class:`~repro.net.remote.ProcessExecutor` removes.
+    """Runs batches on the calling worker thread, one at a time per
+    process: every executor holds the module's execution gate around a
+    batch, so shared contexts are safe and worker threads never convoy on
+    the GIL.  Parallelism is :class:`~repro.net.remote.ProcessExecutor`'s
+    job.
     """
 
     name = "thread"
@@ -186,7 +178,7 @@ class ThreadExecutor:
         # in a pool replica or worker host this is the local registry
         # whose snapshot ships upstream, so fleet-wide execute_ms merges.
         t0 = time.perf_counter()
-        with _obs_profile.attributed(job.signature):
+        with _gate, _obs_profile.attributed(job.signature):
             outputs, result = self._dispatch(job)
         global_metrics().histogram("serve.execute_ms").observe(
             (time.perf_counter() - t0) * 1e3
@@ -200,15 +192,11 @@ class ThreadExecutor:
     def _dispatch(self, job: BatchJob) -> tuple[list[dict], RunResult]:
         backend = job.backend
         if isinstance(backend, FunctionalBackend) and job.context_entry is not None:
-            entry = job.context_entry
-            with _context_lock(entry.context):
-                if job.batcher is not None:
-                    return job.batcher.run(
-                        job.requests, backend, context=entry.context
-                    )
-                return _run_singly(
-                    job.program, job.requests, backend, context=entry.context
-                )
+            context = job.context_entry.context
+            if job.batcher is not None:
+                return job.batcher.run(job.requests, backend, context=context)
+            return _run_singly(job.program, job.requests, backend,
+                               context=context)
         if isinstance(backend, F1Backend) and job.compiled_entry is not None:
             result = backend.run(job.program, compiled=job.compiled_entry.compiled)
             outputs = (job.batcher.unpack(result.outputs, len(job.requests))

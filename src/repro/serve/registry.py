@@ -22,10 +22,10 @@ racing on a cold entry perform exactly one keygen/compile.  Execution
 serialization is *not* this layer's concern: a cached context is shared
 mutable state (one RNG, one hint cache), and whichever
 :class:`~repro.serve.executor.Executor` runs batches decides how to keep
-that safe — :class:`~repro.serve.executor.ThreadExecutor` holds one
-execution lock per entry, while
+that safe — :class:`~repro.serve.executor.ThreadExecutor` runs one batch
+at a time per process behind its execution gate, while
 :class:`~repro.net.remote.ProcessExecutor` gives each worker process
-its own context replica and needs no lock at all.
+its own context replica.
 
 **Cross-process convergence rule**: registry entries for the same
 ``(signature, params)`` must converge even when worker *processes* are

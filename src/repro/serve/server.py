@@ -28,8 +28,8 @@ the PR 2 backend API plus the registry/batcher/executor of this package:
    bucket's :class:`~repro.serve.batcher.SlotBatcher`, the program runs
    *once* per batch, and per-request outputs are demultiplexed into each
    request's :class:`RequestResult`.  The default
-   :class:`~repro.serve.executor.ThreadExecutor` runs batches in-process
-   under a per-context lock; a
+   :class:`~repro.serve.executor.ThreadExecutor` runs batches in-process,
+   one at a time; a
    :class:`~repro.net.remote.ProcessExecutor` shards them across
    worker-process context replicas with no cross-request lock at all.
 4. Programs a batcher cannot pack (BGV rotations/ct x ct MUL, CKKS
@@ -272,7 +272,7 @@ class FheServer:
     the backend's) seeds each signature's cached encryption keys.
 
     ``executor`` decides where batches run: ``"thread"`` (default,
-    in-process with a per-context lock), ``"process"``/a
+    in-process, one batch at a time), ``"process"``/a
     :class:`~repro.net.remote.ProcessExecutor` instance (a pool of
     worker-process context replicas, no cross-request lock), ``"remote"``/
     a :class:`~repro.net.remote.RemoteExecutor` instance (worker *hosts*

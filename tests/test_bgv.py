@@ -38,6 +38,11 @@ class TestEncryptDecrypt:
         assert ct.level == 2
         assert np.array_equal(bgv.decrypt(ct), m0)
 
+    def test_level_zero_rejected(self, bgv, msgs):
+        """level=0 is out of range, not a spelling of "top level"."""
+        with pytest.raises(ValueError, match=r"level must be in \[1, 4\]"):
+            bgv.encrypt(msgs[0], level=0)
+
     def test_fresh_noise_budget_positive(self, bgv, msgs):
         assert bgv.noise_budget_bits(bgv.encrypt(msgs[0])) > 40
 

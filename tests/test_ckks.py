@@ -31,6 +31,11 @@ class TestEncryptDecrypt:
         dec = ckks.decrypt_values(ckks.encrypt_values(xs), SLOTS)
         assert _err(dec.real, xs) < 1e-4
 
+    def test_level_zero_rejected(self, ckks, vals):
+        """level=0 is out of range, not a spelling of "top level"."""
+        with pytest.raises(ValueError, match=r"level must be in \[1, 4\]"):
+            ckks.encrypt_values(vals[0], level=0)
+
     def test_forces_t_equals_one(self, ckks):
         assert ckks.params.plaintext_modulus == 1
 

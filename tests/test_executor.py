@@ -15,6 +15,7 @@ The process-pool invariants:
   one coordinator, so the failure contract is tested once over both.
 """
 
+import threading
 import time
 from contextlib import ExitStack, nullcontext
 
@@ -75,6 +76,50 @@ def bgv_requests(program, count, *, width=WIDTH, seed=0, t=256):
     ]
 
 
+class _OverlapRecordingBackend(FunctionalBackend):
+    """Counts concurrent ``run`` calls.  The first caller lingers inside
+    ``run`` until a second one overlaps it (or 0.2 s pass), so an
+    executor that lets two batches in at once is caught every time."""
+
+    def __init__(self):
+        super().__init__(validate=False)
+        self._count_lock = threading.Lock()
+        self.calls = self.active = self.max_active = 0
+        self.inside = threading.Event()
+        self._overlapped = threading.Event()
+
+    def run(self, *args, **kwargs):
+        with self._count_lock:
+            self.calls += 1
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+            first = self.calls == 1
+            if self.active > 1:
+                self._overlapped.set()
+        self.inside.set()
+        try:
+            if first:
+                self._overlapped.wait(0.2)
+            return super().run(*args, **kwargs)
+        finally:
+            with self._count_lock:
+                self.active -= 1
+
+
+def assert_solo_identical(program, requests, outputs, t=256):
+    """Each request's batch-served outputs equal its own solo run mod t."""
+    assert len(outputs) == len(requests)
+    for request, served in zip(requests, outputs):
+        solo = repro.run(
+            program, backend=FunctionalBackend(validate=False),
+            inputs=request.inputs, plains=request.plains, seed=1,
+        )
+        for out_id, want in solo.outputs.items():
+            got = served[out_id]
+            assert np.array_equal(got % t,
+                                  np.asarray(want)[: got.shape[0]] % t)
+
+
 @pytest.fixture(scope="module")
 def pool():
     """One 2-process pool for the whole module (forked before servers)."""
@@ -100,6 +145,39 @@ class TestThreadExecutor:
         for a, b in zip(outputs, outputs2):
             for out_id in a:
                 assert np.array_equal(a[out_id], b[out_id])
+
+    def test_batches_on_different_contexts_never_overlap(self):
+        """One execution gate per process: two threads driving two
+        executors with jobs on *different* contexts still run one batch at
+        a time, and each gets the solo result."""
+        program = linear_bgv()
+        registry = ProgramRegistry()
+        backend = _OverlapRecordingBackend()
+        jobs = []
+        for seed in (5, 6):
+            entry, _ = registry.context_for(program, seed=seed)
+            jobs.append(BatchJob(
+                program=program, signature=program.signature(),
+                requests=bgv_requests(program, 2, seed=seed),
+                batcher=SlotBatcher(program, width=WIDTH), backend=backend,
+                context_entry=entry,
+            ))
+        assert jobs[0].context_entry.context is not jobs[1].context_entry.context
+        results = [None, None]
+
+        def drive(i):
+            results[i] = ThreadExecutor().execute(jobs[i])
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in (0, 1)]
+        threads[0].start()
+        assert backend.inside.wait(30)   # the second call starts mid-batch
+        threads[1].start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert backend.calls == 2 and backend.max_active == 1
+        for job, (outputs, _) in zip(jobs, results):
+            assert_solo_identical(program, job.requests, outputs)
 
     def test_resolve_executor(self):
         assert isinstance(resolve_executor("thread"), ThreadExecutor)
@@ -142,16 +220,43 @@ class TestProcessExecutor:
         parent_stream = tuple(restored.rng.integers(0, 2**63, 4).tolist())
         assert all(f != parent_stream for f in fingerprints)
 
-    def test_context_lock_shared_across_executors(self):
-        """Two ThreadExecutors (e.g. two servers sharing one registry)
-        serialize on the same per-context lock."""
-        from repro.serve.executor import _context_lock
+    def test_replica_forked_while_gate_held_executes(self):
+        """A replica forked while a parent thread holds the execution gate
+        (the fallback ThreadExecutor runs exactly while the monitor
+        re-forks) starts with the gate free: its first batch completes
+        instead of hanging until the watchdog."""
+        from repro.serve import executor as executor_module
 
-        registry = ProgramRegistry()
-        entry, _ = registry.context_for(linear_bgv(), seed=5)
-        assert _context_lock(entry.context) is _context_lock(entry.context)
-        other, _ = registry.context_for(linear_bgv(), seed=6)
-        assert _context_lock(entry.context) is not _context_lock(other.context)
+        program = linear_bgv()
+        entry, _ = ProgramRegistry().context_for(program, seed=5)
+        requests = bgv_requests(program, 2)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with executor_module._gate:
+                held.set()
+                release.wait(60)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert held.wait(5)
+        try:
+            with ProcessExecutor(1) as fresh:
+                job = BatchJob(
+                    program=program, signature=program.signature(),
+                    requests=requests,
+                    batcher=SlotBatcher(program, width=WIDTH),
+                    backend=FunctionalBackend(validate=False),
+                    context_entry=entry,
+                    deadline=time.perf_counter() + 10.0,
+                )
+                outputs, result = fresh.execute(job)
+        finally:
+            release.set()
+            holder.join(5)
+        assert not holder.is_alive()
+        assert result.stats["executed_on"]["executor"] == "process"
+        assert_solo_identical(program, requests, outputs)
 
     def test_ctx_keys_pin_entries_against_id_reuse(self):
         """The replication map holds strong references: a dropped registry
@@ -181,15 +286,7 @@ class TestProcessExecutor:
             futures = [server.submit(program, inputs=r.inputs,
                                      plains=r.plains) for r in requests]
             results = [f.result(timeout=120) for f in futures]
-        for request, result in zip(requests, results):
-            solo = repro.run(
-                program, backend=FunctionalBackend(validate=False),
-                inputs=request.inputs, plains=request.plains, seed=1,
-            )
-            for out_id, want in solo.outputs.items():
-                got = result.values[out_id]
-                assert np.array_equal(got % 256,
-                                      np.asarray(want)[: got.shape[0]] % 256)
+        assert_solo_identical(program, requests, [r.values for r in results])
 
     def test_ckks_server_within_tolerance(self, pool):
         program = poly_ckks()
