@@ -12,8 +12,11 @@ Times a fixed set of hot kernels (all-limb NTT, CRT conversions, base
 extension — both the batched conversion-table path and the per-modulus
 reference it replaced, the object-free scale-down and its big-int oracle,
 the lazy word-matmul CRT reconstruction on a tall 16-limb basis, a
-2-thread stacked NTT, Listing-1 key switch, hoisted rotations, the
-chained modulus switch, plus the serving hot paths: slot pack/unpack, registry lookup,
+2-thread stacked NTT, the block driver on the (18, 18, 1024) digit stack of
+an 18-limb key switch and on the paper's ring (16, 16384), Listing-1 and
+raised-modulus key switch, hoisted rotations, the chained modulus switch,
+one 18-limb BGV modulus switch, the CKKS mod-down,
+plus the serving hot paths: slot pack/unpack, registry lookup,
 the context serde round-trip paid when replicating state into a worker
 process, the executor's batch-dispatch overhead, the server's
 ready-bucket pick, the level/rotation
@@ -61,10 +64,12 @@ CONVOY_LIMIT = 1.25
 
 def _kernels():
     from repro.fhe.bgv import BgvContext
+    from repro.fhe.ckks import CkksContext
     from repro.fhe.keyswitch import (
         base_extend,
         base_extend_reference,
         key_switch_v1,
+        key_switch_v2,
         scale_down,
         scale_down_reference,
     )
@@ -118,6 +123,28 @@ def _kernels():
         finally:
             parallel.set_num_threads(prev)
 
+    # The transform shapes the engine is bound by: the digit stack of an
+    # 18-limb Listing-1 key switch (18 blocks of whole matrices) and one
+    # polynomial at the paper's ring (16 single-limb blocks).
+    def _transform_input(shape):
+        moduli = ntt_friendly_primes(shape[-1], 28, shape[-2])
+        stack = np.stack([
+            rng.integers(0, q, shape[:-2] + shape[-1:], dtype=np.uint64)
+            for q in moduli], axis=-2)
+        return get_rns_context(shape[-1], tuple(moduli)), stack
+
+    digit_ctx, digit_stack = _transform_input((18, 18, 1024))
+    paper_ctx, paper_limbs = _transform_input((16, 16384))
+
+    # Basis surgery in the NTT domain: one BGV modulus switch at 18 limbs,
+    # the raised-modulus key switch at 6, and the CKKS mod-down (a slice).
+    deep = BgvContext(FheParams.build(n=1024, levels=18, plaintext_modulus=257),
+                      seed=3)
+    deep_ct = deep.encrypt(np.arange(1024) % 257)
+    ckks6 = CkksContext(FheParams.build(n=1024, levels=6), seed=3)
+    ckks6_ct = ckks6.encrypt_values(np.linspace(-1.0, 1.0, 512))
+    v2_hint = ckks6.hint_v2("relin", ckks6_ct.basis)
+
     params = FheParams.build(n=256, levels=4, prime_bits=28, plaintext_modulus=256)
     bgv = BgvContext(params, seed=3)
     ks_basis = params.basis
@@ -126,7 +153,7 @@ def _kernels():
 
     # Hoisted rotations: one ciphertext rotated 8 ways (the dot-product /
     # convolution access pattern) vs. 8 independent rotates; plus the
-    # chained modulus switch (level 4 -> 1 in one coefficient-domain pass).
+    # chained modulus switch (level 4 -> 1, the three drops folded into one).
     rot_ct = bgv.encrypt(np.arange(params.n) % 256)
     rot_steps = list(range(1, 9))
     for s in rot_steps:  # build galois hints outside the timed region
@@ -328,7 +355,12 @@ def _kernels():
             x_ext, special, 256
         ),
         "ntt_threaded_stack": _ntt_threaded_stack,
+        "ntt_forward_digit_stack": lambda: digit_ctx.forward(digit_stack),
+        "ntt_forward_paper_ring": lambda: paper_ctx.forward(paper_limbs),
         "key_switch_v1": lambda: key_switch_v1(ks_x, hint),
+        "key_switch_v2": lambda: key_switch_v2(ckks6_ct.a, v2_hint, 1),
+        "bgv_mod_switch": lambda: deep.mod_switch(deep_ct),
+        "ckks_mod_down": lambda: ckks6.mod_switch_to(ckks6_ct, 3),
         "rotate_many_hoisted": lambda: bgv.rotate_many(rot_ct, rot_steps),
         "rotate_sequential": lambda: [bgv.rotate(rot_ct, s) for s in rot_steps],
         "mod_switch_chain": lambda: bgv.mod_switch_to(rot_ct, 1),

@@ -41,7 +41,8 @@ FUNCTION_BUCKETS = {
     "base_extend": "base-extend",
     "base_extend_reference": "base-extend",
     "scale_down": "scale-down",
-    "_scale_down_fast": "scale-down",
+    "scale_down_stack": "scale-down",
+    "_scale_down_correction": "scale-down",
     "scale_down_reference": "scale-down",
     "from_rns": "crt-from-rns",
     "_from_rns_exact": "crt-from-rns",

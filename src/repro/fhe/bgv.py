@@ -23,16 +23,19 @@ from repro.fhe.keys import (
 )
 from repro.fhe.keyswitch import (
     HoistedDecomposition,
+    _scale_down_tables,
     hoist_raise,
     key_switch_v1,
     key_switch_v2,
     key_switch_v2_hoisted,
+    scale_down_stack,
 )
 from repro.fhe.params import FheParams
 from repro.fhe.sampling import sample_error, small_poly, uniform_poly
 from repro.obs.profile import instrument
 from repro.poly import kernels
 from repro.poly.automorphism import automorphism_ntt_permutation
+from repro.poly.ntt import get_rns_context
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns.crt import RnsBasis
 from repro.rns.primes import ntt_friendly_primes
@@ -236,7 +239,6 @@ class BgvContext(FheContext):
             u0, u1 = key_switch_v1(x, self.hint_v1(target, basis))
         else:
             u0, u1 = key_switch_v2(x, self.hint_v2(target, basis), self.t)
-            u0, u1 = u0.to_ntt(), u1.to_ntt()
         return u0, u1, self._ks_noise_bits(basis, x.n)
 
     def _ks_noise_bits(self, basis: RnsBasis, n: int) -> float:
@@ -289,7 +291,11 @@ class BgvContext(FheContext):
         q = basis.moduli_column()
         a0, b0, a1, b1 = ct0.a.limbs, ct0.b.limbs, ct1.a.limbs, ct1.b.limbs
         l2 = RnsPolynomial(basis, kernels.mul_mod(a0, a1, q), Domain.NTT)
-        l1 = RnsPolynomial(basis, kernels.fused_mul_add(a0, b1, a1, b0, q), Domain.NTT)
+        l1 = RnsPolynomial(
+            basis,
+            kernels.fused_mul_add(a0, b1, a1, b0, q, basis.max_modulus),
+            Domain.NTT,
+        )
         l0 = RnsPolynomial(basis, kernels.mul_mod(b0, b1, q), Domain.NTT)
         return l2, l1, l0
 
@@ -368,7 +374,6 @@ class BgvContext(FheContext):
                     # so the raised form is computed once.
                     raised = hoist_raise(ct.a, hint)
                 u0, u1 = key_switch_v2_hoisted(raised, hint, self.t, perm)
-                u0, u1 = u0.to_ntt(), u1.to_ntt()
             b_sigma = ct.b.automorphism(k)
             out.append(ct.with_polys(
                 -u1,
@@ -382,8 +387,7 @@ class BgvContext(FheContext):
         if ct.level <= 1:
             raise ValueError("cannot modulus-switch the last limb away")
         q_last = ct.basis.moduli[-1]
-        a_new = _rescale_bgv(ct.a, self.t)
-        b_new = _rescale_bgv(ct.b, self.t)
+        a_new, b_new = _rescale_bgv(ct.a, ct.b, self.t, 1)
         return ct.with_polys(
             a_new,
             b_new,
@@ -397,13 +401,11 @@ class BgvContext(FheContext):
 
     @instrument("mod_switch")
     def mod_switch_to(self, ct: Ciphertext, level: int) -> Ciphertext:
-        """Switch down to ``level`` limbs in one coefficient-domain chain.
+        """Switch down to ``level`` limbs in one step.
 
-        Bit-identical to repeated :meth:`mod_switch`, but the intermediate
-        NTT round-trips between consecutive drops are elided: the rescales
-        happen back-to-back in coefficient domain and a single ``to_ntt``
-        finishes (NTT∘INTT is exact, so the chain reproduces the sequential
-        limbs exactly).
+        Bit-identical to repeated :meth:`mod_switch`, but the per-drop
+        corrections are folded into one (:func:`_rescale_bgv`): only the
+        dropped limbs leave the NTT domain, once.
         """
         count = ct.level - level
         if count <= 0:
@@ -411,8 +413,7 @@ class BgvContext(FheContext):
         if level < 1:
             raise ValueError("cannot modulus-switch the last limb away")
         dropped = ct.basis.moduli[level:]
-        a_new = _rescale_bgv_chain(ct.a, self.t, count)
-        b_new = _rescale_bgv_chain(ct.b, self.t, count)
+        a_new, b_new = _rescale_bgv(ct.a, ct.b, self.t, count)
         scale = ct.plaintext_scale
         noise = ct.noise_bits
         for q_last in reversed(dropped):  # same drop order as mod_switch
@@ -442,49 +443,34 @@ class BgvContext(FheContext):
             )
 
 
-def _rescale_bgv(poly: RnsPolynomial, t: int) -> RnsPolynomial:
-    """Exact-division rescale by the last limb with delta ≡ 0 (mod t)."""
-    return _rescale_bgv_coeff(poly.to_coeff(), t).to_ntt()
+def _rescale_bgv(a: RnsPolynomial, b: RnsPolynomial, t: int, count: int,
+                 ) -> tuple[RnsPolynomial, RnsPolynomial]:
+    """Exact-division rescale of a ciphertext's NTT-domain ``(a, b)`` by its
+    last ``count`` limbs, one at a time, each with delta ≡ 0 (mod t).
 
-
-def _rescale_bgv_chain(poly: RnsPolynomial, t: int, count: int) -> RnsPolynomial:
-    """Rescale away the last ``count`` limbs with one NTT round-trip.
-
-    Each step's correction depends only on coefficient-domain limbs, so the
-    chain stays in coefficient domain throughout and converts back once —
-    saving ``count - 1`` inverse/forward NTT pairs versus chaining
-    :func:`_rescale_bgv`, with bit-identical limbs (NTT∘INTT is exact).
+    One drop is :func:`~repro.fhe.keyswitch.scale_down` by the dropped limb,
+    so ``count`` drops are ``(x - D) / P`` with ``P`` the dropped product and
+    ``D = delta_1 + q_1 * delta_2 + ...`` a function of the dropped limbs
+    only.  Those alone leave the NTT domain (both polynomials as one stacked
+    call); the drops run in coefficient domain on a polynomial that is zero
+    at the kept limbs, which folds ``-D / P`` over the kept moduli, and one
+    forward transform brings that back to meet ``x * P^{-1}``.  The per-limb
+    NTT is a ring isomorphism, so the limbs equal the all-coefficient-domain
+    chain's bit for bit (the oracle in ``tests/test_rescale_oracle.py``).
     """
-    coeff = poly.to_coeff()
-    for _ in range(count):
-        coeff = _rescale_bgv_coeff(coeff, t)
-    return coeff.to_ntt()
-
-
-def _rescale_bgv_coeff(coeff: RnsPolynomial, t: int) -> RnsPolynomial:
-    """Coefficient-domain core of the BGV rescale (input and output COEFF)."""
-    basis = coeff.basis
-    q_last = basis.moduli[-1]
-    new_basis = basis.drop()
-    # Centered last-limb residues u, then delta = u + q_last * w with
-    # w = [-u * q_last^{-1}]_t centered, so delta ≡ u (mod q_last), ≡ 0 (mod t).
-    u = coeff.limbs[-1].astype(np.int64)
-    u = np.where(u > q_last // 2, u - q_last, u)
-    if t > 1:
-        q_inv_t = pow(q_last % t, -1, t)
-        w = np.mod(-u * q_inv_t, t)
-        w = np.where(w > t // 2, w - t, w)
-    else:
-        w = np.zeros_like(u)
-    # |delta| <= q_last*(t+1)/2 < 2^63 for 32-bit q and t <= 2N: int64 is safe.
-    delta = u + q_last * w
-
-    # Reduce delta at every remaining modulus in one broadcast op, then do the
-    # subtract-and-exact-divide across the whole (L-1, N) residue matrix.
-    q_col = new_basis.moduli_column()
-    delta_mod = np.remainder(delta[None, :], q_col.astype(np.int64)).astype(np.uint64)
-    inv_col = np.array(
-        [pow(q_last % q, -1, q) for q in new_basis.moduli], dtype=np.uint64
-    ).reshape(-1, 1)
-    out = ((coeff.limbs[:-1] + q_col - delta_mod) % q_col * inv_col) % q_col
-    return RnsPolynomial(new_basis, out, Domain.COEFF)
+    basis, n = a.basis, a.n
+    keep = basis.level - count
+    new_basis = basis.drop(count)
+    stack = np.stack([a.limbs, b.limbs])
+    fold = np.zeros_like(stack)
+    fold[:, keep:] = get_rns_context(n, basis.moduli).inverse(
+        stack[:, keep:], start=keep)
+    for level in range(basis.level, keep, -1):
+        fold = scale_down_stack(
+            fold, Domain.COEFF, RnsBasis(basis.moduli[:level]),
+            RnsBasis(basis.moduli[level - 1:level]), t)
+    fold = get_rns_context(n, new_basis.moduli).forward(fold)
+    p_inv_col = _scale_down_tables(new_basis.moduli, basis.moduli[keep:], t)[0]
+    out = (stack[:, :keep] * p_inv_col + fold) % new_basis.moduli_column()
+    return (RnsPolynomial(new_basis, out[0], Domain.NTT),
+            RnsPolynomial(new_basis, out[1], Domain.NTT))

@@ -15,13 +15,13 @@ import math
 import numpy as np
 
 from repro.fhe import noise as noise_model
-from repro.fhe.bgv import BgvContext, _rescale_bgv, _rescale_bgv_chain
+from repro.fhe.bgv import BgvContext, _rescale_bgv
 from repro.fhe.ciphertext import Ciphertext
 from repro.fhe.encoding import CkksEncoder
 from repro.fhe.params import FheParams
 from repro.fhe.sampling import sample_error, small_poly, uniform_poly
 from repro.obs.profile import instrument
-from repro.poly.polynomial import Domain, RnsPolynomial
+from repro.poly.polynomial import Domain
 
 
 def ckks_rotation_exponent(steps: int, n: int) -> int:
@@ -164,16 +164,14 @@ class CkksContext(BgvContext):
             raise ValueError("cannot rescale the last limb away")
         q_last = ct.basis.moduli[-1]
         return ct.with_polys(
-            _rescale_bgv(ct.a, 1),
-            _rescale_bgv(ct.b, 1),
+            *_rescale_bgv(ct.a, ct.b, 1, 1),
             scale=ct.scale / q_last,
             noise_bits=max(ct.noise_bits - np.log2(q_last), 3.0) + 1.0,
         )
 
     def rescale_to(self, ct: Ciphertext, level: int) -> Ciphertext:
-        """Chained rescale with one NTT round-trip (bit-identical to looping
-        :meth:`rescale`; the per-drop corrections happen back-to-back in
-        coefficient domain)."""
+        """Chained rescale in one step (bit-identical to looping
+        :meth:`rescale`; the per-drop corrections are folded into one)."""
         count = ct.level - level
         if count <= 0:
             return ct
@@ -186,8 +184,7 @@ class CkksContext(BgvContext):
             scale = scale / q_last
             noise = max(noise - np.log2(q_last), 3.0) + 1.0
         return ct.with_polys(
-            _rescale_bgv_chain(ct.a, 1, count),
-            _rescale_bgv_chain(ct.b, 1, count),
+            *_rescale_bgv(ct.a, ct.b, 1, count),
             scale=scale,
             noise_bits=noise,
         )
@@ -197,31 +194,22 @@ class CkksContext(BgvContext):
 
         The CKKS phase Delta*m + e is tiny relative to Q, so truncating the
         RNS basis keeps it intact modulo the smaller Q' (this is the CKKS
-        "mod down" used to align levels without rescaling)."""
+        "mod down" used to align levels without rescaling).  Limbs are
+        independent in either domain, so nothing is transformed."""
         if ct.level <= 1:
             raise ValueError("cannot drop the last limb")
-        return ct.with_polys(
-            ct.a.to_coeff().drop_limb().to_ntt(),
-            ct.b.to_coeff().drop_limb().to_ntt(),
-        )
+        return ct.with_polys(ct.a.drop_limb(), ct.b.drop_limb())
 
     @instrument("mod_switch")
     def mod_switch_to(self, ct: Ciphertext, level: int) -> Ciphertext:
-        """Drop limbs down to ``level`` with a single NTT round-trip
-        (bit-identical to looping :meth:`mod_switch`)."""
+        """Drop limbs down to ``level`` (bit-identical to looping
+        :meth:`mod_switch`)."""
         count = ct.level - level
         if count <= 0:
             return ct
         if level < 1:
             raise ValueError("cannot drop the last limb")
-        basis = ct.basis.drop(count)
-
-        def chop(p):
-            return RnsPolynomial(
-                basis, p.to_coeff().limbs[:-count].copy(), Domain.COEFF
-            ).to_ntt()
-
-        return ct.with_polys(chop(ct.a), chop(ct.b))
+        return ct.with_polys(ct.a.drop_limb(count), ct.b.drop_limb(count))
 
     def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
         return self.automorphism(ct, self._rotation_exponent(steps, ct.n))

@@ -4,18 +4,26 @@ Two algorithmic variants, matching the paper's "algorithmic diversity"
 discussion (the F1 compiler chooses between them based on L and reuse):
 
 - :func:`key_switch_v1`: the Listing-1 RNS-decomposition method.  Per call:
-  L inverse NTTs, ~L^2 forward NTTs, 2L^2 multiplies and 2L^2 adds of
-  N-element vectors; hint storage grows as L^2.
+  L inverse NTTs, L(L-1) forward NTTs (digit i at its own limb i is the
+  input row itself), 2L^2 multiplies and 2L^2 adds of N-element vectors;
+  hint storage grows as L^2.
 - :func:`key_switch_v2`: raised-modulus (GHS-style).  The input is base-
   extended to Q*P (P ≈ Q), multiplied by a single hint pair, and scaled back
-  down.  More compute per call (NTTs over ~2L limbs plus two base
-  conversions) but hint storage grows only as L.
+  down.  Per call 6L row transforms — L inverse + L forward (the special
+  rows) to raise, then per product L inverse (its special rows) + L forward
+  (the correction over Q) — and two base conversions; hints grow only as L.
+
+Polynomials leave the NTT domain only for the limbs whose residues must be
+re-expressed under another modulus, so these row counts (and the 2L of a
+modulus switch, :func:`repro.fhe.bgv._rescale_bgv`) are exactly the ``NTT``
++ ``INTT`` instructions :mod:`repro.compiler.hecompiler` lowers the same
+operation to; ``tests/test_transform_parity.py`` holds the two equal.
 
 All inner loops run on the batched (L, N) residue-matrix engine:
 
-- the L^2 forward NTTs of variant 1 are issued as **one** batched transform
-  of the (L, L, N) digit stack (the :class:`~repro.poly.ntt.RnsNttContext`
-  broadcasts its tables over leading axes);
+- variant 1's L(L-1) forward NTTs are **one** batched transform of an
+  (L-1, L, N) digit stack, variant 2's two products one stacked call per
+  direction (a call's fixed cost at N = 1024 is three rows' worth);
 - the multiply-accumulate against the hint rows is the fused
   :func:`~repro.poly.kernels.mul_accumulate` — raw products are summed
   un-reduced (28-bit primes leave 8+ bits of uint64 headroom for the L-term
@@ -27,14 +35,14 @@ same smallness bound — so a ciphertext rotated k ways needs its digit-NTT
 stack computed only *once*.  :class:`HoistedDecomposition` captures that
 stack; :func:`key_switch_v1_hoisted` replays it against any Galois hint with
 just an NTT-domain permutation and the fused multiply-accumulate, skipping
-the inverse NTT + L^2 forward NTTs per extra rotation.  (The hoisted digits
+the L inverse + L(L-1) forward NTTs per extra rotation.  (The hoisted digits
 are ``sigma`` of the canonical digits, which differ from the canonical
 digits of ``sigma(x)`` by multiples of ``q_i`` — ciphertext bits differ, but
 the decrypted result and the noise bound are the same; tests pin down exact
 BGV plaintext equality.)  The variant-2 analogue hoists the base extension:
-:func:`hoist_raise` pays coefficient-domain round-trip + extension + wide
-NTT once, and :func:`key_switch_v2_hoisted` permutes the extended NTT per
-rotation.
+:func:`hoist_raise` pays the inverse NTT, the extension and the special
+rows' NTT once, and :func:`key_switch_v2_hoisted` permutes the extended NTT
+per rotation.
 
 Both variants return ``(u0, u1)`` such that ``u0 - u1 * s ≈ x * s_old
 (mod Q)`` up to ``t``-multiple noise.
@@ -82,28 +90,36 @@ def _digit_ntt_stack(x: RnsPolynomial) -> np.ndarray:
     Digit i is INTT(x[i]) with coefficients in [0, q_i); its lift to modulus
     q_j is one conditional subtract when the basis is *balanced*
     (max q < 2 * min q — true for the engine's equal-width prime sets) and a
-    general ``%`` otherwise.  The L lifted digit matrices are transformed in
-    a single batched NTT call.
+    general ``%`` otherwise.  The diagonal needs no transform (Listing 1's
+    ``if i != j``: NTT(INTT(x[j])) *is* x[j]); the rest goes through one
+    batched NTT call as an (L-1, L, N) stack whose row k, limb j holds digit
+    (j+k+1) mod L — the limb axis stays aligned with the twiddles — and is
+    scattered back to [digit, limb].
     """
     basis = x.basis
+    level = basis.level
     ctx = get_rns_context(x.n, basis.moduli)
     q_col = basis.moduli_column()
     y = ctx.inverse(x.limbs)  # row i = digit polynomial INTT(x[i], q_i)
-    broad = np.broadcast_to(y[:, None, :], (basis.level,) + y.shape)
-    if max(basis.moduli) < 2 * min(basis.moduli):
-        digits = kernels.reduce_once(broad, q_col)
-    else:
-        digits = np.remainder(broad, q_col)
-    return ctx.forward(digits)
+    limb = np.arange(level)
+    out = np.empty((level,) + y.shape, dtype=np.uint64)
+    out[limb, limb] = x.limbs
+    if level > 1:
+        digit = (limb + np.arange(1, level)[:, None]) % level
+        lifted = y[digit]
+        if basis.max_modulus < 2 * min(basis.moduli):
+            kernels.reduce_once(lifted, q_col, out=lifted)
+        else:
+            np.remainder(lifted, q_col, out=lifted)
+        out[digit, limb] = ctx.forward(lifted)
+    return out
 
 
 @instrument("key_switch")
 def key_switch_v1(x: RnsPolynomial, hint: KeySwitchHint) -> tuple[RnsPolynomial, RnsPolynomial]:
     """Listing 1: RNS-digit decomposition key switch, batched across limbs.
 
-    ``x`` must be NTT-domain at the hint's basis.  (For j == i the lifted
-    digit's NTT reproduces x.limbs[i] exactly: INTT then NTT round-trips
-    bit-identically.)
+    ``x`` must be NTT-domain at the hint's basis.
     """
     if x.domain is not Domain.NTT:
         raise ValueError("key_switch_v1 expects an NTT-domain input")
@@ -132,8 +148,10 @@ def key_switch_v1_hoisted(
     digit_ntt = dec.digit_ntt
     if galois_perm is not None:
         digit_ntt = digit_ntt[:, :, galois_perm]
-    u0 = kernels.mul_accumulate(digit_ntt, hint.stack0, q_col)
-    u1 = kernels.mul_accumulate(digit_ntt, hint.stack1, q_col)
+    u0 = kernels.mul_accumulate(digit_ntt, hint.stack0, q_col,
+                                basis.max_modulus)
+    u1 = kernels.mul_accumulate(digit_ntt, hint.stack1, q_col,
+                                basis.max_modulus)
     return (
         RnsPolynomial(basis, u0, Domain.NTT),
         RnsPolynomial(basis, u1, Domain.NTT),
@@ -158,12 +176,18 @@ def key_switch_v2(
 def hoist_raise(x: RnsPolynomial, hint: RaisedKeySwitchHint) -> RnsPolynomial:
     """The reusable raised form of ``x``: base-extended to Q*P, NTT domain.
 
-    Computing it costs an inverse NTT, the base extension, and a wide
-    forward NTT; rotations sharing one input reuse it (the variant-2
+    ``x``'s own rows *are* the raised form's Q rows, so the cost is an
+    inverse NTT of ``x``, the base extension, and a forward NTT of the
+    special rows alone; rotations sharing one input reuse it (the variant-2
     hoisting analogue — the per-rotation work drops to a permutation, two
     multiplies, and the scale-downs).
     """
-    return base_extend(x.to_coeff(), hint.extended).to_ntt()
+    level = x.basis.level
+    lifted = base_extend(x.to_coeff(), hint.extended).limbs
+    ctx = get_rns_context(x.n, hint.extended.moduli)
+    raised = np.concatenate(
+        [x.limbs, ctx.forward(lifted[level:], start=level)])
+    return RnsPolynomial(hint.extended, raised, Domain.NTT)
 
 
 @instrument("key_switch_hoisted")
@@ -177,17 +201,19 @@ def key_switch_v2_hoisted(
 
     Permuting the extended NTT equals raising the automorphed input (the
     extension's ``u*Q`` slack maps to ``sigma(u)*Q``, equally small and
-    equally annihilated mod Q by the scale-down).
+    equally annihilated mod Q by the scale-down).  The two hint products are
+    scaled down as one (2, 2L, N) stack and come back NTT-domain.
     """
-    if galois_perm is not None:
-        x_ext = RnsPolynomial(
-            x_ext.basis, x_ext.limbs[:, galois_perm], Domain.NTT
-        )
-    u0_ext = x_ext * hint.hint0
-    u1_ext = x_ext * hint.hint1
-    u0 = scale_down(u0_ext, hint.special, plaintext_modulus)
-    u1 = scale_down(u1_ext, hint.special, plaintext_modulus)
-    return u0, u1
+    if x_ext.basis != hint.extended:
+        raise ValueError("raised input basis does not match hint basis")
+    limbs = x_ext.limbs if galois_perm is None else x_ext.limbs[:, galois_perm]
+    q_col = hint.extended.moduli_column()
+    u_ext = np.stack([kernels.mul_mod(limbs, h.limbs, q_col)
+                      for h in (hint.hint0, hint.hint1)])
+    u0, u1 = scale_down_stack(u_ext, Domain.NTT, hint.extended, hint.special,
+                               plaintext_modulus)
+    return (RnsPolynomial(hint.basis, u0, Domain.NTT),
+            RnsPolynomial(hint.basis, u1, Domain.NTT))
 
 
 @instrument("base_extend")
@@ -258,106 +284,123 @@ def scale_down(
     """Divide-and-round by P = prod(special), keeping the result ≡ 0 shift mod t.
 
     ``x`` is over Q*P (special limbs last); returns round-to-multiple result
-    over Q, where the subtracted correction ``delta ≡ x (mod P)`` and
-    ``delta ≡ 0 (mod t)`` so BGV plaintexts survive unscathed apart from the
-    tracked ``P^{-1} mod t`` factor.
+    over Q **in the domain x arrived in**, where the subtracted correction
+    ``delta ≡ x (mod P)`` and ``delta ≡ 0 (mod t)`` so BGV plaintexts survive
+    unscathed apart from the tracked ``P^{-1} mod t`` factor.
+
+    Only ``delta`` needs coefficients: an NTT-domain input has its special
+    limbs inverse-transformed and ``delta`` over Q forward-transformed, and
+    the subtraction finishes in the NTT domain (a per-limb ring isomorphism,
+    so the limbs equal the coefficient-domain result's NTT bit for bit); a
+    coefficient-domain input transforms nothing.
 
     Hot path: the exact value ``v = [x]_P`` is carried in Garner mixed-radix
     form (:class:`repro.rns.convert.MixedRadix`) — raw uint64 vector ops
-    only — and ``delta mod q_j`` is assembled directly from ``v mod q_j``,
-    ``v > P/2``, and the centered correction, never materializing big-int
-    object arrays.  Every step computes the same integers as the retained
-    object-array oracle (:func:`scale_down_reference`), so outputs are
-    bit-identical; ``REPRO_KERNEL_DEBUG=1`` asserts exactly that per call.
-    Falls back to the oracle for moduli or ``t`` at or above 2^32.
+    only — and ``delta / P mod q_j`` is assembled directly from ``v mod
+    q_j``, ``v > P/2`` and the centered correction, never materializing
+    big-int object arrays.  It equals the retained object-array oracle
+    (:func:`scale_down_reference`) bit for bit; ``REPRO_KERNEL_DEBUG=1``
+    asserts that per call.  Moduli or ``t`` >= 2^32 fall back to the oracle.
     """
-    x = x.to_coeff()
-    ext = x.basis
+    out = scale_down_stack(x.limbs, x.domain, x.basis, special,
+                            plaintext_modulus)
+    return RnsPolynomial(RnsBasis(x.basis.moduli[:-special.level]), out,
+                         x.domain)
+
+
+def scale_down_stack(
+    limbs: np.ndarray, domain: Domain, ext: RnsBasis, special: RnsBasis, t: int
+) -> np.ndarray:
+    """:func:`scale_down` on a ``(..., L_ext, N)`` stack of residue matrices
+    in ``domain``: one inverse and one forward transform call for the lot."""
     n_special = special.level
     if ext.moduli[-n_special:] != special.moduli:
         raise ValueError("special basis must be the trailing limbs of x's basis")
-    t = plaintext_modulus
-    if max(ext.moduli) >= 1 << 32 or not 1 <= t < 1 << 32:
-        return scale_down_reference(x, special, t)
-    basis_q = RnsBasis(ext.moduli[:-n_special])
-    out = _scale_down_fast(x.limbs, basis_q, special, t)
-    if kernels.DEBUG_VALIDATE:
-        ref = scale_down_reference(x, special, t)
-        assert np.array_equal(out, ref.limbs), \
-            "lazy scale_down diverged from the exact object-array oracle"
-    return RnsPolynomial(basis_q, out, Domain.COEFF)
+    level, n = ext.level - n_special, limbs.shape[-1]
+    basis_q = RnsBasis(ext.moduli[:level])
+    ntt = domain is Domain.NTT
 
+    def reference() -> np.ndarray:
+        """The object-array oracle, matrix by matrix (coefficient domain)."""
+        return np.stack([
+            scale_down_reference(RnsPolynomial(ext, m, domain), special, t).limbs
+            for m in limbs.reshape(-1, ext.level, n)
+        ]).reshape(limbs.shape[:-2] + (level, n))
 
-def _scale_down_fast(
-    limbs: np.ndarray, basis_q: RnsBasis, special: RnsBasis, t: int
-) -> np.ndarray:
-    """Object-free scale-down core; see :func:`scale_down` for the contract.
-
-    With ``v = [x]_P in [0, P)`` and ``big = (v > P//2)`` marking the
-    coefficients whose centered value is ``v - P``, every quantity the
-    oracle derives from the big-int ``v`` is reproduced modulus-wise:
-    ``v_c mod m`` is one conditional subtract of ``P mod m``, the correction
-    ``w = [-v_c * P^{-1}]_t`` needs only ``v_c mod t``, and
-    ``delta mod q = (v_c + P*w_c) mod q`` fits uint64 because
-    ``q^2 + q < 2^64`` for ``q < 2^32``.
-    """
-    n_special = special.level
-    q_moduli = basis_q.moduli
+    if ext.max_modulus >= 1 << 32 or not 1 <= t < 1 << 32:
+        out = reference()
+        return get_rns_context(n, basis_q.moduli).forward(out) if ntt else out
+    tail = limbs[..., level:, :]
+    if ntt:
+        tail = get_rns_context(n, ext.moduli).inverse(tail, start=level)
+    # The correction is per-coefficient work on (limbs, coefficients)
+    # matrices: the leading axes ride along the coefficient axis.
+    corr = _scale_down_correction(
+        np.moveaxis(tail, -2, 0).reshape(n_special, -1), basis_q, special, t)
+    corr = np.moveaxis(corr.reshape((level,) + limbs.shape[:-2] + (n,)), 0, -2)
+    if ntt:
+        corr = get_rns_context(n, basis_q.moduli).forward(corr)
     q_col = basis_q.moduli_column()
-    p_product = special.modulus
-    (pq_col, p_inv_col, t_mod_q_col, p_inv_t, half) = _scale_down_tables(
-        q_moduli, special.moduli, t
-    )
+    p_inv_col = _scale_down_tables(basis_q.moduli, special.moduli, t)[0]
+    # (x - delta) / P as x * P^{-1} - delta / P; products stay < q^2 + q.
+    out = (limbs[..., :level, :] * p_inv_col + (q_col - corr)) % q_col
+    if kernels.DEBUG_VALIDATE:
+        got = get_rns_context(n, basis_q.moduli).inverse(out) if ntt else out
+        assert np.array_equal(got, reference()), \
+            "lazy scale_down diverged from the exact object-array oracle"
+    return out
 
+
+def _scale_down_correction(
+    tail: np.ndarray, basis_q: RnsBasis, special: RnsBasis, t: int
+) -> np.ndarray:
+    """``delta / P mod q_j`` from the special limbs' coefficients ``tail``
+    (``(k, M)``), object-free; see :func:`scale_down` for the contract.
+
+    With ``v = [x]_P in [0, P)``, ``big = (v > P//2)`` marking where the
+    centered value is ``v_c = v - P``, and ``w_c`` the centered ``w = [-v_c
+    * P^{-1}]_t`` (which needs only ``v_c mod t``): ``delta = v_c + P *
+    w_c``, so ``delta / P = v * P^{-1} + w - big - big_w * t (mod q)``.  The
+    two centerings pick one of four constants per limb, and ``v*P^{-1} + w +
+    constant < q^2 + 2^33 < 2^64`` for ``q, t < 2^32``: one division.
+    """
+    p_inv_col, centering, p_inv_t, half = _scale_down_tables(
+        basis_q.moduli, special.moduli, t)
     mr = convert.get_mixed_radix(special.moduli)
-    a = mr.digits(limbs[-n_special:])
-    vq = mr.residues(a, q_moduli)
-    big = mr.greater_than(a, half)[None, :]
-    # Centered v mod q: subtract P mod q where v was centered downwards.
-    vq_c = np.where(big, kernels.cond_sub(vq + (q_col - pq_col), q_col), vq)
+    a = mr.digits(tail)
+    big = mr.greater_than(a, half)
+    raw = mr.residues(a, basis_q.moduli) * p_inv_col
+    case = big.astype(np.intp)
     if t > 1:
         tt = np.uint64(t)
         vt = mr.residues(a, (t,))[0]
-        c_t = np.uint64(t - p_product % t)  # == t when P ≡ 0 (mod t)
-        vt_c = np.where(big[0], kernels.cond_sub(vt + c_t, tt), vt)
+        c_t = np.uint64(t - special.modulus % t)  # == t when P ≡ 0 (mod t)
+        vt_c = np.where(big, kernels.cond_sub(vt + c_t, tt), vt)
         w = kernels.cond_sub(tt - vt_c, tt) * p_inv_t % tt
-        big_w = (w > np.uint64(t // 2))[None, :]  # centered w is w - t there
-        if t <= min(q_moduli):
-            w_mod_q = np.broadcast_to(w, vq.shape)
-        else:
-            w_mod_q = w[None, :] % q_col
-        wq_c = np.where(
-            big_w,
-            kernels.cond_sub(w_mod_q + (q_col - t_mod_q_col), q_col),
-            w_mod_q,
-        )
-        # delta = v_c + P*w_c; products stay < q^2 + q < 2^64.
-        delta_q = (vq_c + pq_col * wq_c) % q_col
-    else:
-        delta_q = vq_c
-    return ((limbs[: basis_q.level] + q_col - delta_q) % q_col
-            * p_inv_col) % q_col
+        raw += w
+        case += 2 * (w > np.uint64(t // 2))  # centered w is w - t there
+    raw += centering[:, case]
+    return raw % basis_q.moduli_column()
 
 
 @lru_cache(maxsize=None)
 def _scale_down_tables(
     q_moduli: tuple[int, ...], special_moduli: tuple[int, ...], t: int
 ):
-    """Per-(basis, special, t) constants for the object-free scale-down."""
+    """Per-(basis, special, t) constants for the object-free scale-down:
+    ``P^{-1} mod q``, the ``(L, 4)`` centering constants ``-(big + big_w * t)
+    mod q`` indexed by ``big + 2 * big_w``, ``P^{-1} mod t`` and ``P // 2``."""
     p_product = 1
     for p in special_moduli:
         p_product *= p
-    pq_col = np.array(
-        [p_product % q for q in q_moduli], dtype=np.uint64
-    ).reshape(-1, 1)
     p_inv_col = np.array(
         [pow(p_product % q, -1, q) for q in q_moduli], dtype=np.uint64
     ).reshape(-1, 1)
-    t_mod_q_col = np.array(
-        [t % q for q in q_moduli], dtype=np.uint64
-    ).reshape(-1, 1)
+    centering = np.array(
+        [[(-(case & 1) - (case >> 1) * t) % q for case in range(4)]
+         for q in q_moduli], dtype=np.uint64)
     p_inv_t = np.uint64(pow(p_product % t, -1, t)) if t > 1 else np.uint64(0)
-    return pq_col, p_inv_col, t_mod_q_col, p_inv_t, p_product // 2
+    return p_inv_col, centering, p_inv_t, p_product // 2
 
 
 def scale_down_reference(

@@ -8,7 +8,8 @@ replicas and exported worker hosts) or the :func:`profiled` context
 manager (current process only).
 
 When enabled, each call records its duration into the process-global
-metrics registry as a ``kernel.<name>.ms`` histogram — and, when an
+metrics registry as a ``kernel.<name>.ms`` histogram (the transforms also
+count the rows they cover, ``kernel.ntt_forward.rows``) — and, when an
 executor has declared the serving signature it is running via
 :func:`attributed`, also as ``kernel.<name>.ms|sig=<signature>``.
 Because these are ordinary mergeable histograms, worker-side kernel
@@ -89,6 +90,13 @@ def record_kernel(name: str, duration_s: float) -> None:
         reg.histogram(f"kernel.{name}.ms|sig={sig}").observe(ms)
 
 
+def count_kernel(name: str, unit: str, n: int) -> None:
+    """Add ``n`` to the ``kernel.<name>.<unit>`` counter (e.g. the rows a
+    transform call covered) — only while kernel timers are enabled."""
+    if ENABLED:
+        global_metrics().counter(f"kernel.{name}.{unit}").inc(n)
+
+
 def instrument(name: str):
     """Decorator: time calls into ``kernel.<name>.ms`` when enabled."""
     def deco(fn):
@@ -108,19 +116,24 @@ def instrument(name: str):
 def kernel_breakdown(blob) -> dict:
     """Per-signature kernel table from a merged metrics blob.
 
-    Returns ``{signature: {kernel: summary}}``.  The ``"all"`` row is
-    the total across every call, attributed or not (the base
-    ``kernel.<name>.ms`` histogram records unconditionally; the
-    ``|sig=`` variants only under :func:`attributed`).
+    Returns ``{signature: {kernel: summary}}``: the ``kernel.<name>.ms``
+    histogram's summary plus, in the ``"all"`` row, one key per
+    ``kernel.<name>.<unit>`` counter (``"rows"`` for the transforms).  The
+    ``"all"`` row is the total across every call, attributed or not (the
+    base histogram records unconditionally; the ``|sig=`` variants only
+    under :func:`attributed`).
     """
     from .metrics import summarize_state
 
     out: dict = {}
     for name, state in blob.items():
-        if not name.startswith("kernel.") or state.get("type") != "hist":
+        if not name.startswith("kernel."):
             continue
-        base, _, sigpart = name.partition("|sig=")
-        kern = base[len("kernel."):-len(".ms")]
-        sig = sigpart if sigpart else "all"
-        out.setdefault(sig, {})[kern] = summarize_state(state)
+        base, _, sig = name.partition("|sig=")
+        kern, _, unit = base[len("kernel."):].rpartition(".")
+        row = out.setdefault(sig or "all", {}).setdefault(kern, {})
+        if state.get("type") == "counter":
+            row[unit] = state["value"]
+        elif state.get("type") == "hist" and unit == "ms":
+            row.update(summarize_state(state))
     return out

@@ -64,23 +64,25 @@ def lazy_supported(moduli) -> bool:
 
 
 # --------------------------------------------------------------- reduction
-def cond_sub(x: np.ndarray, q) -> np.ndarray:
+def cond_sub(x: np.ndarray, q, out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
     """Reduce ``x in [0, 2q)`` to ``[0, q)`` by one conditional subtract.
 
     Implemented as ``min(x, x - q)`` on uint64: for ``x < q`` the subtract
     wraps to ``x + (2^64 - q) > x`` (since ``x < 2q <= 2^63``), so the
     minimum is ``x``; for ``x >= q`` it is the in-range difference
     ``x - q < q <= x``.  One vector subtract + one vector min — no division,
-    no boolean select.
+    no boolean select.  ``tmp`` receives the difference and ``out`` the
+    result when given (``out`` may be ``x`` or ``tmp``; ``tmp`` may not be
+    ``x``); without them each pass allocates.
     """
-    return np.minimum(x, x - q)
+    return np.minimum(x, np.subtract(x, q, out=tmp), out=out)
 
 
-def reduce_once(x: np.ndarray, q) -> np.ndarray:
-    """Alias of :func:`cond_sub` for call sites where the ``[0, 2q)``
-    precondition comes from *cross-modulus* data (e.g. lifting a digit in
-    ``[0, q_i)`` to modulus ``q_j`` with ``q_i < 2*q_j``)."""
-    return np.minimum(x, x - q)
+#: :func:`cond_sub` under the name call sites use when the ``[0, 2q)``
+#: precondition comes from *cross-modulus* data (e.g. lifting a digit in
+#: ``[0, q_i)`` to modulus ``q_j`` with ``q_i < 2*q_j``).
+reduce_once = cond_sub
 
 
 # ------------------------------------------------------- element-wise ring ops
@@ -128,16 +130,16 @@ def mul_mod(x: np.ndarray, y: np.ndarray, q) -> np.ndarray:
 
 
 def fused_mul_add(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-                  q) -> np.ndarray:
+                  q, qmax: int) -> np.ndarray:
     """``(a*b + c*d) mod q`` with a single reduction.
 
     Used by the tensor-product middle term ``l1 = a0*b1 + a1*b0`` of
     homomorphic multiplication.  Both products are below ``(q-1)^2``, so the
     sum stays below ``2*(q-1)^2 < 2^64`` whenever ``q <= 2^31``; above that
     we fall back to reducing each product first (still one fewer division
-    than reduce-add-reduce).
+    than reduce-add-reduce).  ``qmax`` is the widest modulus in ``q`` (the
+    basis caches it: :attr:`repro.rns.crt.RnsBasis.max_modulus`).
     """
-    qmax = int(np.max(q))
     if 2 * (qmax - 1) ** 2 < 1 << 64:
         return (a * b + c * d) % q
     return add_mod((a * b) % q, (c * d) % q, q)
@@ -145,11 +147,12 @@ def fused_mul_add(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
 
 @instrument("modmul_mac")
 def mul_accumulate(stack_a: np.ndarray, stack_b: np.ndarray,
-                   q_col: np.ndarray) -> np.ndarray:
+                   q_col: np.ndarray, qmax: int) -> np.ndarray:
     """``sum_k stack_a[k] * stack_b[k] mod q`` — the key-switch inner loop.
 
     ``stack_a``/``stack_b`` are ``(K, L, N)`` residue-matrix stacks with
-    ``q_col`` the ``(L, 1)`` modulus column.  Each product is below
+    ``q_col`` the ``(L, 1)`` modulus column and ``qmax`` its widest modulus
+    (:attr:`repro.rns.crt.RnsBasis.max_modulus`).  Each product is below
     ``(q-1)^2``; when ``K * (q-1)^2 < 2^64`` (e.g. 28-bit primes up to
     K = 256 terms) the raw products are summed *unreduced* and a single
     division per output limb finishes — 2K-2 fewer reductions than the
@@ -158,7 +161,6 @@ def mul_accumulate(stack_a: np.ndarray, stack_b: np.ndarray,
     realistic K) still needs only one final division.
     """
     k = stack_a.shape[0]
-    qmax = int(q_col.max())
     if k * (qmax - 1) ** 2 < 1 << 64:
         return (stack_a * stack_b).sum(axis=0) % q_col
     return ((stack_a * stack_b) % q_col[None]).sum(axis=0) % q_col
@@ -193,7 +195,9 @@ def shoup_precompute(table: np.ndarray, q: int) -> np.ndarray:
 
 
 def shoup_mul(x: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
-              shift, q, out: np.ndarray | None = None) -> np.ndarray:
+              shift, q, out: np.ndarray | None = None,
+              scratch: tuple[np.ndarray, np.ndarray] | None = None,
+              ) -> np.ndarray:
     """Division-free ``x * w mod q`` into the lazy range ``[0, 2q)``.
 
     Preconditions (with ``s = shoup_shift(q)`` and ``q < 2^31``):
@@ -216,16 +220,18 @@ def shoup_mul(x: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
     All intermediates are congruent to ``x*w`` mod q, so downstream exact
     reduction yields bit-identical results to the strict ``%`` path.
 
-    With ``out`` given, the result is written into that array (saving the
-    hot paths a temp-then-copy pass when the destination is a strided view).
+    ``scratch`` is a pair of arrays of the broadcast shape that receive the
+    two products (the hot paths pass workspace views; without it both are
+    allocated), neither of them ``x``.  The result is written to ``out``
+    when given (any view, e.g. a strided destination), else it is the second
+    scratch array.
     """
-    est = (x * w_shoup) >> shift
-    if out is None:
-        return x * w - est * q
-    np.multiply(x, w, out=out)
+    est, prod = scratch if scratch is not None else (None, None)
+    est = np.multiply(x, w_shoup, out=est)
+    np.right_shift(est, shift, out=est)
     np.multiply(est, q, out=est)
-    np.subtract(out, est, out=out)
-    return out
+    prod = np.multiply(x, w, out=prod)
+    return np.subtract(prod, est, out=prod if out is None else out)
 
 
 def lazy_butterfly(lo: np.ndarray, hi: np.ndarray, w: np.ndarray,

@@ -17,8 +17,10 @@ Two execution paths share the same tables:
   paper's RVecs); the context stacks the per-limb twiddle tables and runs
   every butterfly stage across *all* limbs in a single numpy op.
   ``forward``/``inverse`` additionally accept stacks of residue matrices
-  (``(..., L, N)``) so e.g. the key switch transforms all L digit matrices in
-  one call.  Results are bit-identical to the per-limb path.
+  (``(..., L, N)``) so e.g. the key switch transforms all its digit matrices
+  in one call, and ``start=`` a run of the basis' limbs alone.  Every call
+  runs as cache-sized blocks through a per-thread workspace
+  (:data:`BLOCK_ELEMS`).  Results are bit-identical to the per-limb path.
 
 Hot-path design (see :mod:`repro.poly.kernels` for the primitive proofs):
 
@@ -64,11 +66,12 @@ permutations (see :mod:`repro.poly.automorphism`).
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
 
-from repro.obs.profile import instrument
+from repro.obs.profile import count_kernel, instrument
 from repro.poly import kernels, parallel
 from repro.poly.kernels import MAX_LAZY_MODULUS, cond_sub
 from repro.rns.primes import primitive_root_of_unity
@@ -78,6 +81,47 @@ MAX_MODULUS = 1 << 32
 
 #: Below this transform size the two-phase transpose layout buys nothing.
 _SINGLE_PHASE_MAX_N = 32
+
+#: Elements per transform block — the unit of cache residency *and* of thread
+#: fan (:meth:`RnsNttContext._run`): a block, its workspace (3.5 blocks) and
+#: its twiddles (2 blocks) should sit in the 2 MB L2 for the ~100 numpy passes
+#: of a transform, yet be large enough to amortise those calls.  Forward /
+#: inverse microseconds per row on this box, by elements per block:
+#: (18, 18, 1024) 8 K 71/79, 18 K 55/62, 36 K 52/58, 90 K 63/68, whole 70/82;
+#: (18, 4096) 8 K 265/304, 24 K 259/277, 48 K 250/281, whole 260/316;
+#: (16, 16384) 16 K 993/1125, 48 K 965/986, 96 K 1179/1205, whole 1292/1659.
+BLOCK_ELEMS = 24 * 1024
+
+_scratch = threading.local()
+
+
+def _workspace(block: np.ndarray):
+    """This thread's scratch for transforming ``block``: three buffers of its
+    shape (working copy, transpose target, a third whose flat halves are
+    butterfly temporaries) and the three flat half-block temporaries.
+
+    All are views of one allocation that lives as long as the thread and
+    grows to the largest block seen, which the driver bounds by
+    ``max(BLOCK_ELEMS, N)``: 3.5 * 8 bytes * 24 576 = 672 KiB per thread up
+    to N = 16384.  Nothing a transform returns aliases it.
+    """
+    size, half = block.size, block.size // 2
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < 3 * size + half:
+        buf = _scratch.buf = np.empty(3 * size + half, dtype=np.uint64)
+    a, b, c = (buf[i * size:(i + 1) * size] for i in range(3))
+    return (a.reshape(block.shape), b.reshape(block.shape),
+            c.reshape(block.shape),
+            (c[:half], c[half:], buf[3 * size:3 * size + half]))
+
+
+def _as_residues(x) -> np.ndarray:
+    """``x`` as a uint64 array, refusing the cast that corrupts: a negative
+    residue wraps to ~2^64 and comes back as unreduced garbage."""
+    x = np.asarray(x)
+    if x.dtype.kind == "i" and x.size and int(x.min()) < 0:
+        raise ValueError("residues must be non-negative (reduce mod q first)")
+    return x.astype(np.uint64, copy=False)
 
 
 def _check_modulus_width(q: int) -> None:
@@ -201,83 +245,118 @@ class _LazyPlan:
         self._c4 = tuple(c[:, :, None] for c in self._c3)
 
     # ------------------------------------------------------------- butterflies
-    def _ct_stage(self, lo, hi, w, ws, consts, first: bool) -> None:
+    def _ct_stage(self, lo, hi, w, ws, consts, first: bool, tmp) -> None:
         """Cooley–Tukey lazy butterfly: ``(lo, hi) -> (lo + w*hi, lo - w*hi)``
         with values kept in ``[0, 4q)`` (see module docstring proof).
 
         The first stage's inputs are fully reduced (``< q < 2q``), so its
-        ``lo`` conditional subtract is skipped.  Final sums are written with
-        ``out=`` directly into the (strided) destination views, avoiding a
-        temp-then-copy pass per output.
+        ``lo`` conditional subtract is skipped.  Every pass writes through
+        ``out=``: into the three half-block buffers ``tmp``, the final sums
+        directly into the (strided) destination views.
         """
         q, two_q, four_q, shift = consts
-        t = kernels.shoup_mul(hi, w, ws, shift, q)
+        est, t = tmp[0].reshape(lo.shape), tmp[1].reshape(lo.shape)
+        kernels.shoup_mul(hi, w, ws, shift, q, scratch=(est, t))
         if self.n_extra:
-            t = cond_sub(cond_sub(t, four_q), two_q)
-        lo2 = lo if first else cond_sub(lo, two_q)
-        u = two_q - t
-        np.add(lo2, u, out=hi)
+            cond_sub(t, four_q, out=t, tmp=est)
+            cond_sub(t, two_q, out=t, tmp=est)
+        if first:
+            lo2 = lo
+        else:
+            lo2 = tmp[2].reshape(lo.shape)
+            cond_sub(lo, two_q, out=lo2, tmp=lo2)
+        np.subtract(two_q, t, out=est)
+        np.add(lo2, est, out=hi)
         np.add(lo2, t, out=lo)
 
-    def _gs_stage(self, lo, hi, w, ws, consts) -> None:
+    def _gs_stage(self, lo, hi, w, ws, consts, tmp) -> None:
         """Gentleman–Sande lazy butterfly: ``(lo, hi) -> (lo + hi,
         w*(lo - hi))`` with the halving deferred into the final ``n^{-1}``.
 
-        ``x = lo + (2q - hi)`` is formed before ``lo`` is overwritten; both
-        outputs are then written with ``out=`` into the destination views.
+        ``x = lo + (2q - hi)`` is formed before ``lo`` is overwritten; the
+        product lands in ``hi`` with its last pass.
         """
         q, two_q, four_q, shift = consts
-        x = lo + (two_q - hi)
-        s = lo + hi
-        np.minimum(s, s - two_q, out=lo)  # cond_sub(lo + hi, 2q)
-        v = kernels.shoup_mul(x, w, ws, shift, q)
+        x, s, v = [b.reshape(lo.shape) for b in tmp]
+        np.subtract(two_q, hi, out=x)
+        np.add(lo, x, out=x)
+        np.add(lo, hi, out=s)
+        cond_sub(s, two_q, out=lo, tmp=v)
         if self.n_extra:
-            v = cond_sub(cond_sub(v, four_q), two_q)
-        hi[...] = v
+            kernels.shoup_mul(x, w, ws, shift, q, scratch=(s, v))
+            cond_sub(v, four_q, out=v, tmp=s)
+            cond_sub(v, two_q, out=hi, tmp=s)
+        else:
+            kernels.shoup_mul(x, w, ws, shift, q, out=hi, scratch=(s, v))
 
-    def _transpose(self, a: np.ndarray, rows: int, cols: int) -> np.ndarray:
-        lead = a.shape[:-1]
-        swapped = a.reshape(lead + (rows, cols)).swapaxes(-2, -1)
-        return np.ascontiguousarray(swapped).reshape(lead + (self.n,))
+    def _transpose(self, src: np.ndarray, dst: np.ndarray,
+                   rows: int, cols: int) -> None:
+        lead = src.shape[:-1]
+        np.copyto(dst.reshape(lead + (cols, rows)),
+                  src.reshape(lead + (rows, cols)).swapaxes(-2, -1))
 
     # -------------------------------------------------------------- transforms
-    def forward(self, limbs: np.ndarray) -> np.ndarray:
-        """Merged-twist negacyclic NTT; input reduced, output reduced/natural."""
-        a = limbs.copy()
-        lead = a.shape[:-1]
-        first = True
-        for m, t, w, ws in self.fwd_p1:
-            blocks = a.reshape(lead + (m, 2 * t))
-            self._ct_stage(blocks[..., :t], blocks[..., t:], w, ws, self._c3,
-                           first)
-            first = False
-        if self.c_size > 1:
-            a = self._transpose(a, self.g_size, self.c_size)
-            for cm, t, w, ws in self.fwd_p2:
-                blocks = a.reshape(lead + (cm, 2 * t, self.g_size))
-                self._ct_stage(blocks[..., :t, :], blocks[..., t:, :],
-                               w, ws, self._c4, False)
-        a = cond_sub(cond_sub(a, self.two_q_col), self.q_col)
-        return a[..., self.out_perm]
+    @staticmethod
+    def _cut(rows: slice, consts, stages):
+        """Broadcast constants and stage views cut to limbs ``rows``."""
+        return (tuple(c[rows] for c in consts),
+                [(m, t, w[rows], ws[rows]) for m, t, w, ws in stages])
 
-    def inverse(self, evals: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`forward`, ``n^{-1}`` fused into the final pass."""
-        a = evals[..., self.in_perm]  # fancy indexing copies
-        lead = a.shape[:-1]
-        if self.c_size > 1:
-            for cm, t, w, ws in reversed(self.inv_p2):
-                blocks = a.reshape(lead + (cm, 2 * t, self.g_size))
-                self._gs_stage(blocks[..., :t, :], blocks[..., t:, :],
-                               w, ws, self._c4)
-            a = self._transpose(a, self.c_size, self.g_size)
-        for m, t, w, ws in reversed(self.inv_p1):
+    def forward(self, limbs: np.ndarray, out: np.ndarray,
+                rows: slice = slice(None)) -> np.ndarray:
+        """Merged-twist negacyclic NTT of one block into ``out``.
+
+        ``limbs`` holds limbs ``rows`` of the plan's basis (reduced, any
+        leading axes, never written); ``out`` is C-contiguous, of the same
+        shape, and receives reduced natural-order values.
+        """
+        lead = limbs.shape[:-1]
+        a, b, _, tmp = _workspace(limbs)
+        np.copyto(a, limbs)
+        consts, stages = self._cut(rows, self._c3, self.fwd_p1)
+        for i, (m, t, w, ws) in enumerate(stages):
             blocks = a.reshape(lead + (m, 2 * t))
-            self._gs_stage(blocks[..., :t], blocks[..., t:], w, ws, self._c3)
-        out = kernels.shoup_mul(a, self.n_inv_col, self.n_inv_shoup,
-                                self.shift_col, self.q_col)
+            self._ct_stage(blocks[..., :t], blocks[..., t:], w, ws, consts,
+                           i == 0, tmp)
+        if self.c_size > 1:
+            self._transpose(a, b, self.g_size, self.c_size)
+            a, b = b, a
+            consts, stages = self._cut(rows, self._c4, self.fwd_p2)
+            for cm, t, w, ws in stages:
+                blocks = a.reshape(lead + (cm, 2 * t, self.g_size))
+                self._ct_stage(blocks[..., :t, :], blocks[..., t:, :], w, ws,
+                               consts, False, tmp)
+        cond_sub(a, self.two_q_col[rows], out=a, tmp=b)
+        cond_sub(a, self.q_col[rows], out=a, tmp=b)
+        return np.take(a, self.out_perm, axis=-1, out=out, mode="clip")
+
+    def inverse(self, evals: np.ndarray, out: np.ndarray,
+                rows: slice = slice(None)) -> np.ndarray:
+        """Inverse of :meth:`forward` (same contract), ``n^{-1}`` fused into
+        the final pass."""
+        lead = evals.shape[:-1]
+        a, b, v, tmp = _workspace(evals)
+        np.take(evals, self.in_perm, axis=-1, out=a, mode="clip")
+        if self.c_size > 1:
+            consts, stages = self._cut(rows, self._c4, self.inv_p2)
+            for cm, t, w, ws in reversed(stages):
+                blocks = a.reshape(lead + (cm, 2 * t, self.g_size))
+                self._gs_stage(blocks[..., :t, :], blocks[..., t:, :], w, ws,
+                               consts, tmp)
+            self._transpose(a, b, self.c_size, self.g_size)
+            a, b = b, a
+        consts, stages = self._cut(rows, self._c3, self.inv_p1)
+        for m, t, w, ws in reversed(stages):
+            blocks = a.reshape(lead + (m, 2 * t))
+            self._gs_stage(blocks[..., :t], blocks[..., t:], w, ws, consts,
+                           tmp)
+        q = self.q_col[rows]
+        kernels.shoup_mul(a, self.n_inv_col[rows], self.n_inv_shoup[rows],
+                          self.shift_col[rows], q, scratch=(b, v))
         if self.n_extra:
-            out = cond_sub(cond_sub(out, self.four_q_col), self.two_q_col)
-        return cond_sub(out, self.q_col)
+            cond_sub(v, self.four_q_col[rows], out=v, tmp=b)
+            cond_sub(v, self.two_q_col[rows], out=v, tmp=b)
+        return cond_sub(v, q, out=out, tmp=b)
 
 
 class NttContext:
@@ -334,11 +413,12 @@ class NttContext:
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic NTT: coefficient domain -> evaluation (NTT) domain."""
-        coeffs = np.asarray(coeffs, dtype=np.uint64)
+        coeffs = _as_residues(coeffs)
         if coeffs.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {coeffs.shape}")
         if self._plan is not None:
-            return self._plan.forward(coeffs[None, :])[0]
+            return self._plan.forward(coeffs[None, :],
+                                      np.empty((1, self.n), np.uint64))[0]
         twisted = (coeffs * self._psi_powers) % self._q_u64
         return _stage_loop_strict(
             twisted[self._bitrev], self._stage_twiddles, self._q_u64
@@ -346,11 +426,12 @@ class NttContext:
 
     def inverse(self, evals: np.ndarray) -> np.ndarray:
         """Inverse negacyclic NTT: evaluation domain -> coefficient domain."""
-        evals = np.asarray(evals, dtype=np.uint64)
+        evals = _as_residues(evals)
         if evals.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {evals.shape}")
         if self._plan is not None:
-            return self._plan.inverse(evals[None, :])[0]
+            return self._plan.inverse(evals[None, :],
+                                      np.empty((1, self.n), np.uint64))[0]
         a = _stage_loop_strict(
             evals[self._bitrev], self._stage_twiddles_inv, self._q_u64
         )
@@ -415,107 +496,84 @@ class RnsNttContext:
     def level(self) -> int:
         return len(self.moduli)
 
-    def _check_shape(self, limbs: np.ndarray) -> np.ndarray:
-        limbs = np.asarray(limbs, dtype=np.uint64)
-        if limbs.ndim < 2 or limbs.shape[-2:] != (len(self.moduli), self.n):
-            raise ValueError(
-                f"expected trailing shape ({len(self.moduli)}, {self.n}), "
-                f"got {limbs.shape}"
-            )
-        return limbs
-
     @instrument("ntt_forward")
-    def forward(self, limbs: np.ndarray) -> np.ndarray:
+    def forward(self, limbs: np.ndarray, *,
+                start: int | None = None) -> np.ndarray:
         """All-limb negacyclic NTT: ``(..., L, N)`` coefficient -> evaluation.
 
-        With ``REPRO_NUM_THREADS`` > 1 large inputs fan across the
-        :mod:`repro.poly.parallel` pool — whole stacks of a batched input,
-        else contiguous limb ranges through cached sub-basis contexts.
-        Per-limb transforms depend only on ``(n, q_i)``, so any split is
-        bit-identical to the serial path.
+        With ``start``, ``limbs`` is ``(..., k, N)``: limbs ``start .. start
+        + k`` of the basis alone.  Returns a fresh array, never writes its
+        input; bit-identical at any ``REPRO_NUM_THREADS`` (:meth:`_run`).
         """
-        limbs = self._check_shape(limbs)
-        fanned = _fan_transform(self, limbs, inverse=False)
-        if fanned is not None:
-            return fanned
-        return self._serial_forward(limbs)
-
-    def _serial_forward(self, limbs: np.ndarray) -> np.ndarray:
-        if self._plan is not None:
-            return self._plan.forward(limbs)
-        twisted = (limbs * self._psi) % self._q_col
-        return _stage_loop_strict(
-            twisted[..., self._bitrev], self._stages_fwd, self._q_block
-        )
+        return self._run(limbs, start, inverse=False)
 
     @instrument("ntt_inverse")
-    def inverse(self, evals: np.ndarray) -> np.ndarray:
-        """All-limb inverse negacyclic NTT: ``(..., L, N)`` evaluation -> coeff."""
-        evals = self._check_shape(evals)
-        fanned = _fan_transform(self, evals, inverse=True)
-        if fanned is not None:
-            return fanned
-        return self._serial_inverse(evals)
+    def inverse(self, evals: np.ndarray, *,
+                start: int | None = None) -> np.ndarray:
+        """All-limb inverse negacyclic NTT: ``(..., L, N)`` evaluation ->
+        coeff; same ``start`` / aliasing / threading contract as
+        :meth:`forward`."""
+        return self._run(evals, start, inverse=True)
 
-    def _serial_inverse(self, evals: np.ndarray) -> np.ndarray:
+    def _run(self, arr, start: int | None, inverse: bool) -> np.ndarray:
+        """The block driver: cut ``arr`` into blocks of about
+        :data:`BLOCK_ELEMS` elements and transform each on its own.
+
+        A block is a run of whole leading ``(k, N)`` matrices when one
+        fits, else a limb range of one matrix, transformed with the same
+        range of the plan's stage views (per-limb tables are independent, so
+        any cut is bit-identical to the whole).  Blocks go to
+        :func:`repro.poly.parallel.run_tasks`: a plain loop at one thread,
+        the pool fan at more, each worker on its own workspace.
+        """
+        arr = _as_residues(arr)
+        level = len(self.moduli)
+        if arr.ndim < 2 or arr.shape[-1] != self.n or (
+            arr.shape[-2] != level if start is None
+            else not 0 <= start <= level - arr.shape[-2]
+        ):
+            raise ValueError(f"expected trailing shape ({level}, {self.n}), or a "
+                             f"run of limbs from start=; got {arr.shape}, {start}")
+        start = start or 0
+        count_kernel("ntt_inverse" if inverse else "ntt_forward", "rows",
+                     arr.size // self.n)
+        k, n = arr.shape[-2:]
+        src = arr.reshape(-1, k, n)
+        out = np.empty(src.shape, dtype=np.uint64)
+        per_block = max(1, BLOCK_ELEMS // n)  # rows of N
+        if k <= per_block:
+            lead_step, limb_step = per_block // k, k
+        else:
+            lead_step, limb_step = 1, per_block
+
+        def block(i: int, j: int) -> None:
+            stop = min(j + limb_step, k)
+            self._transform(
+                src[i:i + lead_step, j:stop], out[i:i + lead_step, j:stop],
+                slice(start + j, start + stop), inverse)
+
+        parallel.run_tasks([
+            (lambda i=i, j=j: block(i, j))
+            for i in range(0, src.shape[0], lead_step)
+            for j in range(0, k, limb_step)
+        ])
+        return out.reshape(arr.shape)
+
+    def _transform(self, src: np.ndarray, dst: np.ndarray, rows: slice,
+                   inverse: bool) -> None:
+        """One block (limbs ``rows`` of the basis) from ``src`` into ``dst``."""
         if self._plan is not None:
-            return self._plan.inverse(evals)
-        a = _stage_loop_strict(
-            evals[..., self._bitrev], self._stages_inv, self._q_block
-        )
-        return (a * self._psi_inv_scaled) % self._q_col
-
-
-def _fan_transform(ctx: RnsNttContext, arr: np.ndarray,
-                   inverse: bool) -> np.ndarray | None:
-    """Thread-fan one batched transform, or None for the serial path.
-
-    Splits the leading batch axis into whole ``(L, N)`` stacks when the
-    batch is deep enough, otherwise contiguous limb ranges served by cached
-    sub-basis contexts (``get_rns_context(n, moduli[lo:hi])`` — per-limb
-    tables are identical slices, so chunked outputs match the full-stack
-    transform bit for bit; a mixed-width basis may flip a narrow chunk onto
-    the lazy plan, which is bit-identical by the module's equivalence
-    contract).  Workers run the ``_serial_*`` bodies, so fans never nest.
-    """
-    nt = parallel.active_threads()
-    if nt <= 1 or arr.size < parallel.MIN_PARALLEL_ELEMS:
-        return None
-
-    def run(c: RnsNttContext, x: np.ndarray) -> np.ndarray:
-        return c._serial_inverse(x) if inverse else c._serial_forward(x)
-
-    L, n = len(ctx.moduli), ctx.n
-    if arr.ndim >= 3:
-        lead = 1
-        for d in arr.shape[:-2]:
-            lead *= d
-        if lead >= nt:
-            out = np.empty(arr.shape, dtype=np.uint64)
-            flat_in = arr.reshape(lead, L, n)
-            flat_out = out.reshape(lead, L, n)
-
-            def stack_task(lo: int, hi: int) -> None:
-                flat_out[lo:hi] = run(ctx, flat_in[lo:hi])
-
-            parallel.run_tasks([
-                (lambda lo=lo, hi=hi: stack_task(lo, hi))
-                for lo, hi in parallel.split_ranges(lead, nt)
-            ])
-            return out
-    if L < 2:
-        return None
-    out = np.empty(arr.shape, dtype=np.uint64)
-
-    def limb_task(lo: int, hi: int) -> None:
-        sub = get_rns_context(n, ctx.moduli[lo:hi])
-        out[..., lo:hi, :] = run(sub, arr[..., lo:hi, :])
-
-    parallel.run_tasks([
-        (lambda lo=lo, hi=hi: limb_task(lo, hi))
-        for lo, hi in parallel.split_ranges(L, nt)
-    ])
-    return out
+            (self._plan.inverse if inverse else self._plan.forward)(
+                src, dst, rows)
+            return
+        q_col = self._q_col[rows]
+        if inverse:
+            tables, a = self._stages_inv, src
+        else:
+            tables, a = self._stages_fwd, (src * self._psi[rows]) % q_col
+        a = _stage_loop_strict(a[..., self._bitrev],
+                               [tw[rows] for tw in tables], self._q_block[rows])
+        dst[...] = (a * self._psi_inv_scaled[rows]) % q_col if inverse else a
 
 
 def _stage_loop_strict(a: np.ndarray, tables, q_block) -> np.ndarray:

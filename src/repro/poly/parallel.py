@@ -12,9 +12,9 @@ Contract:
 - ``REPRO_NUM_THREADS`` unset or ``1`` (the default) keeps every caller on
   the exact serial code path — bit-identical to a build without this module.
 - Threaded runs split work along axes whose chunks are computed by the very
-  same kernels on the very same values (per-limb NTTs, per-column base
-  conversions), so outputs are bit-identical to the serial path at any
-  thread count.
+  same kernels on the very same values (the NTT block driver's blocks,
+  per-column base conversions), so outputs are bit-identical to the serial
+  path at any thread count.
 - Fans never nest: a worker task that reaches another fan point runs it
   serially (:func:`active_threads` reports 1 inside a worker), which also
   makes pool starvation impossible.
@@ -106,8 +106,8 @@ def run_tasks(fns) -> None:
     behavior matches the serial loop deterministically.
     """
     fns = list(fns)
-    nt = active_threads()
-    if nt <= 1 or len(fns) <= 1:
+    nt = active_threads() if len(fns) > 1 else 1
+    if nt <= 1:
         for fn in fns:
             fn()
         return
@@ -135,9 +135,10 @@ def run_tasks(fns) -> None:
 def thread_smoke(nthreads: int = 2) -> int:
     """Serial-vs-threaded bit-identity smoke for ``python -m repro.verify``.
 
-    Runs the threaded fan points — stacked/flat NTT, batched base extension,
-    scale-down, and the serve slot pack/unpack — once at 1 thread and once at
-    ``nthreads``, asserting bit-identical outputs.  Returns 0 on success.
+    Runs the threaded fan points — flat NTT, a stacked NTT larger than one
+    transform block, batched base extension, scale-down, and the serve slot
+    pack/unpack — once at 1 thread and once at ``nthreads``, asserting
+    bit-identical outputs.  Returns 0 on success.
     """
     import numpy as np
 
@@ -161,8 +162,8 @@ def thread_smoke(nthreads: int = 2) -> int:
     ext_limbs = rng.integers(
         0, extended.moduli_column(), (extended.level, n), dtype=np.uint64
     )
-    stack = rng.integers(
-        0, basis.moduli_column(), (4, level, n), dtype=np.uint64
+    stack = rng.integers(  # 12 matrices: two transform blocks (8 + 4)
+        0, basis.moduli_column(), (12, level, n), dtype=np.uint64
     )
     ctx = get_rns_context(n, basis.moduli)
     x = RnsPolynomial(basis, limbs, Domain.COEFF)

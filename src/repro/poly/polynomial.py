@@ -181,10 +181,12 @@ class RnsPolynomial:
         return RnsPolynomial(self.basis, out, self.domain)
 
     # ---------------------------------------------------------- basis surgery
-    def drop_limb(self) -> "RnsPolynomial":
-        """Discard the last RNS limb (raw truncation, *not* modulus switching —
-        the schemes implement proper rounding on top of this)."""
-        return RnsPolynomial(self.basis.drop(), self.limbs[:-1].copy(), self.domain)
+    def drop_limb(self, count: int = 1) -> "RnsPolynomial":
+        """Discard the last ``count`` RNS limbs (raw truncation in either
+        domain, *not* modulus switching — the schemes implement proper
+        rounding on top of this)."""
+        basis = self.basis.drop(count)
+        return RnsPolynomial(basis, self.limbs[:basis.level].copy(), self.domain)
 
     def limb(self, i: int) -> np.ndarray:
         return self.limbs[i]

@@ -45,7 +45,7 @@ class RnsBasis:
     caches off it.
     """
 
-    __slots__ = ("moduli", "_modulus", "_q_col", "_q_col_i64")
+    __slots__ = ("moduli", "max_modulus", "_modulus", "_q_col", "_q_col_i64")
 
     def __init__(self, moduli: tuple[int, ...] | list[int]):
         moduli = tuple(int(q) for q in moduli)
@@ -54,8 +54,10 @@ class RnsBasis:
         if len(set(moduli)) != len(moduli):
             raise ValueError("RNS moduli must be distinct")
         self.moduli = moduli
+        #: Widest limb modulus: decides the kernels' uint64 headroom guards.
+        self.max_modulus = max(moduli)
         self._modulus = reduce(lambda a, b: a * b, moduli, 1)
-        if max(moduli) < 1 << 63:
+        if self.max_modulus < 1 << 63:
             self._q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
             self._q_col_i64 = self._q_col.astype(np.int64)
         else:  # pathological wide moduli: vectorized fast paths disabled

@@ -78,14 +78,16 @@ def test_fused_mul_add_and_mul_accumulate(bits):
     q = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
     a, b, c, d = (_random_limbs(moduli, n) for _ in range(4))
     assert np.array_equal(
-        kernels.fused_mul_add(a, b, c, d, q), ((a * b) % q + (c * d) % q) % q
+        kernels.fused_mul_add(a, b, c, d, q, max(moduli)),
+        ((a * b) % q + (c * d) % q) % q,
     )
     stack_a = np.stack([_random_limbs(moduli, n) for _ in range(k)])
     stack_b = np.stack([_random_limbs(moduli, n) for _ in range(k)])
     want = np.zeros((level, n), dtype=np.uint64)
     for i in range(k):
         want = (want + stack_a[i] * stack_b[i] % q) % q
-    assert np.array_equal(kernels.mul_accumulate(stack_a, stack_b, q), want)
+    assert np.array_equal(
+        kernels.mul_accumulate(stack_a, stack_b, q, max(moduli)), want)
 
 
 def test_mul_accumulate_reduced_path_for_wide_moduli():
@@ -93,13 +95,14 @@ def test_mul_accumulate_reduced_path_for_wide_moduli():
     n, k = 32, 8
     moduli = ntt_friendly_primes(n, 32, 2)
     q = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
-    assert k * (int(q.max()) - 1) ** 2 >= 1 << 64
+    assert k * (max(moduli) - 1) ** 2 >= 1 << 64
     stack_a = np.stack([_random_limbs(moduli, n) for _ in range(k)])
     stack_b = np.stack([_random_limbs(moduli, n) for _ in range(k)])
     want = np.zeros((2, n), dtype=np.uint64)
     for i in range(k):
         want = (want + stack_a[i] * stack_b[i] % q) % q
-    assert np.array_equal(kernels.mul_accumulate(stack_a, stack_b, q), want)
+    assert np.array_equal(
+        kernels.mul_accumulate(stack_a, stack_b, q, max(moduli)), want)
 
 
 @pytest.mark.parametrize("q", [ntt_friendly_primes(64, b, 1)[0] for b in (28, 30, 31)])
