@@ -18,39 +18,35 @@ from __future__ import annotations
 
 import heapq
 
+import numpy as np
+
 from repro.core.isa import InstructionGraph
 
 
 def csr_order(graph: InstructionGraph) -> list[int]:
     """Topological order minimizing live-value count, Goodman-Hsu style."""
-    instructions = graph.instructions
-    values = graph.values
-    remaining_uses = [len(v.users) for v in values]
-    indegree = [0] * len(instructions)
-    for instr in instructions:
-        for vid in instr.inputs:
-            if values[vid].producer is not None:
-                indegree[instr.instr_id] += 1
+    num_instructions = len(graph.kind)
+    in0, in1, out = graph.in0.tolist(), graph.in1.tolist(), graph.out.tolist()
+    user_ptr, users = graph.user_ptr.tolist(), graph.users.tolist()
+    remaining_uses = np.diff(graph.user_ptr).tolist()
+    # Operands an instruction waits for: those some instruction produces.
+    indegree = ((graph.producer[graph.in0] >= 0).astype(np.int64)
+                + ((graph.in1 >= 0) & (graph.producer[graph.in1] >= 0))).tolist()
 
     def score(instr_id: int) -> tuple[int, int]:
         """(negated net released values, original priority)."""
-        instr = instructions[instr_id]
-        released = sum(
-            1 for vid in set(instr.inputs) if remaining_uses[vid] == _uses_by(instr, vid)
-        )
+        a, b = in0[instr_id], in1[instr_id]
+        if b < 0 or b == a:
+            released = remaining_uses[a] == 1 + (b == a)
+        else:
+            released = (remaining_uses[a] == 1) + (remaining_uses[b] == 1)
         # Creating the output adds one live value.
         return (-(released - 1), instr_id)
 
-    def _uses_by(instr, vid: int) -> int:
-        return sum(1 for v in instr.inputs if v == vid)
-
-    ready = [score(i.instr_id) for i in instructions if indegree[i.instr_id] == 0]
+    ready = [score(i) for i in range(num_instructions) if indegree[i] == 0]
     heapq.heapify(ready)
     order: list[int] = []
-    emitted = [False] * len(instructions)
-    users_of_output = [
-        [u for u in values[instr.output].users] for instr in instructions
-    ]
+    emitted = [False] * num_instructions
 
     while ready:
         _, instr_id = heapq.heappop(ready)
@@ -63,13 +59,14 @@ def csr_order(graph: InstructionGraph) -> list[int]:
             continue
         emitted[instr_id] = True
         order.append(instr_id)
-        instr = instructions[instr_id]
-        for vid in instr.inputs:
-            remaining_uses[vid] -= 1
-        for user in users_of_output[instr_id]:
+        remaining_uses[in0[instr_id]] -= 1
+        if in1[instr_id] >= 0:
+            remaining_uses[in1[instr_id]] -= 1
+        output = out[instr_id]
+        for user in users[user_ptr[output]:user_ptr[output + 1]]:
             indegree[user] -= 1
             if indegree[user] == 0:
                 heapq.heappush(ready, score(user))
-    if len(order) != len(instructions):
+    if len(order) != num_instructions:
         raise ValueError("CSR scheduler failed to order all instructions")
     return order

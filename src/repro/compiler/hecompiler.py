@@ -13,6 +13,13 @@ choosing between the two key-switching algorithms per operation (the
 "algorithmic choice" of Sec. 4.2): the L^2-hint RNS-decomposition variant
 when the hint is highly reused or L is small, and the O(L)-hint
 raised-modulus variant when hints would dominate traffic.
+
+An operation's lowering depends only on its kind, its level and the
+key-switch variant, so each such *shape* is lowered once per program, into a
+template whose operands are rows of the template itself or slots of an
+externals vector (the operand limbs, then the hint), and every operation of
+that shape is the template with ``base + row`` / ``externals[slot]``
+substituted, appended to the graph's columns.
 """
 
 from __future__ import annotations
@@ -20,11 +27,16 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.core.isa import InstructionGraph, InstrKind, ValueKind
+import numpy as np
+
+from repro.core.isa import (
+    INSTR_KINDS, GraphBuilder, InstrKind, InstructionGraph, ValueKind)
 from repro.dsl.program import HeOp, OpKind, Program
 
-NTT, INTT, MUL = InstrKind.NTT, InstrKind.INTT, InstrKind.MUL
-ADD, SUB, AUT = InstrKind.ADD, InstrKind.SUB, InstrKind.AUT
+NTT, INTT, MUL, ADD, SUB, AUT = map(INSTR_KINDS.index, (
+    InstrKind.NTT, InstrKind.INTT, InstrKind.MUL,
+    InstrKind.ADD, InstrKind.SUB, InstrKind.AUT))
+_NO_OPERAND = np.array([-1])      # slot 0 of every externals vector
 
 
 # ----------------------------------------------------------------- ordering
@@ -106,15 +118,6 @@ class KsChoice:
 
 
 @dataclass
-class CtValues:
-    """Residue-vector value ids of one ciphertext: a/b polys, L limbs each."""
-
-    a: list[int]
-    b: list[int]
-    level: int
-
-
-@dataclass
 class TranslationResult:
     graph: InstructionGraph
     outputs: set[int] = field(default_factory=set)
@@ -123,268 +126,243 @@ class TranslationResult:
     ks_variant_used: dict[int, int] = field(default_factory=dict)  # op -> 1|2
 
 
-class _Translator:
-    """Lowers one program to an InstructionGraph, caching hint values.
+class _Shape:
+    """One lowering being recorded.  An operand is a *reference*: the row of
+    this shape that produces it (>= 0), or ``~slot`` (< 0) for slot ``slot``
+    of the externals vector.  Slot 0 is "no operand", so a unary row's second
+    operand reads -1 here exactly as it does in the graph's ``in1`` column."""
 
-    Each homomorphic op is lowered as a few ``(kind, inputs)`` blocks handed
-    to :meth:`InstructionGraph.emit_many`.  A block's k-th entry produces
-    value ``first + k`` (``first`` = ``graph.next_value_id`` when the block
-    is started), which is how an entry names an earlier one's result.
-    """
+    def __init__(self):
+        self.kind: list[int] = []
+        self.in0: list[int] = []
+        self.in1: list[int] = []
+        self.hint_at: int | None = None   # rows from here on follow the hint
+
+    def emit(self, kind: int, a: int, b: int = -1) -> int:
+        self.kind.append(kind)
+        self.in0.append(a)
+        self.in1.append(b)
+        return len(self.kind) - 1
+
+    def each(self, kind: int, xs: list[int], ys: list[int]) -> list[int]:
+        """One two-operand instruction per limb."""
+        return [self.emit(kind, x, y) for x, y in zip(xs, ys, strict=True)]
+
+    # ----------------------------------------------------------- key switch
+    def key_switch(self, variant: int, x: list[int], hint: list[int]):
+        """KeySwitch(x) -> (u0, u1).  A hint first used here gets its value
+        ids at this point, after the rows emitted so far."""
+        self.hint_at = len(self.kind)
+        if variant == 1:
+            return self._key_switch_v1(x, hint)
+        return self._key_switch_v2(x, hint)
+
+    def _key_switch_v1(self, x: list[int], hint: list[int]):
+        """Listing 1: L INTTs, L(L-1) NTTs, 2L^2 mul, ~2L^2 accumulate adds."""
+        level = len(x)
+        hint0, hint1 = hint[:level * level], hint[level * level:]
+        y = [self.emit(INTT, xi) for xi in x]
+        # ~90% of all instructions come out of this loop: per (i, j) an NTT
+        # of digit i at modulus j (off the diagonal), the two hint products,
+        # and (past the first digit) their accumulation into u0[j], u1[j].
+        u0 = [0] * level
+        u1 = [0] * level
+        for i in range(level):
+            for j in range(level):
+                xqj = x[i] if i == j else self.emit(NTT, y[i])
+                p0 = self.emit(MUL, xqj, hint0[i * level + j])
+                p1 = self.emit(MUL, xqj, hint1[i * level + j])
+                if i:
+                    p0 = self.emit(ADD, u0[j], p0)
+                    p1 = self.emit(ADD, u1[j], p1)
+                u0[j], u1[j] = p0, p1
+        return u0, u1
+
+    def _key_switch_v2(self, x: list[int], hint: list[int]):
+        """Raised-modulus: base-extend to 2L limbs, 1 hint mult, scale down."""
+        level = len(x)
+        # Digits (coefficient domain).
+        y = [self.emit(INTT, xi) for xi in x]
+        # Base extension: each of the L special limbs is a digit-weighted MAC
+        # (L products, L-1 accumulating adds) followed by an NTT.
+        ext = list(x)     # extended basis Q*P with P ~ Q: 2L limbs
+        for _ in range(level):
+            acc = self.emit(MUL, y[0])
+            for yi in y[1:]:
+                acc = self.emit(ADD, acc, self.emit(MUL, yi))
+            ext.append(self.emit(NTT, acc))
+        # Hint multiply over the extended basis.
+        u0_ext = self.each(MUL, ext, hint[:2 * level])
+        u1_ext = self.each(MUL, ext, hint[2 * level:])
+        # Scale down by P: INTT special limbs, reconstruct delta, correct each
+        # remaining limb (NTT(delta), SUB, MUL by P^{-1}).
+        return self._scale_down(u0_ext, level), self._scale_down(u1_ext, level)
+
+    def _scale_down(self, ext: list[int], level: int) -> list[int]:
+        digits = [self.emit(INTT, s) for s in ext[level:]]
+        # delta reconstruction: digit-weighted accumulation (elementwise).
+        acc = digits[0]
+        for digit in digits[1:]:
+            acc = self.emit(ADD, acc, digit)
+        return self.subtract_and_scale(acc, ext[:level])
+
+    def subtract_and_scale(self, coeff: int, limbs: list[int]) -> list[int]:
+        """Per limb j: NTT(coeff) at modulus j, limbs[j] - that, one MUL."""
+        return [self.emit(MUL, self.emit(SUB, limb, self.emit(NTT, coeff)))
+                for limb in limbs]
+
+    # --------------------------------------------------------------- HE ops
+    def lower(self, kind: OpKind, variant: int, operands: list[list[int]]):
+        """Emit one homomorphic op; returns its result's (a, b) limbs."""
+        if kind in (OpKind.ADD, OpKind.SUB):
+            xa, xb, ya, yb = operands
+            ik = ADD if kind is OpKind.ADD else SUB
+            return self.each(ik, xa, ya), self.each(ik, xb, yb)
+        if kind is OpKind.ADD_PLAIN:
+            xa, xb, plain = operands
+            return xa, self.each(ADD, xb, plain)
+        if kind is OpKind.MUL_PLAIN:
+            xa, xb, plain = operands
+            return self.each(MUL, xa, plain), self.each(MUL, xb, plain)
+        if kind is OpKind.MUL:
+            # Tensor (4L mul + L add) + key switch + recombination
+            # (Sec. 2.2.1).
+            xa, xb, ya, yb, hint = operands
+            l2 = self.each(MUL, xa, ya)
+            l1 = [self.emit(ADD, self.emit(MUL, xa[j], yb[j]),
+                            self.emit(MUL, ya[j], xb[j]))
+                  for j in range(len(xa))]
+            l0 = self.each(MUL, xb, yb)
+            u0, u1 = self.key_switch(variant, l2, hint)
+            return self.each(ADD, l1, u1), self.each(ADD, l0, u0)
+        if kind is OpKind.ROTATE:
+            # 2L automorphisms + key switch + L adds (Sec. 2.2.1).
+            xa, xb, hint = operands
+            a_sig = [self.emit(AUT, v) for v in xa]
+            b_sig = [self.emit(AUT, v) for v in xb]
+            u0, u1 = self.key_switch(variant, a_sig, hint)
+            return u1, self.each(ADD, b_sig, u0)
+        if kind is OpKind.MOD_SWITCH:
+            # Per component: INTT last limb, rebuild delta at each remaining
+            # modulus (NTT), subtract and scale (Sec. 2.2.2, RNS form).
+            return tuple(
+                self.subtract_and_scale(self.emit(INTT, src[-1]), src[:-1])
+                for src in operands)
+        raise ValueError(f"unhandled op kind {kind}")
+
+
+class _Template:
+    """A recorded shape as arrays.  ``refs`` holds the rows' first operands,
+    then their second operands, then the result limbs, so one substitution
+    resolves them all."""
+
+    def __init__(self, shape: _Shape, results):
+        self.kind = np.array(shape.kind, np.int8)
+        self.rows = len(shape.kind)
+        self.hint_at = self.rows if shape.hint_at is None else shape.hint_at
+        self.result_cuts = np.cumsum([len(limbs) for limbs in results])[:-1]
+        self.refs = refs = np.array(
+            shape.in0 + shape.in1 + [ref for limbs in results for ref in limbs],
+            np.int64)
+        self.internal = refs >= 0
+        self.slot = np.where(self.internal, 0, ~refs)
+        self.after_hint = np.flatnonzero(refs >= self.hint_at)
+
+
+class _Translator:
+    """Lowers one program to an InstructionGraph, one template per shape and
+    one set of hint values per hint, both alive for this compile only."""
 
     def __init__(self, program: Program, ks_choice: KsChoice):
-        self.program = program
-        self.graph = InstructionGraph(program.n)
+        self.builder = GraphBuilder(program.n)
         self.ks_choice = ks_choice
-        self.ct: dict[int, CtValues] = {}
-        self.plain: dict[int, list[int]] = {}
-        # hint_id -> grids of value ids; generated lazily, shared across ops.
-        self._hints_v1: dict[str, tuple[list[list[int]], list[list[int]]]] = {}
-        self._hints_v2: dict[str, tuple[list[int], list[int]]] = {}
-        self.result = TranslationResult(graph=self.graph)
+        #: op id -> value ids of its result: (a, b) limbs, or (limbs,) of a
+        #: plaintext
+        self.limbs: dict[int, tuple[np.ndarray, ...]] = {}
+        self._hints: dict[str, np.ndarray] = {}    # hint key -> value ids
+        self._templates: dict[tuple, _Template] = {}
+        self.outputs: set[int] = set()
+        self.hint_rvecs: dict[str, int] = {}
+        self.ks_variant_used: dict[int, int] = {}
         self._hint_reuse = defaultdict(int)
         for op in program.ops:
             if op.hint_id:
                 self._hint_reuse[op.hint_id] += 1
 
-    # ------------------------------------------------------------ hint data
-    def hint_v1_values(self, hint_id: str, level: int):
-        grids = self._hints_v1.get(hint_id)
-        if grids is None:
-            g = self.graph
-            hint0 = [[g.new_value(ValueKind.KSH, hint_id=hint_id)
-                      for _ in range(level)] for _ in range(level)]
-            hint1 = [[g.new_value(ValueKind.KSH, hint_id=hint_id)
-                      for _ in range(level)] for _ in range(level)]
-            grids = (hint0, hint1)
-            self._hints_v1[hint_id] = grids
-            self.result.hint_rvecs[hint_id] = 2 * level * level
-        return grids
-
-    def hint_v2_values(self, hint_id: str, level: int):
-        pair = self._hints_v2.get(hint_id)
-        if pair is None:
-            g = self.graph
-            ext = 2 * level  # extended basis Q*P with P ~ Q
-            key = hint_id + ":v2"
-            hint0 = [g.new_value(ValueKind.KSH, hint_id=key) for _ in range(ext)]
-            hint1 = [g.new_value(ValueKind.KSH, hint_id=key) for _ in range(ext)]
-            pair = (hint0, hint1)
-            self._hints_v2[hint_id] = pair
-            self.result.hint_rvecs[key] = 2 * ext
-        return pair
-
-    # ----------------------------------------------------------- key switch
-    def key_switch(self, x: list[int], hint_id: str, he_op: int) -> tuple[list[int], list[int]]:
-        """Lower KeySwitch(x) -> (u0, u1); picks the algorithm per op."""
-        level = len(x)
-        variant = self.ks_choice.pick(level, self._hint_reuse[hint_id])
-        self.result.ks_variant_used[he_op] = variant
-        if variant == 1:
-            return self._key_switch_v1(x, hint_id, he_op)
-        return self._key_switch_v2(x, hint_id, he_op)
-
-    def _key_switch_v1(self, x: list[int], hint_id: str, he_op: int):
-        """Listing 1: L INTTs, L(L-1) NTTs, 2L^2 mul, ~2L^2 accumulate adds."""
-        g = self.graph
-        level = len(x)
-        hint0, hint1 = self.hint_v1_values(hint_id, level)
-        y = g.emit_many([(INTT, (xi,)) for xi in x], he_op)
-        # ~90% of all instructions come out of this loop: per (i, j) an NTT
-        # of digit i at modulus j (off the diagonal), the two hint products,
-        # and (past the first digit) their accumulation into u0[j], u1[j].
-        out = g.next_value_id
-        block = []
-        op = block.append
-        u0 = [0] * level
-        u1 = [0] * level
-        for i in range(level):
-            row0, row1, digit = hint0[i], hint1[i], (y[i],)
-            for j in range(level):
-                if i == j:
-                    xqj = x[i]
-                else:
-                    op((NTT, digit))
-                    xqj = out
-                    out += 1
-                op((MUL, (xqj, row0[j])))
-                op((MUL, (xqj, row1[j])))
-                if i == 0:
-                    u0[j], u1[j] = out, out + 1
-                    out += 2
-                else:
-                    op((ADD, (u0[j], out)))
-                    op((ADD, (u1[j], out + 1)))
-                    u0[j], u1[j] = out + 2, out + 3
-                    out += 4
-        g.emit_many(block, he_op)
-        return u0, u1
-
-    def _key_switch_v2(self, x: list[int], hint_id: str, he_op: int):
-        """Raised-modulus: base-extend to 2L limbs, 1 hint mult, scale down."""
-        g = self.graph
-        level = len(x)
-        hint0, hint1 = self.hint_v2_values(hint_id, level)
-        # Digits (coefficient domain).
-        y = g.emit_many([(INTT, (xi,)) for xi in x], he_op)
-        # Base extension: each of the L special limbs is a digit-weighted MAC
-        # (L products, L-1 accumulating adds) followed by an NTT.
-        ext: list[int] = list(x)
-        out = g.next_value_id
-        block = []
-        for _ in range(level):
-            block.append((MUL, (y[0],)))
-            acc = out
-            out += 1
-            for i in range(1, level):
-                block += [(MUL, (y[i],)), (ADD, (acc, out))]
-                acc = out + 1
-                out += 2
-            block.append((NTT, (acc,)))
-            ext.append(out)
-            out += 1
-        g.emit_many(block, he_op)
-        # Hint multiply over the extended basis.
-        u0_ext = g.emit_many([(MUL, pair) for pair in zip(ext, hint0)], he_op)
-        u1_ext = g.emit_many([(MUL, pair) for pair in zip(ext, hint1)], he_op)
-        # Scale down by P: INTT special limbs, reconstruct delta, correct each
-        # remaining limb (NTT(delta), SUB, MUL by P^{-1}).
-        u0 = self._scale_down(u0_ext, level, he_op)
-        u1 = self._scale_down(u1_ext, level, he_op)
-        return u0, u1
-
-    def _scale_down(self, ext: range, level: int, he_op: int) -> list[int]:
-        g = self.graph
-        digits = g.emit_many([(INTT, (s,)) for s in ext[level:]], he_op)
-        # delta reconstruction: digit-weighted accumulation (elementwise).
-        acc = digits[0]
-        if level > 1:
-            out = g.next_value_id
-            block = [(ADD, (acc, digits[1]))]
-            block += [(ADD, (out + k - 2, digits[k])) for k in range(2, level)]
-            acc = g.emit_many(block, he_op)[-1]
-        return self._subtract_and_scale(acc, ext[:level], he_op)
-
-    def _subtract_and_scale(self, coeff: int, limbs, he_op: int) -> list[int]:
-        """Per limb j: NTT(coeff) at modulus j, limbs[j] - that, one MUL."""
-        out = self.graph.next_value_id
-        block = []
-        for k, limb in enumerate(limbs):
-            delta = out + 3 * k
-            block += [(NTT, (coeff,)), (SUB, (limb, delta)), (MUL, (delta + 1,))]
-        return list(self.graph.emit_many(block, he_op)[2::3])
-
-    # ------------------------------------------------------------- HE ops
     def translate_op(self, op: HeOp) -> None:
-        kind = op.kind
-        g = self.graph
+        kind, level, builder = op.kind, op.level, self.builder
         if kind is OpKind.INPUT:
-            self.ct[op.op_id] = CtValues(
-                a=[g.new_value(ValueKind.INPUT) for _ in range(op.level)],
-                b=[g.new_value(ValueKind.INPUT) for _ in range(op.level)],
-                level=op.level,
-            )
-            return
-        if kind is OpKind.INPUT_PLAIN:
-            self.plain[op.op_id] = [
-                g.new_value(ValueKind.PLAIN) for _ in range(op.level)
-            ]
-            return
-        if kind in (OpKind.ADD, OpKind.SUB):
-            x, y = (self.ct[a] for a in op.args)
-            ik = ADD if kind is OpKind.ADD else SUB
-            self.ct[op.op_id] = CtValues(
-                a=self._elementwise(ik, x.a, y.a, op),
-                b=self._elementwise(ik, x.b, y.b, op),
-                level=op.level,
-            )
-            return
-        if kind is OpKind.ADD_PLAIN:
-            x = self.ct[op.args[0]]
-            p = self.plain[op.args[1]]
-            self.ct[op.op_id] = CtValues(
-                a=list(x.a), b=self._elementwise(ADD, x.b, p, op),
-                level=op.level,
-            )
-            return
-        if kind is OpKind.MUL_PLAIN:
-            x = self.ct[op.args[0]]
-            p = self.plain[op.args[1]]
-            self.ct[op.op_id] = CtValues(
-                a=self._elementwise(MUL, x.a, p, op),
-                b=self._elementwise(MUL, x.b, p, op),
-                level=op.level,
-            )
-            return
-        if kind is OpKind.MUL:
-            self._translate_mul(op)
-            return
-        if kind is OpKind.ROTATE:
-            self._translate_rotate(op)
-            return
-        if kind is OpKind.MOD_SWITCH:
-            self._translate_mod_switch(op)
-            return
-        if kind is OpKind.OUTPUT:
-            ct = self.ct[op.args[0]]
-            self.ct[op.op_id] = ct
-            self.result.outputs.update(ct.a)
-            self.result.outputs.update(ct.b)
-            return
-        raise ValueError(f"unhandled op kind {kind}")
+            self.limbs[op.op_id] = (builder.new_values(ValueKind.INPUT, level),
+                                    builder.new_values(ValueKind.INPUT, level))
+        elif kind is OpKind.INPUT_PLAIN:
+            self.limbs[op.op_id] = (builder.new_values(ValueKind.PLAIN, level),)
+        elif kind is OpKind.OUTPUT:
+            self.limbs[op.op_id] = self.limbs[op.args[0]]
+            for limbs in self.limbs[op.op_id]:
+                self.outputs.update(limbs.tolist())
+        else:
+            self.limbs[op.op_id] = self._instantiate(op)
 
-    def _elementwise(self, kind: InstrKind, xs, ys, op: HeOp) -> list[int]:
-        """One two-operand instruction per limb of the op's level."""
-        level = op.level
-        return list(self.graph.emit_many(
-            [(kind, pair) for pair in zip(xs[:level], ys[:level], strict=True)],
-            op.op_id))
+    def _template(self, kind: OpKind, level: int, variant: int,
+                  sizes: list[int]) -> _Template:
+        """The shape's template, recorded on first use against symbolic
+        operands: ``sizes[k]`` consecutive external slots each, from slot 1,
+        in the order :meth:`_instantiate` concatenates the real ones."""
+        key = (kind, level, variant)
+        template = self._templates.get(key)
+        if template is None:
+            slots = iter(range(1, 1 + sum(sizes)))
+            shape = _Shape()
+            results = shape.lower(kind, variant, [
+                [~next(slots) for _ in range(size)] for size in sizes])
+            template = self._templates[key] = _Template(shape, results)
+        return template
 
-    def _translate_mul(self, op: HeOp) -> None:
-        """Tensor (4L mul + L add) + key switch + recombination (Sec. 2.2.1)."""
-        g = self.graph
-        x, y = (self.ct[a] for a in op.args)
-        level = op.level
-        l2 = self._elementwise(MUL, x.a, y.a, op)
-        out = g.next_value_id
-        block = []
-        for j in range(level):
-            t0 = out + 3 * j
-            block += [(MUL, (x.a[j], y.b[j])), (MUL, (y.a[j], x.b[j])),
-                      (ADD, (t0, t0 + 1))]
-        l1 = g.emit_many(block, op.op_id)[2::3]
-        l0 = self._elementwise(MUL, x.b, y.b, op)
-        u0, u1 = self.key_switch(l2, op.hint_id, op.op_id)
-        self.ct[op.op_id] = CtValues(
-            a=self._elementwise(ADD, l1, u1, op),
-            b=self._elementwise(ADD, l0, u0, op),
-            level=level,
-        )
+    def _instantiate(self, op: HeOp) -> tuple[np.ndarray, ...]:
+        level, builder = op.level, self.builder
+        # A mod switch reads the limb it drops; everything else reads the
+        # op's level of each operand polynomial.
+        reads = level + (op.kind is OpKind.MOD_SWITCH)
+        operands = [limbs[:reads] for arg in op.args for limbs in self.limbs[arg]]
+        if any(len(limbs) != reads for limbs in operands):
+            raise ValueError(f"op {op.op_id}: an operand has under {reads} limbs")
+        sizes = [reads] * len(operands)
+        variant, hint_key = 0, None
+        if op.hint_id:
+            variant = self.ks_choice.pick(level, self._hint_reuse[op.hint_id])
+            self.ks_variant_used[op.op_id] = variant
+            # v1: two L x L grids; v2: two rows over the 2L-limb basis Q*P.
+            hint_key, hint_rvecs = (
+                (op.hint_id, 2 * level * level) if variant == 1
+                else (op.hint_id + ":v2", 4 * level))
+            sizes.append(hint_rvecs)
+        template = self._template(op.kind, level, variant, sizes)
 
-    def _translate_rotate(self, op: HeOp) -> None:
-        """2L automorphisms + key switch + L adds (Sec. 2.2.1)."""
-        g = self.graph
-        x = self.ct[op.args[0]]
-        level = op.level
-        k = op.rotate_steps
-        a_sig = list(g.emit_many([(AUT, (v,)) for v in x.a[:level]], op.op_id, k))
-        b_sig = g.emit_many([(AUT, (v,)) for v in x.b[:level]], op.op_id, k)
-        u0, u1 = self.key_switch(a_sig, op.hint_id, op.op_id)
-        self.ct[op.op_id] = CtValues(
-            a=list(u1), b=self._elementwise(ADD, b_sig, u0, op), level=level,
-        )
-
-    def _translate_mod_switch(self, op: HeOp) -> None:
-        """Per component: INTT last limb, rebuild delta at each remaining
-        modulus (NTT), subtract and scale (Sec. 2.2.2, RNS form)."""
-        x = self.ct[op.args[0]]
-        new_level = op.level  # already level-1
-        halves = []
-        for src in (x.a, x.b):
-            last_coeff = self.graph.emit(INTT, (src[new_level],), he_op=op.op_id)
-            halves.append(
-                self._subtract_and_scale(last_coeff, src[:new_level], op.op_id))
-        self.ct[op.op_id] = CtValues(a=halves[0], b=halves[1], level=new_level)
+        base, cut = builder.num_values, template.hint_at
+        new_hint = hint_key is not None and hint_key not in self._hints
+        if new_hint:
+            # Its values are created once the rows before the key switch are
+            # in, so these are the ids they will get.
+            self._hints[hint_key] = np.arange(base + cut, base + cut + hint_rvecs)
+            self.hint_rvecs[hint_key] = hint_rvecs
+        if hint_key:
+            operands.append(self._hints[hint_key])
+        externals = np.concatenate([_NO_OPERAND, *operands])
+        ids = np.where(template.internal, template.refs + base,
+                       externals[template.slot])
+        if new_hint:
+            ids[template.after_hint] += hint_rvecs
+        rows = template.rows
+        kinds, in0, in1 = template.kind, ids[:rows], ids[rows:2 * rows]
+        builder.append(kinds[:cut], in0[:cut], in1[:cut], op.op_id,
+                       op.rotate_steps)
+        if new_hint:
+            created = builder.new_values(ValueKind.KSH, hint_rvecs,
+                                         hint_id=hint_key)
+            assert created[0] == base + cut
+        builder.append(kinds[cut:], in0[cut:], in1[cut:], op.op_id,
+                       op.rotate_steps)
+        return tuple(np.split(ids[2 * rows:], template.result_cuts))
 
 
 def compile_to_instructions(
@@ -397,6 +375,9 @@ def compile_to_instructions(
     order = order_he_ops(program, capacity_rvecs=capacity_rvecs)
     for op_id in order:
         translator.translate_op(program.ops[op_id])
-    translator.result.he_order = order
-    translator.graph.validate()
-    return translator.result
+    graph = translator.builder.build()
+    graph.validate()
+    return TranslationResult(
+        graph=graph, outputs=translator.outputs, he_order=order,
+        hint_rvecs=translator.hint_rvecs,
+        ks_variant_used=translator.ks_variant_used)

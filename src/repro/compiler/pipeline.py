@@ -53,7 +53,7 @@ class CompiledProgram:
         return {
             "program": self.program.name,
             "n": self.program.n,
-            "instructions": len(self.translation.graph.instructions),
+            "instructions": len(self.translation.graph.kind),
             "makespan_cycles": self.makespan,
             "time_ms": round(self.time_ms, 4),
             "offchip_bytes": sum(self.traffic_breakdown_bytes().values()),

@@ -7,12 +7,47 @@ compiler schedules ("our scratchpad stores at least 1024 residue vectors").
 Values carry a *kind* so the data-movement scheduler can classify traffic the
 way Fig. 9a does: key-switch hints (KSH), program inputs, plaintext operands,
 and intermediates (which spill/fill).
+
+**Storage is columns.**  An :class:`InstructionGraph` holds one numpy array
+per field and nothing per instruction or value:
+
+===================  =====  ==================================================
+per instruction      dtype
+===================  =====  ==================================================
+``kind``             int8   index into :data:`INSTR_KINDS`
+``in0``, ``in1``     int32  operand value ids; ``in1 = -1`` for a unary op
+``out``              int32  produced value id
+``he_op``            int32  originating homomorphic op (``-1`` = none)
+``rotate_exponent``  int32  for AUT, else 0
+===================  =====  ==================================================
+
+===================  =====  ==================================================
+per value            dtype
+===================  =====  ==================================================
+``value_kind``       int8   index into :data:`VALUE_KINDS`
+``producer``         int32  instruction id; ``-1`` = off-chip master copy
+``hint``             int32  index into ``hints`` (the interned hint ids);
+                            ``-1`` = not a key-switch hint
+``user_ptr``         int32  CSR offsets, ``len(values) + 1`` of them
+===================  =====  ==================================================
+
+``users[user_ptr[v]:user_ptr[v + 1]]`` are the instructions reading value
+``v``, ascending (an instruction reading ``v`` twice is listed twice).  An
+instruction's id is its row, and also its phase-1 priority (the global issue
+order).  A compiler pass walks columns with ``zip`` over their buffers
+(gathered into its visit order by numpy first) and ``.tolist()``s only a table
+it indexes at random, so none of them holds an object per instruction;
+``Value`` and ``Instruction`` exist only as the records ``graph.values[i]`` /
+``graph.instructions[i]`` build on demand, from Python scalars.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 #: instruction mnemonic -> functional-unit family executing it
 _FU_FAMILY = {"ntt": "ntt", "intt": "ntt", "mul": "mul",
@@ -28,8 +63,7 @@ class InstrKind(enum.Enum):
     AUT = "aut"
 
     def __init__(self, mnemonic: str):
-        #: functional-unit family executing this instruction (a plain member
-        #: attribute: the schedulers read it once per instruction)
+        #: functional-unit family executing this instruction
         self.fu: str = _FU_FAMILY[mnemonic]
 
 
@@ -41,118 +75,226 @@ class ValueKind(enum.Enum):
     OUTPUT = "output"
 
 
-@dataclass(slots=True)
-class Value:
+#: column code -> kind: a kind's code is its position here
+INSTR_KINDS = tuple(InstrKind)
+VALUE_KINDS = tuple(ValueKind)
+_INTERMEDIATE = VALUE_KINDS.index(ValueKind.INTERMEDIATE)
+_AUT = INSTR_KINDS.index(InstrKind.AUT)
+
+
+class Value(NamedTuple):
     """One residue vector flowing through the instruction DFG."""
 
     value_id: int
     kind: ValueKind
-    producer: int | None = None          # instruction id, None for off-chip
-    users: list[int] = field(default_factory=list)   # ascending instr ids
-    hint_id: str | None = None           # for KSH values: which hint
-
-    @property
-    def off_chip_master(self) -> bool:
-        """True if the value originates off-chip (loads of it are clean)."""
-        return self.kind in (ValueKind.INPUT, ValueKind.KSH, ValueKind.PLAIN)
+    producer: int | None             # instruction id, None for off-chip
+    users: tuple[int, ...]           # ascending instr ids
+    hint_id: str | None              # for KSH values: which hint
 
 
-@dataclass(slots=True)
-class Instruction:
-    """One vector operation over ``graph.n``-element residue vectors;
-    ``instr_id`` is also its phase-1 priority (the global issue order)."""
+class Instruction(NamedTuple):
+    """One vector operation over ``graph.n``-element residue vectors."""
 
     instr_id: int
     kind: InstrKind
     inputs: tuple[int, ...]
     output: int
-    he_op: int = -1                      # originating homomorphic op
-    rotate_exponent: int = 0             # for AUT
+    he_op: int                       # originating homomorphic op
+    rotate_exponent: int             # for AUT
+
+
+class RecordView(Sequence):
+    """Read-only sequence over parallel columns: row ``i`` is
+    ``record(i, *cells)``, the cells as Python scalars, built on each access."""
+
+    __slots__ = ("_columns", "_record")
+
+    def __init__(self, columns: tuple[np.ndarray, ...], record: Callable):
+        self._columns = columns
+        self._record = record
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def _rows(self, lo: int, hi: int) -> Iterator:
+        cells = zip(*(column[lo:hi].tolist() for column in self._columns))
+        return (self._record(row, *at) for row, at in enumerate(cells, lo))
+
+    def __iter__(self) -> Iterator:
+        return self._rows(0, len(self))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row = range(len(self))[index]         # negative / out-of-range rule
+        return next(self._rows(row, row + 1))
 
 
 class InstructionGraph:
-    """Instruction-level dataflow graph (the output of compiler phase 1)."""
+    """Instruction-level dataflow graph (the output of compiler phase 1):
+    the columns of the module docstring, plus the CSR user index built here
+    by one stable sort of the two operand columns."""
 
-    def __init__(self, n: int):
+    COLUMNS = ("kind", "in0", "in1", "out", "he_op", "rotate_exponent",
+               "value_kind", "producer", "hint", "user_ptr", "users")
+
+    def __init__(self, n: int, *, kind, in0, in1, out, he_op, rotate_exponent,
+                 value_kind, producer, hint, hints: list[str]):
         self.n = n
-        self.instructions: list[Instruction] = []
-        self.values: list[Value] = []
+        self.kind, self.in0, self.in1, self.out = kind, in0, in1, out
+        self.he_op, self.rotate_exponent = he_op, rotate_exponent
+        self.value_kind, self.producer = value_kind, producer
+        self.hint, self.hints = hint, hints
+        # Operands in (instruction, slot) order; a stable sort by value id
+        # then leaves each value's readers in ascending instruction order.
+        operands = np.stack((in0, in1), axis=1).ravel()
+        slots = np.flatnonzero(operands >= 0)
+        read = operands[slots]
+        self.users = (slots[np.argsort(read, kind="stable")] >> 1).astype(np.int32)
+        self.user_ptr = np.zeros(len(value_kind) + 1, np.int32)
+        np.cumsum(np.bincount(read, minlength=len(value_kind)),
+                  out=self.user_ptr[1:])
 
-    # ------------------------------------------------------------- building
-    def new_value(self, kind: ValueKind, *, hint_id: str | None = None) -> int:
-        """Append an off-chip value (input, plaintext or hint RVec)."""
-        vid = len(self.values)
-        self.values.append(Value(vid, kind, None, [], hint_id))
-        return vid
+    # -------------------------------------------------------------- views
+    @property
+    def instructions(self) -> RecordView:
+        return RecordView((self.kind, self.in0, self.in1, self.out, self.he_op,
+                           self.rotate_exponent), self._instruction)
 
     @property
-    def next_value_id(self) -> int:
-        """The id the next appended value gets (see :meth:`emit_many`)."""
-        return len(self.values)
+    def values(self) -> RecordView:
+        return RecordView((self.value_kind, self.producer, self.hint,
+                           self.user_ptr[:-1], self.user_ptr[1:]), self._value)
 
-    def emit_many(self, ops, he_op: int = -1, rotate_exponent: int = 0) -> range:
-        """Append a block of ``(kind, inputs)`` instructions, in order.
+    @staticmethod
+    def _instruction(instr_id, kind, a, b, out, he_op, exponent) -> Instruction:
+        return Instruction(instr_id, INSTR_KINDS[kind],
+                           (a,) if b < 0 else (a, b), out, he_op, exponent)
 
-        Returns the produced value ids.  They are consecutive from
-        :attr:`next_value_id`, so an entry may name the output of an earlier
-        entry of the same block as ``next_value_id + k``.
-        """
-        instructions, values = self.instructions, self.values
-        instr_id = len(instructions)
-        first = out = len(values)
-        intermediate = ValueKind.INTERMEDIATE
-        for kind, inputs in ops:
-            values.append(Value(out, intermediate, instr_id, [], None))
-            for vid in inputs:
-                values[vid].users.append(instr_id)
-            instructions.append(
-                Instruction(instr_id, kind, inputs, out, he_op, rotate_exponent))
-            instr_id += 1
-            out += 1
-        return range(first, out)
-
-    def emit(self, kind: InstrKind, inputs: tuple[int, ...], *,
-             he_op: int = -1, rotate_exponent: int = 0) -> int:
-        """Append one instruction; returns the produced value id."""
-        return self.emit_many(((kind, inputs),), he_op, rotate_exponent)[0]
+    def _value(self, value_id, kind, producer, hint, first, end) -> Value:
+        return Value(value_id, VALUE_KINDS[kind],
+                     None if producer < 0 else producer,
+                     tuple(self.users[first:end].tolist()),
+                     None if hint < 0 else self.hints[hint])
 
     # ------------------------------------------------------------ queries
     def stats(self) -> dict:
-        by_kind: dict[str, int] = {}
-        for ins in self.instructions:
-            by_kind[ins.kind.value] = by_kind.get(ins.kind.value, 0) + 1
-        by_value: dict[str, int] = {}
-        for v in self.values:
-            by_value[v.kind.value] = by_value.get(v.kind.value, 0) + 1
+        def histogram(codes: np.ndarray, kinds: tuple) -> dict[str, int]:
+            counts = np.bincount(codes, minlength=len(kinds)).tolist()
+            return {kind.value: count
+                    for kind, count in zip(kinds, counts) if count}
+
         return {
-            "instructions": len(self.instructions),
-            "values": len(self.values),
-            "by_kind": by_kind,
-            "by_value_kind": by_value,
+            "instructions": len(self.kind),
+            "values": len(self.value_kind),
+            "by_kind": histogram(self.kind, INSTR_KINDS),
+            "by_value_kind": histogram(self.value_kind, VALUE_KINDS),
         }
 
     def validate(self) -> None:
-        """Structural invariants: SSA, topological order, user lists correct.
+        """Structural invariants: SSA, topological order, user index correct."""
+        ids = np.arange(len(self.kind))
+        for column, least in ((self.in0, 0), (self.in1, -1), (self.out, 0)):
+            if len(ids) and not (least <= column.min()
+                                 and column.max() < len(self.value_kind)):
+                raise ValueError("an instruction names a value that does "
+                                 "not exist")
+        if (np.count_nonzero(self.producer >= 0) != len(ids)
+                or not np.array_equal(self.producer[self.out], ids)):
+            raise ValueError("an instruction's output is mislinked")
+        binary = self.in1 >= 0
+        late = (self.producer[self.in0] >= ids) \
+            | (binary & (self.producer[self.in1] >= ids))
+        if late.any():
+            raise ValueError(f"instr {np.flatnonzero(late)[0]} uses a value "
+                             "produced later")
+        # The index lists each operand once: as many entries as operands,
+        # every (value, reader) entry is an operand of the reader, and a
+        # value's readers ascend, repeating only where both slots read it.
+        readers = self.users
+        value = np.repeat(np.arange(len(self.value_kind)),
+                          np.diff(self.user_ptr))
+        same_value = value[1:] == value[:-1]
+        step = np.diff(readers)[same_value]
+        both = (self.in0 == self.in1)[readers[1:][same_value]]
+        if (len(readers) != len(ids) + np.count_nonzero(binary)
+                or len(value) != len(readers)
+                or np.any((self.in0[readers] != value)
+                          & (self.in1[readers] != value))
+                or np.any((step < 0) | ((step == 0) & ~both))):
+            raise ValueError("user index is stale")
 
-        User lists are in ascending instruction order, so one cursor per
-        value walks them in step with the instruction list.
-        """
-        values = self.values
-        cursor = [0] * len(values)
-        for ins in self.instructions:
-            instr_id = ins.instr_id
-            for vid in ins.inputs:
-                v = values[vid]
-                if v.producer is not None and v.producer >= instr_id:
-                    raise ValueError(
-                        f"instr {instr_id} uses value {vid} produced later"
-                    )
-                at = cursor[vid]
-                if at == len(v.users) or v.users[at] != instr_id:
-                    raise ValueError(f"user list of value {vid} is stale")
-                cursor[vid] = at + 1
-            if values[ins.output].producer != instr_id:
-                raise ValueError(f"output of instr {instr_id} mislinked")
-        for v, at in zip(values, cursor):
-            if at != len(v.users):
-                raise ValueError(f"user list of value {v.value_id} is stale")
+
+class GraphBuilder:
+    """Accumulates an :class:`InstructionGraph` block by block.
+
+    Value ids are handed out in call order, one per off-chip value and one
+    per instruction output, so a block's k-th instruction produces value
+    ``num_values + k`` (as read before the block is appended).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.num_values = 0
+        self.num_instructions = 0
+        self.hints: list[str] = []
+        # Per block: the three per-instruction arrays, and what is constant
+        # over the block.
+        self._kind: list[np.ndarray] = []
+        self._in0: list[np.ndarray] = []
+        self._in1: list[np.ndarray] = []
+        self._out: list[np.ndarray] = []
+        self._constants: list[tuple] = []   # (length, he_op, exponent)
+        self._off_chip: list[tuple] = []    # (first id, count, kind, hint)
+
+    def new_values(self, kind: ValueKind, count: int, *,
+                   hint_id: str | None = None) -> np.ndarray:
+        """Append ``count`` off-chip values (inputs, plaintexts or the RVecs
+        of one hint); returns their ids."""
+        hint = -1
+        if hint_id is not None:
+            hint = len(self.hints)
+            self.hints.append(hint_id)
+        first = self.num_values
+        self._off_chip.append((first, count, VALUE_KINDS.index(kind), hint))
+        self.num_values += count
+        return np.arange(first, first + count)
+
+    def append(self, kind: np.ndarray, in0: np.ndarray, in1: np.ndarray,
+               he_op: int, rotate_exponent: int = 0) -> None:
+        """Append a block of instructions whose operands are value ids;
+        ``rotate_exponent`` is that of the block's AUT instructions."""
+        if not len(kind):
+            return
+        self._kind.append(kind)
+        self._in0.append(in0)
+        self._in1.append(in1)
+        self._out.append(
+            np.arange(self.num_values, self.num_values + len(kind)))
+        self._constants.append((len(kind), he_op, rotate_exponent))
+        self.num_values += len(kind)
+        self.num_instructions += len(kind)
+
+    def build(self) -> InstructionGraph:
+        def column(blocks: list[np.ndarray], dtype) -> np.ndarray:
+            return np.concatenate([np.zeros(0, dtype), *blocks], dtype=dtype,
+                                  casting="same_kind")
+
+        kind, out = column(self._kind, np.int8), column(self._out, np.int32)
+        lengths, he_op, exponent = np.array(
+            self._constants, np.int32).reshape(-1, 3).T
+        value_kind = np.full(self.num_values, _INTERMEDIATE, np.int8)
+        hint = np.full(self.num_values, -1, np.int32)
+        producer = np.full(self.num_values, -1, np.int32)
+        producer[out] = np.arange(self.num_instructions, dtype=np.int32)
+        for first, count, code, hint_code in self._off_chip:
+            value_kind[first:first + count] = code
+            hint[first:first + count] = hint_code
+        return InstructionGraph(
+            self.n, kind=kind, in0=column(self._in0, np.int32),
+            in1=column(self._in1, np.int32), out=out,
+            he_op=np.repeat(he_op, lengths),
+            rotate_exponent=np.repeat(exponent, lengths) * (kind == _AUT),
+            value_kind=value_kind, producer=producer, hint=hint,
+            hints=self.hints,
+        )

@@ -22,21 +22,26 @@ Checks performed, independently of the scheduler's own bookkeeping:
    must not overlap).
 4. **Scratchpad capacity**: replaying the phase-2 event list never exceeds
    the slot count, and no value is used while not resident (clobber check).
+5. **Stores**: the k-th store event of a value is timed by that value's k-th
+   store transfer, exactly as loads are; a store starts no earlier than the
+   value is available (it writes back what the scratchpad holds), and a
+   refill of an instruction's result starts no earlier than the end of the
+   store that wrote the copy it reads.
 
-Checks 2 and 3 are comparisons over columns extracted once from the record
-lists; checks 1 and 4 share one replay of the event list.
+Checks 2 and 3 are comparisons over the schedule's columns as they are;
+checks 1, 4 and 5 share one replay of the event columns.  The checker reads
+the three artifacts (graph, event list, schedule) and nothing else.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
-from repro.compiler.cycle_scheduler import FU_FAMILIES, CycleSchedule
-from repro.compiler.data_scheduler import INFINITY, DataMovementSchedule
+from repro.compiler.cycle_scheduler import CycleSchedule
+from repro.compiler.data_scheduler import (
+    EVENT_KINDS, EVICT, EXEC, LOAD, STORE, DataMovementSchedule)
 from repro.core.config import F1Config
 from repro.core.isa import InstructionGraph
 
@@ -65,37 +70,27 @@ def check_schedule(
     config = config or schedule.config
     violations: list[str] = []
     peak = _replay_events(graph, movement, schedule, violations)
-    _check_structural_hazards(schedule.instrs, violations)
-    _check_hbm_serialization(
-        schedule.transfers, config.hbm_latency_cycles, violations)
+    _check_structural_hazards(schedule, violations)
+    _check_hbm_serialization(schedule, config.hbm_latency_cycles, violations)
     return CheckReport(
         ok=not violations,
         violations=violations,
-        instructions_checked=len(schedule.instrs),
-        transfers_checked=len(schedule.transfers),
+        instructions_checked=len(schedule.instr_id),
+        transfers_checked=len(schedule.transfer_kind),
         peak_resident_rvecs=peak,
     )
 
 
-def _column(records, name: str, dtype=np.float64) -> np.ndarray:
-    return np.fromiter(map(attrgetter(name), records), dtype, len(records))
-
-
-def _check_structural_hazards(instrs, violations: list[str]) -> None:
+def _check_structural_hazards(schedule: CycleSchedule,
+                              violations: list[str]) -> None:
     """Check 2: on each unit, consecutive issues are an occupancy apart."""
-    if len(instrs) < 2:
-        return
-    start = _column(instrs, "start")
-    busy_until = start + _column(instrs, "occupancy")
-    family = {fu: code for code, fu in enumerate(FU_FAMILIES)}
-    fu = np.fromiter((family.get(s.fu, -1) for s in instrs), np.int64, len(instrs))
-    cluster = _column(instrs, "cluster", np.int64)
-    unit = _column(instrs, "unit", np.int64)
+    start, fu, unit = schedule.start, schedule.fu, schedule.unit_index
+    busy_until = start + schedule.occupancy()
     # Stable: issues of one unit at the same cycle stay in schedule order.
-    by_unit = np.lexsort((start, unit, cluster, fu))
+    by_unit = np.lexsort((start, unit, fu))
     prev, cur = by_unit[:-1], by_unit[1:]
-    same_unit = ((fu[prev] == fu[cur]) & (cluster[prev] == cluster[cur])
-                 & (unit[prev] == unit[cur]))
+    same_unit = (fu[prev] == fu[cur]) & (unit[prev] == unit[cur])
+    instrs = schedule.instrs
     for at in np.flatnonzero(same_unit & (start[cur] < busy_until[prev])):
         p, c = instrs[prev[at]], instrs[cur[at]]
         violations.append(
@@ -105,7 +100,7 @@ def _check_structural_hazards(instrs, violations: list[str]) -> None:
         )
 
 
-def _check_hbm_serialization(transfers, hbm_latency: int,
+def _check_hbm_serialization(schedule: CycleSchedule, hbm_latency: int,
                              violations: list[str]) -> None:
     """Check 3: transfers do not overlap on the aggregate channel.
 
@@ -114,12 +109,9 @@ def _check_hbm_serialization(transfers, hbm_latency: int,
     recorded end additionally includes the fixed HBM access latency, which
     does not occupy the channel; subtract it to recover the occupancy end.
     """
-    if len(transfers) < 2:
-        return
-    start = _column(transfers, "start")
-    is_load = np.fromiter((tr.kind == "load" for tr in transfers), bool,
-                          len(transfers))
-    channel_free = _column(transfers, "end") - hbm_latency * is_load
+    start = schedule.transfer_start
+    channel_free = (schedule.transfer_end
+                    - hbm_latency * (schedule.transfer_kind == LOAD))
     in_time = np.lexsort((channel_free, start))
     start, channel_free = start[in_time], channel_free[in_time]
     for at in np.flatnonzero(start[1:] + 1e-6 < channel_free[:-1]):
@@ -129,39 +121,82 @@ def _check_hbm_serialization(transfers, hbm_latency: int,
         )
 
 
+def _transfer_of_event(movement: DataMovementSchedule, schedule: CycleSchedule,
+                       kind: int, violations: list[str]) -> np.ndarray:
+    """Per event, the row of the transfer that times it, or -1: the k-th
+    ``kind`` event of a value takes that value's k-th ``kind`` transfer.
+    Transfers left without an event are reported here."""
+    events = np.flatnonzero(movement.kind == kind)
+    transfers = np.flatnonzero(schedule.transfer_kind == kind)
+    # Group both sides by value, each group in its own order, and pair the
+    # groups' members by rank.
+    events = events[np.argsort(movement.target[events], kind="stable")]
+    transfers = transfers[
+        np.argsort(schedule.transfer_value[transfers], kind="stable")]
+    value = movement.target[events]
+    num_values = 1 + max(value.max(initial=-1),
+                         schedule.transfer_value[transfers].max(initial=-1))
+    want = np.bincount(value, minlength=num_values)
+    have = np.bincount(schedule.transfer_value[transfers], minlength=num_values)
+    rank = np.arange(len(events)) - (np.cumsum(want) - want)[value]
+    timed = rank < have[value]
+    rows = np.full(len(movement.kind), -1, np.int64)
+    rows[events[timed]] = transfers[((np.cumsum(have) - have)[value] + rank)[timed]]
+    for vid in np.flatnonzero(have > want).tolist():
+        violations.append(
+            f"value {vid}: {have[vid] - want[vid]} {EVENT_KINDS[kind]} "
+            f"transfer(s) without a {EVENT_KINDS[kind]} event")
+    return rows
+
+
 def _replay_events(graph: InstructionGraph, movement: DataMovementSchedule,
                    schedule: CycleSchedule, violations: list[str]) -> int:
-    """Checks 1 and 4: replay the phase-2 event list against the cycle
+    """Checks 1, 4 and 5: replay the phase-2 event list against the cycle
     schedule's times; returns the peak number of resident residue vectors."""
-    instructions, values = graph.instructions, graph.values
-    scheduled: list = [None] * len(instructions)
-    for s in schedule.instrs:
-        scheduled[s.instr_id] = s
-    # Per value, its load completions in transfer order: the k-th load event
-    # of a value takes the k-th.
-    load_ends: dict[int, deque[float]] = {}
-    for tr in schedule.transfers:
-        if tr.kind == "load":
-            load_ends.setdefault(tr.value_id, deque()).append(tr.end)
-    available: list = [None] * len(values)   # latest load/produce completion
-    users_left = [len(v.users) for v in values]
+    num_values = len(graph.value_kind)
+    # Per event, the window the schedule gives it: an exec's issue (start,
+    # result), a load's or store's transfer; NaN where it gives none.
+    start = np.full(len(movement.kind), np.nan)
+    end = np.full(len(movement.kind), np.nan)
+
+    def timed_by(row: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
+        at = np.flatnonzero(row >= 0)
+        start[at], end[at] = starts[row[at]], ends[row[at]]
+
+    is_exec = movement.kind == EXEC
+    issue_of = np.full(len(graph.kind), -1, np.int64)
+    issue_of[schedule.instr_id] = np.arange(len(schedule.instr_id))
+    row = np.full(len(movement.kind), -1, np.int64)
+    row[is_exec] = issue_of[movement.target[is_exec]]
+    timed_by(row, schedule.start, schedule.end)
+    for kind in (LOAD, STORE):
+        timed_by(_transfer_of_event(movement, schedule, kind, violations),
+                 schedule.transfer_start, schedule.transfer_end)
+    # ... and, for the exec events (row 0 stands in elsewhere and is not
+    # read), the instruction's operands and result.
+    instr = np.where(is_exec, movement.target, 0)
+    columns = (movement.kind, movement.target, start, end,
+               graph.in0[instr], graph.in1[instr], graph.out[instr])
+    produced = (graph.producer >= 0).tolist()
+    available: list = [None] * num_values   # latest load/produce completion
+    stored: list = [None] * num_values      # end of the latest store
+    users_left = np.diff(graph.user_ptr).tolist()
     outputs, capacity = movement.outputs, movement.capacity_rvecs
     resident: set[int] = set()
     peak = issued = 0
 
-    for event in movement.events:
-        kind, target = event.kind, event.target
-        if kind == "exec":
-            instr = instructions[target]
-            timing = scheduled[target]
-            if timing is None:
-                violations.append(f"instr {target} is issued but never scheduled")
-                start = INFINITY       # no start to hold its operands to
-            else:
+    for kind, target, start, end, a, b, output in zip(
+            *(column.data for column in columns)):
+        if kind == EXEC:
+            if start == start:
                 issued += 1
-                start = timing.start
-                available[instr.output] = timing.end
-            for vid in instr.inputs:
+                available[output] = end
+            else:
+                violations.append(f"instr {target} is issued but never scheduled")
+                start = float("inf")   # no start to hold its operands to
+            for vid in (a, b):
+                if vid < 0:
+                    continue
                 if vid not in resident:
                     violations.append(
                         f"clobber: instr {target} reads non-resident {vid}"
@@ -179,18 +214,36 @@ def _replay_events(graph: InstructionGraph, movement: DataMovementSchedule,
                 users_left[vid] -= 1
                 if users_left[vid] <= 0 and vid not in outputs:
                     resident.discard(vid)
-            resident.add(instr.output)
-        elif kind == "load":
+            resident.add(output)
+        elif kind == LOAD:
             resident.add(target)
-            ends = load_ends.get(target)
-            if ends:
-                available[target] = ends.popleft()
-            else:
-                available[target] = None
+            available[target] = None if start != start else end
+            if start != start:
                 violations.append(
                     f"value {target}: a load event without a load transfer"
                 )
-        elif kind in ("evict", "store"):
+            # A refill reads the copy a store wrote.
+            elif produced[target] and (stored[target] is None
+                                       or start + 1e-9 < stored[target]):
+                violations.append(
+                    f"refill of value {target} starts at {start} before its "
+                    f"store ends at {stored[target]}"
+                )
+        elif kind == STORE:
+            resident.discard(target)
+            ready = available[target]
+            if start != start:
+                violations.append(
+                    f"value {target}: a store event without a store transfer"
+                )
+            elif ready is None or start + 1e-9 < ready:
+                violations.append(
+                    f"store of value {target} starts at {start} before it "
+                    f"is available at {ready}"
+                )
+            if end == end:
+                stored[target] = end
+        elif kind == EVICT:
             resident.discard(target)
         if len(resident) > peak:
             peak = len(resident)
@@ -201,15 +254,9 @@ def _replay_events(graph: InstructionGraph, movement: DataMovementSchedule,
                 )
                 break
     else:
-        for vid, ends in load_ends.items():
-            if ends:
-                violations.append(
-                    f"value {vid}: {len(ends)} load transfer(s) without a "
-                    "load event"
-                )
-        if issued != len(schedule.instrs):
+        if issued != len(schedule.instr_id):
             violations.append(
-                f"{len(schedule.instrs)} instructions scheduled but "
+                f"{len(schedule.instr_id)} instructions scheduled but "
                 f"{issued} of them issued by the event list"
             )
     return peak

@@ -27,17 +27,14 @@ def utilization_timeline(schedule: CycleSchedule, *, windows: int = 64) -> Timel
     makespan = max(1, schedule.makespan)
     window = max(1, makespan // windows)
     n_bins = (makespan + window - 1) // window
-    instrs, transfers = schedule.instrs, schedule.transfers
-    issue = np.fromiter((s.start for s in instrs), np.float64, len(instrs))
-    busy_until = issue + np.fromiter(
-        (s.occupancy for s in instrs), np.float64, len(instrs))
-    family = np.array([s.fu for s in instrs], dtype=object)
+    issue = schedule.start.astype(np.float64)
+    busy_until = issue + schedule.occupancy()
     active_fus = {}
-    for fu in FU_FAMILIES:
-        mine = family == fu
+    for code, fu in enumerate(FU_FAMILIES):
+        mine = schedule.fu == code
         active_fus[fu] = _bin_intervals(
             issue[mine], busy_until[mine], window, n_bins) / window
-    sent = np.fromiter((tr.start for tr in transfers), np.float64, len(transfers))
+    sent = schedule.transfer_start
     hbm = _bin_intervals(sent, sent + schedule.config.load_cycles(schedule.n),
                          window, n_bins)
     freq_ghz = schedule.config.frequency_ghz
@@ -95,7 +92,7 @@ def power_breakdown(
     )
     # Each instruction reads its operands from and writes its result to the
     # register file; each operand also crosses the NoC from a scratchpad bank.
-    n_ops = len(schedule.instrs)
+    n_ops = len(schedule.instr_id)
     operand_count = 2 * n_ops  # ~2 RF accesses (read operands, write result)
     rf_nj = operand_count * schedule.config.chunks(schedule.n) \
         * energy.rf_access_nj_per_rvec_chunk

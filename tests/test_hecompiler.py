@@ -1,9 +1,12 @@
 """Compiler phase 1 (repro.compiler.hecompiler): ordering + translation."""
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.compiler.hecompiler import KsChoice, compile_to_instructions, order_he_ops
-from repro.core.isa import InstrKind, ValueKind
+from repro.core.isa import VALUE_KINDS, ValueKind
 from repro.dsl.program import OpKind, Program
 
 
@@ -131,8 +134,10 @@ class TestHintValues:
         p.output(p.mul(x, y, rescale=False))
         p.output(p.mul(y, x, rescale=False))
         result = compile_to_instructions(p, ks_choice=KsChoice(force=1))
-        ksh_values = [v for v in result.graph.values if v.kind is ValueKind.KSH]
-        assert len(ksh_values) == 2 * 9  # one hint only, not two
+        ksh = result.graph.value_kind == VALUE_KINDS.index(ValueKind.KSH)
+        assert np.count_nonzero(ksh) == 2 * 9  # one hint only, not two
+        assert result.graph.hints == ["relin@L3"]
+        assert np.array_equal(result.graph.hint >= 0, ksh)
 
     def test_ks_choice_auto(self):
         choice = KsChoice()
@@ -167,6 +172,33 @@ class TestGraphIntegrity:
         x = p.input(3)
         p.output(p.add(x, x))
         result = compile_to_instructions(p)
-        inputs = [v for v in result.graph.values if v.kind is ValueKind.INPUT]
-        assert len(inputs) == 2 * 3
-        assert all(v.producer is None for v in inputs)
+        graph = result.graph
+        inputs = graph.value_kind == VALUE_KINDS.index(ValueKind.INPUT)
+        assert np.count_nonzero(inputs) == 2 * 3
+        assert np.all(graph.producer[inputs] == -1)
+        # ... and everything else here is some instruction's result.
+        assert np.array_equal(np.flatnonzero(~inputs), graph.out)
+
+    @pytest.mark.parametrize("column, row, value, message", [
+        ("in0", 5, 10**6, "does not exist"),
+        ("in0", 0, "last", "produced later"),      # reads its own future
+        ("out", 3, "other", "mislinked"),          # two producers of a value
+        ("producer", "last", -1, "mislinked"),     # a result nobody produced
+        ("users", 0, "other", "user index is stale"),
+        ("user_ptr", 1, 0, "user index is stale"),
+    ])
+    def test_validate_catches_one_corrupted_cell(self, column, row, value,
+                                                 message):
+        graph = compile_to_instructions(_matvec()).graph
+        hacked = copy.copy(graph)
+        cells = getattr(graph, column).copy()
+        row = len(cells) - 1 if row == "last" else row
+        if value == "last":
+            value = graph.out[-1]
+        elif value == "other":
+            value = cells[row] + 1
+        cells[row] = value
+        setattr(hacked, column, cells)
+        with pytest.raises(ValueError, match=message):
+            hacked.validate()
+        graph.validate()                           # the original is untouched

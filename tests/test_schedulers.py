@@ -1,10 +1,12 @@
 """Compiler phases 2-3 and the CSR baseline (repro.compiler.*)."""
 
+import numpy as np
 import pytest
 
 from repro.compiler.csr_scheduler import csr_order
 from repro.compiler.cycle_scheduler import schedule_cycles
-from repro.compiler.data_scheduler import schedule_data_movement
+from repro.compiler.data_scheduler import (
+    EVICT, EXEC, LOAD, STORE, schedule_data_movement)
 from repro.compiler.hecompiler import compile_to_instructions
 from repro.compiler.pipeline import compile_program
 from repro.core.config import F1Config
@@ -37,12 +39,9 @@ class TestDataMovement:
     def test_compulsory_loads_match_touched_values(self, compiled):
         _, cfg, translation, movement, _ = compiled
         t = movement.traffic
-        offchip_used = {
-            vid
-            for instr in translation.graph.instructions
-            for vid in instr.inputs
-            if translation.graph.values[vid].producer is None
-        }
+        graph = translation.graph
+        operands = np.concatenate((graph.in0, graph.in1[graph.in1 >= 0]))
+        offchip_used = np.unique(operands[graph.producer[operands] < 0])
         compulsory = (
             t.ksh_compulsory + t.input_compulsory + t.plain_compulsory
         )
@@ -50,23 +49,28 @@ class TestDataMovement:
 
     def test_event_stream_shape(self, compiled):
         _, _, translation, movement, _ = compiled
-        execs = [e for e in movement.events if e.kind == "exec"]
-        assert len(execs) == len(translation.graph.instructions)
+        assert np.count_nonzero(movement.kind == EXEC) \
+            == len(translation.graph.kind)
+        # Every instruction once; whatever made room came earlier.
+        assert np.array_equal(np.sort(movement.target[movement.kind == EXEC]),
+                              np.arange(len(translation.graph.kind)))
+        assert np.all(movement.frees < np.arange(len(movement.frees)))
 
     def test_every_exec_operand_loaded_before_use(self, compiled):
         _, _, translation, movement, _ = compiled
+        graph = translation.graph
+        in0, in1, out = graph.in0.tolist(), graph.in1.tolist(), graph.out.tolist()
+        produced = (graph.producer >= 0).tolist()
         resident = set()
-        for e in movement.events:
-            if e.kind == "load":
-                resident.add(e.target)
-            elif e.kind in ("store", "evict"):
-                resident.discard(e.target)
-            elif e.kind == "exec":
-                instr = translation.graph.instructions[e.target]
-                for vid in instr.inputs:
-                    producer = translation.graph.values[vid].producer
-                    assert producer is not None or vid in resident
-                resident.add(instr.output)
+        for kind, target in zip(movement.kind.tolist(), movement.target.tolist()):
+            if kind == LOAD:
+                resident.add(target)
+            elif kind in (STORE, EVICT):
+                resident.discard(target)
+            elif kind == EXEC:
+                for vid in (in0[target], in1[target]):
+                    assert vid < 0 or produced[vid] or vid in resident
+                resident.add(out[target])
 
     def test_outputs_recorded(self, compiled):
         _, _, translation, movement, _ = compiled
@@ -113,13 +117,14 @@ class TestCycleScheduler:
 
     def test_every_instruction_scheduled(self, compiled):
         _, _, translation, _, schedule = compiled
-        assert len(schedule.instrs) == len(translation.graph.instructions)
+        assert np.array_equal(np.sort(schedule.instr_id),
+                              np.arange(len(translation.graph.kind)))
 
     def test_checker_validates(self, compiled):
         _, cfg, translation, movement, schedule = compiled
         report = check_schedule(translation.graph, movement, schedule, cfg)
         report.raise_if_failed()
-        assert report.instructions_checked == len(schedule.instrs)
+        assert report.instructions_checked == len(schedule.instr_id)
 
     def test_low_throughput_ntt_not_faster_on_serial_chain(self):
         """A serial NTT-heavy chain cannot speed up with 7x-slower NTT units."""
@@ -143,14 +148,15 @@ class TestCsrScheduler:
     def test_topological_and_complete(self):
         p = _small_program()
         translation = compile_to_instructions(p)
-        order = csr_order(translation.graph)
-        assert sorted(order) == list(range(len(translation.graph.instructions)))
-        position = {i: pos for pos, i in enumerate(order)}
-        for instr in translation.graph.instructions:
-            for vid in instr.inputs:
-                producer = translation.graph.values[vid].producer
-                if producer is not None:
-                    assert position[producer] < position[instr.instr_id]
+        graph = translation.graph
+        order = csr_order(graph)
+        assert sorted(order) == list(range(len(graph.kind)))
+        position = np.empty(len(order), np.int64)
+        position[order] = np.arange(len(order))
+        for operand in (graph.in0, graph.in1):
+            reads = np.flatnonzero((operand >= 0) & (graph.producer[operand] >= 0))
+            assert np.all(position[graph.producer[operand[reads]]]
+                          < position[reads])
 
     def test_csr_pipeline_end_to_end(self):
         p = _small_program()

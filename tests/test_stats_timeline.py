@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import lola_mnist
+from repro.compiler.cycle_scheduler import FU_FAMILIES
 from repro.compiler.pipeline import compile_program
 from repro.sim.stats import _bin_intervals, utilization_timeline
 
@@ -37,16 +38,16 @@ def test_timeline_equals_the_interval_loop_on_fig10_program(windows):
     tl = utilization_timeline(schedule, windows=windows)
     window, n_bins = tl.window_cycles, len(tl.time_us)
     assert n_bins * window >= schedule.makespan
+    issue, busy = schedule.start, schedule.occupancy()
     for fu, active in tl.active_fus.items():
-        mine = [s for s in schedule.instrs if s.fu == fu]
-        want = _binned_by_loop([s.start for s in mine],
-                               [s.start + s.occupancy for s in mine],
-                               window, n_bins)
+        mine = schedule.fu == FU_FAMILIES.index(fu)
+        want = _binned_by_loop(issue[mine].tolist(),
+                               (issue + busy)[mine].tolist(), window, n_bins)
         assert want.sum() == schedule.fu_busy_cycles[fu]
         np.testing.assert_allclose(active * window, want, rtol=0, atol=1e-9)
     load_cycles = schedule.config.load_cycles(schedule.n)
-    want = _binned_by_loop([tr.start for tr in schedule.transfers],
-                           [tr.start + load_cycles for tr in schedule.transfers],
+    sent = schedule.transfer_start
+    want = _binned_by_loop(sent.tolist(), (sent + load_cycles).tolist(),
                            window, n_bins)
     np.testing.assert_allclose(tl.hbm_utilization * window, want,
                                rtol=0, atol=1e-9)
