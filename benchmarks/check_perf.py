@@ -161,7 +161,7 @@ def _kernels():
 
     # Serving hot paths: per-request slot pack/unpack and the registry's
     # signature-hash + cache-hit lookup (paid on every submitted request).
-    from repro.bench.loadgen import poly_ckks_program, synthetic_requests
+    from repro.serve.traffic import poly_ckks_program, synthetic_requests
     from repro.serve import ProgramRegistry, SlotBatcher
 
     serve_program = poly_ckks_program(1024)
@@ -216,7 +216,7 @@ def _kernels():
     # CKKS rotation batch (rotate-then-mask lowering), both end-to-end
     # batcher.run calls on prebuilt contexts so keygen stays untimed.
     from repro.backends import FunctionalBackend
-    from repro.bench.loadgen import (
+    from repro.serve.traffic import (
         linear_bgv_program,
         mixed_level_requests,
         rotation_ckks_program,

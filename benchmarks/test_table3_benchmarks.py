@@ -1,9 +1,10 @@
 """Table 3: full-program execution times, F1 vs CPU, and speedups.
 
-The workloads run at ``SCALE`` of the paper's sizes (see DESIGN.md on
-scale-parameterized workloads); speedups compare F1 and the CPU model over
-the *same* scaled op graph, so they are directly comparable to the paper's
-full-size ratios.  Shape criteria asserted: F1 wins by >=3 orders of
+The workloads run at ``SCALE`` of the paper's sizes (the ``scale`` parameter
+of ``repro.bench.workloads`` shrinks widths, not structure); speedups
+compare F1 and the CPU model over the *same* scaled op graph, so they are
+directly comparable to the paper's full-size ratios.  Shape criteria
+asserted: F1 wins by >=3 orders of
 magnitude everywhere, bootstrapping sits at the bottom, the LoLa-MNIST
 variants at the top, and the gmean lands within ~2x of the paper's 5,432x.
 """

@@ -18,7 +18,7 @@ Usage:  python examples/serving.py
 import numpy as np
 
 import repro
-from repro.bench.loadgen import modeled_f1_throughput, poly_ckks_program
+from repro.serve.traffic import modeled_f1_throughput, poly_ckks_program
 
 
 def serving_demo(n: int = 512, clients: int = 24, width: int = 8) -> None:

@@ -5,8 +5,8 @@ SEAL / HEAAN / Lola, and the HEAX FPGA accelerator).  We cannot run those, so
 these modules provide *calibrated analytical models*: per-primitive costs
 fitted to the baselines' published performance (Table 4's CPU columns and
 HEAX's reported throughput), composed over the same homomorphic-operation
-graphs F1 executes.  DESIGN.md records the substitution; EXPERIMENTS.md
-records paper-vs-model numbers for every row.
+graphs F1 executes.  ROADMAP.md's "Where the evidence points now" table
+records the reproduced-vs-paper numbers.
 """
 
 from repro.baselines.cpu import CpuModel

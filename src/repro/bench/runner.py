@@ -3,7 +3,8 @@
 Each ``tableN_rows`` / ``figN_data`` function returns plain dict/list data so
 the pytest-benchmark suites under ``benchmarks/`` can both time the pipeline
 and print the same rows/series the paper reports.  Paper reference numbers
-live alongside for EXPERIMENTS.md comparisons.
+live alongside (``PAPER_*``); ROADMAP.md's "Where the evidence points now"
+table holds the reproduced-vs-paper comparison.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.config import F1Config
 from repro.dsl.program import Program
 from repro.sim.stats import power_breakdown, traffic_fractions, utilization_timeline
 
-#: Table 3 paper reference speedups (for EXPERIMENTS.md comparison).
+#: Table 3 paper reference speedups.
 PAPER_TABLE3_SPEEDUPS = {
     "lola_cifar": 5011,
     "lola_mnist_uw": 17412,
@@ -41,14 +42,13 @@ CPU_THREADS = {"db_lookup": 8}
 #: measured implementations, not the idealized hand-tuned kernels our
 #: CpuModel constants are fitted to (Table 4's primitives).  Factors are
 #: derived by dividing the paper's measured full-benchmark CPU time by the
-#: CpuModel's prediction over the same op graph at paper scale (see
-#: EXPERIMENTS.md): HELib/HEAAN kernels run ~1.7-4.3x off the primitive model
+#: CpuModel's prediction over the same op graph at paper scale:
+#: HELib/HEAAN kernels run ~1.7-4.3x off the primitive model
 #: (cache misses at large L, allocation churn), while LoLa's released B/FV
 #: implementation is ~10x off.  LoLa-CIFAR keeps factor 1.0: its measured
 #: 127x raw ratio is dominated by the size gap between our scaled network and
 #: the real 6-layer CIFAR model rather than per-op inefficiency, and the gap
-#: cancels in the speedup since F1 runs the same scaled graph (EXPERIMENTS.md
-#: discusses this limitation).
+#: cancels in the speedup since F1 runs the same scaled graph.
 CPU_SOFTWARE_FACTOR = {
     "lola_cifar": 1.0,
     "lola_mnist_uw": 10.8,
@@ -56,7 +56,7 @@ CPU_SOFTWARE_FACTOR = {
     "logistic_regression": 1.71,
     # HElib per-op gap, consistent with the other HElib-family rows (the
     # residual vs. the measured 29.3 s is the width gap between our scaled
-    # database and the full country DB; see EXPERIMENTS.md).
+    # database and the full country DB).
     "db_lookup": 10.9,
     "bgv_bootstrapping": 0.73,   # HElib's tuned extraction beats the naive table
     "ckks_bootstrapping": 0.67,

@@ -41,7 +41,6 @@ from repro.net.chaos import (
     ChaosEngine,
     ChaosPolicy,
     ChaosSocket,
-    chaos_smoke,
     chaos_soak,
 )
 from repro.net.framing import (
@@ -59,7 +58,7 @@ from repro.net.framing import (
     recv_msg,
     send_msg,
 )
-from repro.net.cluster import LocalCluster, remote_executor, replica_smoke
+from repro.net.cluster import LocalCluster, remote_executor
 from repro.net.remote import ProcessExecutor, RemoteExecutor, shard_key
 
 __all__ = [
@@ -78,13 +77,11 @@ __all__ = [
     "ProcessExecutor",
     "RemoteExecutor",
     "Truncated",
-    "chaos_smoke",
     "chaos_soak",
     "decode_frame",
     "encode_frame",
     "recv_msg",
     "remote_executor",
-    "replica_smoke",
     "send_msg",
     "shard_key",
 ]

@@ -32,14 +32,13 @@ Faults injected at the worker level (consulted in the EXECUTE handler):
 - **hang** — the handler sleeps ``hang_s`` mid-execute, the scenario
   only a deadline-derived watchdog can unstick.
 
-:func:`chaos_soak` is the shared end-to-end harness (used by the
-``@slow`` soak test, ``python -m repro.verify``'s chaos smoke, and
-``bench/loadgen --chaos SEED``): loadgen-style traffic through a
-chaos-wrapped cluster with a worker kill (and restart) mid-run,
-asserting that **every** future resolves with a status in
-``{ok, expired, failed, shed}`` — zero lost futures — and that every
-``ok`` result is bit-identical (BGV) / tolerance-equal (CKKS) to a
-solo run.
+:func:`chaos_soak` is the end-to-end harness (the tier-1 soak in
+``tests/test_resilience.py``; ``python -m repro.net.chaos SEED`` replays
+one seed): :mod:`repro.serve.traffic` requests through a chaos-wrapped
+cluster with a worker kill (and restart) mid-run, asserting that
+**every** future resolves with a status in ``{ok, expired, failed,
+shed}`` — zero lost futures — and that every ``ok`` result is
+bit-identical (BGV) / tolerance-equal (CKKS) to a solo run.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "ChaosEngine",
     "ChaosSocket",
     "chaos_soak",
-    "chaos_smoke",
 ]
 
 
@@ -290,7 +288,7 @@ def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,
                restart: bool = True, policy: ChaosPolicy | None = None,
                result_timeout_s: float = 180.0,
                verbose: bool = True) -> int:
-    """Loadgen traffic through a chaos-wrapped cluster; returns 0 on pass.
+    """Synthetic traffic through a chaos-wrapped cluster; returns 0 on pass.
 
     The invariant under test is the resilience tier's contract: under a
     seeded schedule of drops, corrupt frames, delays (and a worker
@@ -299,21 +297,19 @@ def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,
     ``{ok, expired, failed, shed}`` — and every ``ok`` result matches a
     solo run of the same request (bit-identical BGV, tolerance CKKS).
 
-    Requests are submitted back-to-back (no pacing), i.e. at well over
-    twice the default loadgen arrival rate; a quarter of them carry
-    deadlines so the expiry/shed paths stay exercised.
+    Requests are submitted back-to-back (no pacing); a quarter of them
+    carry deadlines so the expiry/shed paths stay exercised.
     """
-    from repro.bench.loadgen import (
-        _check_ckks_drift,
-        _compare_one,
+    import repro
+    from repro.backends import FunctionalBackend
+    from repro.net.cluster import LocalCluster
+    from repro.serve import FheServer
+    from repro.serve.traffic import (
+        compare_to_solo,
         linear_bgv_program,
         poly_ckks_program,
         synthetic_requests,
     )
-    import repro
-    from repro.backends import FunctionalBackend, default_plaintext_modulus
-    from repro.net.cluster import LocalCluster
-    from repro.serve import FheServer
 
     if policy is None:
         policy = ChaosPolicy(seed=seed, drop_rate=0.03, corrupt_rate=0.02,
@@ -384,10 +380,8 @@ def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,
         solo = repro.run(prog, backend=FunctionalBackend(validate=False),
                          inputs=req.inputs, plains=req.plains or None,
                          seed=seed)
-        err = _compare_one(prog, result.values, solo.outputs,
-                           default_plaintext_modulus(prog), checked)
-        _check_ckks_drift(prog, err)
-        max_err = max(max_err, err)
+        max_err = max(max_err,
+                      compare_to_solo(prog, result.values, solo.outputs))
         checked += 1
 
     ok = lost == 0 and not violations
@@ -408,9 +402,16 @@ def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,
     return 0 if ok else 1
 
 
-def chaos_smoke(hosts: int = 2, *, verbose: bool = True) -> int:
-    """CI-sized chaos gate: seeded drop+delay schedule, one worker kill
-    (no restart), zero lost futures.  Returns 0 on success."""
-    return chaos_soak(seed=7, hosts=hosts, requests=12, kill=True,
-                      restart=False, result_timeout_s=120.0,
-                      verbose=verbose)
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.net.chaos",
+        description="Replay one seeded chaos soak; exits non-zero on a "
+                    "lost future or an ok result that differs from solo.")
+    parser.add_argument("seed", type=int)
+    parser.add_argument("--hosts", type=int, default=2)
+    parser.add_argument("--requests", type=int, default=32)
+    args = parser.parse_args()
+    raise SystemExit(chaos_soak(args.seed, hosts=args.hosts,
+                                requests=args.requests))

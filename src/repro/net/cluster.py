@@ -222,72 +222,3 @@ def remote_executor(hosts: int = 2, *, processes_per_host: int = 0,
         raise
     executor._owned_cluster = cluster
     return executor
-
-
-def replica_smoke(kind: str = "remote", n: int = 2, *,
-                  verbose: bool = True) -> int:
-    """Tiny end-to-end exercise of one replica pool, for CI gating.
-
-    ``kind`` is ``"process"`` (``n`` forked socketpair replicas) or
-    ``"remote"`` (``n`` local worker hosts over TCP).  Replicates one
-    registry entry to every replica over the framed protocol, checks the
-    replication invariant (same secret everywhere, distinct pids, RNGs
-    reseeded apart), and verifies a pool-executed batch is bit-identical
-    to in-process execution.  Returns 0 on success (suitable as an exit
-    code).
-    """
-    from contextlib import ExitStack
-
-    import numpy as np
-
-    from repro.backends import FunctionalBackend
-    from repro.dsl.program import Program
-    from repro.net.remote import ProcessExecutor
-    from repro.serve.batcher import Request, SlotBatcher
-    from repro.serve.executor import BatchJob, ThreadExecutor
-    from repro.serve.registry import ProgramRegistry
-
-    program = Program(n=128, scheme="bgv", name="replica_smoke")
-    x = program.input(2, name="x")
-    w = program.input_plain(2, name="w")
-    program.output(program.mul_plain(x, w))
-    registry = ProgramRegistry()
-    entry, _ = registry.context_for(program, seed=11)
-    batcher = SlotBatcher(program, width=4)
-    rng = np.random.default_rng(0)
-    shared_w = rng.integers(0, 256, 4)
-    requests = [Request(inputs={x.op_id: rng.integers(0, 256, 4)},
-                        plains={w.op_id: shared_w}) for _ in range(4)]
-    backend = FunctionalBackend(validate=False)
-    job = BatchJob(program=program, signature=program.signature(),
-                   requests=requests, batcher=batcher, backend=backend,
-                   context_entry=entry)
-    with ExitStack() as stack:
-        if kind == "process":
-            executor = stack.enter_context(ProcessExecutor(n))
-        else:
-            cluster = stack.enter_context(LocalCluster(n))
-            executor = stack.enter_context(cluster.executor())
-        probes = executor.probe(entry)
-        shas = {p["secret_sha"] for p in probes}
-        pids = {p["pid"] for p in probes}
-        rngs = {tuple(p["rng_fingerprint"]) for p in probes}
-        if len(shas) != 1 or len(pids) != n or len(rngs) != n:
-            if verbose:
-                print(f"{kind} replica smoke FAILED: replicas diverged "
-                      f"(secrets={len(shas)}, pids={len(pids)}, "
-                      f"rng streams={len(rngs)})")
-            return 1
-        pool_outputs, _ = executor.execute(job)
-    local_outputs, _ = ThreadExecutor().execute(job)
-    for got, want in zip(pool_outputs, local_outputs):
-        for out_id in want:
-            if not np.array_equal(got[out_id], want[out_id]):
-                if verbose:
-                    print(f"{kind} replica smoke FAILED: outputs diverged")
-                return 1
-    if verbose:
-        print(f"{kind} replica smoke OK: {n} replicas over the framed "
-              f"protocol, shared secret, per-replica RNG streams apart, "
-              f"batched outputs bit-identical to in-process execution")
-    return 0

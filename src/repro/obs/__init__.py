@@ -45,23 +45,8 @@ __all__ = [
     "kernel_breakdown",
     "merge_snapshots",
     "new_trace_id",
-    "obs_smoke",
     "profiled",
     "span_overhead_probe",
     "summarize_state",
     "tracer",
 ]
-
-
-def obs_smoke(hosts: int = 2) -> int:
-    """End-to-end observability smoke (used by ``python -m repro.verify``).
-
-    Serves traced requests through a ``hosts``-worker local cluster,
-    then checks the three tentpole properties: coordinator and worker
-    spans stitch on shared trace ids, worker metrics blobs merge into
-    the coordinator's percentiles, and the dumped trace JSON re-parses
-    as a valid Chrome trace-event file.
-    """
-    from .smoke import run_obs_smoke
-
-    return run_obs_smoke(hosts)

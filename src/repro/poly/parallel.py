@@ -130,108 +130,3 @@ def run_tasks(fns) -> None:
                 first_err = exc
     if first_err is not None:
         raise first_err
-
-
-def thread_smoke(nthreads: int = 2) -> int:
-    """Serial-vs-threaded bit-identity smoke for ``python -m repro.verify``.
-
-    Runs the threaded fan points — flat NTT, a stacked NTT larger than one
-    transform block, batched base extension, scale-down, and the serve slot
-    pack/unpack — once at 1 thread and once at ``nthreads``, asserting
-    bit-identical outputs.  Returns 0 on success.
-    """
-    import numpy as np
-
-    from repro.dsl.program import OpKind, Program
-    from repro.fhe.keyswitch import base_extend, scale_down
-    from repro.poly.ntt import get_rns_context
-    from repro.poly.polynomial import Domain, RnsPolynomial
-    from repro.rns.crt import RnsBasis
-    from repro.rns.primes import ntt_friendly_primes
-    from repro.serve.batcher import Request, SlotBatcher
-
-    n, level = 512, 6
-    basis = RnsBasis(ntt_friendly_primes(n, 28, level))
-    special = RnsBasis(
-        [q for q in ntt_friendly_primes(n, 27, level + 4)
-         if q not in basis.moduli][:level]
-    )
-    extended = RnsBasis(basis.moduli + special.moduli)
-    rng = np.random.default_rng(7)
-    limbs = rng.integers(0, basis.moduli_column(), (level, n), dtype=np.uint64)
-    ext_limbs = rng.integers(
-        0, extended.moduli_column(), (extended.level, n), dtype=np.uint64
-    )
-    stack = rng.integers(  # 12 matrices: two transform blocks (8 + 4)
-        0, basis.moduli_column(), (12, level, n), dtype=np.uint64
-    )
-    ctx = get_rns_context(n, basis.moduli)
-    x = RnsPolynomial(basis, limbs, Domain.COEFF)
-    x_ext = RnsPolynomial(extended, ext_limbs, Domain.COEFF)
-
-    prog = Program(n=n, scheme="bgv", name="thread_smoke")
-    a = prog.input(2, name="a")
-    prog.output(prog.add(a, prog.mul_plain(a)))
-    batcher = SlotBatcher(prog, width=16)
-    plain = rng.integers(0, 50, 16).tolist()
-    mul_plain_ids = [op.op_id for op in prog.ops
-                     if op.kind is OpKind.MUL_PLAIN]
-    output_ids = [op.op_id for op in prog.ops if op.kind is OpKind.OUTPUT]
-    requests = [
-        Request(inputs={a.op_id: rng.integers(0, 50, 16).tolist()},
-                plains={m: plain for m in mul_plain_ids})
-        for _ in range(batcher.capacity)
-    ]
-    fake_out = {
-        out_id: rng.integers(0, 97, batcher._lanes)
-        for out_id in output_ids
-    }
-
-    # Serial references.
-    prev = set_num_threads(1)
-    try:
-        ref_fwd = ctx.forward(limbs)
-        ref_stack = ctx.forward(stack)
-        ref_ext = base_extend(x, extended).limbs
-        ref_sd = scale_down(x_ext, special, 256).limbs
-        ref_pack = batcher.pack(requests)
-        ref_unpack = batcher.unpack(fake_out, len(requests))
-    finally:
-        set_num_threads(prev)
-
-    def pack_equal(got, ref):
-        return all(
-            set(g) == set(r) and all(np.array_equal(g[k], r[k]) for k in r)
-            for g, r in zip(got, ref)
-        )
-
-    prev = set_num_threads(nthreads)
-    try:
-        thr_unpack = batcher.unpack(fake_out, len(requests))
-        checks = [
-            ("ntt_flat", np.array_equal(ctx.forward(limbs), ref_fwd)),
-            ("ntt_stack", np.array_equal(ctx.forward(stack), ref_stack)),
-            ("base_extend",
-             np.array_equal(base_extend(x, extended).limbs, ref_ext)),
-            ("scale_down",
-             np.array_equal(scale_down(x_ext, special, 256).limbs, ref_sd)),
-            ("pack", pack_equal(batcher.pack(requests), ref_pack)),
-            ("unpack", all(
-                np.array_equal(thr_unpack[j][o], ref_unpack[j][o])
-                for j in range(len(requests))
-                for o in ref_unpack[j]
-            )),
-        ]
-    finally:
-        set_num_threads(prev)
-
-    failed = [name for name, ok in checks if not ok]
-    for name, ok in checks:
-        print(f"  threads smoke [{nthreads} threads] {name}: "
-              f"{'ok' if ok else 'MISMATCH'}")
-    if failed:
-        print(f"threads smoke FAILED: {', '.join(failed)}")
-        return 1
-    print(f"threads smoke passed ({len(checks)} fan points bit-identical "
-          f"at {nthreads} threads)")
-    return 0

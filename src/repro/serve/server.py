@@ -292,6 +292,9 @@ class FheServer:
                  trace: bool = False, degrade: bool = True):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        #: whether close() turns the process-wide tracer back off; the ring
+        #: is kept, so dump_trace() still works on a closed server
+        self._enabled_tracing = trace and not tracer().enabled
         if trace:
             # Per-request span tracing: ids minted at submit ride each
             # request over the replica wire; dump_trace() exports the
@@ -506,6 +509,8 @@ class FheServer:
             self.executor.close()
         if self._fallback is not None:
             self._fallback.close()
+        if self._enabled_tracing:
+            tracer().disable()
 
     def __enter__(self) -> "FheServer":
         return self

@@ -7,12 +7,12 @@ import pytest
 
 import repro
 from repro.backends import FunctionalBackend
-from repro.bench.loadgen import deep_ckks_program
 from repro.fhe.bgv import BgvContext
 from repro.fhe.ckks import CkksContext
 from repro.fhe.context import context_from_state
 from repro.fhe.encoding import BatchEncoder, CkksEncoder, _embedding_tables
 from repro.fhe.params import FheParams
+from repro.serve.traffic import deep_ckks_program
 
 N = 256
 T_BATCH = 12289  # prime, 12289 ≡ 1 (mod 512)

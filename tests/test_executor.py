@@ -35,7 +35,7 @@ from repro.serve import (
     ThreadExecutor,
     resolve_executor,
 )
-from repro.net import LocalCluster, replica_smoke
+from repro.net import LocalCluster
 from repro.serve.resilience import ExecutorUnavailable, RetriesExhausted
 
 N = 256
@@ -494,6 +494,3 @@ class TestProcessExecutor:
                              context_entry=object())
         with pytest.raises(RuntimeError, match="closed"):
             executor.execute(entry_job)
-
-    def test_process_smoke_passes(self):
-        assert replica_smoke("process", 2, verbose=False) == 0

@@ -182,6 +182,35 @@ class TestTracer:
         (x,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert x["name"] == "work" and x["dur"] >= 0
 
+    def test_server_restores_tracing_on_close(self, tmp_path):
+        """FheServer(trace=True) turns the process-wide tracer on; close()
+        puts it back as found and keeps the ring for dump_trace()."""
+        tr = tracer()
+        tr.clear()
+        assert not tr.enabled
+        program = linear_bgv()
+        with FheServer(max_batch=4, max_wait_ms=5.0, trace=True) as server:
+            assert tr.enabled
+            traced = submit_all(server, program, 2)
+        assert not tr.enabled
+        assert all(r.stats["trace"] for r in traced)
+        n_spans = server.dump_trace(str(tmp_path / "trace.json"))
+        assert n_spans == len(tr.spans()) > 0
+        tr.clear()
+        # A later untraced server mints no ids and records nothing ...
+        with FheServer(max_batch=4, max_wait_ms=5.0) as server:
+            untraced = submit_all(server, program, 2)
+        assert all(r.stats["trace"] is None for r in untraced)
+        assert tr.spans() == []
+        # ... and tracing someone else switched on is not switched off.
+        tr.enable()
+        try:
+            FheServer(trace=True).close()
+            assert tr.enabled
+        finally:
+            tr.disable()
+            tr.clear()
+
 
 # ------------------------------------------------------------ kernel timers
 class TestKernelProfiling:
@@ -327,19 +356,16 @@ class TestStatsGoldenSchema:
         program = linear_bgv()
         tr = tracer()
         tr.clear()
-        try:
-            with LocalCluster(2) as cluster:
-                with cluster.executor() as pool:
-                    with FheServer(executor=pool, workers=2, max_batch=4,
-                                   max_wait_ms=5.0, trace=True) as server:
-                        results = submit_all(server, program, 6)
-                        stats = server.stats()
-                        path = tmp_path / "trace.json"
-                        n_spans = server.dump_trace(str(path))
-        finally:
-            tr.disable()
-            spans = tr.spans()
-            tr.clear()
+        with LocalCluster(2) as cluster:
+            with cluster.executor() as pool:
+                with FheServer(executor=pool, workers=2, max_batch=4,
+                               max_wait_ms=5.0, trace=True) as server:
+                    results = submit_all(server, program, 6)
+                    stats = server.stats()
+                    path = tmp_path / "trace.json"
+                    n_spans = server.dump_trace(str(path))
+        spans = tr.spans()
+        tr.clear()
         assert all(r.status == "ok" for r in results)
         assert_stats_schema(stats, executor_name="remote")
         for r in results:
@@ -365,8 +391,12 @@ class TestStatsGoldenSchema:
         doc = json.loads(path.read_text())
         x_pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert coord_pid in x_pids and len(x_pids) >= 2
+        named = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "M"}
+        assert named == x_pids   # every track carries its process name
 
         # Merged-histogram criterion: under a remote executor the
         # coordinator never runs batches, so a populated execute_ms
-        # proves worker blobs merged into the percentile source.
+        # proves worker blobs merged into the percentile source; latency
+        # is observed coordinator-side, once per request.
         assert stats["metrics"]["serve.execute_ms"]["count"] >= 1
+        assert stats["metrics"]["serve.latency_ms"]["count"] == len(results)

@@ -17,11 +17,6 @@ import numpy as np
 import pytest
 
 from repro.backends import FunctionalBackend
-from repro.bench.loadgen import (
-    linear_bgv_program,
-    poly_ckks_program,
-    synthetic_requests,
-)
 from repro.fhe.keyswitch import base_extend, scale_down
 from repro.poly import parallel
 from repro.poly.ntt import get_rns_context
@@ -29,6 +24,11 @@ from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns.crt import RnsBasis
 from repro.rns.primes import ntt_friendly_primes
 from repro.serve.batcher import SlotBatcher
+from repro.serve.traffic import (
+    linear_bgv_program,
+    poly_ckks_program,
+    synthetic_requests,
+)
 
 # Large enough that (L, N) stacks clear MIN_PARALLEL_ELEMS and the fans
 # actually engage (1024 * 8 limbs = 8192 elements).

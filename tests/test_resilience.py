@@ -10,8 +10,8 @@ a solo run.
 
 Unit tests drive the state machines with fake clocks and seeded RNGs
 (no sleeping); integration tests use a real LocalCluster; the full
-seeded soak (kill + restart under drop/corrupt/delay injection) is
-``@slow``.
+seeded soak (kill + restart under drop/corrupt/delay injection) closes
+the module and runs in ``--fast`` too.
 """
 
 import pickle
@@ -509,11 +509,10 @@ class TestServerResilience:
 
 
 # ------------------------------------------------------------------- the soak
-@pytest.mark.slow
 def test_chaos_soak_with_kill_and_restart():
     """The full seeded soak: drops, corrupt frames, heavy-tailed delays,
-    a worker kill AND restart mid-run, at 2x the smoke's request count.
-    Zero lost futures; every ok result identical to a solo run."""
+    stalled reads, a worker kill AND restart mid-run.  Zero lost futures;
+    every ok result identical to a solo run."""
     policy = ChaosPolicy(seed=13, drop_rate=0.05, corrupt_rate=0.03,
                          delay_rate=0.25, delay_ms=1.0, heavy_tail_ms=5.0,
                          stall_rate=0.03, stall_ms=50.0)
