@@ -1,0 +1,80 @@
+"""Alternating parent/change pairs of one end-to-end workload.
+
+``python benchmarks/ab_pairs.py engine_solo [--pairs 10] [--ref HEAD~1]``
+archives ``--ref`` and the work tree into a temp dir and runs the unchanged
+driver command (``benchmarks/e2e/run.py --workload W --seconds 10 --trace
+0``) on each, ``--pairs`` times: the side that goes first alternates and
+each pair gets a fresh seed.  Prints every run, each side's median and
+quartiles per end-to-end metric, pairs won, and ``failed``: the numbers the
+claim rule (nine of ten pairs, medians apart by more than the parent's
+quartile distance) asks for.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LOWER_IS_BETTER = ("setup_s", "latency_p50_ms", "peak_rss_mb")
+
+
+def run(tree, workload: str, seed: int) -> dict:
+    """One driver-contract run in ``tree``: its last stdout line, parsed."""
+    done = subprocess.run(
+        [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", "10", "--trace", "0"],
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    record = json.loads(done.stdout.strip().splitlines()[-1])
+    return {**{k: m["value"] for k, m in record["metrics"].items()},
+            "failed": record["failed"]}
+
+
+def checkout(ref: str, dest: Path) -> Path:
+    archive = subprocess.run(["git", "archive", ref], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE)
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+    return dest
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("workload")
+    ap.add_argument("--pairs", type=int, default=10, help="at least 2")
+    ap.add_argument("--ref", default="HEAD~1")
+    args = ap.parse_args()
+    # The change is the work tree as `git stash create` sees it (tracked and
+    # staged files), or HEAD when nothing is uncommitted: fresh like the parent.
+    work = subprocess.run(["git", "stash", "create"], cwd=ROOT, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"parent": checkout(args.ref, Path(tmp, "parent")),
+                 "change": checkout(work or "HEAD", Path(tmp, "change"))}
+        runs = {"parent": [], "change": []}
+        seed = int(time.time()) % 100_000      # fresh per invocation and pair
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run(trees[side], args.workload, seed + pair))
+            print(f"pair {pair}:", *(f"{side} {runs[side][-1]}" for side in order),
+                  flush=True)
+    for metric in list(runs["parent"][0])[:-1]:        # "failed" is last
+        print(metric)
+        for side in ("parent", "change"):
+            q1, med, q3 = statistics.quantiles(
+                [r[metric] for r in runs[side]], n=4, method="inclusive")
+            print(f"  {side:6s} median {med:.4g}  quartiles {q1:.4g} .. {q3:.4g}")
+        sign = -1 if metric in LOWER_IS_BETTER else 1
+        won = sum(sign * c[metric] > sign * p[metric]
+                  for p, c in zip(runs["parent"], runs["change"]))
+        print(f"  change better in {won} of {args.pairs} pairs")
+    print("failed", {side: sum(r["failed"] for r in runs[side]) for side in runs})
+
+
+if __name__ == "__main__":
+    main()

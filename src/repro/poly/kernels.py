@@ -10,24 +10,27 @@ modular multipliers avoid generic division in hardware (Sec. 5.3):
 1. **Conditional subtraction** (:func:`cond_sub`): a value known to lie in
    ``[0, 2q)`` is reduced to ``[0, q)`` with a single subtract-and-select.
    We use the unsigned-wraparound trick ``min(x, x - q)``: when ``x < q``
-   the subtraction wraps far above ``2^63`` so the minimum keeps ``x``;
-   when ``x >= q`` it yields the reduced value, which is smaller.  Sound
-   whenever ``x < 2q`` and ``q < 2^63``.
+   the subtraction wraps above ``x`` so the minimum keeps ``x``; when
+   ``x >= q`` it yields the reduced value, which is smaller.  Sound
+   whenever ``x < 2q`` and ``2q`` fits the word (uint64, or the NTT's uint32).
 
-2. **Harvey/Shoup lazy multiplication** (:func:`shoup_mul`): with a
-   precomputed scaled twiddle ``w' = floor(w * 2^s / q)`` the product
-   ``x*w mod q`` is obtained *division-free* as ``x*w - q*((x*w') >> s)``,
-   landing in the *lazy* range ``[0, 2q)`` (see the proof in
-   :func:`shoup_mul`).  Butterflies keep values in ``[0, 2q)`` throughout
-   and reduce exactly once at the end of the transform.
+2. **Harvey/Shoup lazy multiplication** (:func:`shoup_mul`,
+   :func:`shoup_mul32`): with a precomputed scaled twiddle
+   ``w' = floor(w * 2^s / q)`` the product ``x*w mod q`` is obtained
+   *division-free* as ``x*w - q*((x*w') >> s)``, landing in the *lazy* range
+   ``[0, 2q)`` (see the proofs in the two functions).  :func:`shoup_mul` is
+   the uint64 form with a per-modulus shift, used by the digit decomposer of
+   :mod:`repro.rns.convert`; :func:`shoup_mul32` is the NTT butterflies'
+   form at the paper's 32-bit word size, ``s = 32`` fixed so the shift is a
+   view of the high word.
 
-The lazy range requires uint64 headroom: all preconditions are proven for
-``q < 2^31`` (:data:`MAX_LAZY_MODULUS`).  The default parameter sets use
-28-bit primes, leaving ample slack; callers with moduli in ``[2^31, 2^32)``
-must use the strict (division-based) paths — :class:`repro.poly.ntt.NttContext`
-and friends select automatically and are bit-identical either way, because
-every lazy intermediate is congruent mod q to its strict counterpart and the
-final reduction is exact.
+:data:`MAX_LAZY_MODULUS` (``q < 2^31``, the uint64 headroom of
+:func:`shoup_mul`) governs :mod:`repro.rns.convert` only.  The NTT plan's
+band is ``q < 2^30``, where its range ``[0, 4q)`` fits a uint32
+(:data:`repro.poly.ntt.MAX_LAZY_NTT_MODULUS`); wider moduli take the strict
+(division-based) transform.  The default parameter sets use 28-bit primes.
+Either way results are bit-identical, because every lazy intermediate is
+congruent mod q to its strict counterpart and the final reduction is exact.
 
 Debug validation: set the environment variable ``REPRO_KERNEL_DEBUG=1`` (or
 flip :data:`DEBUG_VALIDATE`) to assert the reduced-input invariants that the
@@ -37,14 +40,15 @@ fast paths rely on instead of re-reducing defensively.
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 
 from repro.obs.profile import instrument
 
-#: Exclusive upper bound on moduli eligible for the lazy ([0, 2q)) paths.
-#: Proof obligations (see shoup_mul / lazy_butterfly): with x < 2q and
-#: w < q, both x*w and x*w' stay below 2^63 < 2^64 only when q < 2^31.
+#: Exclusive upper bound on moduli eligible for :func:`shoup_mul`.  Proof
+#: obligations (see there): with x < 2q and w < q, both x*w and x*w' stay
+#: below 2^63 < 2^64 only when q < 2^31.
 MAX_LAZY_MODULUS = 1 << 31
 
 #: When True, kernels assert their documented input invariants (values
@@ -59,7 +63,7 @@ def _validate_reduced(x: np.ndarray, q, what: str) -> None:
 
 
 def lazy_supported(moduli) -> bool:
-    """True when every modulus qualifies for the lazy-reduction paths."""
+    """True when every modulus qualifies for :func:`shoup_mul`."""
     return max(int(q) for q in moduli) < MAX_LAZY_MODULUS
 
 
@@ -68,10 +72,10 @@ def cond_sub(x: np.ndarray, q, out: np.ndarray | None = None,
              tmp: np.ndarray | None = None) -> np.ndarray:
     """Reduce ``x in [0, 2q)`` to ``[0, q)`` by one conditional subtract.
 
-    Implemented as ``min(x, x - q)`` on uint64: for ``x < q`` the subtract
-    wraps to ``x + (2^64 - q) > x`` (since ``x < 2q <= 2^63``), so the
-    minimum is ``x``; for ``x >= q`` it is the in-range difference
-    ``x - q < q <= x``.  One vector subtract + one vector min — no division,
+    Implemented as ``min(x, x - q)`` on unsigned words of ``b`` bits (uint64,
+    or the NTT plan's uint32): for ``x < q`` the subtract wraps to
+    ``x + (2^b - q) > x`` (since ``x < 2q <= 2^b``), so the minimum is
+    ``x``; for ``x >= q`` it is the in-range difference ``x - q < q <= x``.  One vector subtract + one vector min — no division,
     no boolean select.  ``tmp`` receives the difference and ``out`` the
     result when given (``out`` may be ``x`` or ``tmp``; ``tmp`` may not be
     ``x``); without them each pass allocates.
@@ -162,7 +166,7 @@ def mul_accumulate(stack_a: np.ndarray, stack_b: np.ndarray,
     """
     k = stack_a.shape[0]
     if k * (qmax - 1) ** 2 < 1 << 64:
-        return (stack_a * stack_b).sum(axis=0) % q_col
+        return np.einsum("kln,kln->ln", stack_a, stack_b) % q_col
     return ((stack_a * stack_b) % q_col[None]).sum(axis=0) % q_col
 
 
@@ -184,20 +188,8 @@ def shoup_needs_extra_sub(q: int) -> bool:
     return 2 * q > 1 << shoup_shift(q)
 
 
-def shoup_precompute(table: np.ndarray, q: int) -> np.ndarray:
-    """Scaled-twiddle partner ``w' = floor(w << s / q)`` for each table entry.
-
-    Exact integer arithmetic (Python ints); done once per cached table.
-    """
-    s = shoup_shift(q)
-    wide = np.asarray(table, dtype=np.uint64).astype(object) << s
-    return (wide // q).astype(np.uint64)
-
-
 def shoup_mul(x: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
-              shift, q, out: np.ndarray | None = None,
-              scratch: tuple[np.ndarray, np.ndarray] | None = None,
-              ) -> np.ndarray:
+              shift, q) -> np.ndarray:
     """Division-free ``x * w mod q`` into the lazy range ``[0, 2q)``.
 
     Preconditions (with ``s = shoup_shift(q)`` and ``q < 2^31``):
@@ -219,36 +211,34 @@ def shoup_mul(x: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
 
     All intermediates are congruent to ``x*w`` mod q, so downstream exact
     reduction yields bit-identical results to the strict ``%`` path.
-
-    ``scratch`` is a pair of arrays of the broadcast shape that receive the
-    two products (the hot paths pass workspace views; without it both are
-    allocated), neither of them ``x``.  The result is written to ``out``
-    when given (any view, e.g. a strided destination), else it is the second
-    scratch array.
     """
-    est, prod = scratch if scratch is not None else (None, None)
-    est = np.multiply(x, w_shoup, out=est)
+    est = x * w_shoup
     np.right_shift(est, shift, out=est)
     np.multiply(est, q, out=est)
-    prod = np.multiply(x, w, out=prod)
-    return np.subtract(prod, est, out=prod if out is None else out)
+    return np.subtract(x * w, est, out=est)
 
 
-def lazy_butterfly(lo: np.ndarray, hi: np.ndarray, w: np.ndarray,
-                   w_shoup: np.ndarray, shift, q, two_q,
-                   extra_sub: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One lazy Cooley-Tukey butterfly layer: inputs and outputs in ``[0, 2q)``.
+#: Index of a uint64's high word when it is viewed as two uint32.
+_HIGH_WORD = 1 if sys.byteorder == "little" else 0
 
-    ``t = x*w mod q`` lands in ``[0, 2q)`` via :func:`shoup_mul` (one extra
-    :func:`cond_sub` of ``2q`` for the wide moduli flagged by
-    ``extra_sub``).  Then
 
-    - ``new_lo = lo + t in [0, 4q)`` — one cond-sub of ``2q`` -> ``[0, 2q)``;
-    - ``new_hi = lo + (2q - t) in (0, 4q)`` — same reduction.
+def shoup_mul32(x: np.ndarray, w: np.ndarray, w_shoup: np.ndarray, q,
+                wide: np.ndarray, tmp: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Division-free ``x * w mod q`` into ``[0, 2q)`` on 32-bit words.
 
-    ``4q < 2^33`` keeps every sum far from uint64 wrap.  Zero divisions.
+    For ``q < 2^30``: ``x < 4q`` and ``w < q`` are uint32, ``w_shoup =
+    floor(w * 2^32 / q) < 2^32`` is uint64, as is the C-contiguous scratch
+    ``wide``; ``tmp`` and ``out`` are uint32 (``out`` may be ``x`` or a
+    strided view, ``tmp`` may not be ``x``).  ``x * w_shoup < 2^64`` is the
+    one wide pass and its high word, read as a view, is the quotient
+    estimate: the true ``floor(x*w / q)`` or one less, because the error
+    ``x*r / (q * 2^32)`` (``r < q`` the partner's remainder) is below
+    ``x / 2^32 < 1``.  So ``x*w - q*est`` lies in ``[0, 2q)``, below
+    ``2^31``, and its low 32 bits - two wrapping uint32 products and a
+    subtract - are the whole value.
     """
-    t = shoup_mul(hi, w, w_shoup, shift, q)
-    if extra_sub:
-        t = cond_sub(t, two_q)
-    return cond_sub(lo + t, two_q), cond_sub(lo + (two_q - t), two_q)
+    np.multiply(x, w_shoup, out=wide)
+    np.multiply(wide.view(np.uint32)[..., _HIGH_WORD::2], q, out=tmp)
+    np.multiply(x, w, out=out)
+    return np.subtract(out, tmp, out=out)

@@ -24,41 +24,48 @@ Two execution paths share the same tables:
 
 Hot-path design (see :mod:`repro.poly.kernels` for the primitive proofs):
 
-- **Strict path** (any ``q < 2^32``): the textbook pre-twist +
-  bit-reverse + DIT stage loop, three ``%`` reductions per butterfly.
-- **Lazy path** (all ``q < 2^31``, auto-selected): a merged-twist
-  Harvey-style transform with **zero divisions**.  The psi twist is folded
-  into per-stage twiddles (``psi^brv(j)`` tables, Longa–Naehrig style), each
-  Cooley–Tukey butterfly uses Shoup multiplication with precomputed scaled
-  twiddles and keeps values in the extended range ``[0, 4q)`` with a single
-  conditional subtract per butterfly, and one exact reduction happens at the
-  end of the transform.  To keep every numpy pass striding over contiguous
-  runs, the stage pipeline is split in two phases around a ``G x C`` matrix
-  transpose (the four-step layout trick, Sec. 5.2): phase 1 runs the
-  large-span stages in natural layout, phase 2 runs the small-span stages on
-  the transposed matrix where the short spans become the leading axis, and a
-  single fused gather produces natural-order output.  The inverse mirrors
-  the pipeline with Gentleman–Sande butterflies and folds ``n^{-1}`` into a
-  final Shoup multiply.
+- **Strict path** (any ``q < 2^32``; what moduli from ``2^30`` up take): the
+  textbook pre-twist + bit-reverse + DIT stage loop on uint64, three ``%``
+  reductions per butterfly.
+- **Lazy path** (all ``q < 2^30``, auto-selected): a merged-twist
+  Harvey-style transform with **zero divisions**, run at the paper's word
+  size: a residue vector is N x 32-bit words (Sec. 5.3), and so is the
+  workspace.  The psi twist is folded into per-stage twiddles
+  (``psi^brv(j)`` tables, Longa–Naehrig style), each Cooley–Tukey butterfly
+  uses Shoup multiplication with precomputed scaled twiddles and keeps
+  values in the extended range ``[0, 4q)`` with a single conditional
+  subtract per butterfly, and one exact reduction happens at the end of the
+  transform.  To keep every numpy pass striding over contiguous runs, the
+  stage pipeline is split in two phases around a ``G x C`` matrix transpose
+  (the four-step layout trick, Sec. 5.2): phase 1 runs the large-span stages
+  in natural layout, phase 2 runs the small-span stages on the transposed
+  matrix where the short spans become the leading axis, and a single fused
+  gather produces natural-order output.  The inverse mirrors the pipeline
+  with Gentleman–Sande butterflies and folds ``n^{-1}`` into a final Shoup
+  multiply.  The uint64 ``(..., L, N)`` interface is kept by a narrowing
+  copy into the workspace and one widening copy out of it.
 
-  Lazy-range proof sketch (per butterfly, ``w`` a twiddle, ``s`` the
-  per-modulus Shoup shift ``63 - bitlen(2q)``): inputs are ``< 4q``;
-  ``hi * w < 4q*q < 2^64`` and ``hi * w' < 4q * 2^s < 2^64`` (strict because
-  ``4q`` is never a power of two for odd prime q), so products never wrap.
-  The Shoup quotient estimate is off by at most 1 for ``q < 2^30`` (giving
-  ``t in [0, 2q)``) and at most 5 for ``q in [2^30, 2^31)`` (``t in
-  [0, 6q)``, restored to ``[0, 2q)`` by two extra conditional subtracts —
-  the ``_n_extra`` flag).  Then ``lo' = cond_sub(lo, 2q) in [0, 2q)``,
-  ``new_lo = lo' + t in [0, 4q)`` and ``new_hi = lo' + (2q - t) in (0, 4q)``
-  re-establish the invariant.  Every intermediate is congruent mod q to the
-  strict path's value and the final reduction is exact, so the two paths are
-  bit-identical.
+  Lazy-range proof sketch (per butterfly; ``w < q`` a uint32 twiddle,
+  ``ws = floor(w * 2^32 / q) < 2^32`` its uint64 partner): inputs are
+  ``x < 4q < 2^32``, so the one wide product ``x * ws < 2^64`` cannot wrap.
+  Its high word ``est`` is the true quotient ``floor(x*w / q)`` or one less,
+  because the estimate's error ``x*r / (q * 2^32)`` (``r < q``) is below
+  ``x / 2^32 < 1``.  Hence ``t = x*w - q*est`` lies in ``[0, 2q)``, below
+  ``2^31``, and is exact on low words alone: two wrapping uint32 multiplies
+  and a subtract (:func:`~repro.poly.kernels.shoup_mul32`).  Then
+  ``lo' = cond_sub(lo, 2q) in [0, 2q)`` (the ``min(x, x - c)`` trick holds
+  in uint32 for ``x < 2c <= 2^32``), and ``new_lo = lo' + t in [0, 4q)``,
+  ``new_hi = lo' + (2q - t) in (0, 4q)`` re-establish the invariant below
+  ``2^32``.  Every intermediate is congruent mod q to the strict path's
+  value and the final reduction is exact, so the two paths are
+  bit-identical.  A CT stage is 9 passes over half a block, 8 of them uint32.
 
-Invariant: all arithmetic uses uint64 intermediates, so every modulus must
-satisfy ``q < 2**32`` (products of residues then fit in 64 bits).  Both
-context constructors and :func:`cyclic_ntt_rows` reject wider moduli rather
-than silently wrapping.  Transform inputs must be reduced (``[0, q)`` per
-limb) — the engine-wide invariant.
+Invariant: every modulus must satisfy ``q < 2**32`` (products of residues
+then fit the strict path's uint64 intermediates).  Both context constructors
+and :func:`cyclic_ntt_rows` reject wider moduli rather than silently
+wrapping.  Transform inputs must be reduced (``[0, q)`` per limb) — the
+engine-wide invariant, which the lazy path's narrowing cast relies on and
+``REPRO_KERNEL_DEBUG=1`` asserts at its entry.
 
 Outputs are in natural order, so NTT-domain automorphisms are plain index
 permutations (see :mod:`repro.poly.automorphism`).
@@ -73,46 +80,50 @@ import numpy as np
 
 from repro.obs.profile import count_kernel, instrument
 from repro.poly import kernels, parallel
-from repro.poly.kernels import MAX_LAZY_MODULUS, cond_sub
+from repro.poly.kernels import cond_sub
 from repro.rns.primes import primitive_root_of_unity
 
 #: Moduli must stay below this so uint64 butterflies (hi * tw) cannot wrap.
 MAX_MODULUS = 1 << 32
 
+#: Moduli below this take the lazy plan: its range ``[0, 4q)`` fits a uint32.
+MAX_LAZY_NTT_MODULUS = 1 << 30
+
 #: Below this transform size the two-phase transpose layout buys nothing.
 _SINGLE_PHASE_MAX_N = 32
 
 #: Elements per transform block — the unit of cache residency *and* of thread
-#: fan (:meth:`RnsNttContext._run`): a block, its workspace (3.5 blocks) and
-#: its twiddles (2 blocks) should sit in the 2 MB L2 for the ~100 numpy passes
-#: of a transform, yet be large enough to amortise those calls.  Forward /
-#: inverse microseconds per row on this box, by elements per block:
-#: (18, 18, 1024) 8 K 71/79, 18 K 55/62, 36 K 52/58, 90 K 63/68, whole 70/82;
-#: (18, 4096) 8 K 265/304, 24 K 259/277, 48 K 250/281, whole 260/316;
-#: (16, 16384) 16 K 993/1125, 48 K 965/986, 96 K 1179/1205, whole 1292/1659.
-BLOCK_ELEMS = 24 * 1024
+#: fan (:meth:`RnsNttContext._run`): a block, its workspace (18 bytes an
+#: element) and its twiddles (12) should sit in L2 for the ~100 numpy passes of
+#: a transform, yet be large enough to amortise those calls (~110 us a block).
+#: Forward / inverse microseconds per row on this box, by elements per block:
+#: (18, 18, 1024) 8 K 46/57, 24 K 31/36, 36 K 28/33, 48 K 27/33, 96 K 27/33,
+#: whole 34/38; (18, 4096) 8 K 179/205, 24 K 129/155, 36 K 120/141,
+#: 96 K 114/138, whole 113/134; (16, 16384) 8 K 574/605, 24 K 565/646,
+#: 36 K 479/550, 48 K 461/529, 96 K 460/537, whole 623/637.
+BLOCK_ELEMS = 36 * 1024
 
 _scratch = threading.local()
 
 
 def _workspace(block: np.ndarray):
-    """This thread's scratch for transforming ``block``: three buffers of its
-    shape (working copy, transpose target, a third whose flat halves are
-    butterfly temporaries) and the three flat half-block temporaries.
+    """This thread's scratch for transforming ``block``: two uint32 buffers
+    of its shape (working copy, transpose target) and the half-block
+    temporaries, flat: three uint32 and the uint64 one of the Shoup products.
 
     All are views of one allocation that lives as long as the thread and
     grows to the largest block seen, which the driver bounds by
-    ``max(BLOCK_ELEMS, N)``: 3.5 * 8 bytes * 24 576 = 672 KiB per thread up
-    to N = 16384.  Nothing a transform returns aliases it.
+    ``max(BLOCK_ELEMS, N)``: (3.5 * 4 + 4) bytes * 36 864 = 648 KiB per
+    thread up to N = 16384.  Nothing a transform returns aliases it.
     """
     size, half = block.size, block.size // 2
     buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.size < 3 * size + half:
-        buf = _scratch.buf = np.empty(3 * size + half, dtype=np.uint64)
-    a, b, c = (buf[i * size:(i + 1) * size] for i in range(3))
-    return (a.reshape(block.shape), b.reshape(block.shape),
-            c.reshape(block.shape),
-            (c[:half], c[half:], buf[3 * size:3 * size + half]))
+    if buf is None or buf.size < 9 * half:
+        buf = _scratch.buf = np.empty(9 * half, dtype=np.uint32)
+    wide = buf[:size].view(np.uint64)
+    a, b = buf[size:2 * size], buf[2 * size:3 * size]
+    halves = tuple(buf[i * half:(i + 1) * half] for i in (6, 7, 8))
+    return a.reshape(block.shape), b.reshape(block.shape), halves + (wide,)
 
 
 def _as_residues(x) -> np.ndarray:
@@ -134,12 +145,13 @@ def _check_modulus_width(q: int) -> None:
 
 def _resolve_lazy(lazy: bool | None, moduli) -> bool:
     """Auto-select the lazy path; reject an explicit request it can't honor."""
-    supported = kernels.lazy_supported(moduli)
+    supported = max(int(q) for q in moduli) < MAX_LAZY_NTT_MODULUS
     if lazy is None:
         return supported
     if lazy and not supported:
         raise ValueError(
-            f"lazy reduction requires all moduli < 2^{MAX_LAZY_MODULUS.bit_length() - 1}; "
+            "lazy reduction requires all moduli < "
+            f"2^{MAX_LAZY_NTT_MODULUS.bit_length() - 1}; "
             f"got {max(int(q) for q in moduli)}"
         )
     return lazy
@@ -148,39 +160,29 @@ def _resolve_lazy(lazy: bool | None, moduli) -> bool:
 class _LazyPlan:
     """Precomputed stage schedule for the merged-twist lazy transform.
 
-    Owns, per direction, the stacked ``(L, N)`` twiddle tables
+    Owns, per direction, the stacked ``(L, N)`` uint32 twiddle tables
     ``W[l, j] = psi_l^{bitrev(j)}`` (forward; ``psi^{-1}`` for inverse) with
-    their Shoup partners, sliced into per-stage broadcast views, plus the
-    fused input/output permutations.  Plans are immutable after construction
-    and therefore safe to share across threads.
+    their uint64 Shoup partners ``floor(W * 2^32 / q)``, sliced into
+    per-stage broadcast views, plus the fused input/output permutations.
+    Plans are immutable after construction and therefore safe to share
+    across threads.
     """
 
     def __init__(self, n: int, moduli, w_fwd: np.ndarray, w_inv: np.ndarray,
                  n_inv_col: np.ndarray, c_size: int | None = None):
         level = len(moduli)
         self.n = n
-        q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
-        self.q_col = q_col
-        self.two_q_col = q_col * np.uint64(2)
-        self.four_q_col = q_col * np.uint64(4)
-        shifts = [kernels.shoup_shift(int(q)) for q in moduli]
-        self.shift_col = np.array(shifts, dtype=np.uint64).reshape(-1, 1)
-        # Quotient-estimate slack: 0 extra conditional subtracts per Shoup
-        # product for q < 2^30, 2 for q in [2^30, 2^31) (see module docstring).
-        self.n_extra = 2 if any(int(q) >= 1 << 30 for q in moduli) else 0
-        ws_fwd = np.stack([
-            kernels.shoup_precompute(w_fwd[i], int(q))
-            for i, q in enumerate(moduli)
-        ])
-        ws_inv = np.stack([
-            kernels.shoup_precompute(w_inv[i], int(q))
-            for i, q in enumerate(moduli)
-        ])
-        self.n_inv_col = n_inv_col
-        self.n_inv_shoup = np.stack([
-            kernels.shoup_precompute(n_inv_col[i], int(q))
-            for i, q in enumerate(moduli)
-        ])
+        q64 = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        self.q_col = q64.astype(np.uint32)
+        self.two_q_col = self.q_col * np.uint32(2)
+
+        def partner(w):  # w < q < 2^30, so w << 32 fits a uint64 exactly
+            return (w << np.uint64(32)) // q64
+
+        ws_fwd, ws_inv = partner(w_fwd), partner(w_inv)
+        w_fwd, w_inv = w_fwd.astype(np.uint32), w_inv.astype(np.uint32)
+        self.n_inv_col = n_inv_col.astype(np.uint32)
+        self.n_inv_shoup = partner(n_inv_col)
 
         # Phase split: stages with butterfly span t >= C run in natural
         # layout; spans t < C run on the transposed G x C matrix where the
@@ -240,8 +242,7 @@ class _LazyPlan:
         self.in_perm = in_perm
 
         # Broadcast constants for the 3-D (phase 1) and 4-D (phase 2) views.
-        self._c3 = (q_col[:, :, None], self.two_q_col[:, :, None],
-                    self.four_q_col[:, :, None], self.shift_col[:, :, None])
+        self._c3 = (self.q_col[:, :, None], self.two_q_col[:, :, None])
         self._c4 = tuple(c[:, :, None] for c in self._c3)
 
     # ------------------------------------------------------------- butterflies
@@ -251,19 +252,15 @@ class _LazyPlan:
 
         The first stage's inputs are fully reduced (``< q < 2q``), so its
         ``lo`` conditional subtract is skipped.  Every pass writes through
-        ``out=``: into the three half-block buffers ``tmp``, the final sums
+        ``out=``: into the half-block buffers ``tmp``, the final sums
         directly into the (strided) destination views.
         """
-        q, two_q, four_q, shift = consts
-        est, t = tmp[0].reshape(lo.shape), tmp[1].reshape(lo.shape)
-        kernels.shoup_mul(hi, w, ws, shift, q, scratch=(est, t))
-        if self.n_extra:
-            cond_sub(t, four_q, out=t, tmp=est)
-            cond_sub(t, two_q, out=t, tmp=est)
+        q, two_q = consts
+        est, t, lo2, wide = [b.reshape(lo.shape) for b in tmp]
+        kernels.shoup_mul32(hi, w, ws, q, wide, est, out=t)
         if first:
             lo2 = lo
         else:
-            lo2 = tmp[2].reshape(lo.shape)
             cond_sub(lo, two_q, out=lo2, tmp=lo2)
         np.subtract(two_q, t, out=est)
         np.add(lo2, est, out=hi)
@@ -276,18 +273,13 @@ class _LazyPlan:
         ``x = lo + (2q - hi)`` is formed before ``lo`` is overwritten; the
         product lands in ``hi`` with its last pass.
         """
-        q, two_q, four_q, shift = consts
-        x, s, v = [b.reshape(lo.shape) for b in tmp]
+        q, two_q = consts
+        x, s, v, wide = [b.reshape(lo.shape) for b in tmp]
         np.subtract(two_q, hi, out=x)
         np.add(lo, x, out=x)
         np.add(lo, hi, out=s)
         cond_sub(s, two_q, out=lo, tmp=v)
-        if self.n_extra:
-            kernels.shoup_mul(x, w, ws, shift, q, scratch=(s, v))
-            cond_sub(v, four_q, out=v, tmp=s)
-            cond_sub(v, two_q, out=hi, tmp=s)
-        else:
-            kernels.shoup_mul(x, w, ws, shift, q, out=hi, scratch=(s, v))
+        kernels.shoup_mul32(x, w, ws, q, wide, s, out=hi)
 
     def _transpose(self, src: np.ndarray, dst: np.ndarray,
                    rows: int, cols: int) -> None:
@@ -310,9 +302,10 @@ class _LazyPlan:
         leading axes, never written); ``out`` is C-contiguous, of the same
         shape, and receives reduced natural-order values.
         """
+        kernels._validate_reduced(limbs, self.q_col[rows], "ntt forward")
         lead = limbs.shape[:-1]
-        a, b, _, tmp = _workspace(limbs)
-        np.copyto(a, limbs)
+        a, b, tmp = _workspace(limbs)
+        np.copyto(a, limbs)  # the narrowing cast: residues are < q < 2^30
         consts, stages = self._cut(rows, self._c3, self.fwd_p1)
         for i, (m, t, w, ws) in enumerate(stages):
             blocks = a.reshape(lead + (m, 2 * t))
@@ -328,15 +321,19 @@ class _LazyPlan:
                                consts, False, tmp)
         cond_sub(a, self.two_q_col[rows], out=a, tmp=b)
         cond_sub(a, self.q_col[rows], out=a, tmp=b)
-        return np.take(a, self.out_perm, axis=-1, out=out, mode="clip")
+        np.take(a, self.out_perm, axis=-1, out=b, mode="clip")
+        np.copyto(out, b)
+        return out
 
     def inverse(self, evals: np.ndarray, out: np.ndarray,
                 rows: slice = slice(None)) -> np.ndarray:
         """Inverse of :meth:`forward` (same contract), ``n^{-1}`` fused into
         the final pass."""
+        kernels._validate_reduced(evals, self.q_col[rows], "ntt inverse")
         lead = evals.shape[:-1]
-        a, b, v, tmp = _workspace(evals)
-        np.take(evals, self.in_perm, axis=-1, out=a, mode="clip")
+        a, b, tmp = _workspace(evals)
+        np.copyto(b, evals)
+        np.take(b, self.in_perm, axis=-1, out=a, mode="clip")
         if self.c_size > 1:
             consts, stages = self._cut(rows, self._c4, self.inv_p2)
             for cm, t, w, ws in reversed(stages):
@@ -350,20 +347,21 @@ class _LazyPlan:
             blocks = a.reshape(lead + (m, 2 * t))
             self._gs_stage(blocks[..., :t], blocks[..., t:], w, ws, consts,
                            tmp)
-        q = self.q_col[rows]
-        kernels.shoup_mul(a, self.n_inv_col[rows], self.n_inv_shoup[rows],
-                          self.shift_col[rows], q, scratch=(b, v))
-        if self.n_extra:
-            cond_sub(v, self.four_q_col[rows], out=v, tmp=b)
-            cond_sub(v, self.two_q_col[rows], out=v, tmp=b)
-        return cond_sub(v, q, out=out, tmp=b)
+        q, half = self.q_col[rows], self.n // 2
+        for cols in (slice(half), slice(half, None)):  # the scratch is half
+            x = a[..., cols]
+            kernels.shoup_mul32(x, self.n_inv_col[rows],
+                                self.n_inv_shoup[rows], q,
+                                tmp[3].reshape(x.shape), b[..., cols], out=x)
+        np.copyto(out, cond_sub(a, q, out=a, tmp=b))
+        return out
 
 
 class NttContext:
     """Precomputed tables for length-N negacyclic NTTs modulo prime q.
 
     ``lazy=None`` (default) auto-selects the division-free lazy path when
-    ``q < 2^31``; ``lazy=False`` forces the strict path (bit-identical, used
+    ``q < 2^30``; ``lazy=False`` forces the strict path (bit-identical, used
     as the oracle in tests).
     """
 
@@ -592,30 +590,6 @@ def _stage_loop_strict(a: np.ndarray, tables, q_block) -> np.ndarray:
     return a
 
 
-def _stage_loop_lazy(a: np.ndarray, tables, shoup_tables, q, two_q,
-                     shift, extra: bool) -> np.ndarray:
-    """Division-free DIT stage loop with values held in ``[0, 2q)``.
-
-    Input must be reduced; output needs one final
-    :func:`~repro.poly.kernels.cond_sub`.  Used by :func:`cyclic_ntt_rows`
-    (whose sub-transforms need externally supplied roots, so the merged-twist
-    plan does not apply).  See :func:`~repro.poly.kernels.lazy_butterfly`.
-    """
-    n = a.shape[-1]
-    length = 2
-    for tw, tws in zip(tables, shoup_tables):
-        half = length // 2
-        blocks = a.reshape(a.shape[:-1] + (n // length, length))
-        lo = blocks[..., :half]
-        hi = blocks[..., half:]
-        new_lo, new_hi = kernels.lazy_butterfly(lo, hi, tw, tws, shift, q,
-                                                two_q, extra)
-        blocks[..., half:] = new_hi
-        blocks[..., :half] = new_lo
-        length *= 2
-    return a
-
-
 @lru_cache(maxsize=None)
 def get_context(n: int, q: int) -> NttContext:
     """Shared, cached NTT context (tables are expensive to rebuild)."""
@@ -661,23 +635,13 @@ def _stage_twiddle_tables(n: int, omega: int, q: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-@lru_cache(maxsize=None)
-def _stage_twiddle_shoup_tables(n: int, omega: int, q: int) -> tuple[np.ndarray, ...]:
-    """Shoup partners ``floor(w << s / q)`` of :func:`_stage_twiddle_tables`."""
-    return tuple(
-        kernels.shoup_precompute(tw, q)
-        for tw in _stage_twiddle_tables(n, omega, q)
-    )
-
-
 def cyclic_ntt_rows(matrix: np.ndarray, omega: int, q: int) -> np.ndarray:
     """Cyclic NTT of each row of ``matrix`` with the given primitive root.
 
     Used by the four-step decomposition, which needs sub-NTTs with *specific*
     roots (powers of the full transform's root).  Iterative radix-2 DIT,
     natural-order in and out, vectorized across rows; rows must be reduced
-    mod q.  Twiddle tables are cached per (N, omega, q), and moduli below
-    2^31 ride the division-free lazy stage loop.
+    mod q.  Twiddle tables are cached per (N, omega, q).
     """
     _check_modulus_width(q)
     matrix = np.asarray(matrix, dtype=np.uint64)
@@ -686,17 +650,9 @@ def cyclic_ntt_rows(matrix: np.ndarray, omega: int, q: int) -> np.ndarray:
         return matrix.copy()
     if pow(omega, n, q) != 1 or pow(omega, n // 2, q) != q - 1:
         raise ValueError(f"omega is not a primitive {n}-th root mod {q}")
-    qq = np.uint64(q)
     a = matrix[:, _bit_reverse_indices(n)]  # fancy indexing already copies
-    tables = _stage_twiddle_tables(n, omega, q)
-    if q < MAX_LAZY_MODULUS:
-        a = _stage_loop_lazy(
-            a, tables, _stage_twiddle_shoup_tables(n, omega, q),
-            qq, np.uint64(2 * q), np.uint64(kernels.shoup_shift(q)),
-            kernels.shoup_needs_extra_sub(q),
-        )
-        return cond_sub(a, qq)
-    return _stage_loop_strict(a, tables, qq)
+    return _stage_loop_strict(a, _stage_twiddle_tables(n, omega, q),
+                              np.uint64(q))
 
 
 def naive_negacyclic_multiply(a, b, q: int) -> np.ndarray:

@@ -5,9 +5,10 @@ Three families:
 - unit oracles for :mod:`repro.poly.kernels` against plain ``%`` arithmetic,
   across the modulus widths the engine admits (28/30/31-bit lazy, 32-bit
   strict-only), including the documented overflow edges;
-- bit-identity of the lazy NTT paths against the strict ``%``-reduction
-  paths (and the per-limb reference), including the largest admissible lazy
-  modulus with adversarial all-(q-1) inputs;
+- bit-identity of the uint32 lazy NTT plan (moduli below 2^30) against the
+  strict ``%``-reduction paths and the per-limb reference, including the
+  largest admissible lazy modulus with adversarial all-(q-1) inputs, and
+  the strict fallback from 2^30 up;
 - behavioral equivalence of the fused/hoisted composites: fused
   ``key_switch_v1`` vs. the unfused reference loop, ``rotate_many`` vs.
   sequential rotations on both schemes and both key-switch variants, and the
@@ -23,7 +24,7 @@ from repro.fhe.keyswitch import HoistedDecomposition, key_switch_v1
 from repro.fhe.params import FheParams
 from repro.fhe.sampling import uniform_poly
 from repro.poly import kernels
-from repro.poly.ntt import MAX_LAZY_MODULUS, NttContext, RnsNttContext
+from repro.poly.ntt import MAX_LAZY_NTT_MODULUS, NttContext, RnsNttContext
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns.crt import RnsBasis
 from repro.rns.primes import ntt_friendly_primes
@@ -111,7 +112,7 @@ def test_shoup_mul_congruent_and_lazy_bounded(q):
     shift = np.uint64(kernels.shoup_shift(q))
     qq = np.uint64(q)
     w = rng.integers(0, q, 256, dtype=np.uint64)
-    ws = kernels.shoup_precompute(w, q)
+    ws = ((w.astype(object) << int(shift)) // q).astype(np.uint64)
     x = rng.integers(0, 2 * q, 256, dtype=np.uint64)  # full lazy input range
     t = kernels.shoup_mul(x, w, ws, shift, qq)
     bound = 3 * q if kernels.shoup_needs_extra_sub(q) else 2 * q
@@ -131,48 +132,76 @@ def test_debug_validate_catches_unreduced_operands(monkeypatch):
         kernels.neg_mod(bad, q)
 
 
+@pytest.mark.parametrize("bits", [28, 30])
+def test_shoup_mul32_lands_in_the_lazy_range(bits):
+    """``[0, 2q)`` for ``x`` over the whole ``[0, 4q)`` a butterfly can hold:
+    both ends, every multiple of q and its neighbours, and a random fill."""
+    q = ntt_friendly_primes(1024, bits, 1)[0]
+    rng = np.random.default_rng(q)
+    edges = [k * q + d for k in range(5) for d in (-1, 0, 1)][1:-1]
+    x = np.concatenate([edges, rng.integers(0, 4 * q, 4096)]).astype(np.uint32)
+    w = np.concatenate([[0, 1, q - 1], rng.integers(0, q, 61)])[:, None]
+    ws = ((w.astype(object) << 32) // q).astype(np.uint64)
+    wide = np.empty((w.size, x.size), dtype=np.uint64)
+    tmp, out = np.empty_like(wide, np.uint32), np.empty_like(wide, np.uint32)
+    t = kernels.shoup_mul32(x, w.astype(np.uint32), ws, np.uint32(q),
+                            wide, tmp, out)
+    assert int(t.max()) < 2 * q
+    assert np.array_equal(t % q, x.astype(np.uint64) * w.astype(np.uint64) % q)
+
+
 # ------------------------------------------------------- lazy vs strict NTT
+def _per_limb(n, moduli, limbs, inverse=False):
+    rows = [NttContext(n, q, lazy=False) for q in moduli]
+    return np.stack([(c.inverse if inverse else c.forward)(row)
+                     for c, row in zip(rows, limbs)])
+
+
 @pytest.mark.parametrize("bits", [28, 30, 31])
 @pytest.mark.parametrize("n", [16, 256, 1024])
 def test_lazy_ntt_bit_identical_to_strict(bits, n):
+    """What the engine auto-selects == strict == per-limb: the uint32 plan
+    at 28 and 30 bits, the strict path at 31, where ``lazy=True`` raises."""
     moduli = tuple(ntt_friendly_primes(n, bits, 3))
-    lazy = RnsNttContext(n, moduli, lazy=True)
+    auto = RnsNttContext(n, moduli)
     strict = RnsNttContext(n, moduli, lazy=False)
-    assert lazy.lazy and not strict.lazy
+    assert auto.lazy == (bits <= 30) and not strict.lazy
+    if bits == 31:
+        with pytest.raises(ValueError, match="lazy reduction requires"):
+            RnsNttContext(n, moduli, lazy=True)
     for _ in range(3):
         limbs = _random_limbs(moduli, n)
-        assert np.array_equal(lazy.forward(limbs), strict.forward(limbs))
-        assert np.array_equal(lazy.inverse(limbs), strict.inverse(limbs))
-        assert np.array_equal(lazy.inverse(lazy.forward(limbs)), limbs)
+        assert np.array_equal(auto.forward(limbs), strict.forward(limbs))
+        assert np.array_equal(auto.inverse(limbs), strict.inverse(limbs))
+        assert np.array_equal(auto.forward(limbs), _per_limb(n, moduli, limbs))
+        assert np.array_equal(auto.inverse(limbs),
+                              _per_limb(n, moduli, limbs, inverse=True))
+        assert np.array_equal(auto.inverse(auto.forward(limbs)), limbs)
 
 
 def test_lazy_ntt_mixed_width_basis_and_batched_stacks():
-    n = 128
-    moduli = tuple(
-        ntt_friendly_primes(n, 28, 2)
-        + ntt_friendly_primes(n, 30, 2)
-        + ntt_friendly_primes(n, 31, 1)
-    )
-    lazy = RnsNttContext(n, moduli)
-    strict = RnsNttContext(n, moduli, lazy=False)
-    assert lazy.lazy  # auto-selected
-    limbs = _random_limbs(moduli, n)
-    assert np.array_equal(lazy.forward(limbs), strict.forward(limbs))
-    stack = np.stack([limbs, strict.forward(limbs), limbs])
-    fwd = lazy.forward(stack)
-    for i in range(3):
-        assert np.array_equal(fwd[i], strict.forward(stack[i]))
-    inv = lazy.inverse(stack)
-    for i in range(3):
-        assert np.array_equal(inv[i], strict.inverse(stack[i]))
+    for n in (128, 4096):
+        moduli = tuple(ntt_friendly_primes(n, 28, 3)
+                       + ntt_friendly_primes(n, 30, 2))
+        lazy = RnsNttContext(n, moduli)
+        strict = RnsNttContext(n, moduli, lazy=False)
+        assert lazy.lazy  # auto-selected
+        limbs = _random_limbs(moduli, n)
+        assert np.array_equal(lazy.forward(limbs), strict.forward(limbs))
+        stack = np.stack([limbs, strict.forward(limbs), limbs])
+        fwd, inv = lazy.forward(stack), lazy.inverse(stack)
+        for i in range(3):
+            assert np.array_equal(fwd[i], strict.forward(stack[i]))
+            assert np.array_equal(inv[i], strict.inverse(stack[i]))
 
 
 def test_overflow_edge_at_largest_admissible_lazy_modulus():
-    """The largest NTT-friendly prime below 2^31, driven with all-(q-1)
-    inputs — the worst case for every uint64 headroom bound in the proofs."""
+    """The largest NTT-friendly prime below 2^30, driven with all-(q-1) rows
+    and a random ``[0, q)`` block: every stage holds values up to ``4q - 1``,
+    which must stay below 2^32 for the uint32 workspace not to wrap."""
     n = 256
-    q = ntt_friendly_primes(n, 31, 1)[0]  # scans downward from 2^31 - 1
-    assert q < MAX_LAZY_MODULUS and q.bit_length() == 31
+    q = ntt_friendly_primes(n, 30, 1)[0]  # scans downward from 2^30 - 1
+    assert q < MAX_LAZY_NTT_MODULUS and 4 * q - 1 > 0.999 * (1 << 32)
     lazy = NttContext(n, q, lazy=True)
     strict = NttContext(n, q, lazy=False)
     tops = np.full(n, q - 1, dtype=np.uint64)
@@ -180,14 +209,18 @@ def test_overflow_edge_at_largest_admissible_lazy_modulus():
     assert np.array_equal(lazy.inverse(tops), strict.inverse(tops))
     assert np.array_equal(lazy.inverse(lazy.forward(tops)), tops)
     rng = np.random.default_rng(0)
-    x = rng.integers(0, q, n, dtype=np.uint64)
-    assert np.array_equal(lazy.forward(x), strict.forward(x))
+    block = rng.integers(0, q, (64, 1, n), dtype=np.uint64)
+    block[:, :, ::3] = q - 1
+    ctx, ref = RnsNttContext(n, (q,)), RnsNttContext(n, (q,), lazy=False)
+    assert ctx.lazy
+    assert np.array_equal(ctx.forward(block), ref.forward(block))
+    assert np.array_equal(ctx.inverse(block), ref.inverse(block))
 
 
 def test_strict_fallback_for_wide_moduli():
     n = 64
     q = ntt_friendly_primes(n, 32, 1)[0]
-    assert q >= MAX_LAZY_MODULUS
+    assert q >= MAX_LAZY_NTT_MODULUS
     ctx = NttContext(n, q)  # auto-selects strict
     assert not ctx.lazy
     x = RNG.integers(0, q, n, dtype=np.uint64)
@@ -196,6 +229,24 @@ def test_strict_fallback_for_wide_moduli():
         NttContext(n, q, lazy=True)
     with pytest.raises(ValueError, match="lazy reduction requires"):
         RnsNttContext(n, tuple(ntt_friendly_primes(n, 28, 1)) + (q,), lazy=True)
+
+
+def test_debug_validate_catches_an_unreduced_transform_input(monkeypatch):
+    """The plan's narrowing cast would turn a residue >= 2^32 into a
+    plausible wrong answer; under the debug flag it is refused at entry."""
+    n = 64
+    moduli = tuple(ntt_friendly_primes(n, 28, 2))
+    ctx = RnsNttContext(n, moduli)
+    limbs = _random_limbs(moduli, n)
+    bad = limbs.copy()
+    bad[1, 5] += (1 << 32)  # same low word, not a residue
+    monkeypatch.setattr(kernels, "DEBUG_VALIDATE", False)
+    assert np.array_equal(ctx.forward(bad), ctx.forward(limbs))  # hidden
+    monkeypatch.setattr(kernels, "DEBUG_VALIDATE", True)
+    ctx.forward(limbs), ctx.inverse(limbs)  # reduced input passes
+    for call in (ctx.forward, ctx.inverse):
+        with pytest.raises(AssertionError, match="not reduced"):
+            call(bad)
 
 
 # ------------------------------------------------- fused/hoisted composites
