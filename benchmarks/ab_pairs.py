@@ -1,13 +1,15 @@
-"""Alternating parent/change pairs of one end-to-end workload.
+"""Alternating parent/change pairs of end-to-end workloads.
 
-``python benchmarks/ab_pairs.py engine_solo [--pairs 10] [--ref HEAD~1]``
-archives ``--ref`` and the work tree into a temp dir and runs the unchanged
-driver command (``benchmarks/e2e/run.py --workload W --seconds 10 --trace
-0``) on each, ``--pairs`` times: the side that goes first alternates and
-each pair gets a fresh seed.  Prints every run, each side's median and
-quartiles per end-to-end metric, pairs won, and ``failed``: the numbers the
-claim rule (nine of ten pairs, medians apart by more than the parent's
-quartile distance) asks for.
+``python benchmarks/ab_pairs.py W1 [W2 ...] [--pairs 10] [--ref HEAD~1]``
+archives ``--ref`` and the work tree into a temp dir (one pair of archives
+for all workloads) and runs the unchanged driver command
+(``benchmarks/e2e/run.py --workload W --seconds 10 --trace 0``) on each,
+``--pairs`` times: the workloads are interleaved inside each pair, the side
+that goes first alternates and each pair gets a fresh seed.  Prints every
+run, then one row per (workload, end-to-end metric): each side's median and
+quartiles, pairs won, and ``failed`` -- the numbers the claim rule (nine of
+ten pairs, medians apart by more than the parent's quartile distance) asks
+for.
 """
 
 import argparse
@@ -44,7 +46,7 @@ def checkout(ref: str, dest: Path) -> Path:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("workload")
+    ap.add_argument("workloads", nargs="+", metavar="workload")
     ap.add_argument("--pairs", type=int, default=10, help="at least 2")
     ap.add_argument("--ref", default="HEAD~1")
     args = ap.parse_args()
@@ -55,25 +57,37 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": checkout(args.ref, Path(tmp, "parent")),
                  "change": checkout(work or "HEAD", Path(tmp, "change"))}
-        runs = {"parent": [], "change": []}
+        runs = {(w, side): [] for w in args.workloads for side in trees}
         seed = int(time.time()) % 100_000      # fresh per invocation and pair
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run(trees[side], args.workload, seed + pair))
-            print(f"pair {pair}:", *(f"{side} {runs[side][-1]}" for side in order),
-                  flush=True)
-    for metric in list(runs["parent"][0])[:-1]:        # "failed" is last
-        print(metric)
-        for side in ("parent", "change"):
-            q1, med, q3 = statistics.quantiles(
-                [r[metric] for r in runs[side]], n=4, method="inclusive")
-            print(f"  {side:6s} median {med:.4g}  quartiles {q1:.4g} .. {q3:.4g}")
-        sign = -1 if metric in LOWER_IS_BETTER else 1
-        won = sum(sign * c[metric] > sign * p[metric]
-                  for p, c in zip(runs["parent"], runs["change"]))
-        print(f"  change better in {won} of {args.pairs} pairs")
-    print("failed", {side: sum(r["failed"] for r in runs[side]) for side in runs})
+            for workload in args.workloads:
+                for side in order:
+                    runs[workload, side].append(
+                        run(trees[side], workload, seed + pair))
+                print(f"pair {pair} {workload}:",
+                      *(f"{side} {runs[workload, side][-1]}" for side in order),
+                      flush=True)
+
+    def spread(values) -> str:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return f"{med:.4g} ({q1:.4g} .. {q3:.4g})"
+
+    print("| workload | metric | parent median (quartiles) "
+          "| change median (quartiles) | change better | failed p / c |")
+    print("|---|---|---|---|---|---|")
+    for workload in args.workloads:
+        parent, change = runs[workload, "parent"], runs[workload, "change"]
+        failed = " / ".join(str(sum(r["failed"] for r in side))
+                            for side in (parent, change))
+        for metric in list(parent[0])[:-1]:        # "failed" is last
+            sign = -1 if metric in LOWER_IS_BETTER else 1
+            won = sum(sign * c[metric] > sign * p[metric]
+                      for p, c in zip(parent, change))
+            print(f"| {workload} | {metric} "
+                  f"| {spread([r[metric] for r in parent])} "
+                  f"| {spread([r[metric] for r in change])} "
+                  f"| {won} of {args.pairs} | {failed} |")
 
 
 if __name__ == "__main__":

@@ -93,6 +93,7 @@ class Program:
         self.scheme = scheme
         self.name = name
         self.ops: list[HeOp] = []
+        self._signature: tuple[int, str] = (-1, "")   # (len(ops), digest)
 
     # ------------------------------------------------------------- builders
     def _check_handle(self, h: "CtHandle") -> "CtHandle":
@@ -204,7 +205,13 @@ class Program:
         re-building "the same" program each request maps to one registry
         entry.  Ops are identified positionally, which is well-defined
         because args always point backwards in the append-ordered list.
+
+        Memoised on ``len(self.ops)``: ops are append-only (every builder
+        goes through ``_append``), so an unchanged length means an
+        unchanged graph and a serving ``submit`` does not re-hash it.
         """
+        if self._signature[0] == len(self.ops):
+            return self._signature[1]
         h = hashlib.sha256()
         h.update(f"{self.n}|{self.scheme}".encode())
         for op in self.ops:
@@ -212,7 +219,8 @@ class Program:
                 f"|{op.kind.value}:{','.join(map(str, op.args))}"
                 f":{op.level}:{op.rotate_steps}".encode()
             )
-        return h.hexdigest()
+        self._signature = (len(self.ops), h.hexdigest())
+        return self._signature[1]
 
     def stats(self) -> dict:
         counts: dict[str, int] = {}

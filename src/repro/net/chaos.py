@@ -284,15 +284,12 @@ ALLOWED_STATUSES = frozenset({"ok", "expired", "failed", "shed"})
 
 
 def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,
-               n: int = 256, width: int = 8, kill: bool = True,
-               restart: bool = True, policy: ChaosPolicy | None = None,
-               result_timeout_s: float = 180.0,
-               verbose: bool = True) -> int:
+               policy: ChaosPolicy | None = None, verbose: bool = True) -> int:
     """Synthetic traffic through a chaos-wrapped cluster; returns 0 on pass.
 
     The invariant under test is the resilience tier's contract: under a
-    seeded schedule of drops, corrupt frames, delays (and a worker
-    kill + restart mid-run), **no future is ever lost** — every one
+    seeded schedule of drops, corrupt frames, delays and a worker
+    kill + restart mid-run, **no future is ever lost** — every one
     resolves within the deadline + watchdog budget with a status in
     ``{ok, expired, failed, shed}`` — and every ``ok`` result matches a
     solo run of the same request (bit-identical BGV, tolerance CKKS).
@@ -316,7 +313,8 @@ def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,
                              delay_rate=0.2, delay_ms=1.0, heavy_tail_ms=5.0)
     else:
         policy = policy.with_seed(seed)
-    programs = [linear_bgv_program(n), poly_ckks_program(n)]
+    width = 8
+    programs = [linear_bgv_program(256), poly_ckks_program(256)]
     per_program = max(2, requests // len(programs))
     traffic = [(prog, synthetic_requests(prog, per_program, width=width,
                                          seed=seed + i))
@@ -333,9 +331,9 @@ def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,
             with FheServer(executor=pool, workers=2, max_batch=4,
                            max_wait_ms=5.0, seed=seed) as server:
                 for i, (prog, req) in enumerate(plan):
-                    if kill and i == kill_at:
+                    if i == kill_at:
                         cluster.kill(0)
-                    if restart and i == restart_at:
+                    if i == restart_at:
                         cluster.restart(0)
                     # A quarter of the traffic carries a latency budget
                     # so the expired/shed paths stay reachable; the
@@ -351,8 +349,7 @@ def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,
                 results = []
                 for i, future in enumerate(futures):
                     try:
-                        results.append(future.result(
-                            timeout=result_timeout_s))
+                        results.append(future.result(timeout=180.0))
                     except Exception as exc:  # noqa: BLE001 — tallied
                         results.append(None)
                         if future.done():
@@ -391,8 +388,7 @@ def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,
                            ("failed", "shed", "degradations")
                            if stats.get(k)})
         print(f"chaos soak {'OK' if ok else 'FAILED'}: seed={seed}, "
-              f"{total} requests over {hosts} hosts "
-              f"(kill={kill}, restart={restart})")
+              f"{total} requests over {hosts} hosts")
         print(f"  statuses: {dict(sorted(statuses.items()))}, "
               f"lost={lost}, ok cross-checked={checked}, "
               f"max ckks err={max_err:.2e}")

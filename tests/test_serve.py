@@ -113,6 +113,29 @@ class TestSignature:
 
         assert prog("bgv") != prog("ckks")
 
+    def test_memoised_until_an_op_is_appended(self, monkeypatch):
+        """``submit`` asks for the signature per request: the op list is
+        hashed once per length, and appending an op re-keys the program."""
+        import hashlib
+        import types
+
+        from repro.dsl import program as program_module
+
+        hashes = []
+
+        def counting_sha256():
+            hashes.append(1)
+            return hashlib.sha256()
+
+        monkeypatch.setattr(program_module, "hashlib",
+                            types.SimpleNamespace(sha256=counting_sha256))
+        program = linear_bgv()
+        first = program.signature()
+        assert program.signature() is first and len(hashes) == 1
+        assert first == linear_bgv().signature()
+        program.output(program.input(3))
+        assert program.signature() != first and len(hashes) == 3
+
 
 class TestRegistry:
     def test_context_cache_hit_bit_identity(self):
@@ -602,6 +625,26 @@ class TestFheServer:
         assert sum(batch_sizes) == 21
         assert all(f.done() for f in futures)
 
+    def test_lone_request_on_a_warm_bucket_is_cut_by_the_quiet_gap(self):
+        """Event-driven, nothing sleeps: once a bucket has run a batch,
+        an idle worker cuts a lone request after half that batch's time
+        instead of sleeping out ``max_wait_ms`` (2 s here)."""
+        program = poly_ckks()
+        requests = ckks_requests(program, 3)
+        with FheServer(max_batch=2, max_wait_ms=2000.0) as server:
+            warm = [server.submit(program, inputs=r.inputs, width=WIDTH)
+                    for r in requests[:2]]      # fills the bucket: cut now
+            assert all(f.result(timeout=60).status == STATUS_OK
+                       for f in warm)
+            lone = server.request(program, inputs=requests[2].inputs,
+                                  width=WIDTH)
+            row = server.stats()["per_signature"][program.signature()]
+        assert lone.status == STATUS_OK and lone.batch_size == 1
+        assert lone.queue_ms < 1000
+        assert row["ready"] == {"full": 1, "quiet": 1, "max_wait": 0,
+                                "deadline": 0, "flush": 0}
+        assert 0 < row["batch_ms"] < 2000
+
     def test_injected_backend_params_honored(self):
         """Server-built contexts use the injected backend's explicit params."""
         params = repro.FheParams.build(n=N, levels=5, prime_bits=28,
@@ -894,11 +937,16 @@ class TestSchedulerPolicy:
 
     MAX_WAIT = 10 * MS      # deadline slack is then 2 x 2.5 ms
 
-    def bucket(self, *pending, max_batch=4):
+    def bucket(self, *pending, max_batch=4, batch_s=None):
+        """``batch_s``: the bucket has run batches that took this long
+        (``None``: cold); the last arrival is the latest ``enqueued``."""
         program = poly_ckks()
         group = _Group(program, program.signature(), WIDTH,
                        max_batch=max_batch, max_wait_s=self.MAX_WAIT)
         group.pending = list(pending)
+        group.batch_s = batch_s
+        group.last_arrival = max((p.enqueued for p in pending),
+                                 default=-math.inf)
         return group
 
     def pending(self, enqueued, *, priority=0, deadline=math.inf):
@@ -956,6 +1004,59 @@ class TestSchedulerPolicy:
         assert pick_ready([waiting, budgeted, empty], T0 + 1 * MS) \
             == (None, pytest.approx(T0 + 3 * MS))
         assert pick_ready([empty], T0) == (None, math.inf)
+
+    def test_lone_request_on_a_warm_bucket_waits_half_a_batch_time(self):
+        """The quiet gap: a partner arriving later than ``batch_s / 2``
+        costs more summed latency than it saves, so that is when an idle
+        worker stops waiting for one."""
+        lone = self.bucket(self.pending(T0), batch_s=4 * MS)
+        assert pick_ready([lone], T0 + 1 * MS) \
+            == (None, pytest.approx(T0 + 2 * MS))
+        assert pick_ready([lone], T0 + 2 * MS)[0] is lone
+        assert lone.ready_reason() == "quiet"
+        # A bucket that ran and is empty now has nothing to be quiet about.
+        idle = self.bucket(batch_s=4 * MS)
+        idle.last_arrival = T0
+        assert pick_ready([idle], T0 + 5 * MS) == (None, math.inf)
+
+    def test_each_arrival_restarts_the_gap_up_to_the_oldest_flush_by(self):
+        pair = self.bucket(self.pending(T0), self.pending(T0 + 1.5 * MS),
+                           batch_s=4 * MS)
+        assert pick_ready([pair], T0 + 2 * MS) \
+            == (None, pytest.approx(T0 + 3.5 * MS))
+        # A trickle cannot hold a bucket past max_wait: the ceiling stays.
+        trickle = self.bucket(self.pending(T0), self.pending(T0 + 9 * MS),
+                              batch_s=4 * MS)
+        assert pick_ready([trickle], T0 + 9 * MS) \
+            == (None, T0 + self.MAX_WAIT)
+        assert trickle.ready_reason() == "max_wait"
+
+    @pytest.mark.parametrize("batch_s", [None, 30 * MS])
+    def test_cold_or_slow_bucket_keeps_the_max_wait_window(self, batch_s):
+        """No batch has run yet, or half a batch outlasts ``max_wait``:
+        the wake instant is ``enqueued + max_wait``, as before the rule."""
+        bucket = self.bucket(self.pending(T0), self.pending(T0 + 3 * MS),
+                             batch_s=batch_s)
+        assert pick_ready([bucket], T0 + 4 * MS) \
+            == (None, T0 + self.MAX_WAIT)
+        assert bucket.ready_reason() == "max_wait"
+
+    def test_full_deadline_and_flush_outrank_the_quiet_gap(self):
+        now = T0 + 0.5 * MS
+        full = self.bucket(self.pending(T0), self.pending(T0), max_batch=2,
+                           batch_s=4 * MS)
+        assert pick_ready([full], now)[0] is full
+        assert full.ready_reason() == "full"
+        # Slack (5 ms) before a 6 ms deadline comes before the 2 ms gap.
+        budgeted = self.bucket(self.pending(T0, deadline=T0 + 6 * MS),
+                               batch_s=4 * MS)
+        assert pick_ready([budgeted], now) \
+            == (None, pytest.approx(T0 + 1 * MS))
+        assert budgeted.ready_reason() == "deadline"
+        flushed = self.bucket(self.pending(T0), batch_s=4 * MS)
+        flushed.pending[0].flush_by = now       # what flush() / close() do
+        assert pick_ready([flushed], now)[0] is flushed
+        assert flushed.ready_reason() == "flush"
 
 
 class TestRunValidation:
