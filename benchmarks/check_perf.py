@@ -13,7 +13,8 @@ extension — both the batched conversion-table path and the per-modulus
 reference it replaced, the object-free scale-down and its big-int oracle,
 the lazy word-matmul CRT reconstruction on a tall 16-limb basis, a
 2-thread stacked NTT, the block driver on the (18, 18, 1024) digit stack of
-an 18-limb key switch and on the paper's ring (16, 16384), Listing-1 and
+an 18-limb key switch, on the paper's ring (16, 16384) and on single
+(1, 512) / (3, 512) calls (the small ring's fixed cost), Listing-1 and
 raised-modulus key switch, hoisted rotations, the chained modulus switch,
 one 18-limb BGV modulus switch, the CKKS mod-down,
 plus the serving hot paths: slot pack/unpack, registry lookup,
@@ -21,6 +22,7 @@ the context serde round-trip paid when replicating state into a worker
 process, the executor's batch-dispatch overhead, the server's
 ready-bucket pick, the level/rotation
 batching paths: a mixed-level BGV batch and a masked CKKS rotation batch,
+one 21-wide N=512 stencil batch of the mixed serving workloads,
 the CKKS encoder at N=1024 / 4096, the same two batches on two contexts
 from one thread and from two (gated as a ratio, ``CONVOY_LIMIT``),
 and the network tier: the frame codec round-trip and a full remote batch
@@ -237,6 +239,14 @@ def _kernels():
     )
     rot_entry, _ = registry.context_for(rot_program, seed=3)
     serve_backend = FunctionalBackend(validate=False)
+    # One 21-wide batch of the mixed workloads' stencil at N=512: two
+    # cohort encryptions, a hoisted two-rotation set, masks and decrypt.
+    stencil_program = rotation_ckks_program(512)
+    stencil_batcher = SlotBatcher(stencil_program, width=8)
+    stencil_requests = mixed_level_requests(
+        stencil_program, 21, width=8, levels=(3, 2), seed=5
+    )
+    stencil_entry, _ = registry.context_for(stencil_program, seed=3)
 
     # The CKKS encoder, both directions (one length-N FFT each), and the
     # GIL-convoy pair: the same two N=512 batches on two different
@@ -340,6 +350,10 @@ def _kernels():
     f1 = compile_program(f1_program)
     f1_graph = f1.translation.graph
 
+    # The small ring the mixed serving workloads run at, where a call is
+    # one block and its fixed cost (~100 numpy calls) is most of it.
+    small_rings = [_transform_input((rows, 512)) for rows in (1, 3)]
+
     return {
         "ntt_forward_all_limb": lambda: ctx.forward(limbs),
         "ntt_inverse_all_limb": lambda: ctx.inverse(evals),
@@ -359,6 +373,9 @@ def _kernels():
         "ntt_threaded_stack": _ntt_threaded_stack,
         "ntt_forward_digit_stack": lambda: digit_ctx.forward(digit_stack),
         "ntt_forward_paper_ring": lambda: paper_ctx.forward(paper_limbs),
+        "ntt_forward_small_ring": lambda: [
+            small_ctx.forward(x) for small_ctx, x in small_rings
+        ],
         "key_switch_v1": lambda: key_switch_v1(ks_x, hint),
         "key_switch_v2": lambda: key_switch_v2(ckks6_ct.a, v2_hint, 1),
         "bgv_mod_switch": lambda: deep.mod_switch(deep_ct),
@@ -383,6 +400,10 @@ def _kernels():
         "serve_rotation_batch": lambda: rot_batcher.run(
             rot_requests, backend=serve_backend,
             context=rot_entry.context, seed=3,
+        ),
+        "serve_mixed_batch_512": lambda: stencil_batcher.run(
+            stencil_requests, backend=serve_backend,
+            context=stencil_entry.context, seed=3,
         ),
         "ckks_encode_1024": lambda: encoders[1024].encode(enc_slots[1024]),
         "ckks_decode_1024": lambda: encoders[1024].decode(enc_coeffs[1024]),

@@ -126,27 +126,32 @@ class BgvContext(FheContext):
 
     def encrypt(self, plaintext, *, level: int | None = None) -> Ciphertext:
         """Secret-key encrypt a length-<=N vector of integers mod t."""
-        m = self.encode(plaintext)
+        return self._encrypt(self.encode(plaintext), level, noise_bits=(
+            noise_model.fresh_noise_bits(self.params.n, self.t,
+                                         self.params.error_width)))
+
+    def _encrypt(self, m: np.ndarray, level: int | None, **tags) -> Ciphertext:
+        """``(a, a*s + NTT(t*e + m))`` for int64 coefficients ``m``, drawing
+        ``a`` then ``e``.  The NTT is linear and every residue reduced, so
+        one transform of the sum is bit-identical to one per term."""
         basis = self.params.basis_at(level) if level is not None else self.params.basis
         n = self.params.n
         a = uniform_poly(basis, n, self.rng, Domain.NTT)
-        e = small_poly(basis, sample_error(n, self.params.error_width, self.rng), Domain.NTT)
-        m_poly = small_poly(basis, m, Domain.NTT)
-        b = a * self.secret.poly(basis) + e.scalar_mul(self.t) + m_poly
-        return Ciphertext(
-            a=a,
-            b=b,
-            noise_bits=noise_model.fresh_noise_bits(n, self.t, self.params.error_width),
-        )
+        e = sample_error(n, self.params.error_width, self.rng)
+        b = a * self.secret.poly(basis) + small_poly(basis, self.t * e + m, Domain.NTT)
+        return Ciphertext(a=a, b=b, **tags)
+
+    def _phase(self, ct: Ciphertext) -> np.ndarray:
+        """Centered coefficients of ``b - a*s`` (int64 when all fit)."""
+        return (ct.b - ct.a * self.secret.poly(ct.basis)).to_centered_ints()
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:
         """Decrypt to integers mod t (undoing any modulus-switch scale)."""
-        phase = ct.b - ct.a * self.secret.poly(ct.basis)
-        wide = phase.to_int_coeffs(centered=True)  # m + t*e, centered mod Q
-        t = self.t
+        wide, t = self._phase(ct), self.t  # m + t*e, centered mod Q
         correction = pow(ct.plaintext_scale, -1, t) if t > 1 else 0
-        wide_arr = np.array(wide, dtype=object)
-        return ((wide_arr * correction) % t).astype(np.int64)
+        if t >= 1 << 31:  # (wide mod t) * correction must fit an int64
+            wide = wide.astype(object)
+        return (wide % t * correction % t).astype(np.int64)
 
     # Unified FheContext surface (see repro.fhe.context): BGV's historical
     # names are the implementations; these are the scheme-agnostic aliases.
@@ -163,9 +168,7 @@ class BgvContext(FheContext):
 
     def noise_budget_bits(self, ct: Ciphertext) -> float:
         """Measured log2(Q / (2*|noise|)); decryption fails when <= 0."""
-        phase = ct.b - ct.a * self.secret.poly(ct.basis)
-        wide = phase.to_int_coeffs(centered=True)
-        max_noise = max((abs(c) for c in wide), default=1)
+        max_noise = max((abs(int(c)) for c in self._phase(ct)), default=1)
         return float(ct.basis.modulus.bit_length() - 1 - max(max_noise, 1).bit_length())
 
     # ------------------------------------------------------ hint management
@@ -355,49 +358,26 @@ class BgvContext(FheContext):
         """
         if len(steps) <= 1:
             return [self.rotate(ct, s) for s in steps]
-        n = ct.n
-        basis = ct.basis
-        ks_noise = self._ks_noise_bits(basis, n)
-        dec = raised = None
+        n, basis = ct.n, ct.basis
+        ks = [self._rotation_exponent(s, n) for s in steps]
+        perms = [automorphism_ntt_permutation(n, k) for k in ks]
         if self.ks_variant == 1:
             dec = HoistedDecomposition(ct.a)
-        out: list[Ciphertext] = []
-        for s in steps:
-            k = self._rotation_exponent(s, n)
-            perm = automorphism_ntt_permutation(n, k)
-            if dec is not None:
-                u0, u1 = dec.key_switch(self.hint_v1(f"galois_{k}", basis), perm)
-            else:
-                hint = self.hint_v2(f"galois_{k}", basis)
-                if raised is None:
-                    # All galois hints at one basis share the extended basis,
-                    # so the raised form is computed once.
-                    raised = hoist_raise(ct.a, hint)
-                u0, u1 = key_switch_v2_hoisted(raised, hint, self.t, perm)
-            b_sigma = ct.b.automorphism(k)
-            out.append(ct.with_polys(
-                -u1,
-                b_sigma - u0,
-                noise_bits=max(ct.noise_bits, ks_noise) + 1.0,
-            ))
-        return out
+            switched = [dec.key_switch(self.hint_v1(f"galois_{k}", basis), p)
+                        for k, p in zip(ks, perms)]
+        else:
+            # All galois hints at one basis share the extended basis, so the
+            # raised form is computed once and the scale-downs run as one.
+            hints = [self.hint_v2(f"galois_{k}", basis) for k in ks]
+            switched = key_switch_v2_hoisted(hoist_raise(ct.a, hints[0]), hints,
+                                             self.t, perms)
+        noise = max(ct.noise_bits, self._ks_noise_bits(basis, n)) + 1.0
+        return [ct.with_polys(-u1, ct.b.automorphism(k) - u0, noise_bits=noise)
+                for k, (u0, u1) in zip(ks, switched)]
 
     def mod_switch(self, ct: Ciphertext) -> Ciphertext:
         """Switch Q -> Q/q_L, scaling noise down by ~q_L (Sec. 2.2.2)."""
-        if ct.level <= 1:
-            raise ValueError("cannot modulus-switch the last limb away")
-        q_last = ct.basis.moduli[-1]
-        a_new, b_new = _rescale_bgv(ct.a, ct.b, self.t, 1)
-        return ct.with_polys(
-            a_new,
-            b_new,
-            plaintext_scale=ct.plaintext_scale * pow(q_last, -1, self.t) % self.t
-            if self.t > 1
-            else 1,
-            noise_bits=noise_model.mod_switch_noise_bits(
-                ct.noise_bits, q_last, ct.n, self.t
-            ),
-        )
+        return self.mod_switch_to(ct, ct.level - 1)
 
     @instrument("mod_switch")
     def mod_switch_to(self, ct: Ciphertext, level: int) -> Ciphertext:

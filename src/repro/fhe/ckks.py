@@ -19,7 +19,7 @@ from repro.fhe.bgv import BgvContext, _rescale_bgv
 from repro.fhe.ciphertext import Ciphertext
 from repro.fhe.encoding import CkksEncoder
 from repro.fhe.params import FheParams
-from repro.fhe.sampling import sample_error, small_poly, uniform_poly
+from repro.fhe.sampling import small_poly
 from repro.obs.profile import instrument
 from repro.poly.polynomial import Domain
 
@@ -86,24 +86,17 @@ class CkksContext(BgvContext):
     def encrypt_values(self, values, *, level: int | None = None, scale: float | None = None) -> Ciphertext:
         """Encrypt complex/real slot values at the given scale."""
         scale = scale or self.default_scale
-        coeffs = self.encoder.encode(values, scale)
-        basis = self.params.basis_at(level) if level is not None else self.params.basis
-        n = self.params.n
-        a = uniform_poly(basis, n, self.rng, Domain.NTT)
-        e = small_poly(basis, sample_error(n, self.params.error_width, self.rng), Domain.NTT)
-        m_poly = small_poly(basis, coeffs, Domain.NTT)
-        b = a * self.secret.poly(basis) + e + m_poly
-        return Ciphertext(a=a, b=b, scale=scale, noise_bits=3.0)
+        return self._encrypt(self.encoder.encode(values, scale), level,
+                             scale=scale, noise_bits=3.0)  # t is 1: e + m
 
     def decrypt_values(self, ct: Ciphertext, count: int | None = None) -> np.ndarray:
         """Decrypt to complex slot values.
 
         The phase reconstruction rides the batched engine (one all-limb INTT
-        plus a vectorized CRT); only the final float conversion is per-value.
+        plus an int64 CRT); int64 -> float64 rounds exactly like
+        ``float(int)``, which a phase too wide for int64 goes through.
         """
-        phase = ct.b - ct.a * self.secret.poly(ct.basis)
-        wide = phase.to_int_coeffs(centered=True)
-        slots = self.encoder.decode(np.array(wide, dtype=np.float64), ct.scale)
+        slots = self.encoder.decode(self._phase(ct).astype(np.float64), ct.scale)
         return slots[:count] if count is not None else slots
 
     # --------------------------------------------------------------- HE ops
@@ -160,14 +153,7 @@ class CkksContext(BgvContext):
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """Divide by q_last: the CKKS noise/scale management step."""
-        if ct.level <= 1:
-            raise ValueError("cannot rescale the last limb away")
-        q_last = ct.basis.moduli[-1]
-        return ct.with_polys(
-            *_rescale_bgv(ct.a, ct.b, 1, 1),
-            scale=ct.scale / q_last,
-            noise_bits=max(ct.noise_bits - np.log2(q_last), 3.0) + 1.0,
-        )
+        return self.rescale_to(ct, ct.level - 1)
 
     def rescale_to(self, ct: Ciphertext, level: int) -> Ciphertext:
         """Chained rescale in one step (bit-identical to looping
@@ -210,9 +196,6 @@ class CkksContext(BgvContext):
         if level < 1:
             raise ValueError("cannot drop the last limb")
         return ct.with_polys(ct.a.drop_limb(count), ct.b.drop_limb(count))
-
-    def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
-        return self.automorphism(ct, self._rotation_exponent(steps, ct.n))
 
     def _rotation_exponent(self, steps: int, n: int) -> int:
         return ckks_rotation_exponent(steps, n)

@@ -42,7 +42,7 @@ the decrypted result and the noise bound are the same; tests pin down exact
 BGV plaintext equality.)  The variant-2 analogue hoists the base extension:
 :func:`hoist_raise` pays the inverse NTT, the extension and the special
 rows' NTT once, and :func:`key_switch_v2_hoisted` permutes the extended NTT
-per rotation.
+per rotation and scales every rotation's products down in one stack.
 
 Both variants return ``(u0, u1)`` such that ``u0 - u1 * s ≈ x * s_old
 (mod Q)`` up to ``t``-multiple noise.
@@ -169,8 +169,8 @@ def key_switch_v2(
         raise ValueError("key_switch_v2 expects an NTT-domain input")
     if x.basis != hint.basis:
         raise ValueError("input basis does not match hint basis")
-    x_ext = hoist_raise(x, hint)
-    return key_switch_v2_hoisted(x_ext, hint, plaintext_modulus)
+    return key_switch_v2_hoisted(hoist_raise(x, hint), [hint],
+                                 plaintext_modulus)[0]
 
 
 def hoist_raise(x: RnsPolynomial, hint: RaisedKeySwitchHint) -> RnsPolynomial:
@@ -193,27 +193,33 @@ def hoist_raise(x: RnsPolynomial, hint: RaisedKeySwitchHint) -> RnsPolynomial:
 @instrument("key_switch_hoisted")
 def key_switch_v2_hoisted(
     x_ext: RnsPolynomial,
-    hint: RaisedKeySwitchHint,
+    hints: list[RaisedKeySwitchHint],
     plaintext_modulus: int,
-    galois_perm: np.ndarray | None = None,
-) -> tuple[RnsPolynomial, RnsPolynomial]:
-    """Variant-2 core on a raised input, with optional NTT-domain automorphism.
+    galois_perms: list[np.ndarray] | None = None,
+) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+    """Variant-2 core on a raised input: one ``(u0, u1)`` per hint, each
+    after its optional NTT-domain automorphism.
 
     Permuting the extended NTT equals raising the automorphed input (the
     extension's ``u*Q`` slack maps to ``sigma(u)*Q``, equally small and
-    equally annihilated mod Q by the scale-down).  The two hint products are
-    scaled down as one (2, 2L, N) stack and come back NTT-domain.
+    equally annihilated mod Q by the scale-down).  Every hint's two products
+    are scaled down as one (2r, 2L, N) stack, so r rotations of one input
+    pay one inverse and one forward transform call between them.
     """
-    if x_ext.basis != hint.extended:
+    ext = hints[0].extended
+    if x_ext.basis != ext or any(h.extended != ext for h in hints):
         raise ValueError("raised input basis does not match hint basis")
-    limbs = x_ext.limbs if galois_perm is None else x_ext.limbs[:, galois_perm]
-    q_col = hint.extended.moduli_column()
-    u_ext = np.stack([kernels.mul_mod(limbs, h.limbs, q_col)
-                      for h in (hint.hint0, hint.hint1)])
-    u0, u1 = scale_down_stack(u_ext, Domain.NTT, hint.extended, hint.special,
-                               plaintext_modulus)
-    return (RnsPolynomial(hint.basis, u0, Domain.NTT),
-            RnsPolynomial(hint.basis, u1, Domain.NTT))
+    q_col = ext.moduli_column()
+    u_ext = np.stack([
+        kernels.mul_mod(x_ext.limbs if perm is None else x_ext.limbs[:, perm],
+                        h.limbs, q_col)
+        for hint, perm in zip(hints, galois_perms or [None] * len(hints))
+        for h in (hint.hint0, hint.hint1)])
+    u = scale_down_stack(u_ext, Domain.NTT, ext, hints[0].special,
+                         plaintext_modulus)
+    return [(RnsPolynomial(hints[0].basis, u0, Domain.NTT),
+             RnsPolynomial(hints[0].basis, u1, Domain.NTT))
+            for u0, u1 in zip(u[0::2], u[1::2])]
 
 
 @instrument("base_extend")

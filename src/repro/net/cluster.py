@@ -46,24 +46,24 @@ def _worker_env() -> dict:
     return env
 
 
-def _spawn_worker(port: int, *, processes: int = 0,
-                  startup_timeout: float = 30.0, chaos: str | None = None):
-    """Start one worker subprocess; returns ``(popen, (host, port))``.
-
-    The worker announces its bound address on stdout (``--port 0`` makes
-    the OS pick); we read lines until the announcement appears so callers
-    always get a dialable address back.  ``chaos`` is a
-    ``ChaosPolicy.parse`` spec string forwarded as ``--chaos``.
-    """
+def _start_worker(port: int, *, processes: int = 0, chaos: str | None = None):
+    """Start one worker subprocess (``chaos`` is a ``ChaosPolicy.parse``
+    spec string forwarded as ``--chaos``); :func:`_announced` waits for it."""
     cmd = [sys.executable, "-m", "repro.net.worker", "--port", str(port)]
     if processes:
         cmd += ["--processes", str(processes)]
     if chaos:
         cmd += ["--chaos", chaos]
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         cmd, env=_worker_env(), stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True,
     )
+
+
+def _announced(proc, *, processes: int = 0, startup_timeout: float = 30.0):
+    """The ``(host, port)`` a started worker announces on stdout (``--port
+    0`` makes the OS pick), read line by line, so callers always get a
+    dialable address back."""
     deadline = time.monotonic() + startup_timeout
     lines = []
     while time.monotonic() < deadline:
@@ -76,9 +76,9 @@ def _spawn_worker(port: int, *, processes: int = 0,
             host, _, bound_port = addr.rpartition(":")
             _log.info("worker_spawned", pid=proc.pid, host=host,
                       port=int(bound_port), processes=processes)
-            return proc, (host, int(bound_port))
+            return host, int(bound_port)
     proc.kill()
-    _log.error("worker_spawn_failed", port=port,
+    _log.error("worker_spawn_failed", pid=proc.pid,
                output="".join(lines).strip())
     raise RuntimeError(
         "worker subprocess failed to start:\n" + "".join(lines)
@@ -117,16 +117,15 @@ class LocalCluster:
             self.chaos = (ChaosPolicy.parse(chaos) if isinstance(chaos, str)
                           else chaos)
         self._procs = []
-        self._addrs: list[tuple[str, int]] = []
         try:
+            # Every interpreter starts before any announcement is read, so
+            # the hosts pay their imports side by side.
             for i in range(hosts):
-                proc, addr = _spawn_worker(
-                    0, processes=processes_per_host,
-                    startup_timeout=startup_timeout,
-                    chaos=self._chaos_spec(i),
-                )
-                self._procs.append(proc)
-                self._addrs.append(addr)
+                self._procs.append(_start_worker(
+                    0, processes=processes_per_host, chaos=self._chaos_spec(i)))
+            self._addrs = [_announced(proc, processes=processes_per_host,
+                                      startup_timeout=startup_timeout)
+                           for proc in self._procs]
         except BaseException:
             self.close()
             raise
@@ -169,12 +168,11 @@ class LocalCluster:
         while True:
             # The freed port can linger briefly after a SIGKILL; retry
             # until the bind succeeds or the startup budget runs out.
+            new_proc = _start_worker(port, processes=self.processes_per_host,
+                                     chaos=self._chaos_spec(index))
             try:
-                new_proc, addr = _spawn_worker(
-                    port, processes=self.processes_per_host,
-                    startup_timeout=self.startup_timeout,
-                    chaos=self._chaos_spec(index),
-                )
+                addr = _announced(new_proc, processes=self.processes_per_host,
+                                  startup_timeout=self.startup_timeout)
                 break
             except RuntimeError:
                 if time.monotonic() >= deadline:

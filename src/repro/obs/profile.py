@@ -77,10 +77,6 @@ def attributed(signature: str | None):
         _local.signature = prev
 
 
-def current_signature() -> str | None:
-    return getattr(_local, "signature", None)
-
-
 def record_kernel(name: str, duration_s: float) -> None:
     ms = duration_s * 1e3
     reg = global_metrics()

@@ -21,6 +21,9 @@ Two execution paths share the same tables:
   in one call, and ``start=`` a run of the basis' limbs alone.  Every call
   runs as cache-sized blocks through a per-thread workspace
   (:data:`BLOCK_ELEMS`).  Results are bit-identical to the per-limb path.
+  At small rings a call is one block whose cost is mostly fixed (~100
+  numpy calls on strided views, see :data:`BLOCK_ELEMS`), so the schemes
+  make one call per HE step, not one per term.
 
 Hot-path design (see :mod:`repro.poly.kernels` for the primitive proofs):
 
@@ -100,7 +103,10 @@ _SINGLE_PHASE_MAX_N = 32
 #: (18, 18, 1024) 8 K 46/57, 24 K 31/36, 36 K 28/33, 48 K 27/33, 96 K 27/33,
 #: whole 34/38; (18, 4096) 8 K 179/205, 24 K 129/155, 36 K 120/141,
 #: 96 K 114/138, whole 113/134; (16, 16384) 8 K 574/605, 24 K 565/646,
-#: 36 K 479/550, 48 K 461/529, 96 K 460/537, whole 623/637.
+#: 36 K 479/550, 48 K 461/529, 96 K 460/537, whole 623/637.  At N = 512
+#: every HE step is one block and the fixed cost dominates: forward (1, 512)
+#: 124-161 us, (3, 512) 158-191 us, (2, 4, 512) 197-265 us (min of 7 x 200
+#: calls, same box), i.e. ~110 us a call whatever its rows.
 BLOCK_ELEMS = 36 * 1024
 
 _scratch = threading.local()
@@ -244,6 +250,8 @@ class _LazyPlan:
         # Broadcast constants for the 3-D (phase 1) and 4-D (phase 2) views.
         self._c3 = (self.q_col[:, :, None], self.two_q_col[:, :, None])
         self._c4 = tuple(c[:, :, None] for c in self._c3)
+        self._all = slice(0, level)
+        self._whole = (self._cut(self._all, False), self._cut(self._all, True))
 
     # ------------------------------------------------------------- butterflies
     def _ct_stage(self, lo, hi, w, ws, consts, first: bool, tmp) -> None:
@@ -288,70 +296,77 @@ class _LazyPlan:
                   src.reshape(lead + (rows, cols)).swapaxes(-2, -1))
 
     # -------------------------------------------------------------- transforms
-    @staticmethod
-    def _cut(rows: slice, consts, stages):
-        """Broadcast constants and stage views cut to limbs ``rows``."""
-        return (tuple(c[rows] for c in consts),
-                [(m, t, w[rows], ws[rows]) for m, t, w, ws in stages])
+    def _cut(self, rows: slice, inverse: bool):
+        """What a transform of limbs ``rows`` reads, cut to those rows: the
+        columns q, 2q, n^-1 and its partner, then per phase the broadcast
+        constants and stage views."""
+        phases = ((self._c3, self.inv_p1 if inverse else self.fwd_p1),
+                  (self._c4, self.inv_p2 if inverse else self.fwd_p2))
+        return tuple(c[rows] for c in (self.q_col, self.two_q_col,
+                                       self.n_inv_col, self.n_inv_shoup)) + tuple(
+            (tuple(c[rows] for c in consts),
+             [(m, t, w[rows], ws[rows]) for m, t, w, ws in stages])
+            for consts, stages in phases)
+
+    def _views(self, rows: slice | None, inverse: bool):
+        """:meth:`_cut`; the whole basis (``None``) is read from the plan."""
+        whole = rows is None or rows == self._all
+        return self._whole[inverse] if whole else self._cut(rows, inverse)
 
     def forward(self, limbs: np.ndarray, out: np.ndarray,
-                rows: slice = slice(None)) -> np.ndarray:
+                rows: slice | None = None) -> np.ndarray:
         """Merged-twist negacyclic NTT of one block into ``out``.
 
         ``limbs`` holds limbs ``rows`` of the plan's basis (reduced, any
         leading axes, never written); ``out`` is C-contiguous, of the same
         shape, and receives reduced natural-order values.
         """
-        kernels._validate_reduced(limbs, self.q_col[rows], "ntt forward")
+        q, two_q, _, _, (c3, p1), (c4, p2) = self._views(rows, False)
+        kernels._validate_reduced(limbs, q, "ntt forward")
         lead = limbs.shape[:-1]
         a, b, tmp = _workspace(limbs)
         np.copyto(a, limbs)  # the narrowing cast: residues are < q < 2^30
-        consts, stages = self._cut(rows, self._c3, self.fwd_p1)
-        for i, (m, t, w, ws) in enumerate(stages):
+        for i, (m, t, w, ws) in enumerate(p1):
             blocks = a.reshape(lead + (m, 2 * t))
-            self._ct_stage(blocks[..., :t], blocks[..., t:], w, ws, consts,
+            self._ct_stage(blocks[..., :t], blocks[..., t:], w, ws, c3,
                            i == 0, tmp)
         if self.c_size > 1:
             self._transpose(a, b, self.g_size, self.c_size)
             a, b = b, a
-            consts, stages = self._cut(rows, self._c4, self.fwd_p2)
-            for cm, t, w, ws in stages:
+            for cm, t, w, ws in p2:
                 blocks = a.reshape(lead + (cm, 2 * t, self.g_size))
                 self._ct_stage(blocks[..., :t, :], blocks[..., t:, :], w, ws,
-                               consts, False, tmp)
-        cond_sub(a, self.two_q_col[rows], out=a, tmp=b)
-        cond_sub(a, self.q_col[rows], out=a, tmp=b)
+                               c4, False, tmp)
+        cond_sub(a, two_q, out=a, tmp=b)
+        cond_sub(a, q, out=a, tmp=b)
         np.take(a, self.out_perm, axis=-1, out=b, mode="clip")
         np.copyto(out, b)
         return out
 
     def inverse(self, evals: np.ndarray, out: np.ndarray,
-                rows: slice = slice(None)) -> np.ndarray:
+                rows: slice | None = None) -> np.ndarray:
         """Inverse of :meth:`forward` (same contract), ``n^{-1}`` fused into
         the final pass."""
-        kernels._validate_reduced(evals, self.q_col[rows], "ntt inverse")
+        q, _, n_inv, n_inv_shoup, (c3, p1), (c4, p2) = self._views(rows, True)
+        kernels._validate_reduced(evals, q, "ntt inverse")
         lead = evals.shape[:-1]
         a, b, tmp = _workspace(evals)
         np.copyto(b, evals)
         np.take(b, self.in_perm, axis=-1, out=a, mode="clip")
         if self.c_size > 1:
-            consts, stages = self._cut(rows, self._c4, self.inv_p2)
-            for cm, t, w, ws in reversed(stages):
+            for cm, t, w, ws in reversed(p2):
                 blocks = a.reshape(lead + (cm, 2 * t, self.g_size))
                 self._gs_stage(blocks[..., :t, :], blocks[..., t:, :], w, ws,
-                               consts, tmp)
+                               c4, tmp)
             self._transpose(a, b, self.c_size, self.g_size)
             a, b = b, a
-        consts, stages = self._cut(rows, self._c3, self.inv_p1)
-        for m, t, w, ws in reversed(stages):
+        for m, t, w, ws in reversed(p1):
             blocks = a.reshape(lead + (m, 2 * t))
-            self._gs_stage(blocks[..., :t], blocks[..., t:], w, ws, consts,
-                           tmp)
-        q, half = self.q_col[rows], self.n // 2
+            self._gs_stage(blocks[..., :t], blocks[..., t:], w, ws, c3, tmp)
+        half = self.n // 2
         for cols in (slice(half), slice(half, None)):  # the scratch is half
             x = a[..., cols]
-            kernels.shoup_mul32(x, self.n_inv_col[rows],
-                                self.n_inv_shoup[rows], q,
+            kernels.shoup_mul32(x, n_inv, n_inv_shoup, q,
                                 tmp[3].reshape(x.shape), b[..., cols], out=x)
         np.copyto(out, cond_sub(a, q, out=a, tmp=b))
         return out
@@ -520,9 +535,10 @@ class RnsNttContext:
         A block is a run of whole leading ``(k, N)`` matrices when one
         fits, else a limb range of one matrix, transformed with the same
         range of the plan's stage views (per-limb tables are independent, so
-        any cut is bit-identical to the whole).  Blocks go to
-        :func:`repro.poly.parallel.run_tasks`: a plain loop at one thread,
-        the pool fan at more, each worker on its own workspace.
+        any cut is bit-identical to the whole).  A call that is one block
+        (every HE step at N = 512) runs the plan on ``arr`` as it came;
+        more go to :func:`repro.poly.parallel.run_tasks`: a plain loop at
+        one thread, the pool fan at more, each worker on its own workspace.
         """
         arr = _as_residues(arr)
         level = len(self.moduli)
@@ -536,9 +552,12 @@ class RnsNttContext:
         count_kernel("ntt_inverse" if inverse else "ntt_forward", "rows",
                      arr.size // self.n)
         k, n = arr.shape[-2:]
-        src = arr.reshape(-1, k, n)
-        out = np.empty(src.shape, dtype=np.uint64)
+        out = np.empty(arr.shape, dtype=np.uint64)
         per_block = max(1, BLOCK_ELEMS // n)  # rows of N
+        if arr.size <= per_block * n:  # one block: no task list
+            self._transform(arr, out, slice(start, start + k), inverse)
+            return out
+        src, dst = arr.reshape(-1, k, n), out.reshape(-1, k, n)
         if k <= per_block:
             lead_step, limb_step = per_block // k, k
         else:
@@ -547,7 +566,7 @@ class RnsNttContext:
         def block(i: int, j: int) -> None:
             stop = min(j + limb_step, k)
             self._transform(
-                src[i:i + lead_step, j:stop], out[i:i + lead_step, j:stop],
+                src[i:i + lead_step, j:stop], dst[i:i + lead_step, j:stop],
                 slice(start + j, start + stop), inverse)
 
         parallel.run_tasks([
@@ -555,7 +574,7 @@ class RnsNttContext:
             for i in range(0, src.shape[0], lead_step)
             for j in range(0, k, limb_step)
         ])
-        return out.reshape(arr.shape)
+        return out
 
     def _transform(self, src: np.ndarray, dst: np.ndarray, rows: slice,
                    inverse: bool) -> None:

@@ -21,6 +21,7 @@ import numpy as np
 from repro.poly import kernels
 from repro.poly.automorphism import automorphism_coeff_rows, automorphism_ntt_permutation
 from repro.poly.ntt import get_rns_context
+from repro.rns.convert import get_mixed_radix
 from repro.rns.crt import RnsBasis
 
 
@@ -123,6 +124,17 @@ class RnsPolynomial:
         """CRT-reconstruct the wide integer coefficients (coefficient domain)."""
         return self.basis.from_rns(self.to_coeff().limbs, centered=centered)
 
+    def to_centered_ints(self) -> np.ndarray:
+        """:meth:`to_int_coeffs` as an array: int64 when every coefficient
+        fits one (:meth:`~repro.rns.convert.MixedRadix.centered_int64`),
+        else Python ints."""
+        limbs = self.to_coeff().limbs
+        if self.basis.max_modulus < 1 << 32:
+            small = get_mixed_radix(self.basis.moduli).centered_int64(limbs)
+            if small is not None:
+                return small
+        return np.array(self.basis.from_rns(limbs, centered=True), dtype=object)
+
     # ------------------------------------------------------------- arithmetic
     def _check_compatible(self, other: "RnsPolynomial", op: str) -> None:
         if self.basis != other.basis:
@@ -187,9 +199,6 @@ class RnsPolynomial:
         rounding on top of this)."""
         basis = self.basis.drop(count)
         return RnsPolynomial(basis, self.limbs[:basis.level].copy(), self.domain)
-
-    def limb(self, i: int) -> np.ndarray:
-        return self.limbs[i]
 
     def copy(self) -> "RnsPolynomial":
         return RnsPolynomial(self.basis, self.limbs.copy(), self.domain)

@@ -329,6 +329,23 @@ class MixedRadix:
             self._thresholds[value] = cached
         return cached
 
+    def centered_int64(self, limbs: np.ndarray) -> np.ndarray | None:
+        """The centered values ``v - P * (v > P//2)`` of ``limbs`` as int64,
+        or None when one falls outside int64 (``greater_than`` decides that
+        exactly).  ``v`` is a Horner sum over the digits, wrapping mod 2^64."""
+        a = self.digits(limbs)
+        big = self.greater_than(a, self.modulus // 2)
+        if self.modulus > 1 << 63 and not np.where(  # [-2^63, 2^63) holds it?
+                big, self.greater_than(a, self.modulus - (1 << 63) - 1),
+                ~self.greater_than(a, (1 << 63) - 1)).all():
+            return None
+        v = a[-1].copy()
+        for i in range(self.k - 2, -1, -1):
+            v *= self.q_u[i]
+            v += a[i]
+        np.subtract(v, np.uint64(self.modulus % (1 << 64)), out=v, where=big)
+        return v.view(np.int64)
+
     def greater_than(self, a: np.ndarray, value: int) -> np.ndarray:
         """Exact boolean ``v > value`` per column (lexicographic compare)."""
         h = self.threshold_digits(value)

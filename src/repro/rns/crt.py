@@ -201,8 +201,3 @@ class RnsBasis:
 
     def __repr__(self) -> str:
         return f"RnsBasis(L={self.level}, logQ≈{self._modulus.bit_length()})"
-
-
-def _crt_weights(moduli: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Backward-compatible alias; the cache lives with the conversion tables."""
-    return _convert().crt_weights(moduli)

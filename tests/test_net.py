@@ -568,3 +568,45 @@ class TestFailover:
                 probes = pool.probe(entry)
                 assert len(probes) == 2
                 assert len({p["secret_sha"] for p in probes}) == 1
+
+
+def test_cluster_hosts_start_before_any_announcement_is_read(monkeypatch):
+    """Every worker interpreter is started before the first "listening on"
+    line is read, so hosts import side by side (no timing: the order of
+    events on fake processes)."""
+    from repro.net import cluster as cluster_mod
+
+    events = []
+
+    class FakeStdout:
+        def __init__(self, index):
+            self.index = index
+
+        def readline(self):
+            events.append(("read", self.index))
+            return f"worker listening on 127.0.0.1:{5000 + self.index}\n"
+
+        def close(self):
+            pass
+
+    class FakePopen:
+        started = 0
+
+        def __init__(self, cmd, **kw):
+            self.index = FakePopen.started
+            FakePopen.started += 1
+            self.pid = 100 + self.index
+            self.stdout = FakeStdout(self.index)
+            events.append(("start", self.index))
+
+        def poll(self):
+            return 0
+
+        def wait(self, timeout=None):
+            return 0
+
+    monkeypatch.setattr(cluster_mod.subprocess, "Popen", FakePopen)
+    with LocalCluster(3) as fake:
+        assert fake.addresses == [f"127.0.0.1:{5000 + i}" for i in range(3)]
+    assert events == [("start", i) for i in range(3)] + [
+        ("read", i) for i in range(3)]
