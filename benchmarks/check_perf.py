@@ -11,11 +11,11 @@ Usage (from the repo root):
 Times a fixed set of hot kernels (all-limb NTT, CRT conversions, base
 extension — both the batched conversion-table path and the per-modulus
 reference it replaced, the object-free scale-down and its big-int oracle,
-the lazy word-matmul CRT reconstruction on a tall 16-limb basis, a
-2-thread stacked NTT, the block driver on the (18, 18, 1024) digit stack of
-an 18-limb key switch, on the paper's ring (16, 16384) and on single
-(1, 512) / (3, 512) calls (the small ring's fixed cost), Listing-1 and
-raised-modulus key switch, hoisted rotations, the chained modulus switch,
+the lazy word-matmul CRT reconstruction on a tall 16-limb basis, the
+block driver on the (18, 18, 1024) digit stack of an 18-limb key switch,
+on the paper's ring (16, 16384) and on single (1, 512) / (3, 512) calls
+(the small ring's fixed cost), Listing-1 and raised-modulus key switch,
+hoisted rotations, the chained modulus switch,
 one 18-limb BGV modulus switch, the CKKS mod-down,
 plus the serving hot paths: slot pack/unpack, registry lookup,
 the context serde round-trip paid when replicating state into a worker
@@ -77,7 +77,6 @@ def _kernels():
     )
     from repro.fhe.params import FheParams
     from repro.fhe.sampling import uniform_poly
-    from repro.poly import parallel
     from repro.poly.ntt import get_rns_context
     from repro.poly.polynomial import Domain, RnsPolynomial
     from repro.rns import convert
@@ -105,7 +104,7 @@ def _kernels():
     # per-modulus reference it replaced (same inputs, same process), the
     # object-free scale-down vs its big-int oracle, the lazy word-matmul
     # CRT reconstruction on a tall 16-limb basis (where the big-int sum it
-    # replaces is most expensive), and a 2-thread stacked NTT fan.
+    # replaces is most expensive).
     base_conv = convert.get_base_conversion(basis.moduli, extended.moduli)
     base_conv.convert(limbs)  # build cached tables outside the timed region
     ext_limbs = np.stack(
@@ -116,15 +115,6 @@ def _kernels():
     tall_limbs = np.stack(
         [rng.integers(0, q, n, dtype=np.uint64) for q in tall.moduli]
     )
-    ntt_stack = np.stack([limbs] * 8)
-
-    def _ntt_threaded_stack():
-        prev = parallel.set_num_threads(2)
-        try:
-            return ctx.forward(ntt_stack)
-        finally:
-            parallel.set_num_threads(prev)
-
     # The transform shapes the engine is bound by: the digit stack of an
     # 18-limb Listing-1 key switch (18 blocks of whole matrices) and one
     # polynomial at the paper's ring (16 single-limb blocks).
@@ -370,7 +360,6 @@ def _kernels():
         "scale_down_reference": lambda: scale_down_reference(
             x_ext, special, 256
         ),
-        "ntt_threaded_stack": _ntt_threaded_stack,
         "ntt_forward_digit_stack": lambda: digit_ctx.forward(digit_stack),
         "ntt_forward_paper_ring": lambda: paper_ctx.forward(paper_limbs),
         "ntt_forward_small_ring": lambda: [

@@ -326,8 +326,8 @@ def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,
 
     futures: list = []
     with LocalCluster(hosts, chaos=policy) as cluster:
-        with cluster.executor(heartbeat_s=0.1, execute_timeout_s=60.0,
-                              hedge_after_s=0.5) as pool:
+        with cluster.executor(heartbeat_s=0.1,
+                              execute_timeout_s=60.0) as pool:
             with FheServer(executor=pool, workers=2, max_batch=4,
                            max_wait_ms=5.0, seed=seed) as server:
                 for i, (prog, req) in enumerate(plan):

@@ -48,10 +48,8 @@ exchange runs under a watchdog timeout derived from the batch's
 earliest request deadline (a hung worker times out and the batch moves
 on instead of stranding futures); per-host circuit breakers (closed →
 open on consecutive failures → half-open probe via the heartbeat) feed
-the ring walk so routing skips sick hosts before paying a timeout; and
-optional tail-latency hedging re-dispatches a batch to a second host
-when its deadline is about to lapse, first success winning.  When the
-retry budget is spent the typed error chain surfaces as
+the ring walk so routing skips sick hosts before paying a timeout.  When
+the retry budget is spent the typed error chain surfaces as
 :class:`~repro.serve.resilience.RetriesExhausted` (the server resolves
 futures with ``status == "failed"``); when no host is routable at all,
 :class:`~repro.serve.resilience.ExecutorUnavailable` (the server
@@ -224,13 +222,10 @@ class RemoteExecutor:
     batch failures (pass ``RetryPolicy(max_attempts=1)`` to restore the
     PR 7 fail-fast behavior); ``execute_timeout_s`` is the watchdog for
     deadline-free batches (deadline-carrying batches derive theirs from
-    the deadline plus ``watchdog_grace_s``); ``hedge_after_s`` enables
-    tail-latency hedging — a batch still in flight that close to its
-    deadline is speculatively re-dispatched to a second host, first
-    success winning (safe: re-execution is bit-identical).
-    ``breaker_failures`` consecutive transport failures open a host's
-    circuit breaker for ``breaker_reset_s``; a successful heartbeat
-    then closes it (the half-open probe).
+    the deadline plus ``watchdog_grace_s``).  ``breaker_failures``
+    consecutive transport failures open a host's circuit breaker for
+    ``breaker_reset_s``; a successful heartbeat then closes it (the
+    half-open probe).
     """
 
     name = "remote"
@@ -242,7 +237,6 @@ class RemoteExecutor:
                  retry: RetryPolicy | None = None,
                  execute_timeout_s: float | None = 120.0,
                  watchdog_grace_s: float = 2.0,
-                 hedge_after_s: float | None = None,
                  breaker_failures: int = 3, breaker_reset_s: float = 1.0):
         addrs = [_parse_addr(h) for h in hosts]
         if not addrs:
@@ -255,12 +249,11 @@ class RemoteExecutor:
         self.retry = retry if retry is not None else RetryPolicy()
         self.execute_timeout_s = execute_timeout_s
         self.watchdog_grace_s = watchdog_grace_s
-        self.hedge_after_s = hedge_after_s
         self._jitter_rng = random.Random()
         #: resilience transition counters (also mirrored into the
         #: process-global metrics registry as net.* counters)
         self._events_lock = threading.Lock()
-        self._events = {"retries": 0, "hedges": 0, "retry_exhausted": 0,
+        self._events = {"retries": 0, "retry_exhausted": 0,
                         "breaker_opens": 0, "breaker_closes": 0}
         self._fallback = ThreadExecutor()
         self._guard = threading.Lock()
@@ -627,13 +620,11 @@ class RemoteExecutor:
     def _attempt(self, job: BatchJob, key: int, backend_key: int,
                  deadline: float | None,
                  exclude: frozenset | set = frozenset(),
-                 chosen: list | None = None) -> tuple[list[dict], RunResult]:
+                 ) -> tuple[list[dict], RunResult]:
         """One dispatch attempt on one host (raises HostFailure /
         ExecutorUnavailable for retryable conditions)."""
         host, _rank, epoch = self._pick(job.signature, job.context_entry,
                                         exclude=exclude)
-        if chosen is not None:
-            chosen.append(host.index)
         start = time.perf_counter()
         try:
             channel = host.next_channel()
@@ -678,68 +669,6 @@ class RemoteExecutor:
         finally:
             self._release_slot(host, epoch)
 
-    def _hedged_attempt(self, job: BatchJob, key: int, backend_key: int,
-                        deadline: float,
-                        exclude: frozenset | set = frozenset(),
-                        ) -> tuple[list[dict], RunResult]:
-        """Primary attempt plus a speculative second dispatch when the
-        deadline is about to lapse; first success wins.
-
-        Safe because execution is pure and seeds ride the requests: both
-        attempts produce bit-identical outputs, so whichever lands first
-        is *the* answer and the loser is discarded.
-        """
-        done = threading.Event()
-        lock = threading.Lock()
-        box: dict = {"result": None, "errors": [], "pending": 1}
-        primary_hosts: list[int] = []
-
-        def run(excl, chosen):
-            try:
-                out = self._attempt(job, key, backend_key, deadline,
-                                    exclude=excl, chosen=chosen)
-                with lock:
-                    if box["result"] is None:
-                        box["result"] = out
-                done.set()
-            except Exception as exc:  # noqa: BLE001 — tallied below
-                with lock:
-                    box["errors"].append(exc)
-                    box["pending"] -= 1
-                    if box["pending"] == 0:
-                        done.set()
-
-        threading.Thread(target=run, args=(exclude, primary_hosts),
-                         name="remote-executor-primary",
-                         daemon=True).start()
-        # Fire the hedge ``hedge_after_s`` before the deadline (or at
-        # once if the budget is already inside that window).
-        fire_in = max(0.0, (deadline - self.hedge_after_s)
-                      - time.perf_counter())
-        if not done.wait(timeout=fire_in):
-            with lock:
-                still_running = box["pending"] > 0 and box["result"] is None
-                if still_running:
-                    box["pending"] += 1
-            if still_running:
-                self._note_event("hedges")
-                tracer().event("hedge", signature=job.signature[:16],
-                               k=len(job.requests))
-                hedge_exclude = set(exclude) | set(primary_hosts)
-                threading.Thread(target=run, args=(hedge_exclude, None),
-                                 name="remote-executor-hedge",
-                                 daemon=True).start()
-        # Both attempts run under the deadline-derived watchdog, so this
-        # wait is bounded by deadline + grace (plus scheduling noise).
-        done.wait()
-        with lock:
-            if box["result"] is not None:
-                return box["result"]
-            errors = list(box["errors"])
-        # Every started attempt failed; surface the most recent failure
-        # to the outer retry loop (hedging never swallows the chain).
-        raise errors[-1]
-
     def execute(self, job: BatchJob) -> tuple[list[dict], RunResult]:
         backend = job.backend
         if not isinstance(backend, FunctionalBackend) or job.context_entry is None:
@@ -752,10 +681,6 @@ class RemoteExecutor:
         exclude: set[int] = set()
         while True:
             try:
-                if (self.hedge_after_s is not None and deadline is not None
-                        and sum(1 for h in self._hosts if not h.dead) > 1):
-                    return self._hedged_attempt(job, key, backend_key,
-                                                deadline, exclude=exclude)
                 return self._attempt(job, key, backend_key, deadline,
                                      exclude=exclude)
             except (HostFailure, ExecutorUnavailable) as exc:

@@ -106,7 +106,7 @@ class Tracer:
         """Record an instantaneous (zero-duration) span at "now".
 
         The resilience tier marks its state transitions this way —
-        ``retry``, ``hedge``, ``breaker_open``/``breaker_close``,
+        ``retry``, ``breaker_open``/``breaker_close``,
         ``shed``, ``degrade`` — so a chaos run's timeline shows *when*
         each recovery action fired between the request spans.  No-op
         unless recording.

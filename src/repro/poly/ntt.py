@@ -19,8 +19,10 @@ Two execution paths share the same tables:
   ``forward``/``inverse`` additionally accept stacks of residue matrices
   (``(..., L, N)``) so e.g. the key switch transforms all its digit matrices
   in one call, and ``start=`` a run of the basis' limbs alone.  Every call
-  runs as cache-sized blocks through a per-thread workspace
-  (:data:`BLOCK_ELEMS`).  Results are bit-identical to the per-limb path.
+  runs as a loop of cache-sized blocks (:data:`BLOCK_ELEMS`) through a
+  per-thread workspace, so concurrent callers (server worker threads,
+  registry builds) never share one.  Results are bit-identical to the
+  per-limb path.
   At small rings a call is one block whose cost is mostly fixed (~100
   numpy calls on strided views, see :data:`BLOCK_ELEMS`), so the schemes
   make one call per HE step, not one per term.
@@ -82,7 +84,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.obs.profile import count_kernel, instrument
-from repro.poly import kernels, parallel
+from repro.poly import kernels
 from repro.poly.kernels import cond_sub
 from repro.rns.primes import primitive_root_of_unity
 
@@ -95,10 +97,10 @@ MAX_LAZY_NTT_MODULUS = 1 << 30
 #: Below this transform size the two-phase transpose layout buys nothing.
 _SINGLE_PHASE_MAX_N = 32
 
-#: Elements per transform block — the unit of cache residency *and* of thread
-#: fan (:meth:`RnsNttContext._run`): a block, its workspace (18 bytes an
-#: element) and its twiddles (12) should sit in L2 for the ~100 numpy passes of
-#: a transform, yet be large enough to amortise those calls (~110 us a block).
+#: Elements per transform block — the unit of cache residency
+#: (:meth:`RnsNttContext._run`): a block, its workspace (18 bytes an element)
+#: and its twiddles (12) should sit in L2 for the ~100 numpy passes of a
+#: transform, yet be large enough to amortise those calls (~110 us a block).
 #: Forward / inverse microseconds per row on this box, by elements per block:
 #: (18, 18, 1024) 8 K 46/57, 24 K 31/36, 36 K 28/33, 48 K 27/33, 96 K 27/33,
 #: whole 34/38; (18, 4096) 8 K 179/205, 24 K 129/155, 36 K 120/141,
@@ -516,7 +518,7 @@ class RnsNttContext:
 
         With ``start``, ``limbs`` is ``(..., k, N)``: limbs ``start .. start
         + k`` of the basis alone.  Returns a fresh array, never writes its
-        input; bit-identical at any ``REPRO_NUM_THREADS`` (:meth:`_run`).
+        input; bit-identical however :meth:`_run` cuts it into blocks.
         """
         return self._run(limbs, start, inverse=False)
 
@@ -524,8 +526,7 @@ class RnsNttContext:
     def inverse(self, evals: np.ndarray, *,
                 start: int | None = None) -> np.ndarray:
         """All-limb inverse negacyclic NTT: ``(..., L, N)`` evaluation ->
-        coeff; same ``start`` / aliasing / threading contract as
-        :meth:`forward`."""
+        coeff; same ``start`` / aliasing contract as :meth:`forward`."""
         return self._run(evals, start, inverse=True)
 
     def _run(self, arr, start: int | None, inverse: bool) -> np.ndarray:
@@ -537,8 +538,7 @@ class RnsNttContext:
         range of the plan's stage views (per-limb tables are independent, so
         any cut is bit-identical to the whole).  A call that is one block
         (every HE step at N = 512) runs the plan on ``arr`` as it came;
-        more go to :func:`repro.poly.parallel.run_tasks`: a plain loop at
-        one thread, the pool fan at more, each worker on its own workspace.
+        larger calls loop over their blocks.
         """
         arr = _as_residues(arr)
         level = len(self.moduli)
@@ -554,7 +554,7 @@ class RnsNttContext:
         k, n = arr.shape[-2:]
         out = np.empty(arr.shape, dtype=np.uint64)
         per_block = max(1, BLOCK_ELEMS // n)  # rows of N
-        if arr.size <= per_block * n:  # one block: no task list
+        if arr.size <= per_block * n:  # one block: no reshape
             self._transform(arr, out, slice(start, start + k), inverse)
             return out
         src, dst = arr.reshape(-1, k, n), out.reshape(-1, k, n)
@@ -562,18 +562,12 @@ class RnsNttContext:
             lead_step, limb_step = per_block // k, k
         else:
             lead_step, limb_step = 1, per_block
-
-        def block(i: int, j: int) -> None:
-            stop = min(j + limb_step, k)
-            self._transform(
-                src[i:i + lead_step, j:stop], dst[i:i + lead_step, j:stop],
-                slice(start + j, start + stop), inverse)
-
-        parallel.run_tasks([
-            (lambda i=i, j=j: block(i, j))
-            for i in range(0, src.shape[0], lead_step)
-            for j in range(0, k, limb_step)
-        ])
+        for i in range(0, src.shape[0], lead_step):
+            for j in range(0, k, limb_step):
+                stop = min(j + limb_step, k)
+                self._transform(
+                    src[i:i + lead_step, j:stop], dst[i:i + lead_step, j:stop],
+                    slice(start + j, start + stop), inverse)
         return out
 
     def _transform(self, src: np.ndarray, dst: np.ndarray, rows: slice,

@@ -30,8 +30,6 @@ tuple, exactly like the NTT twiddle caches in :mod:`repro.poly.ntt`:
 Everything here is *exact* integer arithmetic: each fast path computes the
 same mathematical value as the retained reference formulas, so outputs are
 bit-identical — callers assert exactly that under ``REPRO_KERNEL_DEBUG=1``.
-Column spans fan across :mod:`repro.poly.parallel` when
-``REPRO_NUM_THREADS`` > 1.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from repro.poly import kernels, parallel
+from repro.poly import kernels
 
 
 @lru_cache(maxsize=None)
@@ -158,21 +156,6 @@ class BaseConversion:
                 pp = np.uint64(p)
                 row_col = self.mat[r].reshape(-1, 1)
                 rows[r] = ((digits % pp) * row_col % pp).sum(axis=0) % pp
-            return rows
-        nt = parallel.active_threads()
-        if nt > 1 and digits.size >= parallel.MIN_PARALLEL_ELEMS:
-            rows = np.empty((len(self.new_moduli), n), dtype=np.uint64)
-            spans = parallel.split_ranges(n, nt)
-
-            def task(lo: int, hi: int) -> None:
-                np.remainder(
-                    self.mat @ digits[:, lo:hi], self.p_col,
-                    out=rows[:, lo:hi],
-                )
-
-            parallel.run_tasks(
-                [(lambda lo=lo, hi=hi: task(lo, hi)) for lo, hi in spans]
-            )
             return rows
         return (self.mat @ digits) % self.p_col
 

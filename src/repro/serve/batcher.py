@@ -52,7 +52,6 @@ import numpy as np
 from repro.backends import resolve_backend
 from repro.dsl.program import OpKind, Program
 from repro.obs.trace import tracer
-from repro.poly import parallel
 
 
 class BatchUnsupported(ValueError):
@@ -471,10 +470,7 @@ class SlotBatcher:
 
         Each packed vector is assembled on a C-contiguous ``(k, stride)``
         block buffer (one reshaped view of the flat lane array) instead of
-        k strided writes, and independent ops fan across the
-        :mod:`repro.poly.parallel` pool when ``REPRO_NUM_THREADS`` > 1 —
-        the ops touch disjoint arrays, so threaded packing is bit-identical
-        to the serial loop.
+        k strided writes.
         """
         requests = [_coerce(r) for r in requests]
         k = len(requests)
@@ -484,12 +480,8 @@ class SlotBatcher:
                 f"this layout"
             )
         dtype = self._dtype()
-        # Pre-seeded keys keep dict iteration order independent of which
-        # worker thread finishes first.
-        inputs: dict[int, np.ndarray] = {op_id: None for op_id in self._input_ids}
-        plains: dict[int, np.ndarray] = {op_id: None for op_id in self._plain_ids}
-
-        def pack_input(op_id: int) -> None:
+        inputs: dict[int, np.ndarray] = {}
+        for op_id in self._input_ids:
             vecs = []
             for j, req in enumerate(requests):
                 if op_id not in req.inputs:
@@ -500,11 +492,11 @@ class SlotBatcher:
                     req.inputs[op_id], self.width, f"request {j} input {op_id}"
                 ))
             inputs[op_id] = self._pack_blocks(vecs, dtype)
-
-        def pack_plain(op_id: int) -> None:
+        plains: dict[int, np.ndarray] = {}
+        for op_id in self._plain_ids:
             if op_id in self._shared_plains:
                 plains[op_id] = self._shared_plain(op_id, requests)
-                return
+                continue
             vecs = [
                 self._checked(
                     req.plains.get(op_id, np.ones(1)), self.width,
@@ -513,13 +505,6 @@ class SlotBatcher:
                 for j, req in enumerate(requests)
             ]
             plains[op_id] = self._pack_blocks(vecs, dtype)
-
-        parallel.run_tasks(
-            [(lambda op_id=op_id: pack_input(op_id))
-             for op_id in self._input_ids]
-            + [(lambda op_id=op_id: pack_plain(op_id))
-               for op_id in self._plain_ids]
-        )
         return inputs, plains
 
     def _pack_blocks(self, vecs: list[np.ndarray], dtype) -> np.ndarray:
@@ -568,15 +553,11 @@ class SlotBatcher:
         output o equals lanes ``[0, output_widths[o])`` of a solo run.
 
         Demuxing reshapes each packed output into a contiguous ``(k, w)``
-        block matrix once (one gather instead of k strided slices);
-        independent outputs fan across the :mod:`repro.poly.parallel` pool.
+        block matrix once (one gather instead of k strided slices).
         """
-        per_request: list[dict[int, np.ndarray]] = [
-            {out_id: None for out_id in outputs} for _ in range(k)
-        ]
+        per_request: list[dict[int, np.ndarray]] = [{} for _ in range(k)]
         span = k * self.stride
-
-        def demux(out_id: int, vec) -> None:
+        for out_id, vec in outputs.items():
             arr = np.asarray(vec)
             w = self.output_widths.get(out_id, self.stride)
             if arr.ndim == 1 and arr.shape[0] >= span:
@@ -589,11 +570,6 @@ class SlotBatcher:
                 for j in range(k):
                     lo = j * self.stride
                     per_request[j][out_id] = arr[lo: lo + w].copy()
-
-        parallel.run_tasks(
-            [(lambda out_id=out_id, vec=vec: demux(out_id, vec))
-             for out_id, vec in outputs.items()]
-        )
         return per_request
 
     # ---------------------------------------------------------------- levels

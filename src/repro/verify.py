@@ -11,8 +11,8 @@ Steps, in order:
 1. **tier-1** — ``pytest -x -q tests benchmarks`` minus
    ``tests/test_examples.py`` (unit + table/figure regeneration suites,
    including the backend-equivalence properties, the serving-runtime
-   stress tests, the replica pools, the remote trace stitch, the chaos
-   soak and the thread-fan bit-identity suite);
+   stress tests, the replica pools, the remote trace stitch and the chaos
+   soak);
 2. **perf gate** — ``benchmarks/check_perf.py`` times the batched-engine hot
    kernels against ``BENCH_engine.json`` (non-zero past 2.5x baseline);
 3. **examples smoke** — the ``examples/*.py`` mains at reduced sizes

@@ -2,9 +2,9 @@
 
 ``RnsNttContext`` runs every call as blocks of about ``BLOCK_ELEMS`` elements
 — runs of whole leading matrices, or limb ranges of one wide matrix — through
-a per-thread workspace, serially or over the ``REPRO_NUM_THREADS`` pool.
-Pinned here: blocked == row-by-row ``NttContext`` for every way a shape can
-meet the block size, at 1, 2 and 3 threads; inputs are never written and
+a per-thread workspace.  Pinned here: blocked == row-by-row ``NttContext``
+for every way a shape can meet the block size, at 1, 2 and 3 concurrent
+callers; inputs are never written and
 results never alias the workspace; the workspace is per thread and bounded
 (``tracemalloc``, not wall clock); negative residues are refused.
 """
@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.poly import ntt, parallel
+from repro.poly import ntt
 from repro.poly.ntt import BLOCK_ELEMS, NttContext, get_rns_context
 from repro.rns.primes import ntt_friendly_primes
 
@@ -73,20 +73,30 @@ def cases(moduli):
     return out
 
 
-@pytest.mark.parametrize("nt", [1, 2, 3])
+@pytest.mark.parametrize("callers", [1, 2, 3])
 @pytest.mark.parametrize("shape", [s for s, _ in SHAPES],
                          ids=[why for _, why in SHAPES])
-def test_blocked_equals_row_by_row(shape, nt, moduli, cases):
+def test_blocked_equals_row_by_row(shape, callers, moduli, cases):
+    """``callers`` threads transform the same input at once; each has its
+    own workspace, so each gets the row-by-row answer."""
     x, want_fwd, want_inv = cases[shape]
     ctx = get_rns_context(N, moduli[:shape[-2]])
     before = x.copy()
-    prev = parallel.set_num_threads(nt)
-    try:
-        fwd, inv = ctx.forward(x), ctx.inverse(x)
-    finally:
-        parallel.set_num_threads(prev)
-    assert np.array_equal(fwd, want_fwd)
-    assert np.array_equal(inv, want_inv)
+    results = [None] * callers
+
+    def call(i):
+        results[i] = (ctx.forward(x), ctx.inverse(x))
+
+    threads = [threading.Thread(target=call, args=(i,))
+               for i in range(callers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    for fwd, inv in results:
+        assert np.array_equal(fwd, want_fwd)
+        assert np.array_equal(inv, want_inv)
     assert np.array_equal(x, before)          # inputs are never written
 
 

@@ -17,7 +17,6 @@ the module and runs in ``--fast`` too.
 import pickle
 import socket
 import time
-import types
 
 import numpy as np
 import pytest
@@ -321,35 +320,6 @@ class TestRemoteResilience:
                 assert host.inflight == 1
                 pool._release_slot(host, host.epoch)
                 assert host.inflight == 0
-
-    def test_hedge_first_success_wins(self):
-        """With the primary wedged past ``hedge_after_s``, the hedge's
-        result is returned and the hedge counter moves."""
-        with LocalCluster(2) as cluster:
-            with cluster.executor(hedge_after_s=0.6) as pool:
-                registry = ProgramRegistry()
-                job, _ = bgv_job(registry)
-                calls = []
-                real_attempt = pool._attempt
-
-                def stub(self, job, key, backend_key, deadline,
-                         exclude=frozenset(), chosen=None):
-                    calls.append(time.perf_counter())
-                    if chosen is not None:
-                        chosen.append(0)
-                    if len(calls) == 1:
-                        time.sleep(1.2)       # wedged primary
-                        return "slow"
-                    return "fast"
-
-                pool._attempt = types.MethodType(stub, pool)
-                try:
-                    deadline = time.perf_counter() + 0.8
-                    result = pool._hedged_attempt(job, 0, 0, deadline)
-                finally:
-                    pool._attempt = real_attempt
-                assert result == "fast"
-                assert pool.stats()["resilience"]["hedges"] == 1
 
     def test_breaker_opens_and_host_is_skipped(self):
         """Consecutive transport failures open the per-host breaker and

@@ -24,10 +24,17 @@ from repro.fhe.ckks import CkksContext
 from repro.fhe.params import FheParams
 from repro.obs import profile
 from repro.obs.metrics import global_metrics
+from repro.poly import kernels
 from repro.sim.functional import FunctionalSimulator
 
 N = 64
 LEVELS = (2, 4, 6)
+
+
+@pytest.fixture(autouse=True)
+def engine_calls_only(monkeypatch):
+    """``REPRO_KERNEL_DEBUG=1``'s oracles transform too; count the engine."""
+    monkeypatch.setattr(kernels, "DEBUG_VALIDATE", False)
 
 
 def _rows() -> int:
