@@ -9,9 +9,9 @@ Usage (from the repo root):
     PYTHONPATH=src python benchmarks/check_perf.py --tolerance 3.0
 
 Times a fixed set of hot kernels (all-limb NTT, CRT conversions, base
-extension — both the batched conversion-table path and the per-modulus
-reference it replaced, the object-free scale-down and its big-int oracle,
-the lazy word-matmul CRT reconstruction on a tall 16-limb basis, the
+extension through the public call and the batched conversion table, the
+object-free scale-down, the lazy word-matmul CRT reconstruction on a tall
+16-limb basis, the
 block driver on the (18, 18, 1024) digit stack of an 18-limb key switch,
 on the paper's ring (16, 16384) and on single (1, 512) / (3, 512) calls
 (the small ring's fixed cost), Listing-1 and raised-modulus key switch,
@@ -40,10 +40,7 @@ machines).  Exits non-zero on regression so CI can gate on it.
 ``--compare`` prints the per-kernel old-vs-new speedup table (baseline time
 divided by measured time) without gating — the tool for quantifying a perf
 PR before rewriting the baseline with ``--write``.  It also derives the
-hoisting payoff (``rotate_sequential / rotate_many_hoisted``) and the
-round-2 kernel payoffs, each measured reference-vs-fast on identical
-inputs in the same process: batched base extension, object-free
-scale-down, and lazy CRT reconstruction.
+hoisting payoff (``rotate_sequential / rotate_many_hoisted``).
 """
 
 from __future__ import annotations
@@ -69,11 +66,9 @@ def _kernels():
     from repro.fhe.ckks import CkksContext
     from repro.fhe.keyswitch import (
         base_extend,
-        base_extend_reference,
         key_switch_v1,
         key_switch_v2,
         scale_down,
-        scale_down_reference,
     )
     from repro.fhe.params import FheParams
     from repro.fhe.sampling import uniform_poly
@@ -100,11 +95,9 @@ def _kernels():
     extended = RnsBasis(basis.moduli + special.moduli)
     x_coeff = RnsPolynomial(basis, limbs, Domain.COEFF)
 
-    # Round-2 conversion kernels: the batched conversion-table path vs the
-    # per-modulus reference it replaced (same inputs, same process), the
-    # object-free scale-down vs its big-int oracle, the lazy word-matmul
-    # CRT reconstruction on a tall 16-limb basis (where the big-int sum it
-    # replaces is most expensive).
+    # Conversion kernels: the batched conversion-table path, the object-free
+    # scale-down, and the lazy word-matmul CRT reconstruction on a tall
+    # 16-limb basis (where a big-int sum would be most expensive).
     base_conv = convert.get_base_conversion(basis.moduli, extended.moduli)
     base_conv.convert(limbs)  # build cached tables outside the timed region
     ext_limbs = np.stack(
@@ -350,16 +343,9 @@ def _kernels():
         "crt_to_rns_wide": lambda: basis.to_rns(ints),
         "crt_from_rns": lambda: basis.from_rns(limbs),
         "crt_from_rns_lazy": lambda: tall.from_rns(tall_limbs),
-        "crt_from_rns_reference": lambda: tall._from_rns_exact(tall_limbs),
         "base_extend": lambda: base_extend(x_coeff, extended),
         "base_extend_batched": lambda: base_conv.convert(limbs),
-        "base_extend_reference": lambda: base_extend_reference(
-            x_coeff, extended
-        ),
         "scale_down_batched": lambda: scale_down(x_ext, special, 256),
-        "scale_down_reference": lambda: scale_down_reference(
-            x_ext, special, 256
-        ),
         "ntt_forward_digit_stack": lambda: digit_ctx.forward(digit_stack),
         "ntt_forward_paper_ring": lambda: paper_ctx.forward(paper_limbs),
         "ntt_forward_small_ring": lambda: [
@@ -470,17 +456,6 @@ def main(argv: list[str] | None = None) -> int:
         if hoisted and seq:
             print(f"\nhoisting payoff (k=8): sequential/hoisted = "
                   f"{seq / hoisted:.2f}x")
-        for label, fast, ref in (
-            ("batched base-extend payoff",
-             "base_extend_batched", "base_extend_reference"),
-            ("object-free scale-down payoff",
-             "scale_down_batched", "scale_down_reference"),
-            ("lazy CRT payoff (L=16)",
-             "crt_from_rns_lazy", "crt_from_rns_reference"),
-        ):
-            if measured.get(fast) and measured.get(ref):
-                print(f"{label}: reference/fast = "
-                      f"{measured[ref] / measured[fast]:.2f}x")
         print(convoy_line)
         return 0
 

@@ -46,6 +46,12 @@ per rotation and scales every rotation's products down in one stack.
 
 Both variants return ``(u0, u1)`` such that ``u0 - u1 * s ≈ x * s_old
 (mod Q)`` up to ``t``-multiple noise.
+
+Every modulus and ``t`` is below 2^32 (checked once, when the
+:class:`~repro.rns.crt.RnsBasis` and :class:`~repro.fhe.params.FheParams`
+are built), so :func:`base_extend` and :func:`scale_down` have one path
+each.  Their big-int oracles live in ``tests/kernel_oracles.py``; under
+``REPRO_KERNEL_DEBUG=1`` the test suite checks every call against them.
 """
 
 from __future__ import annotations
@@ -232,53 +238,13 @@ def base_extend(x: RnsPolynomial, extended: RnsBasis) -> RnsPolynomial:
 
     The whole lift runs on cached per-basis-pair conversion tables
     (:class:`repro.rns.convert.BaseConversion`): Shoup digit extraction plus
-    one raw uint64 matmul against the ``(Q/q_i) mod p_j`` matrix, replacing
-    the former per-target-modulus Python loop (kept as
-    :func:`base_extend_reference`; ``REPRO_KERNEL_DEBUG=1`` asserts
-    bit-identity on every call).
+    one raw uint64 matmul against the ``(Q/q_i) mod p_j`` matrix.  It equals
+    the per-target-modulus oracle in ``tests/kernel_oracles.py`` bit for bit.
     """
     if x.domain is not Domain.COEFF:
         raise ValueError("base_extend expects a coefficient-domain input")
     conv = convert.get_base_conversion(x.basis.moduli, extended.moduli)
-    out = conv.convert(x.limbs)
-    if kernels.DEBUG_VALIDATE:
-        ref = base_extend_reference(x, extended)
-        assert np.array_equal(out, ref.limbs), \
-            "batched base_extend diverged from the reference path"
-    return RnsPolynomial(extended, out, Domain.COEFF)
-
-
-def base_extend_reference(x: RnsPolynomial, extended: RnsBasis) -> RnsPolynomial:
-    """The retained per-target-modulus reference lift (exact oracle).
-
-    Bit-identical to :func:`base_extend` by construction — both evaluate
-    ``sum_i d_i * (Q/q_i) mod p_j`` exactly; this one walks target moduli in
-    Python with per-row reduced sums.  Kept for the debug oracle, the fuzz
-    suite, and the perf gate's before/after ratio.
-    """
-    if x.domain is not Domain.COEFF:
-        raise ValueError("base_extend expects a coefficient-domain input")
-    basis = x.basis
-    old_index = {q: i for i, q in enumerate(basis.moduli)}
-    n = x.n
-    weights = basis.crt_weights()
-    # Digits: d_i = [x_i * (Q/q_i)^{-1}]_{q_i}, coefficients in [0, q_i) —
-    # all limbs in one broadcast op.
-    inv_col = np.array([w[1] for w in weights], dtype=np.uint64).reshape(-1, 1)
-    digits = (x.limbs * inv_col) % basis.moduli_column()
-    out = np.empty((extended.level, n), dtype=np.uint64)
-    for j, p in enumerate(extended.moduli):
-        if p in old_index:
-            out[j] = x.limbs[old_index[p]]
-            continue
-        pp = np.uint64(p)
-        q_over_col = np.array(
-            [w[0] % p for w in weights], dtype=np.uint64
-        ).reshape(-1, 1)
-        # Each term < p < 2^32, so the L-term sum fits in uint64.
-        terms = (digits % pp) * q_over_col % pp
-        out[j] = terms.sum(axis=0) % pp
-    return RnsPolynomial(extended, out, Domain.COEFF)
+    return RnsPolynomial(extended, conv.convert(x.limbs), Domain.COEFF)
 
 
 @instrument("scale_down")
@@ -304,9 +270,8 @@ def scale_down(
     form (:class:`repro.rns.convert.MixedRadix`) — raw uint64 vector ops
     only — and ``delta / P mod q_j`` is assembled directly from ``v mod
     q_j``, ``v > P/2`` and the centered correction, never materializing
-    big-int object arrays.  It equals the retained object-array oracle
-    (:func:`scale_down_reference`) bit for bit; ``REPRO_KERNEL_DEBUG=1``
-    asserts that per call.  Moduli or ``t`` >= 2^32 fall back to the oracle.
+    big-int object arrays.  It equals the object-array oracle in
+    ``tests/kernel_oracles.py`` bit for bit.
     """
     out = scale_down_stack(x.limbs, x.domain, x.basis, special,
                             plaintext_modulus)
@@ -325,17 +290,6 @@ def scale_down_stack(
     level, n = ext.level - n_special, limbs.shape[-1]
     basis_q = RnsBasis(ext.moduli[:level])
     ntt = domain is Domain.NTT
-
-    def reference() -> np.ndarray:
-        """The object-array oracle, matrix by matrix (coefficient domain)."""
-        return np.stack([
-            scale_down_reference(RnsPolynomial(ext, m, domain), special, t).limbs
-            for m in limbs.reshape(-1, ext.level, n)
-        ]).reshape(limbs.shape[:-2] + (level, n))
-
-    if ext.max_modulus >= 1 << 32 or not 1 <= t < 1 << 32:
-        out = reference()
-        return get_rns_context(n, basis_q.moduli).forward(out) if ntt else out
     tail = limbs[..., level:, :]
     if ntt:
         tail = get_rns_context(n, ext.moduli).inverse(tail, start=level)
@@ -349,12 +303,7 @@ def scale_down_stack(
     q_col = basis_q.moduli_column()
     p_inv_col = _scale_down_tables(basis_q.moduli, special.moduli, t)[0]
     # (x - delta) / P as x * P^{-1} - delta / P; products stay < q^2 + q.
-    out = (limbs[..., :level, :] * p_inv_col + (q_col - corr)) % q_col
-    if kernels.DEBUG_VALIDATE:
-        got = get_rns_context(n, basis_q.moduli).inverse(out) if ntt else out
-        assert np.array_equal(got, reference()), \
-            "lazy scale_down diverged from the exact object-array oracle"
-    return out
+    return (limbs[..., :level, :] * p_inv_col + (q_col - corr)) % q_col
 
 
 def _scale_down_correction(
@@ -407,51 +356,3 @@ def _scale_down_tables(
          for q in q_moduli], dtype=np.uint64)
     p_inv_t = np.uint64(pow(p_product % t, -1, t)) if t > 1 else np.uint64(0)
     return p_inv_col, centering, p_inv_t, p_product // 2
-
-
-def scale_down_reference(
-    x: RnsPolynomial,
-    special: RnsBasis,
-    plaintext_modulus: int,
-) -> RnsPolynomial:
-    """The retained exact object-array scale-down (debug oracle).
-
-    Reconstructs the centered big-int ``v = [x]_P`` through
-    ``RnsBasis.from_rns`` and reduces ``delta`` per target modulus — the
-    pre-batching formulation, kept as the ``REPRO_KERNEL_DEBUG=1`` oracle
-    and the perf gate's before/after reference.
-    """
-    x = x.to_coeff()
-    ext = x.basis
-    n_special = special.level
-    q_moduli = ext.moduli[:-n_special]
-    if ext.moduli[-n_special:] != special.moduli:
-        raise ValueError("special basis must be the trailing limbs of x's basis")
-    basis_q = RnsBasis(q_moduli)
-    n = x.n
-    t = plaintext_modulus
-    p_product = special.modulus
-
-    # Centered value of x mod P, reconstructed exactly (P has few limbs and
-    # this is the functional layer — exactness keeps noise analysis clean).
-    special_limbs = x.limbs[-n_special:]
-    v_arr = np.array(special.from_rns(special_limbs, centered=True), dtype=object)
-    # Correction w so that delta = v + P*w ≡ 0 (mod t); all object-array
-    # ufuncs, no per-coefficient Python loop.
-    if t > 1:
-        p_inv_t = pow(p_product % t, -1, t)
-        w = (-v_arr * p_inv_t) % t
-        w = np.where(w > t // 2, w - t, w)  # centered
-    else:
-        w = np.zeros(n, dtype=object)
-    delta = v_arr + p_product * w
-
-    qcol = basis_q.moduli_column()
-    delta_mod = np.empty((basis_q.level, n), dtype=np.uint64)
-    for j, q in enumerate(q_moduli):
-        delta_mod[j] = (delta % q).astype(np.uint64)
-    p_inv_col = np.array(
-        [pow(p_product % q, -1, q) for q in q_moduli], dtype=np.uint64
-    ).reshape(-1, 1)
-    out = ((x.limbs[: basis_q.level] + qcol - delta_mod) % qcol * p_inv_col) % qcol
-    return RnsPolynomial(basis_q, out, Domain.COEFF)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.rns.crt import RnsBasis
+from repro.rns.crt import MAX_MODULUS, RnsBasis
 from repro.rns.primes import ntt_friendly_primes
 
 # (N, max log Q) pairs from the homomorphic encryption security standard [2]
@@ -47,8 +47,13 @@ class FheParams:
     allow_insecure: bool = True
 
     def __post_init__(self):
-        if self.n & (self.n - 1):
-            raise ValueError("N must be a power of two")
+        if self.n < 2 or self.n & (self.n - 1):
+            raise ValueError(f"N must be a power of two >= 2, got {self.n}")
+        if not 1 <= self.plaintext_modulus < MAX_MODULUS:
+            raise ValueError(
+                f"plaintext modulus must be in [1, 2^32), got "
+                f"{self.plaintext_modulus}"
+            )
         for q in self.basis.moduli:
             if (q - 1) % (2 * self.n):
                 raise ValueError(f"modulus {q} is not NTT-friendly for N={self.n}")

@@ -32,9 +32,15 @@ band is ``q < 2^30``, where its range ``[0, 4q)`` fits a uint32
 Either way results are bit-identical, because every lazy intermediate is
 congruent mod q to its strict counterpart and the final reduction is exact.
 
+Every modulus is below 2^32, checked once where a basis is built
+(:data:`repro.rns.crt.MAX_MODULUS`); the kernels here guard only the
+headroom bounds that also depend on operand counts.
+
 Debug validation: set the environment variable ``REPRO_KERNEL_DEBUG=1`` (or
 flip :data:`DEBUG_VALIDATE`) to assert the reduced-input invariants that the
-fast paths rely on instead of re-reducing defensively.
+fast paths rely on instead of re-reducing defensively.  The test suite's
+``tests/conftest.py`` reads the same flag at call time to compare every
+``base_extend`` / ``scale_down_stack`` call with its big-int oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from repro.obs.profile import instrument
 MAX_LAZY_MODULUS = 1 << 31
 
 #: When True, kernels assert their documented input invariants (values
-#: reduced, moduli in range).  Enabled by REPRO_KERNEL_DEBUG=1; cheap enough
+#: reduced below their moduli).  Enabled by REPRO_KERNEL_DEBUG=1; cheap enough
 #: for tests, off by default for production hot paths.
 DEBUG_VALIDATE = os.environ.get("REPRO_KERNEL_DEBUG", "") not in ("", "0")
 
@@ -95,7 +101,7 @@ def add_mod(x: np.ndarray, y: np.ndarray, q) -> np.ndarray:
 
     ``x, y in [0, q)`` gives ``x + y in [0, 2q)``; with the engine-wide
     ``q < 2^32`` the sum is below ``2^33``, far from uint64 wrap, and one
-    :func:`cond_sub` finishes the job.  Works for any ``q < 2^63``.
+    :func:`cond_sub` finishes the job.
     """
     _validate_reduced(x, q, "add_mod lhs")
     _validate_reduced(y, q, "add_mod rhs")

@@ -67,7 +67,8 @@ Hot-path design (see :mod:`repro.poly.kernels` for the primitive proofs):
 
 Invariant: every modulus must satisfy ``q < 2**32`` (products of residues
 then fit the strict path's uint64 intermediates).  Both context constructors
-and :func:`cyclic_ntt_rows` reject wider moduli rather than silently
+and :func:`cyclic_ntt_rows` take a bare ``q``, so they check it against the
+engine's one bound, :data:`repro.rns.crt.MAX_MODULUS`, rather than silently
 wrapping.  Transform inputs must be reduced (``[0, q)`` per limb) — the
 engine-wide invariant, which the lazy path's narrowing cast relies on and
 ``REPRO_KERNEL_DEBUG=1`` asserts at its entry.
@@ -86,10 +87,8 @@ import numpy as np
 from repro.obs.profile import count_kernel, instrument
 from repro.poly import kernels
 from repro.poly.kernels import cond_sub
+from repro.rns.crt import check_modulus_width
 from repro.rns.primes import primitive_root_of_unity
-
-#: Moduli must stay below this so uint64 butterflies (hi * tw) cannot wrap.
-MAX_MODULUS = 1 << 32
 
 #: Moduli below this take the lazy plan: its range ``[0, 4q)`` fits a uint32.
 MAX_LAZY_NTT_MODULUS = 1 << 30
@@ -141,14 +140,6 @@ def _as_residues(x) -> np.ndarray:
     if x.dtype.kind == "i" and x.size and int(x.min()) < 0:
         raise ValueError("residues must be non-negative (reduce mod q first)")
     return x.astype(np.uint64, copy=False)
-
-
-def _check_modulus_width(q: int) -> None:
-    if q >= MAX_MODULUS:
-        raise ValueError(
-            f"q = {q} needs {q.bit_length()} bits; moduli must be < 2^32 so "
-            "uint64 butterfly products cannot overflow"
-        )
 
 
 def _resolve_lazy(lazy: bool | None, moduli) -> bool:
@@ -387,7 +378,7 @@ class NttContext:
             raise ValueError(f"N must be a power of two >= 2, got {n}")
         if (q - 1) % (2 * n) != 0:
             raise ValueError(f"q = {q} is not NTT-friendly for N = {n}")
-        _check_modulus_width(q)
+        check_modulus_width(q)
         self.n = n
         self.q = q
         self.psi = primitive_root_of_unity(2 * n, q)
@@ -656,7 +647,7 @@ def cyclic_ntt_rows(matrix: np.ndarray, omega: int, q: int) -> np.ndarray:
     natural-order in and out, vectorized across rows; rows must be reduced
     mod q.  Twiddle tables are cached per (N, omega, q).
     """
-    _check_modulus_width(q)
+    check_modulus_width(q)
     matrix = np.asarray(matrix, dtype=np.uint64)
     rows, n = matrix.shape
     if n == 1:

@@ -92,8 +92,13 @@ class RnsPolynomial:
 
     @classmethod
     def from_state(cls, state: dict) -> "RnsPolynomial":
-        return cls(RnsBasis(state["moduli"]), state["limbs"],
-                   Domain(state["domain"]))
+        """Restore :meth:`to_state` output.  Every kernel assumes reduced
+        limbs, so a restored limb at or above its modulus is refused."""
+        basis = RnsBasis(state["moduli"])
+        poly = cls(basis, state["limbs"], Domain(state["domain"]))
+        if not (poly.limbs < basis.moduli_column()).all():
+            raise ValueError("limbs are not reduced below their moduli")
+        return poly
 
     def __getstate__(self):
         return self.to_state()
@@ -129,10 +134,9 @@ class RnsPolynomial:
         fits one (:meth:`~repro.rns.convert.MixedRadix.centered_int64`),
         else Python ints."""
         limbs = self.to_coeff().limbs
-        if self.basis.max_modulus < 1 << 32:
-            small = get_mixed_radix(self.basis.moduli).centered_int64(limbs)
-            if small is not None:
-                return small
+        small = get_mixed_radix(self.basis.moduli).centered_int64(limbs)
+        if small is not None:
+            return small
         return np.array(self.basis.from_rns(limbs, centered=True), dtype=object)
 
     # ------------------------------------------------------------- arithmetic

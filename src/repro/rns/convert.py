@@ -1,12 +1,9 @@
-"""Cached batched RNS base-conversion tables (kernel speed, round 2).
+"""Cached batched RNS base-conversion tables.
 
-The PR 4 profile puts ``base_extend`` / ``scale_down`` / ``from_rns`` among
-the largest remaining ``%`` consumers: each walked its target moduli in a
-Python loop, re-deriving per-pair constants and — worst of all — routing
-``scale_down`` through exact big-int CRT values in object arrays.  This
-module replaces those loops with whole ``(L_src, L_dst, N)`` stack
-operations driven by conversion tables cached process-globally per moduli
-tuple, exactly like the NTT twiddle caches in :mod:`repro.poly.ntt`:
+``base_extend`` / ``scale_down`` / ``from_rns`` run as whole
+``(L_src, L_dst, N)`` stack operations driven by conversion tables cached
+process-globally per moduli tuple, exactly like the NTT twiddle caches in
+:mod:`repro.poly.ntt`:
 
 - :class:`DigitDecomposer` — CRT digits ``d_i = [x_i * (Q/q_i)^{-1}]_{q_i}``
   for a whole limb stack via Shoup multiplication (division-free when every
@@ -20,16 +17,23 @@ tuple, exactly like the NTT twiddle caches in :mod:`repro.poly.ntt`:
 - :class:`WordAccumulator` — the exact digit-weighted sum
   ``sum_i d_i * (Q/q_i)`` of CRT reconstruction, computed as raw uint64
   matmuls against the base-``2^w`` word decomposition of the weights and
-  recomposed into Python ints by a short Horner loop — the object-array
-  work drops from L wide multiplies per coefficient to one add per word.
+  recomposed into Python ints by a short Horner loop — one add per word
+  instead of L wide multiplies per coefficient.
 - :class:`MixedRadix` — exact Garner mixed-radix form over a small basis
   (the special basis of ``scale_down``), giving residues mod arbitrary
   targets and an exact ``v > P/2`` test without ever materializing big
   ints.
 
+Every modulus is below 2^32: :class:`~repro.rns.crt.RnsBasis` rejects
+wider ones when it is built, and the FHE parameters reject a plaintext
+modulus ``t >= 2^32``, so no table here re-checks that bound.  The
+headroom bounds that depend on the basis length are each table's own.
+
 Everything here is *exact* integer arithmetic: each fast path computes the
-same mathematical value as the retained reference formulas, so outputs are
-bit-identical — callers assert exactly that under ``REPRO_KERNEL_DEBUG=1``.
+same mathematical value as the big-int reference formulas, so outputs are
+bit-identical.  Those formulas are test-side oracles
+(``tests/kernel_oracles.py``); under ``REPRO_KERNEL_DEBUG=1`` the test suite
+compares every ``base_extend`` / ``scale_down`` call against them.
 """
 
 from __future__ import annotations
@@ -171,11 +175,11 @@ class WordAccumulator:
     non-overlapping 32-bit limbs in numpy and each coefficient becomes one
     ``int.from_bytes`` call — no big-int multiplies at all.  Narrower word
     sizes recompose by a Horner loop over W object rows (still fewer wide
-    multiplies than the L-weight object path).  ``ok`` is False past the
-    headroom bound; callers keep the object path then.
+    multiplies than L big-int weights).  Past the headroom bound (``wbits <
+    8``: about 2^24 limbs of 32 bits) the constructor raises ValueError.
     """
 
-    __slots__ = ("moduli", "wbits", "radix", "nwords", "words", "ok")
+    __slots__ = ("moduli", "wbits", "radix", "nwords", "words")
 
     def __init__(self, moduli: tuple[int, ...]):
         self.moduli = moduli
@@ -183,12 +187,12 @@ class WordAccumulator:
         budget = (1 << 64) - (1 << 32)  # leave room for the running carry
         cap = budget // (L * (qmax - 1)) if qmax > 1 else 1 << 63
         wbits = min(max(cap.bit_length() - 1, 0), 32)
+        if wbits < 8:
+            raise ValueError(
+                f"{L} limbs of up to {qmax.bit_length()} bits exceed the CRT "
+                "word accumulator's uint64 headroom"
+            )
         self.wbits = wbits
-        self.ok = wbits >= 8 and qmax < 1 << 32
-        if not self.ok:
-            self.words = None
-            self.radix = self.nwords = 0
-            return
         weights = crt_weights(moduli)
         mask = (1 << wbits) - 1
         nwords = max(
@@ -244,8 +248,8 @@ class MixedRadix:
     compares ``v`` against a constant lexicographically (most-significant
     digit first), exactly.
 
-    All products are proven < 2^64 only for source and target moduli below
-    2^32 (the engine-wide invariant); callers gate on it.
+    All products are proven < 2^64 for source and target moduli below 2^32,
+    the engine-wide bound that every basis and plaintext modulus meets.
     """
 
     __slots__ = ("moduli", "k", "modulus", "prefixes", "q_u", "step_mods",
@@ -351,10 +355,7 @@ def _radix_residue_table(
         [[p % m for p in mr.prefixes] for m in dst_moduli], dtype=np.uint64
     )
     amax = max(src_moduli) - 1  # digits a_i < p_i
-    raw_ok = (
-        max(dst_moduli) < 1 << 32
-        and len(src_moduli) * amax * (max(dst_moduli) - 1) < 1 << 64
-    )
+    raw_ok = len(src_moduli) * amax * (max(dst_moduli) - 1) < 1 << 64
     return mat, raw_ok
 
 

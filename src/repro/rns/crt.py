@@ -5,21 +5,25 @@ An :class:`RnsBasis` captures an ordered tuple of distinct primes
 switching drops the last prime, so bases form a chain; :meth:`RnsBasis.drop`
 returns the next basis in the chain.
 
+Modulus bound: every modulus is below :data:`MAX_MODULUS` ``= 2^32``, F1's
+32-bit residue word (Sec. 5.3), so a product of two residues fits a uint64.
+The bound is checked here, once, when a basis is built (and by the NTT
+constructors, which take a bare ``q``); no kernel below re-checks it or
+keeps a wide-modulus fallback.
+
 Batched layout: RNS values are limb-major ``(L, N)`` uint64 matrices (row i
 holds the residues mod ``q_i``), matching the batched NTT engine in
 :mod:`repro.poly.ntt`.  Conversions are vectorized:
 
 - :meth:`RnsBasis.to_rns` reduces machine-width integer arrays with one numpy
-  remainder per limb (object-free for inputs and moduli below 63 bits), skips
-  even that when every input value is already below every modulus (the
-  residues *are* the values), and falls back to a Python-int path only for
-  wide inputs;
+  remainder per limb, skips even that when every input value is already
+  below every modulus (the residues *are* the values), and falls back to a
+  Python-int path only for wide inputs;
 - :meth:`RnsBasis.from_rns` computes all CRT digits ``[x_i * (Q/q_i)^{-1}]_{q_i}``
   division-free (Shoup partners, via :mod:`repro.rns.convert`) and evaluates
   the digit-weighted sum ``sum_i d_i * (Q/q_i)`` through raw uint64 word
-  matmuls (:class:`repro.rns.convert.WordAccumulator`), dropping to the
-  object-array formulation only past the overflow bound — both paths are
-  exact, so results are bit-identical.
+  matmuls (:class:`repro.rns.convert.WordAccumulator`).  The big-int
+  reconstruction it equals is a test-side oracle (``tests/kernel_oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,6 +33,19 @@ from functools import reduce
 import numpy as np
 
 from repro.obs.profile import instrument
+
+#: The engine's one modulus bound: every residue fits F1's 32-bit word, so
+#: a product of two fits a uint64.
+MAX_MODULUS = 1 << 32
+
+
+def check_modulus_width(q: int) -> None:
+    """Raise ValueError unless ``q < 2^32`` (:data:`MAX_MODULUS`)."""
+    if q >= MAX_MODULUS:
+        raise ValueError(
+            f"q = {q} needs {q.bit_length()} bits; moduli must be < 2^32 so "
+            "products of residues fit a uint64"
+        )
 
 
 def _convert():
@@ -56,13 +73,10 @@ class RnsBasis:
         self.moduli = moduli
         #: Widest limb modulus: decides the kernels' uint64 headroom guards.
         self.max_modulus = max(moduli)
+        check_modulus_width(self.max_modulus)
         self._modulus = reduce(lambda a, b: a * b, moduli, 1)
-        if self.max_modulus < 1 << 63:
-            self._q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
-            self._q_col_i64 = self._q_col.astype(np.int64)
-        else:  # pathological wide moduli: vectorized fast paths disabled
-            self._q_col = None
-            self._q_col_i64 = None
+        self._q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        self._q_col_i64 = self._q_col.astype(np.int64)
 
     @property
     def level(self) -> int:
@@ -76,8 +90,6 @@ class RnsBasis:
 
     def moduli_column(self) -> np.ndarray:
         """The moduli as an (L, 1) uint64 column for broadcast arithmetic."""
-        if self._q_col is None:
-            raise ValueError("moduli too wide for uint64 vectorized arithmetic")
         return self._q_col
 
     def drop(self, count: int = 1) -> "RnsBasis":
@@ -99,7 +111,7 @@ class RnsBasis:
         ints fall back to an object-array reduction mod Q first.
         """
         arr = np.asarray(coeffs)
-        if arr.dtype.kind in "iu" and self._q_col is not None:
+        if arr.dtype.kind in "iu":
             if arr.dtype.kind == "u":
                 if arr.size and int(arr.max()) < min(self.moduli):
                     # Already reduced below every modulus: the residues are
@@ -115,7 +127,7 @@ class RnsBasis:
             return np.remainder(
                 arr.astype(np.int64)[None, :], self._q_col_i64
             ).astype(np.uint64)
-        # Fallback: arbitrary-precision inputs (or >=63-bit moduli).
+        # Fallback: arbitrary-precision inputs.
         values = np.array([int(c) % self._modulus for c in coeffs], dtype=object)
         out = np.empty((self.level, values.shape[0]), dtype=np.uint64)
         for i, q in enumerate(self.moduli):
@@ -134,58 +146,20 @@ class RnsBasis:
             raise ValueError(
                 f"expected {self.level} limbs, got {limbs.shape[0]}"
             )
+        # Digits stay uint64; the weighted sum runs as raw word matmuls and
+        # Python ints appear only in the final per-coefficient recomposition.
+        convert = _convert()
+        digits = convert.get_digit_decomposer(self.moduli).digits(limbs)
+        vals = convert.get_word_accumulator(self.moduli).reconstruct(digits)
         big_q = self._modulus
-        if self._q_col is not None and max(self.moduli) < 1 << 32:
-            convert = _convert()
-            accumulator = convert.get_word_accumulator(self.moduli)
-            if accumulator.ok:
-                # Digits stay uint64; the weighted sum runs as raw word
-                # matmuls and Python ints appear only in the final
-                # per-coefficient recomposition.  Exact, hence
-                # bit-identical to the object path below.
-                digits = convert.get_digit_decomposer(self.moduli).digits(
-                    limbs
-                )
-                vals = accumulator.reconstruct(digits)
-                half = big_q // 2
-                if centered:
-                    out = []
-                    for c in vals:
-                        c %= big_q
-                        out.append(c - big_q if c > half else c)
-                    return out
-                return [c % big_q for c in vals]
-        return self._from_rns_exact(limbs, centered=centered)
-
-    def _from_rns_exact(
-        self, limbs: np.ndarray, *, centered: bool = False
-    ) -> list[int]:
-        """The retained object-array CRT reconstruction (exact oracle and
-        automatic fallback past the word accumulator's overflow bound)."""
-        weights = self.crt_weights()
-        big_q = self._modulus
-        if self._q_col is not None and max(self.moduli) < 1 << 32:
-            # Digits d_i = [x_i * (Q/q_i)^{-1}]_{q_i} in one uint64 op
-            # (products < 2^64 because q_i < 2^32).
-            inv_col = np.array(
-                [w[1] for w in weights], dtype=np.uint64
-            ).reshape(-1, 1)
-            digits = ((limbs * inv_col) % self._q_col).astype(object)
-        else:
-            digits = np.array(
-                [
-                    [(int(r) * w[1]) % q for r in row]
-                    for row, w, q in zip(limbs, weights, self.moduli)
-                ],
-                dtype=object,
-            ).reshape(self.level, limbs.shape[1])
-        q_over_col = np.array(
-            [w[0] for w in weights], dtype=object
-        ).reshape(-1, 1)
-        acc = (digits * q_over_col).sum(axis=0) % big_q
         if centered:
-            acc = np.where(acc > big_q // 2, acc - big_q, acc)
-        return [int(c) for c in acc]
+            half = big_q // 2
+            out = []
+            for c in vals:
+                c %= big_q
+                out.append(c - big_q if c > half else c)
+            return out
+        return [c % big_q for c in vals]
 
     def __reduce__(self):
         # Serialize as the moduli tuple alone; the derived broadcast columns

@@ -3,14 +3,22 @@
 Functional tests run at toy ring sizes (N = 64..512) — the math is identical
 at every power-of-two N (the paper's own functional simulator spans
 N = 1024..16384; we go smaller for speed and cover the large sizes in the
-performance-model tests, which are size-independent)."""
+performance-model tests, which are size-independent).
+
+``REPRO_KERNEL_DEBUG=1`` also checks every ``base_extend`` /
+``scale_down_stack`` call against its big-int oracle: the hook below is
+installed before any test module imports the engine, and reads
+``kernels.DEBUG_VALIDATE`` per call."""
 
 import numpy as np
 import pytest
 
+import kernel_oracles
 from repro.fhe.bgv import BgvContext
 from repro.fhe.ckks import CkksContext
 from repro.fhe.params import FheParams
+
+kernel_oracles.install()
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,139 @@
+"""Big-int oracles for the RNS conversion kernels, and the debug hook.
+
+The engine computes base extension, scale-down and CRT reconstruction with
+uint64 tables (:mod:`repro.rns.convert`); each fast path must equal the
+exact big-int formulation here bit for bit.  ``tests/test_base_convert.py``
+fuzzes that, and :func:`install` (called from ``tests/conftest.py``) makes
+every ``base_extend`` / ``scale_down_stack`` call assert it while
+``repro.poly.kernels.DEBUG_VALIDATE`` is set (``REPRO_KERNEL_DEBUG=1``).
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from repro.fhe import bgv, keyswitch
+from repro.poly import kernels
+from repro.poly.ntt import get_rns_context
+from repro.poly.polynomial import Domain, RnsPolynomial
+from repro.rns.crt import RnsBasis
+
+
+def from_rns_exact(basis: RnsBasis, limbs: np.ndarray, *,
+                   centered: bool = False) -> list[int]:
+    """CRT reconstruction as an object-array sum of big-int weights."""
+    weights = basis.crt_weights()
+    big_q = basis.modulus
+    inv_col = np.array([w[1] for w in weights], dtype=np.uint64).reshape(-1, 1)
+    # d_i = [x_i * (Q/q_i)^{-1}]_{q_i}; products < 2^64 because q_i < 2^32.
+    digits = (np.asarray(limbs, dtype=np.uint64) * inv_col
+              % basis.moduli_column()).astype(object)
+    q_over_col = np.array([w[0] for w in weights], dtype=object).reshape(-1, 1)
+    acc = (digits * q_over_col).sum(axis=0) % big_q
+    if centered:
+        acc = np.where(acc > big_q // 2, acc - big_q, acc)
+    return [int(c) for c in acc]
+
+
+def base_extend_reference(x: RnsPolynomial, extended: RnsBasis) -> RnsPolynomial:
+    """The approximate CRT lift ``sum_i d_i * (Q/q_i) mod p_j``, one target
+    modulus at a time with per-row reduced sums."""
+    if x.domain is not Domain.COEFF:
+        raise ValueError("base_extend expects a coefficient-domain input")
+    basis = x.basis
+    old_index = {q: i for i, q in enumerate(basis.moduli)}
+    weights = basis.crt_weights()
+    inv_col = np.array([w[1] for w in weights], dtype=np.uint64).reshape(-1, 1)
+    digits = (x.limbs * inv_col) % basis.moduli_column()
+    out = np.empty((extended.level, x.n), dtype=np.uint64)
+    for j, p in enumerate(extended.moduli):
+        if p in old_index:
+            out[j] = x.limbs[old_index[p]]
+            continue
+        pp = np.uint64(p)
+        q_over_col = np.array(
+            [w[0] % p for w in weights], dtype=np.uint64
+        ).reshape(-1, 1)
+        # Each term < p < 2^32, so the L-term sum fits in uint64.
+        out[j] = ((digits % pp) * q_over_col % pp).sum(axis=0) % pp
+    return RnsPolynomial(extended, out, Domain.COEFF)
+
+
+def scale_down_reference(x: RnsPolynomial, special: RnsBasis,
+                         plaintext_modulus: int) -> RnsPolynomial:
+    """Divide-and-round by ``P = prod(special)`` through the centered big-int
+    ``v = [x]_P`` and a correction ``delta ≡ v (mod P)``, ``≡ 0 (mod t)``;
+    coefficient-domain result over Q."""
+    x = x.to_coeff()
+    ext = x.basis
+    n_special = special.level
+    if ext.moduli[-n_special:] != special.moduli:
+        raise ValueError("special basis must be the trailing limbs of x's basis")
+    basis_q = RnsBasis(ext.moduli[:-n_special])
+    t = plaintext_modulus
+    p_product = special.modulus
+    v = np.array(from_rns_exact(special, x.limbs[-n_special:], centered=True),
+                 dtype=object)
+    if t > 1:
+        w = (-v * pow(p_product % t, -1, t)) % t
+        w = np.where(w > t // 2, w - t, w)  # centered
+    else:
+        w = np.zeros(x.n, dtype=object)
+    delta = v + p_product * w
+    q_col = basis_q.moduli_column()
+    delta_mod = np.stack([(delta % q).astype(np.uint64)
+                          for q in basis_q.moduli])
+    p_inv_col = np.array(
+        [pow(p_product % q, -1, q) for q in basis_q.moduli], dtype=np.uint64
+    ).reshape(-1, 1)
+    out = ((x.limbs[: basis_q.level] + q_col - delta_mod) % q_col
+           * p_inv_col) % q_col
+    return RnsPolynomial(basis_q, out, Domain.COEFF)
+
+
+def _check_base_extend(out: RnsPolynomial, x: RnsPolynomial,
+                       extended: RnsBasis) -> None:
+    assert np.array_equal(out.limbs, base_extend_reference(x, extended).limbs), \
+        "batched base_extend diverged from its big-int oracle"
+
+
+def _check_scale_down_stack(out: np.ndarray, limbs: np.ndarray, domain: Domain,
+                            ext: RnsBasis, special: RnsBasis, t: int) -> None:
+    level, n = ext.level - special.level, limbs.shape[-1]
+    want = np.stack([
+        scale_down_reference(RnsPolynomial(ext, m, domain), special, t).limbs
+        for m in limbs.reshape(-1, ext.level, n)
+    ]).reshape(limbs.shape[:-2] + (level, n))
+    got = out
+    if domain is Domain.NTT:
+        got = get_rns_context(n, ext.moduli[:level]).inverse(out)
+    assert np.array_equal(got, want), \
+        "scale_down_stack diverged from its big-int oracle"
+
+
+#: The engine functions behind the hooks, by name.  The hooks look them up
+#: at call time, so a test can swap one in to see a divergence caught.
+ENGINE: dict = {}
+
+
+def _hooked(name: str, check):
+    engine = ENGINE.setdefault(name, getattr(keyswitch, name))
+
+    @functools.wraps(engine)
+    def hooked(*args):
+        out = ENGINE[name](*args)
+        if kernels.DEBUG_VALIDATE:  # read per call: fixtures may flip it
+            check(out, *args)
+        return out
+    return hooked
+
+
+def install() -> None:
+    """Route ``base_extend`` and ``scale_down_stack`` through their oracle
+    checks at every module that calls them (``keyswitch``, ``bgv``)."""
+    keyswitch.base_extend = _hooked("base_extend", _check_base_extend)
+    stack = _hooked("scale_down_stack", _check_scale_down_stack)
+    keyswitch.scale_down_stack = stack
+    bgv.scale_down_stack = stack

@@ -1,12 +1,12 @@
-"""Seeded fuzz pinning the batched RNS conversions to their references.
+"""Seeded fuzz pinning the batched RNS conversions to their oracles.
 
-Round-2 kernel contract: every fast path in :mod:`repro.rns.convert` and
-its consumers (``base_extend``, ``scale_down``, ``from_rns``, the
-``to_rns`` tile fast path) computes the *same integers* as the retained
-reference formulation, so outputs must be bit-identical — across 28-, 30-
-and 31-bit prime sets (including the largest admissible lazy modulus),
-mixed-width bases, the strict >= 2^31 fallback, and worst-case all-max
-inputs that sit right at the overflow-headroom bounds.
+Kernel contract: every fast path in :mod:`repro.rns.convert` and its
+consumers (``base_extend``, ``scale_down``, ``from_rns``, the ``to_rns``
+tile fast path) computes the *same integers* as the big-int formulation in
+``kernel_oracles.py``, so outputs must be bit-identical — across 28-, 30-,
+31- and 32-bit prime sets (including the largest admissible lazy modulus),
+mixed-width bases, the strict >= 2^31 paths, and worst-case all-max inputs
+that sit right at the overflow-headroom bounds.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fhe.keyswitch import (
-    base_extend,
+from kernel_oracles import (
     base_extend_reference,
-    scale_down,
+    from_rns_exact,
     scale_down_reference,
 )
+from repro.fhe.keyswitch import base_extend, scale_down
 from repro.poly import kernels
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns import convert
@@ -216,23 +216,35 @@ class TestMixedRadix:
 
 
 class TestFromRns:
-    @pytest.mark.parametrize("bits,level", [(28, 4), (28, 16), (30, 6), (31, 6)])
+    @pytest.mark.parametrize("bits,level",
+                             [(28, 4), (28, 16), (30, 6), (31, 6), (32, 6)])
     @pytest.mark.parametrize("centered", [False, True])
     def test_lazy_matches_exact(self, bits, level, centered):
         basis = RnsBasis(_primes(bits, level))
         rng = np.random.default_rng(level)
         limbs = _random_limbs(rng, basis)
         assert basis.from_rns(limbs, centered=centered) == \
-            basis._from_rns_exact(limbs, centered=centered)
+            from_rns_exact(basis, limbs, centered=centered)
         maxed = _max_limbs(basis)
         assert basis.from_rns(maxed, centered=centered) == \
-            basis._from_rns_exact(maxed, centered=centered)
+            from_rns_exact(basis, maxed, centered=centered)
 
     def test_default_primes_take_the_full_word_path(self):
         # 28-bit default sets leave enough headroom for full 32-bit words —
         # the no-big-int carry-propagation recomposition.
         acc = convert.get_word_accumulator(tuple(_primes(28, 8)))
-        assert acc.ok and acc.wbits == 32
+        assert acc.wbits == 32
+
+    def test_word_accumulator_refuses_past_its_headroom(self):
+        class Tall:  # 2^25 moduli just below 2^32, without storing them
+            def __len__(self):
+                return 1 << 25
+
+            def __iter__(self):
+                yield (1 << 32) - 5
+
+        with pytest.raises(ValueError, match="headroom"):
+            convert.WordAccumulator(Tall())
 
     def test_word_accumulator_sum_is_exact(self):
         moduli = tuple(_primes(28, 8))

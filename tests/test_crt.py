@@ -48,6 +48,13 @@ class TestRnsBasis:
         with pytest.raises(ValueError):
             RnsBasis([])
 
+    def test_modulus_at_or_above_2_pow_32_rejected(self):
+        """The engine's one modulus bound is checked when a basis is built."""
+        RnsBasis([(1 << 32) - 5])  # the largest 32-bit prime is admitted
+        for q in (1 << 32, 8589932801):  # 2^32, a 33-bit NTT-friendly prime
+            with pytest.raises(ValueError, match="2\\^32"):
+                RnsBasis(PRIMES + [q])
+
     def test_equality_and_hash(self):
         assert RnsBasis(PRIMES) == RnsBasis(PRIMES)
         assert hash(RnsBasis(PRIMES)) == hash(RnsBasis(PRIMES))

@@ -4,9 +4,11 @@ and the raised-modulus variant, plus base extension and scale-down."""
 import numpy as np
 import pytest
 
+import kernel_oracles
 from repro.fhe.keys import generate_ks_hint, generate_raised_ks_hint
 from repro.fhe.keyswitch import base_extend, key_switch_v1, key_switch_v2, scale_down
 from repro.fhe.sampling import uniform_poly
+from repro.poly import kernels
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns.crt import RnsBasis
 from repro.rns.primes import ntt_friendly_primes
@@ -140,3 +142,28 @@ class TestScaleDown:
             err = min(err, q - err)
             # delta bounded by P*(t+1)/2-ish.
             assert err <= p_product * (T + 2) // 2
+
+
+class TestDebugHook:
+    """The big-int oracles live in ``tests/kernel_oracles.py``; the hook
+    ``tests/conftest.py`` installs must still catch an engine divergence."""
+
+    def test_flipped_scale_down_bit_fails_a_v2_key_switch(self, bgv_v2,
+                                                          monkeypatch):
+        engine = kernel_oracles.ENGINE["scale_down_stack"]
+
+        def flipped(*args):
+            out = engine(*args).copy()
+            out.flat[0] ^= np.uint64(1)
+            return out
+
+        monkeypatch.setitem(kernel_oracles.ENGINE, "scale_down_stack", flipped)
+        x = bgv_v2.encrypt(np.arange(bgv_v2.params.n) % T).a
+        hint = bgv_v2.hint_v2("relin", x.basis)
+        monkeypatch.setattr(kernels, "DEBUG_VALIDATE", False)
+        key_switch_v2(x, hint, T)  # nothing checks the engine
+        monkeypatch.setattr(kernels, "DEBUG_VALIDATE", True)
+        with pytest.raises(AssertionError, match="scale_down_stack diverged"):
+            key_switch_v2(x, hint, T)
+        monkeypatch.setitem(kernel_oracles.ENGINE, "scale_down_stack", engine)
+        key_switch_v2(x, hint, T)  # the unflipped engine passes its oracle

@@ -5,6 +5,7 @@ import pytest
 
 from repro.fhe import noise
 from repro.fhe.params import FheParams, max_secure_log_q
+from repro.poly.polynomial import RnsPolynomial
 from repro.rns.crt import RnsBasis
 from repro.rns.primes import ntt_friendly_primes
 
@@ -69,6 +70,32 @@ class TestParams:
     def test_non_ntt_friendly_modulus_rejected(self):
         with pytest.raises(ValueError):
             FheParams(n=1024, basis=RnsBasis([97]))
+
+    @pytest.mark.parametrize("n", [0, 1, 96])
+    def test_ring_degree_must_be_a_power_of_two_of_at_least_2(self, n):
+        basis = RnsBasis(ntt_friendly_primes(64, 28, 2))
+        with pytest.raises(ValueError, match="power of two"):
+            FheParams(n=n, basis=basis)
+
+    @pytest.mark.parametrize("t", [0, -3, 1 << 32, 2**40])
+    def test_plaintext_modulus_must_be_in_1_to_2_pow_32(self, t):
+        basis = RnsBasis(ntt_friendly_primes(64, 28, 2))
+        with pytest.raises(ValueError, match="plaintext modulus"):
+            FheParams(n=64, basis=basis, plaintext_modulus=t)
+        state = FheParams(n=64, basis=basis).to_state()
+        with pytest.raises(ValueError, match="plaintext modulus"):
+            FheParams.from_state({**state, "plaintext_modulus": t})
+        FheParams(n=64, basis=basis, plaintext_modulus=(1 << 32) - 1)
+
+    def test_33_bit_modulus_rejected_on_restore(self):
+        """A 33-bit NTT-friendly modulus used to build a parameter set."""
+        basis = RnsBasis(ntt_friendly_primes(64, 28, 2))
+        state = FheParams(n=64, basis=basis).to_state()
+        with pytest.raises(ValueError, match="2\\^32"):
+            FheParams.from_state({**state, "moduli": [8589932801]})
+        poly = RnsPolynomial.zeros(basis, 64).to_state()
+        with pytest.raises(ValueError, match="2\\^32"):
+            RnsPolynomial.from_state({**poly, "moduli": (8589932801, 65537)})
 
     def test_basis_at(self, bgv_params):
         assert bgv_params.basis_at(2).level == 2

@@ -25,6 +25,7 @@ from repro.fhe.keys import SecretKey
 from repro.fhe.params import FheParams
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns.crt import RnsBasis
+from repro.rns.primes import ntt_friendly_primes
 
 N = 256
 
@@ -70,6 +71,23 @@ class TestBasicRoundTrips:
             assert np.array_equal(restored.limbs, form.limbs)
             state_restored = RnsPolynomial.from_state(form.to_state())
             assert np.array_equal(state_restored.limbs, form.limbs)
+
+    @pytest.mark.parametrize("excess", [20, 1 << 20])
+    def test_unreduced_limbs_refused_on_restore(self, excess):
+        """Limbs ``x + k*q`` give a different NTT than ``x`` (k = 20) or an
+        unreduced one (k = 2^20), and ``+`` returns limbs >= q: every kernel
+        assumes reduced limbs, so restore refuses them."""
+        basis = RnsBasis(ntt_friendly_primes(64, 28, 1))
+        q = basis.moduli[0]
+        reduced = RnsPolynomial(basis, np.arange(64)[None, :], Domain.COEFF)
+        state = reduced.to_state()
+        RnsPolynomial.from_state(state)  # reduced limbs restore
+        bad = {**state, "limbs": reduced.limbs + np.uint64(excess * q)}
+        with pytest.raises(ValueError, match="not reduced"):
+            RnsPolynomial.from_state(bad)
+        with pytest.raises(ValueError, match="not reduced"):
+            pickle.loads(pickle.dumps(
+                RnsPolynomial(basis, bad["limbs"], Domain.COEFF)))
 
 
 class TestContextRoundTrips:
