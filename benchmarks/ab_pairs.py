@@ -50,8 +50,19 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, default=10, help="at least 2")
     ap.add_argument("--ref", default="HEAD~1")
     args = ap.parse_args()
+    if args.pairs < 2:      # the quartiles below need two runs a side
+        ap.error("--pairs must be at least 2")
     # The change is the work tree as `git stash create` sees it (tracked and
     # staged files), or HEAD when nothing is uncommitted: fresh like the parent.
+    # It leaves untracked files out, so a new module or test would be missing.
+    status = subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=all", "--",
+         "src", "tests"], cwd=ROOT, check=True, stdout=subprocess.PIPE,
+        text=True).stdout.splitlines()
+    untracked = [line[3:] for line in status if line.startswith("??")]
+    if untracked:
+        sys.exit("untracked files would be left out of the change "
+                 "(`git add` them):\n  " + "\n  ".join(untracked))
     work = subprocess.run(["git", "stash", "create"], cwd=ROOT, check=True,
                           stdout=subprocess.PIPE, text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:

@@ -206,7 +206,9 @@ class LoadShedder:
     has never measured.
     """
 
-    ALPHA = 0.2    # EWMA weight: service time here, a bucket's batch time
+    #: EWMA weight: service time here; a bucket's batch time and its
+    #: partner share (``serve.server._Group``)
+    ALPHA = 0.2
 
     def __init__(self, *, workers: int = 1, min_samples: int = 4,
                  margin: float = 1.0):

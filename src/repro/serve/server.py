@@ -12,11 +12,13 @@ the PR 2 backend API plus the registry/batcher/executor of this package:
    bucket is ready when it holds the batch capacity (``max_batch``
    clamped to the slot layout's), when its arrivals have paused for half
    of its own smoothed batch time (the longest pause after which a
-   batch-mate still repays the wait), when its oldest request has waited
-   ``max_wait_ms`` (the ceiling), when a ``deadline_ms`` is about to
-   lapse, or when ``flush()`` / ``close()`` said so; an idle worker
-   sleeps until the earliest such instant, and busy workers cut nothing
-   — the buckets fill on their own.  Ready buckets are taken
+   batch-mate still repays the wait; at once while fewer than half of
+   its arrivals come within that pause of the one before, since a
+   partner is then too unlikely to repay it), when its oldest request
+   has waited ``max_wait_ms`` (the ceiling), when a ``deadline_ms`` is
+   about to lapse, or when ``flush()`` / ``close()`` said so; an idle
+   worker sleeps until the earliest such instant, and busy workers cut
+   nothing — the buckets fill on their own.  Ready buckets are taken
    earliest-deadline-first, and within a bucket the most urgent (earliest
    deadline, then highest priority) requests claim the batch slots.  A
    request whose deadline has already passed fails fast with
@@ -182,11 +184,14 @@ class _Group:
         #: margin: a sleeping worker wakes at the instant itself.
         self.deadline_slack_s = 2 * min(max(max_wait_s / 4, 0.5e-3), 50e-3)
         self.pending: list[_Pending] = []
-        #: the quiet rule's two inputs: the smoothed wall time of this
-        #: bucket's own executed batches (``None`` until one has run) and
-        #: the instant of the latest submit into it
+        #: the quiet rule's three inputs: the smoothed wall time of this
+        #: bucket's own executed batches (``None`` until one has run), the
+        #: instant of the latest submit into it, and the smoothed share of
+        #: arrivals that came within the gap of the one before (1 until
+        #: measured, so a new bucket waits the full gap)
         self.batch_s: float | None = None
         self.last_arrival = -math.inf
+        self.partner_share = 1.0
         #: shared MUL_PLAIN operands of the *current* bucket; re-established
         #: whenever the bucket empties, so weights may change between
         #: batches but never diverge within one.
@@ -211,12 +216,27 @@ class _Group:
         self.ready = dict.fromkeys(
             ("full", "quiet", "max_wait", "deadline", "flush"), 0)
 
+    def note_arrival(self, now: float) -> None:
+        """Record a submit at ``now``: one EWMA step of
+        ``partner_share`` (did it come within the quiet gap of the
+        previous arrival?  While the bucket is cold the gap is
+        ``max_wait``), then ``last_arrival``.  The caller holds the
+        scheduler lock."""
+        if self.last_arrival > -math.inf:
+            gap = (self.max_wait_s if self.batch_s is None
+                   else min(self.max_wait_s, self.batch_s / 2))
+            self.partner_share = LoadShedder.smooth(
+                self.partner_share, float(now - self.last_arrival <= gap))
+        self.last_arrival = now
+
     def _instants(self) -> tuple[float, float, float]:
         """When the ``max_wait`` / ``deadline`` / ``quiet`` rules each
         ready the bucket (``inf``: never, e.g. all three when empty)."""
         quiet = math.inf
         if self.batch_s is not None and self.pending:
-            quiet = self.last_arrival + min(self.max_wait_s, self.batch_s / 2)
+            quiet = self.last_arrival
+            if self.partner_share >= 0.5:
+                quiet += min(self.max_wait_s, self.batch_s / 2)
         return (
             min(map(_FLUSH_BY, self.pending), default=math.inf),
             min(map(_DEADLINE, self.pending), default=math.inf)
@@ -229,7 +249,8 @@ class _Group:
         (ready means ``<= now``): ``now`` once it is full, else the
         earliest of its most urgent request's ``flush_by`` bound,
         ``deadline_slack_s`` *before* its deadline, and the end of a
-        quiet gap, ``last_arrival + batch_s / 2``.  A lapsed request
+        quiet gap, ``last_arrival + batch_s / 2`` (``last_arrival``
+        itself while ``partner_share < 1/2``).  A lapsed request
         therefore readies its bucket and expires at once.
 
         The gap is derived, not tuned.  A batch costs ``E`` at any width
@@ -237,6 +258,10 @@ class _Group:
         ``E + (2E - d)`` of latency and waiting to ``2E + d``, so the
         wait pays iff ``d < E / 2``.  Each arrival restarts the gap (a
         burst is cut when it ends) and ``flush_by`` still caps it.
+        Whether to wait at all is the same sum in expectation: with
+        ``p`` the chance a partner comes within ``E / 2``, one saves
+        ``E - 2d`` (``E / 2`` on average) and none costs the gap,
+        ``E / 2``, so the wait pays iff ``p > 1/2``.
         """
         if len(self.pending) >= self.capacity:
             return now
@@ -496,7 +521,7 @@ class FheServer:
                               if deadline_ms is not None else math.inf),
                     flush_by=now + group.max_wait_s,
                 ))
-                group.last_arrival = now
+                group.note_arrival(now)
                 # It may have filled the bucket or moved the earliest due
                 # instant (forward, or the quiet gap back): an idle
                 # worker looks again.
@@ -916,7 +941,9 @@ class FheServer:
         ``per_signature`` breaks the same occupancy/latency/queue numbers
         down by program signature, each with an exact batch-size
         histogram, ``batch_ms`` (the smoothed batch wall time the quiet
-        rule halves) and ``ready``: executed batches by why they were cut
+        rule halves), ``partner_share`` (the smoothed share of arrivals
+        that came within that gap of the one before; below 1/2 the gap
+        is skipped) and ``ready``: executed batches by why they were cut
         (``full`` / ``quiet`` / ``max_wait`` / ``deadline`` / ``flush``).
 
         ``executor`` is the executor tier's own telemetry (see the README
@@ -972,6 +999,7 @@ class FheServer:
                             g.batch_sizes.items()
                         )),
                         "batch_ms": g.batch_s * 1e3,
+                        "partner_share": g.partner_share,
                         "ready": dict(g.ready),
                     }
                     for g in groups if g.completed

@@ -285,7 +285,7 @@ PER_SIGNATURE = {
     "program": str, "requests": int, "batches": int, "capacity": int,
     "batchable": bool, "mean_occupancy": float, "latency_ms": dict,
     "queue_ms": dict, "batch_size_histogram": dict,
-    "batch_ms": float, "ready": dict,
+    "batch_ms": float, "partner_share": float, "ready": dict,
 }
 READY_REASONS = {"full", "quiet", "max_wait", "deadline", "flush"}
 

@@ -36,6 +36,7 @@ from repro.serve import (
     unbatchable_reason,
 )
 from repro.serve.batcher import solo_layout
+from repro.serve.resilience import LoadShedder
 from repro.serve.server import _Group, _Pending, pick_ready
 
 N = 256
@@ -645,6 +646,28 @@ class TestFheServer:
                                 "deadline": 0, "flush": 0}
         assert 0 < row["batch_ms"] < 2000
 
+    def test_sequential_requests_stop_waiting_for_a_partner(self):
+        """Event-driven, nothing sleeps: a client that sends each request
+        after the last came back never lands within the quiet gap of the
+        one before (it waited out that gap and a batch time since), so
+        four such take the bucket's partner share to 0.8^4 < 1/2 and the
+        fourth is cut at once -- every lone one as ``quiet``, none by the
+        2 s ``max_wait``."""
+        program = poly_ckks()
+        requests = ckks_requests(program, 6)
+        with FheServer(max_batch=2, max_wait_ms=2000.0) as server:
+            warm = [server.submit(program, inputs=r.inputs, width=WIDTH)
+                    for r in requests[:2]]      # fills the bucket: cut now
+            assert all(f.result(timeout=60).status == STATUS_OK
+                       for f in warm)
+            lone = [server.request(program, inputs=r.inputs, width=WIDTH)
+                    for r in requests[2:]]
+            row = server.stats()["per_signature"][program.signature()]
+        assert all(r.status == STATUS_OK and r.batch_size == 1 for r in lone)
+        assert row["partner_share"] == pytest.approx(0.8 ** 4)
+        assert row["ready"] == {"full": 1, "quiet": 4, "max_wait": 0,
+                                "deadline": 0, "flush": 0}
+
     def test_injected_backend_params_honored(self):
         """Server-built contexts use the injected backend's explicit params."""
         params = repro.FheParams.build(n=N, levels=5, prime_bits=28,
@@ -1057,6 +1080,116 @@ class TestSchedulerPolicy:
         flushed.pending[0].flush_by = now       # what flush() / close() do
         assert pick_ready([flushed], now)[0] is flushed
         assert flushed.ready_reason() == "flush"
+
+    def arrive(self, group, *instants, serve=True):
+        """What ``submit`` does at each instant; ``serve``: an idle worker
+        then takes the bucket as soon as it is due, as with sparse
+        traffic, so the next arrival finds it empty."""
+        for t in instants:
+            group.pending.append(self.pending(t))
+            group.note_arrival(t)
+            if serve:
+                group.take_batch(max(t, group.due_time(t)))
+
+    def test_sparse_arrivals_stop_the_wait_for_a_partner(self):
+        """Arrivals 20 ms apart never come within the 2 ms gap of one
+        another: after four such, the share is 0.8^4 < 1/2 and a lone
+        request is due at its own arrival, still cut as ``quiet``."""
+        sparse = self.bucket(batch_s=4 * MS)
+        self.arrive(sparse, *(T0 + 20 * MS * i for i in range(4)))
+        last = T0 + 80 * MS
+        self.arrive(sparse, last, serve=False)
+        assert sparse.partner_share == pytest.approx(0.8 ** 4)
+        assert pick_ready([sparse], last)[0] is sparse
+        assert sparse.due_time(last) == last
+        assert sparse.ready_reason() == "quiet"
+
+    def test_a_burst_keeps_the_full_gap(self):
+        burst = self.bucket(batch_s=4 * MS)
+        self.arrive(burst, *(T0 + 0.5 * MS * i for i in range(3)),
+                    serve=False)
+        assert burst.partner_share == 1.0
+        assert pick_ready([burst], T0 + 1 * MS) \
+            == (None, pytest.approx(T0 + 3 * MS))
+
+    def test_partner_share_crosses_one_half_both_ways(self):
+        """One EWMA step per arrival (weight ``LoadShedder.ALPHA`` = 0.2):
+        the gap is kept at 0.512, dropped at 0.4096, and one partnered
+        arrival brings it back at 0.52768."""
+        group = self.bucket(batch_s=4 * MS)
+        self.arrive(group, T0)
+        assert group.partner_share == 1.0        # no previous arrival
+        for t, share, due in ((T0 + 10 * MS, 0.8, T0 + 12 * MS),
+                              (T0 + 20 * MS, 0.64, T0 + 22 * MS),
+                              (T0 + 30 * MS, 0.512, T0 + 32 * MS),
+                              (T0 + 40 * MS, 0.4096, T0 + 40 * MS),
+                              (T0 + 41.5 * MS, 0.52768, T0 + 43.5 * MS)):
+            group.pending.append(self.pending(t))
+            group.note_arrival(t)
+            assert group.partner_share == pytest.approx(share)
+            assert group.due_time(t) == pytest.approx(due)
+            group.take_batch(due)
+
+    def test_cold_bucket_keeps_the_max_wait_window_at_any_share(self):
+        """Before a batch has run there is no ``batch_s``: arrivals are
+        measured against ``max_wait`` and no quiet term exists, so a low
+        share changes nothing."""
+        cold = self.bucket()
+        self.arrive(cold, *(T0 + 20 * MS * i for i in range(4)))
+        last = T0 + 80 * MS
+        self.arrive(cold, last, serve=False)
+        assert cold.partner_share < 0.5
+        assert pick_ready([cold], last + 1 * MS) \
+            == (None, last + self.MAX_WAIT)
+        assert cold.ready_reason() == "max_wait"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_traces_keep_the_policy_invariants(self, seed):
+        """Sparse Poisson arrivals mixed with bursts over three buckets,
+        one free worker that runs a batch in no time: nothing is due
+        after its oldest ``flush_by``, a full bucket is due now, and
+        every request is taken exactly once, by its ``flush_by``."""
+        rng = random.Random(seed)
+        groups = [self.bucket(max_batch=4,
+                              batch_s=rng.choice([None, 4 * MS, 30 * MS]))
+                  for _ in range(3)]
+        arrivals, t = [], T0
+        while len(arrivals) < 300:
+            t += rng.expovariate(1 / (15 * MS))
+            size = 1 if rng.random() < 0.7 else rng.randint(2, 9)
+            for i in range(size):
+                arrivals.append((t + 0.2 * MS * i, rng.randrange(3)))
+        arrivals.sort()
+        submitted, taken, now, i = [], [], T0, 0
+        while i < len(arrivals) or any(g.pending for g in groups):
+            for g in groups:
+                if not g.pending:
+                    continue
+                due = g.due_time(now)
+                assert due <= min(p.flush_by for p in g.pending)
+                if len(g.pending) >= g.capacity:
+                    assert due == now
+            group, wake = pick_ready(groups, now)
+            if group is not None:
+                batch = group.take_batch(now)
+                assert 0 < len(batch) and all(now <= p.flush_by
+                                              for p in batch)
+                taken += batch
+                group.batch_s = LoadShedder.smooth(
+                    group.batch_s, rng.uniform(1, 8) * MS)
+                continue
+            if i < len(arrivals) and arrivals[i][0] <= wake:
+                now, g = arrivals[i][0], groups[arrivals[i][1]]
+                deadline = (now + rng.uniform(2, 20) * MS
+                            if rng.random() < 0.2 else math.inf)
+                submitted.append(self.pending(now, deadline=deadline))
+                g.pending.append(submitted[-1])
+                g.note_arrival(now)
+                i += 1
+            else:
+                now = wake
+        assert len(taken) == len(submitted)
+        assert {id(p) for p in taken} == {id(p) for p in submitted}
 
 
 class TestRunValidation:
