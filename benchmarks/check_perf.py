@@ -16,7 +16,8 @@ block driver on the (18, 18, 1024) digit stack of an 18-limb key switch,
 on the paper's ring (16, 16384) and on single (1, 512) / (3, 512) calls
 (the small ring's fixed cost), Listing-1 and raised-modulus key switch,
 hoisted rotations, the chained modulus switch,
-one 18-limb BGV modulus switch, the CKKS mod-down,
+one 18-limb BGV modulus switch, the CKKS mod-down, one CKKS multiply and
+its rescale as one fused step at the ``serve_deep`` shape (N=1024, L=6),
 plus the serving hot paths: slot pack/unpack, registry lookup,
 the context serde round-trip paid when replicating state into a worker
 process, the executor's batch-dispatch overhead, the server's
@@ -59,6 +60,58 @@ DEFAULT_TOLERANCE = 2.5
 #: serve_two_contexts_threaded may read at most this multiple of
 #: serve_two_contexts_serial: two worker threads must not convoy on the GIL.
 CONVOY_LIMIT = 1.25
+
+
+def span_overhead_probe(n: int = 4096) -> int:
+    """The disabled-path cost of the tracing guard.
+
+    Models the per-request hot-path check the serving layer pays when
+    tracing is off: one ``active`` read per would-be span site.
+    """
+    from repro.obs.trace import tracer
+
+    t = tracer()
+    hits = 0
+    for _ in range(n):
+        if t.active:
+            hits += 1
+        if t.active:
+            hits += 1
+        if t.active:
+            hits += 1
+    return hits
+
+
+def breaker_check_probe(n: int = 1024) -> int:
+    """Hot-path cost of consulting a breaker per routing decision."""
+    from repro.serve.resilience import CircuitBreaker
+
+    breaker = CircuitBreaker()
+    for _ in range(n):
+        breaker.allow()
+        breaker.record_success()
+    return n
+
+
+def retry_overhead_probe(n: int = 1024) -> int:
+    """Per-batch bookkeeping the retry wrapper adds on the no-fault hot
+    path: deadline math, a breaker peek, and one backoff computation."""
+    import random
+
+    from repro.serve.resilience import CircuitBreaker, RetryPolicy
+
+    policy = RetryPolicy()
+    breaker = CircuitBreaker()
+    rng = random.Random(0)
+    clock = time.perf_counter
+    sink = 0.0
+    for _ in range(n):
+        deadline = clock() + 1.0
+        remaining = deadline - clock()
+        if breaker.would_allow():
+            delay = policy.backoff_s(1, rng=rng, remaining_s=remaining)
+            sink += delay if delay is not None else 0.0
+    return n
 
 
 def _kernels():
@@ -122,7 +175,8 @@ def _kernels():
     paper_ctx, paper_limbs = _transform_input((16, 16384))
 
     # Basis surgery in the NTT domain: one BGV modulus switch at 18 limbs,
-    # the raised-modulus key switch at 6, and the CKKS mod-down (a slice).
+    # the raised-modulus key switch at 6, the CKKS mod-down (a slice), and
+    # a CKKS multiply with its rescale, fused (the serve_deep shape).
     deep = BgvContext(FheParams.build(n=1024, levels=18, plaintext_modulus=257),
                       seed=3)
     deep_ct = deep.encrypt(np.arange(1024) % 257)
@@ -296,7 +350,6 @@ def _kernels():
     # a cross-process histogram merge of two realistic metrics blobs
     # (what every HEARTBEAT/RESULT reply costs the coordinator).
     from repro.obs.metrics import MetricsRegistry, merge_snapshots
-    from repro.obs.trace import span_overhead_probe
 
     def _metrics_blob(seed: int) -> dict:
         blob_rng = np.random.default_rng(seed)
@@ -311,11 +364,9 @@ def _kernels():
 
     blob_a, blob_b = _metrics_blob(1), _metrics_blob(2)
 
-    # Resilience hot paths: the per-routing-decision circuit-breaker
-    # check and the per-batch retry-wrapper bookkeeping (deadline math,
-    # breaker peek, one backoff computation) — the no-fault overhead the
-    # resilience tier adds to every dispatch.
-    from repro.serve.resilience import breaker_check_probe, retry_overhead_probe
+    # Resilience hot paths (the probes above): the per-routing-decision
+    # circuit-breaker check and the per-batch retry-wrapper bookkeeping —
+    # the no-fault overhead the resilience tier adds to every dispatch.
 
     # The F1 compiler, phase by phase, and the schedule checker, each on the
     # artifacts of the phase before it: Table 3's logistic regression at
@@ -355,6 +406,7 @@ def _kernels():
         "key_switch_v2": lambda: key_switch_v2(ckks6_ct.a, v2_hint, 1),
         "bgv_mod_switch": lambda: deep.mod_switch(deep_ct),
         "ckks_mod_down": lambda: ckks6.mod_switch_to(ckks6_ct, 3),
+        "ckks_mul_rescale": lambda: ckks6.mul_rescale(ckks6_ct, ckks6_ct),
         "rotate_many_hoisted": lambda: bgv.rotate_many(rot_ct, rot_steps),
         "rotate_sequential": lambda: [bgv.rotate(rot_ct, s) for s in rot_steps],
         "mod_switch_chain": lambda: bgv.mod_switch_to(rot_ct, 1),

@@ -24,18 +24,20 @@ from repro.fhe.keys import (
 from repro.fhe.keyswitch import (
     HoistedDecomposition,
     _scale_down_tables,
+    drop_limbs,
     hoist_raise,
     key_switch_v1,
     key_switch_v2,
     key_switch_v2_hoisted,
-    scale_down_stack,
+    key_switch_v2_rescale,
+    scale_down_begin,
+    scale_down_finish,
 )
 from repro.fhe.params import FheParams
 from repro.fhe.sampling import sample_error, small_poly, uniform_poly
 from repro.obs.profile import instrument
 from repro.poly import kernels
 from repro.poly.automorphism import automorphism_ntt_permutation
-from repro.poly.ntt import get_rns_context
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns.crt import RnsBasis
 from repro.rns.primes import ntt_friendly_primes
@@ -302,24 +304,37 @@ class BgvContext(FheContext):
         l0 = RnsPolynomial(basis, kernels.mul_mod(b0, b1, q), Domain.NTT)
         return l2, l1, l0
 
-    def mul(self, ct0: Ciphertext, ct1: Ciphertext, *, relinearize: bool = True) -> Ciphertext:
+    def mul(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
         """Homomorphic multiplication: tensor, then key-switch l2 (Sec. 2.2.1)."""
         self._check_pair(ct0, ct1, "mul")
         l2, l1, l0 = self._tensor(ct0, ct1)
-        raw_noise = noise_model.mul_noise_bits(
-            ct0.noise_bits, ct1.noise_bits, ct0.n, self.t
-        )
-        if not relinearize:
-            # Callers that batch relinearization can handle the 3-term form.
-            return Ciphertext(
-                a=l1, b=l0, plaintext_scale=ct0.plaintext_scale * ct1.plaintext_scale % self.t,
-                noise_bits=raw_noise,
-            )
         u0, u1, ks_noise = self._key_switch(l2, "relin")
         # u0 - u1*s = l2*s^2, so (l1+u1, l0+u0) decrypts to l0 - l1 s + l2 s^2.
+        return self._product(ct0, ct1, l1 + u1, l0 + u0, ks_noise)
+
+    def mul_rescale(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
+        """``rescale(mul(ct0, ct1))`` bit for bit, metadata included; the
+        raised-modulus key switch shares its scale-down's transform calls
+        with the rescale (:func:`~repro.fhe.keyswitch.key_switch_v2_rescale`)."""
+        if self.ks_variant == 1 or ct0.level < 2:
+            return super().mul_rescale(ct0, ct1)
+        self._check_pair(ct0, ct1, "mul")
+        l2, l1, l0 = self._tensor(ct0, ct1)
+        b, a = key_switch_v2_rescale(l2, np.stack([l0.limbs, l1.limbs]),
+                                     self.hint_v2("relin", l2.basis), self.t)
+        product = self._product(ct0, ct1, l1, l0,
+                                self._ks_noise_bits(l2.basis, l2.n))
+        basis = l2.basis.drop()
+        return self._rescaled(product, RnsPolynomial(basis, a, Domain.NTT),
+                              RnsPolynomial(basis, b, Domain.NTT))
+
+    def _product(self, ct0: Ciphertext, ct1: Ciphertext, a: RnsPolynomial,
+                 b: RnsPolynomial, ks_noise: float) -> Ciphertext:
+        """The product ciphertext ``(a, b)`` with its scale and noise."""
+        raw_noise = noise_model.mul_noise_bits(
+            ct0.noise_bits, ct1.noise_bits, ct0.n, self.t)
         return Ciphertext(
-            a=l1 + u1,
-            b=l0 + u0,
+            a=a, b=b,
             plaintext_scale=ct0.plaintext_scale * ct1.plaintext_scale % self.t,
             noise_bits=max(raw_noise, ks_noise) + 1.0,
         )
@@ -379,11 +394,10 @@ class BgvContext(FheContext):
         """Switch Q -> Q/q_L, scaling noise down by ~q_L (Sec. 2.2.2)."""
         return self.mod_switch_to(ct, ct.level - 1)
 
-    @instrument("mod_switch")
-    def mod_switch_to(self, ct: Ciphertext, level: int) -> Ciphertext:
-        """Switch down to ``level`` limbs in one step.
+    def rescale_to(self, ct: Ciphertext, level: int) -> Ciphertext:
+        """Drop down to ``level`` limbs in one step.
 
-        Bit-identical to repeated :meth:`mod_switch`, but the per-drop
+        Bit-identical to repeated :meth:`rescale`, but the per-drop
         corrections are folded into one (:func:`_rescale_bgv`): only the
         dropped limbs leave the NTT domain, once.
         """
@@ -391,24 +405,22 @@ class BgvContext(FheContext):
         if count <= 0:
             return ct
         if level < 1:
-            raise ValueError("cannot modulus-switch the last limb away")
-        dropped = ct.basis.moduli[level:]
-        a_new, b_new = _rescale_bgv(ct.a, ct.b, self.t, count)
-        scale = ct.plaintext_scale
-        noise = ct.noise_bits
-        for q_last in reversed(dropped):  # same drop order as mod_switch
+            raise ValueError("cannot rescale the last limb away")
+        return self._rescaled(ct, *_rescale_bgv(ct.a, ct.b, self.t, count))
+
+    #: BGV modulus switching *is* rescaling.
+    mod_switch_to = instrument("mod_switch")(rescale_to)
+
+    def _rescaled(self, ct: Ciphertext, a: RnsPolynomial,
+                  b: RnsPolynomial) -> Ciphertext:
+        """``ct`` rescaled to ``(a, b)``'s basis, last dropped limb first."""
+        scale, noise = ct.plaintext_scale, ct.noise_bits
+        for q_last in reversed(ct.basis.moduli[a.basis.level:]):
             if self.t > 1:
                 scale = scale * pow(q_last, -1, self.t) % self.t
             noise = noise_model.mod_switch_noise_bits(noise, q_last, ct.n, self.t)
-        return ct.with_polys(
-            a_new, b_new,
-            plaintext_scale=scale if self.t > 1 else 1,
-            noise_bits=noise,
-        )
-
-    def rescale_to(self, ct: Ciphertext, level: int) -> Ciphertext:
-        """BGV rescaling *is* modulus switching; ride the chained path."""
-        return self.mod_switch_to(ct, level)
+        return ct.with_polys(a, b, plaintext_scale=scale if self.t > 1 else 1,
+                             noise_bits=noise)
 
     def _check_pair(self, ct0: Ciphertext, ct1: Ciphertext, op: str) -> None:
         if ct0.basis != ct1.basis:
@@ -428,29 +440,25 @@ def _rescale_bgv(a: RnsPolynomial, b: RnsPolynomial, t: int, count: int,
     """Exact-division rescale of a ciphertext's NTT-domain ``(a, b)`` by its
     last ``count`` limbs, one at a time, each with delta ≡ 0 (mod t).
 
-    One drop is :func:`~repro.fhe.keyswitch.scale_down` by the dropped limb,
-    so ``count`` drops are ``(x - D) / P`` with ``P`` the dropped product and
-    ``D = delta_1 + q_1 * delta_2 + ...`` a function of the dropped limbs
-    only.  Those alone leave the NTT domain (both polynomials as one stacked
-    call); the drops run in coefficient domain on a polynomial that is zero
-    at the kept limbs, which folds ``-D / P`` over the kept moduli, and one
-    forward transform brings that back to meet ``x * P^{-1}``.  The per-limb
-    NTT is a ring isomorphism, so the limbs equal the all-coefficient-domain
-    chain's bit for bit (the oracle in ``tests/test_rescale_oracle.py``).
+    ``count`` drops are ``(x - D) / P`` with ``P`` the dropped product and
+    ``D`` a function of the dropped limbs only.  Those alone leave the NTT
+    domain (one stacked call, the ones under the top limb already divided by
+    it), ``D / P`` folds up in the coefficient domain
+    (:func:`~repro.fhe.keyswitch.drop_limbs`), and one forward call brings
+    it back to meet ``x * P^{-1}``: bit for bit the all-coefficient-domain
+    chain (the oracle in ``tests/test_rescale_oracle.py``).
     """
-    basis, n = a.basis, a.n
-    keep = basis.level - count
-    new_basis = basis.drop(count)
+    basis = a.basis
+    keep, top = basis.level - count, basis.level - 1
     stack = np.stack([a.limbs, b.limbs])
-    fold = np.zeros_like(stack)
-    fold[:, keep:] = get_rns_context(n, basis.moduli).inverse(
-        stack[:, keep:], start=keep)
-    for level in range(basis.level, keep, -1):
-        fold = scale_down_stack(
-            fold, Domain.COEFF, RnsBasis(basis.moduli[:level]),
-            RnsBasis(basis.moduli[level - 1:level]), t)
-    fold = get_rns_context(n, new_basis.moduli).forward(fold)
-    p_inv_col = _scale_down_tables(new_basis.moduli, basis.moduli[keep:], t)[0]
-    out = (stack[:, :keep] * p_inv_col + fold) % new_basis.moduli_column()
+    q_col, q_inv = _scale_down_tables(basis.moduli[:top], basis.moduli[top:], t)[:2]
+    stack[:, keep:top] = stack[:, keep:top] * q_inv[keep:] % q_col[keep:]
+    rows, corr = scale_down_begin(stack, Domain.NTT, basis,
+                                  RnsBasis(basis.moduli[top:]), t, count - 1)
+    out = scale_down_finish(stack[:, :keep],
+                            drop_limbs(rows, corr, basis.moduli[:top], t),
+                            Domain.NTT, basis.moduli[:keep],
+                            basis.moduli[keep:], t)
+    new_basis = basis.drop(count)
     return (RnsPolynomial(new_basis, out[0], Domain.NTT),
             RnsPolynomial(new_basis, out[1], Domain.NTT))

@@ -15,13 +15,13 @@ import math
 import numpy as np
 
 from repro.fhe import noise as noise_model
-from repro.fhe.bgv import BgvContext, _rescale_bgv
+from repro.fhe.bgv import BgvContext
 from repro.fhe.ciphertext import Ciphertext
 from repro.fhe.encoding import CkksEncoder
 from repro.fhe.params import FheParams
 from repro.fhe.sampling import small_poly
 from repro.obs.profile import instrument
-from repro.poly.polynomial import Domain
+from repro.poly.polynomial import Domain, RnsPolynomial
 
 
 def ckks_rotation_exponent(steps: int, n: int) -> int:
@@ -101,13 +101,13 @@ class CkksContext(BgvContext):
 
     # --------------------------------------------------------------- HE ops
     def add(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
-        self._check_ckks_pair(ct0, ct1, "add")
+        self._check_pair(ct0, ct1, "add")
         out = ct0.with_polys(ct0.a + ct1.a, ct0.b + ct1.b)
         out.noise_bits = noise_model.add_noise_bits(ct0.noise_bits, ct1.noise_bits)
         return out
 
     def sub(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
-        self._check_ckks_pair(ct0, ct1, "sub")
+        self._check_pair(ct0, ct1, "sub")
         out = ct0.with_polys(ct0.a - ct1.a, ct0.b - ct1.b)
         out.noise_bits = noise_model.add_noise_bits(ct0.noise_bits, ct1.noise_bits)
         return out
@@ -140,13 +140,10 @@ class CkksContext(BgvContext):
         amp = 2.0 ** round(math.log2(self.default_scale) / 2.0)
         return self.mul_plain(ct, np.asarray(mask), scale=amp)
 
-    def mul(self, ct0: Ciphertext, ct1: Ciphertext, *, relinearize: bool = True) -> Ciphertext:
-        self._check_ckks_pair(ct0, ct1, "mul")
-        l2, l1, l0 = self._tensor(ct0, ct1)
-        u0, u1, ks_noise = self._key_switch(l2, "relin")
+    def _product(self, ct0: Ciphertext, ct1: Ciphertext, a: RnsPolynomial,
+                 b: RnsPolynomial, ks_noise: float) -> Ciphertext:
         return Ciphertext(
-            a=l1 + u1,
-            b=l0 + u0,
+            a=a, b=b,
             scale=ct0.scale * ct1.scale,
             noise_bits=ct0.noise_bits + ct1.noise_bits + ks_noise / 4.0,
         )
@@ -155,25 +152,14 @@ class CkksContext(BgvContext):
         """Divide by q_last: the CKKS noise/scale management step."""
         return self.rescale_to(ct, ct.level - 1)
 
-    def rescale_to(self, ct: Ciphertext, level: int) -> Ciphertext:
-        """Chained rescale in one step (bit-identical to looping
-        :meth:`rescale`; the per-drop corrections are folded into one)."""
-        count = ct.level - level
-        if count <= 0:
-            return ct
-        if level < 1:
-            raise ValueError("cannot rescale the last limb away")
-        dropped = ct.basis.moduli[level:]
-        scale = ct.scale
-        noise = ct.noise_bits
-        for q_last in reversed(dropped):
+    def _rescaled(self, ct: Ciphertext, a: RnsPolynomial,
+                  b: RnsPolynomial) -> Ciphertext:
+        """``ct`` rescaled to ``(a, b)``'s basis: scale / each dropped limb."""
+        scale, noise = ct.scale, ct.noise_bits
+        for q_last in reversed(ct.basis.moduli[a.basis.level:]):
             scale = scale / q_last
             noise = max(noise - np.log2(q_last), 3.0) + 1.0
-        return ct.with_polys(
-            *_rescale_bgv(ct.a, ct.b, 1, count),
-            scale=scale,
-            noise_bits=noise,
-        )
+        return ct.with_polys(a, b, scale=scale, noise_bits=noise)
 
     def mod_switch(self, ct: Ciphertext) -> Ciphertext:
         """Drop a limb, preserving the encrypted value and scale.
@@ -203,7 +189,7 @@ class CkksContext(BgvContext):
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
         return self.automorphism(ct, CONJUGATION_EXPONENT)
 
-    def _check_ckks_pair(self, ct0: Ciphertext, ct1: Ciphertext, op: str) -> None:
+    def _check_pair(self, ct0: Ciphertext, ct1: Ciphertext, op: str) -> None:
         if ct0.basis != ct1.basis:
             raise ValueError(f"{op}: levels differ; rescale/mod_switch first")
         # Addition needs matching scales; multiplication does not — the

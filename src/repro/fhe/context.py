@@ -9,7 +9,8 @@ be interpreted against either scheme, and why F1 runs both on one substrate.
 - ``encrypt_values`` / ``decrypt_values`` — scheme-appropriate encode +
   (de)encrypt of a slot/coefficient vector;
 - ``add`` / ``sub`` / ``mul`` / ``mul_plain`` / ``add_plain`` / ``rotate`` —
-  the homomorphic ops of the DSL;
+  the homomorphic ops of the DSL (``rotate_many`` and ``mul_rescale`` run
+  a rotation set and a multiply-then-rescale as one step);
 - ``rescale`` — the per-scheme noise/level management step a DSL
   ``MOD_SWITCH`` lowers to (BGV modulus switching, CKKS rescaling).
 
@@ -95,6 +96,12 @@ class FheContext(abc.ABC):
         ``[self.rotate(ct, s) for s in steps]``.
         """
         return [self.rotate(ct, s) for s in steps]
+
+    def mul_rescale(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
+        """A multiply and the rescale that consumes it, bit for bit the
+        composition (the default); contexts whose key switch ends in a
+        scale-down (:class:`~repro.fhe.bgv.BgvContext`'s variant 2) fuse it."""
+        return self.rescale(self.mul(ct0, ct1))
 
     @abc.abstractmethod
     def rescale(self, ct: Ciphertext) -> Ciphertext:

@@ -9,49 +9,43 @@ discussion (the F1 compiler chooses between them based on L and reuse):
   hint storage grows as L^2.
 - :func:`key_switch_v2`: raised-modulus (GHS-style).  The input is base-
   extended to Q*P (P ≈ Q), multiplied by a single hint pair, and scaled back
-  down.  Per call 6L row transforms — L inverse + L forward (the special
-  rows) to raise, then per product L inverse (its special rows) + L forward
-  (the correction over Q) — and two base conversions; hints grow only as L.
+  down.  Per call 6L row transforms in 4 calls — L inverse + L forward (the
+  special rows) to raise, then for both products 2L inverse (their special
+  rows) + 2L forward (the corrections over Q); hints grow only as L.
 
 Polynomials leave the NTT domain only for the limbs whose residues must be
 re-expressed under another modulus, so these row counts (and the 2L of a
 modulus switch, :func:`repro.fhe.bgv._rescale_bgv`) are exactly the ``NTT``
 + ``INTT`` instructions :mod:`repro.compiler.hecompiler` lowers the same
-operation to; ``tests/test_transform_parity.py`` holds the two equal.
+operation to; ``tests/test_transform_parity.py`` holds the two equal.  One
+pair is fused past that lowering: a variant-2 multiply and the rescale that
+consumes it (:func:`key_switch_v2_rescale`) are 6L rows in 4 calls, not the
+8L in 6 the compiler counts, since both end in a scale-down whose correction
+needs coefficients only on the limbs divided away.
 
-All inner loops run on the batched (L, N) residue-matrix engine:
-
-- variant 1's L(L-1) forward NTTs are **one** batched transform of an
-  (L-1, L, N) digit stack, variant 2's two products one stacked call per
-  direction (a call's fixed cost at N = 1024 is three rows' worth);
-- the multiply-accumulate against the hint rows is the fused
-  :func:`~repro.poly.kernels.mul_accumulate` — raw products are summed
-  un-reduced (28-bit primes leave 8+ bits of uint64 headroom for the L-term
-  sum) and reduced once, instead of two reductions per term.
+All inner loops run on the batched (L, N) residue-matrix engine: variant
+1's L(L-1) forward NTTs are **one** batched transform of an (L-1, L, N)
+digit stack, variant 2's two products one stacked call per direction, and
+the multiply-accumulate against the hint rows is the fused
+:func:`~repro.poly.kernels.mul_accumulate` (raw products summed un-reduced
+in the uint64 headroom of 28-bit primes, reduced once).
 
 **Hoisting** (Halevi–Shoup): an automorphism commutes with the RNS digit
-decomposition — ``sigma_k(D_i(x)) ≡ D_i(sigma_k(x)) (mod q_i)`` with the
-same smallness bound — so a ciphertext rotated k ways needs its digit-NTT
-stack computed only *once*.  :class:`HoistedDecomposition` captures that
-stack; :func:`key_switch_v1_hoisted` replays it against any Galois hint with
-just an NTT-domain permutation and the fused multiply-accumulate, skipping
-the L inverse + L(L-1) forward NTTs per extra rotation.  (The hoisted digits
-are ``sigma`` of the canonical digits, which differ from the canonical
-digits of ``sigma(x)`` by multiples of ``q_i`` — ciphertext bits differ, but
-the decrypted result and the noise bound are the same; tests pin down exact
-BGV plaintext equality.)  The variant-2 analogue hoists the base extension:
-:func:`hoist_raise` pays the inverse NTT, the extension and the special
-rows' NTT once, and :func:`key_switch_v2_hoisted` permutes the extended NTT
-per rotation and scales every rotation's products down in one stack.
+decomposition, so a ciphertext rotated k ways needs its digit-NTT stack
+(:class:`HoistedDecomposition`) only *once*; :func:`key_switch_v1_hoisted`
+replays it against any Galois hint with an NTT-domain permutation and the
+fused multiply-accumulate.  The hoisted digits differ from those of
+``sigma(x)`` by multiples of ``q_i``: ciphertext bits differ, the decrypted
+result and the noise bound do not.  The variant-2 analogue, :func:`hoist_raise`,
+pays the base extension once, and :func:`key_switch_v2_hoisted` permutes
+the raised NTT per rotation and scales all products down in one stack.
 
 Both variants return ``(u0, u1)`` such that ``u0 - u1 * s ≈ x * s_old
-(mod Q)`` up to ``t``-multiple noise.
-
-Every modulus and ``t`` is below 2^32 (checked once, when the
-:class:`~repro.rns.crt.RnsBasis` and :class:`~repro.fhe.params.FheParams`
-are built), so :func:`base_extend` and :func:`scale_down` have one path
-each.  Their big-int oracles live in ``tests/kernel_oracles.py``; under
-``REPRO_KERNEL_DEBUG=1`` the test suite checks every call against them.
+(mod Q)`` up to ``t``-multiple noise.  Every modulus and ``t`` is below
+2^32 (checked once, when the :class:`~repro.rns.crt.RnsBasis` and
+:class:`~repro.fhe.params.FheParams` are built), so :func:`base_extend` and
+:func:`scale_down` have one path each; their big-int oracles live in
+``tests/kernel_oracles.py``, which ``REPRO_KERNEL_DEBUG=1`` checks in tests.
 """
 
 from __future__ import annotations
@@ -207,25 +201,56 @@ def key_switch_v2_hoisted(
     after its optional NTT-domain automorphism.
 
     Permuting the extended NTT equals raising the automorphed input (the
-    extension's ``u*Q`` slack maps to ``sigma(u)*Q``, equally small and
-    equally annihilated mod Q by the scale-down).  Every hint's two products
-    are scaled down as one (2r, 2L, N) stack, so r rotations of one input
-    pay one inverse and one forward transform call between them.
+    extension's ``u*Q`` slack maps to ``sigma(u)*Q``, which the scale-down
+    annihilates alike).  All products scale down as one (2r, 2L, N) stack:
+    one inverse and one forward transform call for r rotations.
     """
     ext = hints[0].extended
     if x_ext.basis != ext or any(h.extended != ext for h in hints):
         raise ValueError("raised input basis does not match hint basis")
-    q_col = ext.moduli_column()
-    u_ext = np.stack([
+    u = scale_down_stack(_hint_products(x_ext, hints, galois_perms), Domain.NTT,
+                         ext, hints[0].special, plaintext_modulus)
+    return [(RnsPolynomial(hints[0].basis, u0, Domain.NTT),
+             RnsPolynomial(hints[0].basis, u1, Domain.NTT))
+            for u0, u1 in zip(u[0::2], u[1::2])]
+
+
+def _hint_products(x_ext: RnsPolynomial, hints: list[RaisedKeySwitchHint],
+                   galois_perms: list[np.ndarray] | None = None) -> np.ndarray:
+    """``(2r, 2L, N)``: the raised input (each copy after its optional
+    automorphism) times each hint's two halves, over Q*P."""
+    q_col = x_ext.basis.moduli_column()
+    return np.stack([
         kernels.mul_mod(x_ext.limbs if perm is None else x_ext.limbs[:, perm],
                         h.limbs, q_col)
         for hint, perm in zip(hints, galois_perms or [None] * len(hints))
         for h in (hint.hint0, hint.hint1)])
-    u = scale_down_stack(u_ext, Domain.NTT, ext, hints[0].special,
-                         plaintext_modulus)
-    return [(RnsPolynomial(hints[0].basis, u0, Domain.NTT),
-             RnsPolynomial(hints[0].basis, u1, Domain.NTT))
-            for u0, u1 in zip(u[0::2], u[1::2])]
+
+
+@instrument("key_switch")
+def key_switch_v2_rescale(x: RnsPolynomial, terms: np.ndarray,
+                          hint: RaisedKeySwitchHint, t: int) -> np.ndarray:
+    """``terms + key_switch_v2(x)`` rescaled by its top limb, as one step.
+
+    ``terms`` is the ``(2, L, N)`` pair the products ``(u0, u1)`` land on (a
+    multiply's tensor terms); returns the ``(2, L-1, N)`` NTT-domain limbs
+    of the two steps in turn, bit for bit.  Only the corrections need
+    coefficients: row L-1 of the products becomes ``terms + u * P^{-1}`` in
+    place, so one inverse call brings the rescale's limb along with the
+    special rows, the corrections combine in the coefficient domain, and
+    one forward call finishes: 6L rows in 4 calls, not 8L in 6.
+    """
+    if x.domain is not Domain.NTT or x.basis != hint.basis:
+        raise ValueError("expected an NTT-domain input at the hint's basis")
+    moduli, top = x.basis.moduli, x.basis.level - 1
+    u = _hint_products(hoist_raise(x, hint), [hint])
+    q_col, p_inv = _scale_down_tables(moduli, hint.special.moduli, t)[:2]
+    u[:, top] = (terms[:, top] + u[:, top] * p_inv[top]) % q_col[top]
+    rows, corr = scale_down_begin(u, Domain.NTT, hint.extended, hint.special,
+                                  t, below=1)
+    kept = (terms[:, :top] + u[:, :top] * p_inv[:top]) % q_col[:top]
+    return scale_down_finish(kept, drop_limbs(rows, corr, moduli, t),
+                             Domain.NTT, moduli[:top], moduli[top:], t)
 
 
 @instrument("base_extend")
@@ -248,11 +273,8 @@ def base_extend(x: RnsPolynomial, extended: RnsBasis) -> RnsPolynomial:
 
 
 @instrument("scale_down")
-def scale_down(
-    x: RnsPolynomial,
-    special: RnsBasis,
-    plaintext_modulus: int,
-) -> RnsPolynomial:
+def scale_down(x: RnsPolynomial, special: RnsBasis,
+               plaintext_modulus: int) -> RnsPolynomial:
     """Divide-and-round by P = prod(special), keeping the result ≡ 0 shift mod t.
 
     ``x`` is over Q*P (special limbs last); returns round-to-multiple result
@@ -260,18 +282,11 @@ def scale_down(
     ``delta ≡ x (mod P)`` and ``delta ≡ 0 (mod t)`` so BGV plaintexts survive
     unscathed apart from the tracked ``P^{-1} mod t`` factor.
 
-    Only ``delta`` needs coefficients: an NTT-domain input has its special
-    limbs inverse-transformed and ``delta`` over Q forward-transformed, and
-    the subtraction finishes in the NTT domain (a per-limb ring isomorphism,
-    so the limbs equal the coefficient-domain result's NTT bit for bit); a
-    coefficient-domain input transforms nothing.
-
-    Hot path: the exact value ``v = [x]_P`` is carried in Garner mixed-radix
-    form (:class:`repro.rns.convert.MixedRadix`) — raw uint64 vector ops
-    only — and ``delta / P mod q_j`` is assembled directly from ``v mod
-    q_j``, ``v > P/2`` and the centered correction, never materializing
-    big-int object arrays.  It equals the object-array oracle in
-    ``tests/kernel_oracles.py`` bit for bit.
+    Only ``delta`` needs coefficients (an NTT-domain input transforms its
+    special limbs and ``delta`` alone; the per-limb NTT is a ring
+    isomorphism, so the limbs are bit for bit the coefficient result's NTT).
+    ``v = [x]_P`` rides in Garner mixed-radix form
+    (:class:`repro.rns.convert.MixedRadix`), uint64 vector ops only.
     """
     out = scale_down_stack(x.limbs, x.domain, x.basis, special,
                             plaintext_modulus)
@@ -284,33 +299,70 @@ def scale_down_stack(
 ) -> np.ndarray:
     """:func:`scale_down` on a ``(..., L_ext, N)`` stack of residue matrices
     in ``domain``: one inverse and one forward transform call for the lot."""
+    level = ext.level - special.level
+    corr = scale_down_begin(limbs, domain, ext, special, t)[1]
+    return scale_down_finish(limbs[..., :level, :], corr, domain,
+                             ext.moduli[:level], special.moduli, t)
+
+
+def scale_down_begin(limbs: np.ndarray, domain: Domain, ext: RnsBasis,
+                     special: RnsBasis, t: int, below: int = 0):
+    """The inverse-plus-correction half of :func:`scale_down_stack`: one
+    inverse call brings the special limbs, and the ``below`` limbs under
+    them that later drops divide away (:func:`drop_limbs`), to coefficients.
+    Returns those ``below`` rows and ``delta / P mod q_j`` over all of Q."""
     n_special = special.level
     if ext.moduli[-n_special:] != special.moduli:
         raise ValueError("special basis must be the trailing limbs of x's basis")
-    level, n = ext.level - n_special, limbs.shape[-1]
-    basis_q = RnsBasis(ext.moduli[:level])
-    ntt = domain is Domain.NTT
-    tail = limbs[..., level:, :]
-    if ntt:
-        tail = get_rns_context(n, ext.moduli).inverse(tail, start=level)
-    # The correction is per-coefficient work on (limbs, coefficients)
-    # matrices: the leading axes ride along the coefficient axis.
-    corr = _scale_down_correction(
-        np.moveaxis(tail, -2, 0).reshape(n_special, -1), basis_q, special, t)
-    corr = np.moveaxis(corr.reshape((level,) + limbs.shape[:-2] + (n,)), 0, -2)
-    if ntt:
-        corr = get_rns_context(n, basis_q.moduli).forward(corr)
-    q_col = basis_q.moduli_column()
-    p_inv_col = _scale_down_tables(basis_q.moduli, special.moduli, t)[0]
-    # (x - delta) / P as x * P^{-1} - delta / P; products stay < q^2 + q.
-    return (limbs[..., :level, :] * p_inv_col + (q_col - corr)) % q_col
+    start = ext.level - n_special - below
+    tail = limbs[..., start:, :]
+    if domain is Domain.NTT:
+        tail = get_rns_context(limbs.shape[-1], ext.moduli).inverse(
+            tail, start=start)
+    return tail[..., :below, :], _scale_down_correction(
+        tail[..., below:, :], ext.moduli[:start + below], special.moduli, t)
+
+
+def drop_limbs(rows: np.ndarray, corr: np.ndarray, moduli: tuple[int, ...],
+               t: int) -> np.ndarray:
+    """Carry a scale-down's correction ``corr`` (over ``moduli``) through
+    one-limb drops of the top ``m`` limbs, whose coefficients ``rows`` are
+    already divided by what went before (a limb's value is row - corr).
+    Each drop makes ``corr * q_top^{-1} + delta_top / q_top`` over the limbs
+    under it; returns the correction over the ``len(moduli) - m`` kept."""
+    base = len(moduli) - rows.shape[-2]
+    for i in reversed(range(rows.shape[-2])):
+        keep = base + i
+        q_top = np.uint64(moduli[keep])
+        value = (rows[..., i:i + 1, :] + (q_top - corr[..., keep:keep + 1, :])
+                 ) % q_top
+        top = moduli[keep:keep + 1]
+        q_col, q_inv = _scale_down_tables(moduli[:keep], top, t)[:2]
+        corr = (corr[..., :keep, :] * q_inv + _scale_down_correction(
+            value, moduli[:keep], top, t)) % q_col
+        rows = rows[..., :i, :] * q_inv[base:keep] % q_col[base:keep]
+    return corr
+
+
+def scale_down_finish(kept: np.ndarray, corr: np.ndarray, domain: Domain,
+                      moduli: tuple[int, ...], dropped: tuple[int, ...],
+                      t: int) -> np.ndarray:
+    """The forward-plus-combine half of :func:`scale_down_stack`: ``kept *
+    P^{-1} - delta / P`` over ``moduli`` (``P = prod(dropped)``), one forward
+    call for an NTT-domain stack; products stay below ``q^2 + q``."""
+    if domain is Domain.NTT:
+        corr = get_rns_context(kept.shape[-1], moduli).forward(corr)
+    q_col, p_inv_col = _scale_down_tables(moduli, dropped, t)[:2]
+    return (kept * p_inv_col + (q_col - corr)) % q_col
 
 
 def _scale_down_correction(
-    tail: np.ndarray, basis_q: RnsBasis, special: RnsBasis, t: int
+    tail: np.ndarray, q_moduli: tuple[int, ...],
+    special_moduli: tuple[int, ...], t: int,
 ) -> np.ndarray:
     """``delta / P mod q_j`` from the special limbs' coefficients ``tail``
-    (``(k, M)``), object-free; see :func:`scale_down` for the contract.
+    (``(..., k, N)`` -> ``(..., L, N)``), object-free; see
+    :func:`scale_down` for the contract.
 
     With ``v = [x]_P in [0, P)``, ``big = (v > P//2)`` marking where the
     centered value is ``v_c = v - P``, and ``w_c`` the centered ``w = [-v_c
@@ -319,23 +371,25 @@ def _scale_down_correction(
     two centerings pick one of four constants per limb, and ``v*P^{-1} + w +
     constant < q^2 + 2^33 < 2^64`` for ``q, t < 2^32``: one division.
     """
-    p_inv_col, centering, p_inv_t, half = _scale_down_tables(
-        basis_q.moduli, special.moduli, t)
-    mr = convert.get_mixed_radix(special.moduli)
-    a = mr.digits(tail)
+    q_col, p_inv_col, centering, p_inv_t, p_mod_t, half = _scale_down_tables(
+        q_moduli, special_moduli, t)
+    lead, n = tail.shape[:-2], tail.shape[-1]
+    mr = convert.get_mixed_radix(special_moduli)
+    a = mr.digits(np.moveaxis(tail, -2, 0).reshape(len(special_moduli), -1))
     big = mr.greater_than(a, half)
-    raw = mr.residues(a, basis_q.moduli) * p_inv_col
+    raw = mr.residues(a, q_moduli) * p_inv_col
     case = big.astype(np.intp)
     if t > 1:
         tt = np.uint64(t)
         vt = mr.residues(a, (t,))[0]
-        c_t = np.uint64(t - special.modulus % t)  # == t when P ≡ 0 (mod t)
+        c_t = np.uint64(t - p_mod_t)  # == t when P ≡ 0 (mod t)
         vt_c = np.where(big, kernels.cond_sub(vt + c_t, tt), vt)
         w = kernels.cond_sub(tt - vt_c, tt) * p_inv_t % tt
         raw += w
         case += 2 * (w > np.uint64(t // 2))  # centered w is w - t there
     raw += centering[:, case]
-    return raw % basis_q.moduli_column()
+    corr = raw % q_col
+    return np.moveaxis(corr.reshape((len(q_moduli),) + lead + (n,)), 0, -2)
 
 
 @lru_cache(maxsize=None)
@@ -343,11 +397,13 @@ def _scale_down_tables(
     q_moduli: tuple[int, ...], special_moduli: tuple[int, ...], t: int
 ):
     """Per-(basis, special, t) constants for the object-free scale-down:
-    ``P^{-1} mod q``, the ``(L, 4)`` centering constants ``-(big + big_w * t)
-    mod q`` indexed by ``big + 2 * big_w``, ``P^{-1} mod t`` and ``P // 2``."""
+    the ``q`` column, ``P^{-1} mod q``, the ``(L, 4)`` centering constants
+    ``-(big + big_w * t) mod q`` indexed by ``big + 2 * big_w``, ``P^{-1}
+    mod t``, ``P mod t`` and ``P // 2``."""
     p_product = 1
     for p in special_moduli:
         p_product *= p
+    q_col = np.array(q_moduli, dtype=np.uint64).reshape(-1, 1)
     p_inv_col = np.array(
         [pow(p_product % q, -1, q) for q in q_moduli], dtype=np.uint64
     ).reshape(-1, 1)
@@ -355,4 +411,4 @@ def _scale_down_tables(
         [[(-(case & 1) - (case >> 1) * t) % q for case in range(4)]
          for q in q_moduli], dtype=np.uint64)
     p_inv_t = np.uint64(pow(p_product % t, -1, t)) if t > 1 else np.uint64(0)
-    return p_inv_col, centering, p_inv_t, p_product // 2
+    return q_col, p_inv_col, centering, p_inv_t, p_product % t, p_product // 2

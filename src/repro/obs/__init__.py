@@ -30,7 +30,7 @@ from .metrics import (
     summarize_state,
 )
 from .profile import attributed, instrument, kernel_breakdown, profiled
-from .trace import Tracer, new_trace_id, span_overhead_probe, tracer
+from .trace import Tracer, new_trace_id, tracer
 
 __all__ = [
     "Counter",
@@ -46,7 +46,6 @@ __all__ = [
     "merge_snapshots",
     "new_trace_id",
     "profiled",
-    "span_overhead_probe",
     "summarize_state",
     "tracer",
 ]

@@ -214,21 +214,3 @@ def tracer() -> Tracer:
 def new_trace_id() -> str:
     """Mint a process-unique trace id (coordinator-side, at submit)."""
     return f"{os.getpid():x}.{next(_TRACE_SEQ)}"
-
-
-def span_overhead_probe(n: int = 4096) -> int:
-    """Perf-gate probe: the disabled-path cost of the tracing guard.
-
-    Models the per-request hot-path check the serving layer pays when
-    tracing is off: one ``active`` read per would-be span site.
-    """
-    t = _TRACER
-    hits = 0
-    for _ in range(n):
-        if t.active:
-            hits += 1
-        if t.active:
-            hits += 1
-        if t.active:
-            hits += 1
-    return hits

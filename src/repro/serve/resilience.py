@@ -259,32 +259,3 @@ class LoadShedder:
                 return False
             wait = self._queued * self._service_s / self.workers
             return wait > deadline_budget_s * self.margin
-
-
-# ------------------------------------------------------------- perf probes
-def breaker_check_probe(n: int = 1024) -> int:
-    """Hot-path cost of consulting a breaker per routing decision
-    (timed by ``check_perf.py`` as ``resilience_breaker_check``)."""
-    breaker = CircuitBreaker()
-    for _ in range(n):
-        breaker.allow()
-        breaker.record_success()
-    return n
-
-
-def retry_overhead_probe(n: int = 1024) -> int:
-    """Per-batch bookkeeping the retry wrapper adds on the no-fault hot
-    path: deadline math, a breaker peek, and one backoff computation
-    (timed by ``check_perf.py`` as ``retry_dispatch_overhead``)."""
-    policy = RetryPolicy()
-    breaker = CircuitBreaker()
-    rng = random.Random(0)
-    clock = time.perf_counter
-    sink = 0.0
-    for _ in range(n):
-        deadline = clock() + 1.0
-        remaining = deadline - clock()
-        if breaker.would_allow():
-            delay = policy.backoff_s(1, rng=rng, remaining_s=remaining)
-            sink += delay if delay is not None else 0.0
-    return n

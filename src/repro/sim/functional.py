@@ -112,10 +112,16 @@ class FunctionalSimulator:
         # the key-switch digit decomposition once (Halevi–Shoup).  Handles
         # are SSA, so env[src] is identical whenever each group member runs.
         rot_groups: dict[int, list] = {}
+        # A MUL whose one consumer is a rescaling MOD_SWITCH runs with it as
+        # one ctx.mul_rescale step: the two share their transform calls.
+        users: dict[int, list] = {}
         for op in self.program.ops:
             if op.kind is OpKind.ROTATE:
                 rot_groups.setdefault(op.args[0], []).append(op)
+            for arg in op.args:
+                users.setdefault(arg, []).append(op)
         pending_rotations: dict[int, Ciphertext] = {}
+        rescaled: dict[int, Ciphertext] = {}
         for op in self.program.ops:
             kind = op.kind
             self.executed_counts[kind.value] = self.executed_counts.get(kind.value, 0) + 1
@@ -135,7 +141,14 @@ class FunctionalSimulator:
                 x, y = self._matched_scales(env[op.args[0]], env[op.args[1]])
                 env[op.op_id] = (ctx.add if kind is OpKind.ADD else ctx.sub)(x, y)
             elif kind is OpKind.MUL:
-                env[op.op_id] = ctx.mul(env[op.args[0]], env[op.args[1]])
+                x, y = env[op.args[0]], env[op.args[1]]
+                consumers = users.get(op.op_id, [])
+                if (len(consumers) == 1
+                        and consumers[0].kind is OpKind.MOD_SWITCH
+                        and self._rescales(x.scale * y.scale, x.basis)):
+                    rescaled[consumers[0].op_id] = ctx.mul_rescale(x, y)
+                else:
+                    env[op.op_id] = ctx.mul(x, y)
             elif kind is OpKind.MUL_PLAIN:
                 env[op.op_id] = ctx.mul_plain(
                     env[op.args[0]], plain_env[op.args[1]]
@@ -163,7 +176,8 @@ class FunctionalSimulator:
                         self._rotation_mask(op.rotate_steps, batch_layout),
                     )
             elif kind is OpKind.MOD_SWITCH:
-                env[op.op_id] = self._level_drop(env[op.args[0]])
+                env[op.op_id] = (rescaled.pop(op.op_id) if op.op_id in rescaled
+                                 else self._level_drop(env[op.args[0]]))
             elif kind is OpKind.OUTPUT:
                 ct = env[op.args[0]]
                 env[op.op_id] = ct
@@ -249,12 +263,15 @@ class FunctionalSimulator:
         value-preserving "mod down" is the correct lowering.  The waterline
         is sqrt(Delta): rescale only while the result keeps that much scale.
         """
+        if self._rescales(ct.scale, ct.basis):
+            return self.ctx.rescale(ct)
+        return self.ctx.mod_switch(ct)
+
+    def _rescales(self, scale: float, basis) -> bool:
+        """Whether :meth:`_level_drop` rescales at ``scale`` on ``basis``."""
         ctx = self.ctx
-        if isinstance(ctx, CkksContext):
-            q_last = ct.basis.moduli[-1]
-            if ct.scale / q_last < math.sqrt(ctx.default_scale):
-                return ctx.mod_switch(ct)
-        return ctx.rescale(ct)
+        return not (isinstance(ctx, CkksContext) and scale / basis.moduli[-1]
+                    < math.sqrt(ctx.default_scale))
 
     def _matched_scales(self, ct0: Ciphertext, ct1: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
         """Bring two addends to a common scale before add/sub.

@@ -4,7 +4,8 @@ The engine computes base extension, scale-down and CRT reconstruction with
 uint64 tables (:mod:`repro.rns.convert`); each fast path must equal the
 exact big-int formulation here bit for bit.  ``tests/test_base_convert.py``
 fuzzes that, and :func:`install` (called from ``tests/conftest.py``) makes
-every ``base_extend`` / ``scale_down_stack`` call assert it while
+every ``base_extend`` / ``scale_down_stack`` call, every rescale and every
+fused multiply-rescale key switch assert it while
 ``repro.poly.kernels.DEBUG_VALIDATE`` is set (``REPRO_KERNEL_DEBUG=1``).
 """
 
@@ -93,6 +94,14 @@ def scale_down_reference(x: RnsPolynomial, special: RnsBasis,
     return RnsPolynomial(basis_q, out, Domain.COEFF)
 
 
+def rescale_reference(x: RnsPolynomial, t: int, count: int) -> RnsPolynomial:
+    """``count`` one-limb scale-downs in turn, last limb first;
+    coefficient-domain result."""
+    for _ in range(count):
+        x = scale_down_reference(x, RnsBasis(x.basis.moduli[-1:]), t)
+    return x
+
+
 def _check_base_extend(out: RnsPolynomial, x: RnsPolynomial,
                        extended: RnsBasis) -> None:
     assert np.array_equal(out.limbs, base_extend_reference(x, extended).limbs), \
@@ -113,13 +122,33 @@ def _check_scale_down_stack(out: np.ndarray, limbs: np.ndarray, domain: Domain,
         "scale_down_stack diverged from its big-int oracle"
 
 
+def _check_rescale(out, a: RnsPolynomial, b: RnsPolynomial, t: int,
+                   count: int) -> None:
+    for got, x in zip(out, (a, b)):
+        assert np.array_equal(got.to_coeff().limbs,
+                              rescale_reference(x, t, count).limbs), \
+            "_rescale_bgv diverged from its big-int oracle"
+
+
+def _check_key_switch_rescale(out: np.ndarray, x: RnsPolynomial,
+                              terms: np.ndarray, hint, t: int) -> None:
+    """Against the key switch (itself checked through ``scale_down_stack``)
+    and a big-int rescale of ``terms + (u0, u1)``."""
+    q_col = x.basis.moduli_column()
+    inverse = get_rns_context(x.n, x.basis.moduli[:-1]).inverse
+    for got, term, u in zip(out, terms, keyswitch.key_switch_v2(x, hint, t)):
+        y = RnsPolynomial(x.basis, (term + u.limbs) % q_col, Domain.NTT)
+        assert np.array_equal(inverse(got), rescale_reference(y, t, 1).limbs), \
+            "key_switch_v2_rescale diverged from its big-int oracle"
+
+
 #: The engine functions behind the hooks, by name.  The hooks look them up
 #: at call time, so a test can swap one in to see a divergence caught.
 ENGINE: dict = {}
 
 
-def _hooked(name: str, check):
-    engine = ENGINE.setdefault(name, getattr(keyswitch, name))
+def _hooked(module, name: str, check):
+    engine = ENGINE.setdefault(name, getattr(module, name))
 
     @functools.wraps(engine)
     def hooked(*args):
@@ -131,9 +160,13 @@ def _hooked(name: str, check):
 
 
 def install() -> None:
-    """Route ``base_extend`` and ``scale_down_stack`` through their oracle
-    checks at every module that calls them (``keyswitch``, ``bgv``)."""
-    keyswitch.base_extend = _hooked("base_extend", _check_base_extend)
-    stack = _hooked("scale_down_stack", _check_scale_down_stack)
-    keyswitch.scale_down_stack = stack
-    bgv.scale_down_stack = stack
+    """Route ``base_extend``, ``scale_down_stack``, ``_rescale_bgv`` and
+    ``key_switch_v2_rescale`` through their oracle checks at the module
+    that calls them (``keyswitch`` for the first two, ``bgv`` for the rest)."""
+    keyswitch.base_extend = _hooked(keyswitch, "base_extend",
+                                    _check_base_extend)
+    keyswitch.scale_down_stack = _hooked(keyswitch, "scale_down_stack",
+                                         _check_scale_down_stack)
+    bgv._rescale_bgv = _hooked(bgv, "_rescale_bgv", _check_rescale)
+    bgv.key_switch_v2_rescale = _hooked(keyswitch, "key_switch_v2_rescale",
+                                        _check_key_switch_rescale)

@@ -54,7 +54,8 @@ def _digest(*cts) -> str:
     return h.hexdigest()
 
 
-def fingerprint(case: str) -> dict[str, str]:
+def _setup(case: str):
+    """The case's seeded context and its two fresh ciphertexts."""
     scheme, variant, t, n, levels = CASES[case]
     params = FheParams.build(n=n, levels=levels, plaintext_modulus=t)
     rng = np.random.default_rng([n, levels, t])
@@ -65,6 +66,12 @@ def fingerprint(case: str) -> dict[str, str]:
         ctx = CkksContext(params, seed=11, ks_variant=variant)
         values = [rng.uniform(-1.0, 1.0, n // 2) for _ in range(2)]
     x, y = (ctx.encrypt_values(v) for v in values)
+    return ctx, x, y
+
+
+def fingerprint(case: str) -> dict[str, str]:
+    levels = CASES[case][4]
+    ctx, x, y = _setup(case)
     out = {
         "encrypt": _digest(x, y),
         "mul": _digest(ctx.mul(x, y)),
@@ -103,6 +110,24 @@ def test_engine_matches_golden(case, golden):
     # Operation by operation, so a drift reads as "rotate_many differs".
     for op in want:
         assert got[op] == want[op], (case, op)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_mul_rescale_is_the_rescaled_product(case):
+    """``mul_rescale`` equals ``rescale(mul())`` (fused under the raised-
+    modulus key switch, composed under Listing 1): limbs, basis, scale,
+    plaintext scale and noise estimate, at the top level and one down."""
+    ctx, x, y = _setup(case)
+    pairs = [(x, y)]
+    if x.level > 2:
+        pairs.append((ctx.rescale(x), ctx.rescale(y)))
+    for u, v in pairs:
+        want = ctx.rescale(ctx.mul(u, v))
+        got = ctx.mul_rescale(u, v)
+        assert got.basis == want.basis
+        assert _digest(got) == _digest(want), (case, u.level)
+        assert ((got.scale, got.plaintext_scale, got.noise_bits)
+                == (want.scale, want.plaintext_scale, want.noise_bits))
 
 
 if __name__ == "__main__":

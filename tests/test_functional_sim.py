@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.dsl.program import OpKind, Program
+from repro.fhe.bgv import BgvContext
+from repro.fhe.ckks import CkksContext
 from repro.fhe.params import FheParams
 from repro.poly.automorphism import automorphism_coeff
 from repro.poly.ntt import naive_negacyclic_multiply
@@ -134,6 +136,64 @@ class TestBgvPrograms:
             p, params,
             {h.op_id: rng.integers(0, T, N) for h in (x, y, z)},
         )
+
+
+class TestMulRescaleFusion:
+    """A MUL whose one consumer is a MOD_SWITCH that rescales runs as one
+    ``ctx.mul_rescale`` step, bit for bit the two steps in turn; any other
+    MUL runs on its own."""
+
+    @staticmethod
+    def _run(program, ctx, *, fused=True):
+        calls = []
+        for name in ("mul", "mul_rescale", "rescale", "mod_switch"):
+            def counted(*args, _name=name, _method=getattr(ctx, name)):
+                calls.append(_name)
+                return _method(*args)
+            setattr(ctx, name, counted)
+        if not fused:
+            ctx.mul_rescale = lambda x, y: ctx.rescale(ctx.mul(x, y))
+        rng = np.random.default_rng(8)
+        inputs = {op.op_id: (rng.uniform(-1, 1, N // 2) if ctx.scheme == "ckks"
+                             else rng.integers(0, T, N))
+                  for op in program.ops if op.kind is OpKind.INPUT}
+        sim = FunctionalSimulator(program, ctx.params, context=ctx)
+        return sim.run(inputs), calls
+
+    @pytest.mark.parametrize("scheme", ("bgv", "ckks"))
+    def test_a_rescaled_product_runs_fused(self, params, scheme):
+        p = Program(n=N, scheme=scheme, name="chain")
+        x, y = p.input(4), p.input(4)
+        p.output(p.mul(p.mul(x, y), x))
+
+        def context():
+            if scheme == "ckks":
+                return CkksContext(params, seed=4)
+            return BgvContext(params, seed=4, ks_variant=2)
+
+        got, calls = self._run(p, context())
+        want, _ = self._run(p, context(), fused=False)
+        assert calls.count("mul_rescale") == 2 and "mul" not in calls
+        for key in want:
+            assert np.array_equal(got[key], want[key])
+
+    def test_a_product_with_a_second_consumer_is_not_fused(self, params):
+        p = Program(n=N, name="two_users")
+        x, y = p.input(3), p.input(3)
+        prod = p.mul(x, y, rescale=False)
+        p.output(p.mod_switch(prod))
+        p.output(prod)
+        _, calls = self._run(p, BgvContext(params, seed=4, ks_variant=2))
+        assert calls == ["mul", "rescale", "mod_switch"]
+
+    def test_a_ckks_product_lowered_to_mod_down_is_not_fused(self, params):
+        # At Delta = 2^12 a product (scale 2^24) divided by a 28-bit limb
+        # would sink below the sqrt(Delta) waterline: MOD_SWITCH is mod-down.
+        p = Program(n=N, scheme="ckks", name="mod_down")
+        x, y = p.input(3), p.input(3)
+        p.output(p.mul(x, y))
+        _, calls = self._run(p, CkksContext(params, seed=4, scale=2.0**12))
+        assert calls == ["mul", "mod_switch"]
 
 
 class TestValidation:

@@ -167,3 +167,21 @@ class TestDebugHook:
             key_switch_v2(x, hint, T)
         monkeypatch.setitem(kernel_oracles.ENGINE, "scale_down_stack", engine)
         key_switch_v2(x, hint, T)  # the unflipped engine passes its oracle
+
+    def test_flipped_fused_rescale_bit_fails_a_mul_rescale(self, bgv_v2,
+                                                           monkeypatch):
+        engine = kernel_oracles.ENGINE["key_switch_v2_rescale"]
+
+        def flipped(*args):
+            out = engine(*args).copy()
+            out.flat[0] ^= np.uint64(1)
+            return out
+
+        x = bgv_v2.encrypt(np.arange(bgv_v2.params.n) % T)
+        monkeypatch.setattr(kernels, "DEBUG_VALIDATE", True)
+        bgv_v2.mul_rescale(x, x)  # the unflipped engine passes its oracle
+        monkeypatch.setitem(kernel_oracles.ENGINE, "key_switch_v2_rescale",
+                            flipped)
+        with pytest.raises(AssertionError,
+                           match="key_switch_v2_rescale diverged"):
+            bgv_v2.mul_rescale(x, x)

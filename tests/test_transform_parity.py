@@ -8,6 +8,10 @@ switch, 6L for the raised-modulus one, 2L for a rescale-type ``MOD_SWITCH``
 — and a CKKS mod-down transforms nothing.  Rows are read from the kernel
 profiler's ``kernel.ntt_*.rows`` counters, switched on around the op alone
 so that encrypting the inputs and decrypting the output stay out of it.
+
+One pair is the exception: a raised-modulus multiply and the rescale that
+consumes it run as one ``mul_rescale`` step of 6L rows in 4 calls, where
+the compiler still lowers the two ops separately (8L rows).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import pytest
 from repro.compiler.hecompiler import KsChoice, compile_to_instructions
 from repro.core.isa import InstrKind
 from repro.dsl.program import OpKind, Program
+from repro.fhe.bgv import BgvContext
 from repro.fhe.ckks import CkksContext
 from repro.fhe.params import FheParams
 from repro.obs import profile
@@ -133,3 +138,26 @@ def test_row_counters_reach_the_kernel_breakdown():
     assert table["ntt_forward"]["rows"] >= 2
     assert table["ntt_inverse"]["rows"] >= 2
     assert table["ntt_forward"]["count"] >= 1   # beside the .ms histogram
+
+
+def _calls() -> int:
+    reg = global_metrics()
+    return (reg.histogram("kernel.ntt_forward.ms").count
+            + reg.histogram("kernel.ntt_inverse.ms").count)
+
+
+@pytest.mark.parametrize("level", (2, 3, 6))
+@pytest.mark.parametrize("scheme", (BgvContext, CkksContext))
+def test_mul_rescale_is_6l_rows_in_4_calls(scheme, level):
+    ctx = scheme(FheParams.build(n=N, levels=level), seed=3, ks_variant=2)
+    x, y = (ctx.encrypt_values(np.arange(N // 2) % 7) for _ in range(2))
+    ctx.mul(x, y)                                  # the hint, made outside
+
+    def counted(fn) -> tuple[int, int]:
+        with profile.profiled():
+            rows, calls = _rows(), _calls()
+            fn()
+            return _rows() - rows, _calls() - calls
+
+    assert counted(lambda: ctx.mul_rescale(x, y)) == (6 * level, 4)
+    assert counted(lambda: ctx.rescale(ctx.mul(x, y))) == (8 * level, 6)
