@@ -15,6 +15,7 @@ object-free scale-down, the lazy word-matmul CRT reconstruction on a tall
 block driver on the (18, 18, 1024) digit stack of an 18-limb key switch,
 on the paper's ring (16, 16384) and on single (1, 512) / (3, 512) calls
 (the small ring's fixed cost), Listing-1 and raised-modulus key switch,
+the Listing-1 key switch at ``engine_solo``'s BGV shape (N=1024, L=18),
 hoisted rotations, the chained modulus switch,
 one 18-limb BGV modulus switch, the CKKS mod-down, one CKKS multiply and
 its rescale as one fused step at the ``serve_deep`` shape (N=1024, L=6),
@@ -174,12 +175,14 @@ def _kernels():
     digit_ctx, digit_stack = _transform_input((18, 18, 1024))
     paper_ctx, paper_limbs = _transform_input((16, 16384))
 
-    # Basis surgery in the NTT domain: one BGV modulus switch at 18 limbs,
-    # the raised-modulus key switch at 6, the CKKS mod-down (a slice), and
-    # a CKKS multiply with its rescale, fused (the serve_deep shape).
+    # Basis surgery in the NTT domain: one BGV modulus switch and one
+    # Listing-1 key switch at 18 limbs (engine_solo's BGV shape), the
+    # raised-modulus key switch at 6, the CKKS mod-down (a slice), and a
+    # CKKS multiply with its rescale, fused (the serve_deep shape).
     deep = BgvContext(FheParams.build(n=1024, levels=18, plaintext_modulus=257),
                       seed=3)
     deep_ct = deep.encrypt(np.arange(1024) % 257)
+    deep_hint = deep.hint_v1("relin", deep_ct.basis)  # built untimed
     ckks6 = CkksContext(FheParams.build(n=1024, levels=6), seed=3)
     ckks6_ct = ckks6.encrypt_values(np.linspace(-1.0, 1.0, 512))
     v2_hint = ckks6.hint_v2("relin", ckks6_ct.basis)
@@ -403,6 +406,7 @@ def _kernels():
             small_ctx.forward(x) for small_ctx, x in small_rings
         ],
         "key_switch_v1": lambda: key_switch_v1(ks_x, hint),
+        "key_switch_v1_deep": lambda: key_switch_v1(deep_ct.a, deep_hint),
         "key_switch_v2": lambda: key_switch_v2(ckks6_ct.a, v2_hint, 1),
         "bgv_mod_switch": lambda: deep.mod_switch(deep_ct),
         "ckks_mod_down": lambda: ckks6.mod_switch_to(ckks6_ct, 3),

@@ -16,17 +16,19 @@ hint for limb i is the pair
 where ``D_i = (Q/q_i) * [(Q/q_i)^{-1}]_{q_i}`` is the CRT interpolation basis
 element — whose RNS representation is simply the indicator of limb i, so the
 ``D_i * s_old`` term is ``s_old`` masked to limb i.
+
+Every modulus is below 2^32 and F1 holds a residue as a 32-bit word (Sec.
+5.3), so variant-1 hints are uint32 stacks, half the bytes of uint64.
+Ciphertexts and variant-2 hints stay uint64 (see :mod:`repro.fhe.keyswitch`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.fhe.sampling import sample_error, sample_ternary, small_poly, uniform_poly
-from repro.poly.automorphism import automorphism_coeff
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns.crt import RnsBasis
 
@@ -77,17 +79,12 @@ class SecretKey:
         return cached
 
     def automorphism_coeffs(self, k: int) -> np.ndarray:
-        """Integer coefficients of sigma_k(s) (signed)."""
-        # Apply the permutation+sign on signed integers directly.
-        n = self.n
-        k = k % (2 * n)
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            ik = i * k
-            value = self.coeffs[i]
-            if (ik % (2 * n)) >= n:
-                value = -value
-            out[ik % n] = value
+        """Integer coefficients of sigma_k(s) (signed): coefficient i moves
+        to ``i*k mod N``, negated where ``i*k mod 2N >= N``."""
+        ik = np.arange(self.n) * (k % (2 * self.n))
+        out = np.zeros(self.n, dtype=np.int64)
+        out[ik % self.n] = np.where(ik % (2 * self.n) >= self.n, -self.coeffs,
+                                    self.coeffs)
         return out
 
 
@@ -95,54 +92,39 @@ class SecretKey:
 class KeySwitchHint:
     """RNS-decomposition key-switch hint (variant 1, Listing 1).
 
-    ``hint0[i]``/``hint1[i]`` are NTT-domain polynomials at ``basis``; the
-    hint totals ``2 * L`` residue-polynomial *rows* but its scheduling
-    footprint is the full ``2 * L^2`` RVecs the paper counts, because every
-    row is consumed at all L limb moduli.
+    The storage is ``stack0``/``stack1``: ``(L, L, N)`` uint32 arrays, row
+    i the NTT-domain residue matrix of ``hint0[i]``/``hint1[i]`` at
+    ``basis``, laid out for the fused multiply-accumulate over the digit
+    axis; written once at keygen, pickled once.  The hint totals ``2 * L``
+    rows but its scheduling footprint is the ``2 * L^2`` RVecs the paper
+    counts: every row is consumed at all L limb moduli.
     """
 
     target: str
     basis: RnsBasis
-    hint0: list[RnsPolynomial]
-    hint1: list[RnsPolynomial]
+    stack0: np.ndarray
+    stack1: np.ndarray
 
     @property
     def level(self) -> int:
         return self.basis.level
 
-    @cached_property
-    def stack0(self) -> np.ndarray:
-        """``(L, L, N)`` stack of the hint0 residue matrices — the layout the
-        fused key-switch accumulator consumes (one multiply-accumulate over
-        the leading digit axis instead of L separate polynomial products)."""
-        return _stack_rebinding(self.hint0)
+    @property
+    def hint0(self) -> list[RnsPolynomial]:
+        """Row i of ``stack0`` as a polynomial whose limbs view it (uint32:
+        widen before computing on them).  :attr:`hint1` views ``stack1``."""
+        return _row_views(self.basis, self.stack0)
 
-    @cached_property
-    def stack1(self) -> np.ndarray:
-        """``(L, L, N)`` stack of the hint1 residue matrices."""
-        return _stack_rebinding(self.hint1)
-
-    def __getstate__(self):
-        # The stacked (L, L, N) views are derived caches over the same limb
-        # memory; shipping them alongside hint0/hint1 would double the
-        # payload, so they are dropped and rebuilt on first use.
-        state = self.__dict__.copy()
-        state.pop("stack0", None)
-        state.pop("stack1", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+    @property
+    def hint1(self) -> list[RnsPolynomial]:
+        return _row_views(self.basis, self.stack1)
 
 
-def _stack_rebinding(polys: list[RnsPolynomial]) -> np.ndarray:
-    """Stack polynomial residue matrices, then alias each polynomial's limbs
-    to its row view so hints cached for the process lifetime don't hold the
-    data twice (polynomial ops are functional and never mutate limbs)."""
-    stack = np.stack([p.limbs for p in polys])
+def _row_views(basis: RnsBasis, stack: np.ndarray) -> list[RnsPolynomial]:
+    polys = [RnsPolynomial(basis, row, Domain.NTT) for row in stack]
     for row, p in zip(stack, polys):
-        p.limbs = row
-    return stack
+        p.limbs = row  # the constructor widened a copy; view the row instead
+    return polys
 
 
 @dataclass
@@ -169,23 +151,23 @@ def generate_ks_hint(
     error_width: int,
     rng: np.random.Generator,
 ) -> KeySwitchHint:
-    """Generate a variant-1 hint re-encrypting ``old_key``-terms under ``secret``."""
+    """Generate a variant-1 hint re-encrypting ``old_key``-terms under
+    ``secret``, written row by row into its two uint32 stacks."""
     basis = old_key.basis
     n = old_key.n
     s = secret.poly(basis)
     t = plaintext_modulus
-    hint0: list[RnsPolynomial] = []
-    hint1: list[RnsPolynomial] = []
+    stack0, stack1 = (np.empty((basis.level, basis.level, n), np.uint32)
+                      for _ in range(2))
     for i in range(basis.level):
         a_i = uniform_poly(basis, n, rng, Domain.NTT)
         e_i = small_poly(basis, sample_error(n, error_width, rng), Domain.NTT)
         # D_i * s_old: s_old masked to limb i (indicator property of D_i).
         masked = RnsPolynomial.zeros(basis, n, Domain.NTT)
         masked.limbs[i] = old_key.limbs[i]
-        h0 = a_i * s + e_i.scalar_mul(t) + masked
-        hint0.append(h0)
-        hint1.append(a_i)
-    return KeySwitchHint(target=target, basis=basis, hint0=hint0, hint1=hint1)
+        stack0[i] = (a_i * s + e_i.scalar_mul(t) + masked).limbs
+        stack1[i] = a_i.limbs
+    return KeySwitchHint(target, basis, stack0, stack1)
 
 
 def generate_raised_ks_hint(

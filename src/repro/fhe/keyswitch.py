@@ -28,7 +28,12 @@ All inner loops run on the batched (L, N) residue-matrix engine: variant
 digit stack, variant 2's two products one stacked call per direction, and
 the multiply-accumulate against the hint rows is the fused
 :func:`~repro.poly.kernels.mul_accumulate` (raw products summed un-reduced
-in the uint64 headroom of 28-bit primes, reduced once).
+in the uint64 headroom of 28-bit primes, reduced once).  Variant 1's state
+is 32-bit words, as F1 stores residues (Sec. 5.3): its hint stacks from
+keygen on and its digit stack from the inverse NTT on are uint32, widened
+only inside that contraction, which returns uint64 limbs.  Ciphertext
+limbs, variant-2 hints and base conversion stay uint64: their products
+would be mixed uint32 x uint64 passes, which cost more than a pure pass.
 
 **Hoisting** (Halevi–Shoup): an automorphism commutes with the RNS digit
 decomposition, so a ciphertext rotated k ways needs its digit-NTT stack
@@ -66,8 +71,8 @@ from repro.rns.crt import RnsBasis
 class HoistedDecomposition:
     """The reusable digit-NTT stack of one NTT-domain polynomial.
 
-    ``digit_ntt[i]`` is the (L, N) all-limb NTT of digit i lifted to every
-    modulus — exactly what :func:`key_switch_v1` consumes, computed once and
+    ``digit_ntt[i]`` is the (L, N) uint32 all-limb NTT of digit i lifted to
+    every modulus — what :func:`key_switch_v1` consumes, computed once and
     shared across any number of Galois hints (Halevi–Shoup hoisting).
     """
 
@@ -85,33 +90,34 @@ class HoistedDecomposition:
 
 
 def _digit_ntt_stack(x: RnsPolynomial) -> np.ndarray:
-    """(L, L, N) stack: digit i of x, lifted to all L moduli, NTT'd.
+    """(L, L, N) uint32 stack: digit i of x, lifted to all L moduli, NTT'd.
 
     Digit i is INTT(x[i]) with coefficients in [0, q_i); its lift to modulus
     q_j is one conditional subtract when the basis is *balanced*
     (max q < 2 * min q — true for the engine's equal-width prime sets) and a
     general ``%`` otherwise.  The diagonal needs no transform (Listing 1's
     ``if i != j``: NTT(INTT(x[j])) *is* x[j]); the rest goes through one
-    batched NTT call as an (L-1, L, N) stack whose row k, limb j holds digit
-    (j+k+1) mod L — the limb axis stays aligned with the twiddles — and is
-    scattered back to [digit, limb].
+    batched NTT call, in place, as an (L-1, L, N) stack whose row k, limb j
+    holds digit (j+k+1) mod L — the limb axis stays aligned with the
+    twiddles — and is scattered back to [digit, limb].
     """
     basis = x.basis
     level = basis.level
     ctx = get_rns_context(x.n, basis.moduli)
-    q_col = basis.moduli_column()
-    y = ctx.inverse(x.limbs)  # row i = digit polynomial INTT(x[i], q_i)
+    q_col = basis.moduli_column().astype(np.uint32)
+    y = ctx.inverse(x.limbs, out=np.empty(x.limbs.shape, np.uint32))  # digits
     limb = np.arange(level)
-    out = np.empty((level,) + y.shape, dtype=np.uint64)
-    out[limb, limb] = x.limbs
+    out = np.empty((level,) + y.shape, dtype=np.uint32)
     if level > 1:
         digit = (limb + np.arange(1, level)[:, None]) % level
         lifted = y[digit]
         if basis.max_modulus < 2 * min(basis.moduli):
-            kernels.reduce_once(lifted, q_col, out=lifted)
+            # out[1:] is free scratch: nothing is written to out before this
+            kernels.reduce_once(lifted, q_col, out=lifted, tmp=out[1:])
         else:
             np.remainder(lifted, q_col, out=lifted)
-        out[digit, limb] = ctx.forward(lifted)
+        out[digit, limb] = ctx.forward(lifted, out=lifted)
+    out[limb, limb] = x.limbs
     return out
 
 

@@ -160,20 +160,23 @@ def mul_accumulate(stack_a: np.ndarray, stack_b: np.ndarray,
                    q_col: np.ndarray, qmax: int) -> np.ndarray:
     """``sum_k stack_a[k] * stack_b[k] mod q`` — the key-switch inner loop.
 
-    ``stack_a``/``stack_b`` are ``(K, L, N)`` residue-matrix stacks with
-    ``q_col`` the ``(L, 1)`` modulus column and ``qmax`` its widest modulus
-    (:attr:`repro.rns.crt.RnsBasis.max_modulus`).  Each product is below
-    ``(q-1)^2``; when ``K * (q-1)^2 < 2^64`` (e.g. 28-bit primes up to
-    K = 256 terms) the raw products are summed *unreduced* and a single
-    division per output limb finishes — 2K-2 fewer reductions than the
-    reduce-accumulate-reduce loop it replaces.  Otherwise each product is
+    ``stack_a``/``stack_b`` are ``(K, L, N)`` uint32 or uint64 residue-matrix
+    stacks (the key switch's are uint32) with ``q_col`` the ``(L, 1)``
+    modulus column and ``qmax`` its widest modulus
+    (:attr:`repro.rns.crt.RnsBasis.max_modulus`).  Each product, formed in
+    uint64, is below ``(q-1)^2``; when ``K * (q-1)^2 < 2^64`` (e.g. 28-bit
+    primes up to K = 256 terms) the raw products are summed *unreduced* and
+    a single division per output limb finishes — 2K-2 fewer reductions than
+    the reduce-accumulate-reduce loop it replaces.  Otherwise each product is
     reduced first and the sum of K reduced terms (< K * 2^32 < 2^64 for any
-    realistic K) still needs only one final division.
+    realistic K) still needs only one final division.  Returns uint64.
     """
     k = stack_a.shape[0]
     if k * (qmax - 1) ** 2 < 1 << 64:
-        return np.einsum("kln,kln->ln", stack_a, stack_b) % q_col
-    return ((stack_a * stack_b) % q_col[None]).sum(axis=0) % q_col
+        return np.einsum("kln,kln->ln", stack_a, stack_b,
+                         dtype=np.uint64) % q_col
+    products = np.multiply(stack_a, stack_b, dtype=np.uint64)
+    return (products % q_col[None]).sum(axis=0) % q_col
 
 
 # --------------------------------------------------- Shoup lazy multiplication

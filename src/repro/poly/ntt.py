@@ -47,8 +47,9 @@ Hot-path design (see :mod:`repro.poly.kernels` for the primitive proofs):
   matrix where the short spans become the leading axis, and a single fused
   gather produces natural-order output.  The inverse mirrors the pipeline
   with Gentleman–Sande butterflies and folds ``n^{-1}`` into a final Shoup
-  multiply.  The uint64 ``(..., L, N)`` interface is kept by a narrowing
-  copy into the workspace and one widening copy out of it.
+  multiply.  A uint64 input is narrowed by its copy into the workspace and
+  a uint32 one is copied as is; the final gather writes a uint32 ``out=``
+  directly and a uint64 one through one widening copy.
 
   Lazy-range proof sketch (per butterfly; ``w < q`` a uint32 twiddle,
   ``ws = floor(w * 2^32 / q) < 2^32`` its uint64 partner): inputs are
@@ -134,12 +135,12 @@ def _workspace(block: np.ndarray):
 
 
 def _as_residues(x) -> np.ndarray:
-    """``x`` as a uint64 array, refusing the cast that corrupts: a negative
-    residue wraps to ~2^64 and comes back as unreduced garbage."""
+    """``x`` as uint32 (kept) or uint64, refusing the cast that corrupts: a
+    negative residue wraps to ~2^64 and comes back as unreduced garbage."""
     x = np.asarray(x)
     if x.dtype.kind == "i" and x.size and int(x.min()) < 0:
         raise ValueError("residues must be non-negative (reduce mod q first)")
-    return x.astype(np.uint64, copy=False)
+    return x if x.dtype == np.uint32 else x.astype(np.uint64, copy=False)
 
 
 def _resolve_lazy(lazy: bool | None, moduli) -> bool:
@@ -311,8 +312,9 @@ class _LazyPlan:
         """Merged-twist negacyclic NTT of one block into ``out``.
 
         ``limbs`` holds limbs ``rows`` of the plan's basis (reduced, any
-        leading axes, never written); ``out`` is C-contiguous, of the same
-        shape, and receives reduced natural-order values.
+        leading axes, uint32 or uint64, read before ``out`` is written);
+        ``out`` is C-contiguous, uint32 or uint64, of the same shape, may be
+        ``limbs``, and receives reduced natural-order values.
         """
         q, two_q, _, _, (c3, p1), (c4, p2) = self._views(rows, False)
         kernels._validate_reduced(limbs, q, "ntt forward")
@@ -332,8 +334,10 @@ class _LazyPlan:
                                c4, False, tmp)
         cond_sub(a, two_q, out=a, tmp=b)
         cond_sub(a, q, out=a, tmp=b)
-        np.take(a, self.out_perm, axis=-1, out=b, mode="clip")
-        np.copyto(out, b)
+        gather = out if out.dtype == np.uint32 else b
+        np.take(a, self.out_perm, axis=-1, out=gather, mode="clip")
+        if gather is b:
+            np.copyto(out, b)
         return out
 
     def inverse(self, evals: np.ndarray, out: np.ndarray,
@@ -361,8 +365,7 @@ class _LazyPlan:
             x = a[..., cols]
             kernels.shoup_mul32(x, n_inv, n_inv_shoup, q,
                                 tmp[3].reshape(x.shape), b[..., cols], out=x)
-        np.copyto(out, cond_sub(a, q, out=a, tmp=b))
-        return out
+        return cond_sub(a, q, out=out, tmp=b)
 
 
 class NttContext:
@@ -503,24 +506,28 @@ class RnsNttContext:
         return len(self.moduli)
 
     @instrument("ntt_forward")
-    def forward(self, limbs: np.ndarray, *,
-                start: int | None = None) -> np.ndarray:
+    def forward(self, limbs: np.ndarray, *, start: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
         """All-limb negacyclic NTT: ``(..., L, N)`` coefficient -> evaluation.
 
         With ``start``, ``limbs`` is ``(..., k, N)``: limbs ``start .. start
-        + k`` of the basis alone.  Returns a fresh array, never writes its
-        input; bit-identical however :meth:`_run` cuts it into blocks.
+        + k`` of the basis alone.  uint32 ``limbs`` are read without a
+        widening copy.  Writes ``out`` (C-contiguous, uint32 or uint64, of
+        ``limbs``' shape, and may be ``limbs``) or a fresh uint64 array,
+        never the input otherwise; values are bit-identical whatever the
+        dtypes, ``out`` or the blocks :meth:`_run` cuts the call into.
         """
-        return self._run(limbs, start, inverse=False)
+        return self._run(limbs, start, out, inverse=False)
 
     @instrument("ntt_inverse")
-    def inverse(self, evals: np.ndarray, *,
-                start: int | None = None) -> np.ndarray:
+    def inverse(self, evals: np.ndarray, *, start: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
         """All-limb inverse negacyclic NTT: ``(..., L, N)`` evaluation ->
-        coeff; same ``start`` / aliasing contract as :meth:`forward`."""
-        return self._run(evals, start, inverse=True)
+        coeff; same ``start`` / dtype / ``out`` contract as :meth:`forward`."""
+        return self._run(evals, start, out, inverse=True)
 
-    def _run(self, arr, start: int | None, inverse: bool) -> np.ndarray:
+    def _run(self, arr, start: int | None, out: np.ndarray | None,
+             inverse: bool) -> np.ndarray:
         """The block driver: cut ``arr`` into blocks of about
         :data:`BLOCK_ELEMS` elements and transform each on its own.
 
@@ -539,11 +546,14 @@ class RnsNttContext:
         ):
             raise ValueError(f"expected trailing shape ({level}, {self.n}), or a "
                              f"run of limbs from start=; got {arr.shape}, {start}")
+        out = np.empty(arr.shape, np.uint64) if out is None else out
+        if out.shape != arr.shape or not out.flags.c_contiguous or \
+                out.dtype not in (np.uint32, np.uint64):
+            raise ValueError(f"out= must be C-contiguous uint32/64, {arr.shape}")
         start = start or 0
         count_kernel("ntt_inverse" if inverse else "ntt_forward", "rows",
                      arr.size // self.n)
         k, n = arr.shape[-2:]
-        out = np.empty(arr.shape, dtype=np.uint64)
         per_block = max(1, BLOCK_ELEMS // n)  # rows of N
         if arr.size <= per_block * n:  # one block: no reshape
             self._transform(arr, out, slice(start, start + k), inverse)

@@ -6,8 +6,8 @@ N = 1024..16384; we go smaller for speed and cover the large sizes in the
 performance-model tests, which are size-independent).
 
 ``REPRO_KERNEL_DEBUG=1`` also checks every ``base_extend`` /
-``scale_down_stack`` call, every rescale and every fused multiply-rescale
-against its big-int oracle: the hook below is
+``scale_down_stack`` call, every Listing-1 key switch, every rescale and
+every fused multiply-rescale against its oracle: the hook below is
 installed before any test module imports the engine, and reads
 ``kernels.DEBUG_VALIDATE`` per call."""
 

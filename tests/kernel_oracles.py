@@ -1,11 +1,14 @@
-"""Big-int oracles for the RNS conversion kernels, and the debug hook.
+"""Big-int oracles for the RNS conversion kernels, the per-digit Listing-1
+key switch, and the debug hook.
 
 The engine computes base extension, scale-down and CRT reconstruction with
-uint64 tables (:mod:`repro.rns.convert`); each fast path must equal the
-exact big-int formulation here bit for bit.  ``tests/test_base_convert.py``
-fuzzes that, and :func:`install` (called from ``tests/conftest.py``) makes
-every ``base_extend`` / ``scale_down_stack`` call, every rescale and every
-fused multiply-rescale key switch assert it while
+uint64 tables (:mod:`repro.rns.convert`), and the Listing-1 key switch as
+one fused multiply-accumulate over uint32 digit and hint stacks; each fast
+path must equal the formulation here bit for bit.
+``tests/test_base_convert.py`` fuzzes the conversions, and :func:`install`
+(called from ``tests/conftest.py``) makes every ``base_extend`` /
+``scale_down_stack`` call, every Listing-1 key switch, every rescale and
+every fused multiply-rescale key switch assert it while
 ``repro.poly.kernels.DEBUG_VALIDATE`` is set (``REPRO_KERNEL_DEBUG=1``).
 """
 
@@ -102,6 +105,39 @@ def rescale_reference(x: RnsPolynomial, t: int, count: int) -> RnsPolynomial:
     return x
 
 
+def key_switch_v1_reference(x: RnsPolynomial, hint,
+                            galois_perm: np.ndarray | None = None):
+    """The pre-fusion Listing-1 loop: digit i is ``INTT(x[i])`` lifted to
+    every modulus and NTT'd on its own, then (after the optional NTT-domain
+    permutation of a hoisted rotation) multiplied by hint row i and
+    reduce-accumulated, one digit at a time, in uint64.  Returns the
+    ``(u0, u1)`` limbs."""
+    basis = x.basis
+    ctx = get_rns_context(x.n, basis.moduli)
+    q_col = basis.moduli_column()
+    y = ctx.inverse(x.limbs)
+    u0 = np.zeros_like(x.limbs)
+    u1 = np.zeros_like(x.limbs)
+    for i, (h0, h1) in enumerate(zip(hint.hint0, hint.hint1)):
+        digit_ntt = ctx.forward(np.remainder(y[i][None, :], q_col))
+        if galois_perm is not None:
+            digit_ntt = digit_ntt[:, galois_perm]
+        u0 = (u0 + digit_ntt * h0.limbs % q_col) % q_col
+        u1 = (u1 + digit_ntt * h1.limbs % q_col) % q_col
+    return u0, u1
+
+
+def _check_key_switch_v1(out, dec, hint, galois_perm=None) -> None:
+    """The decomposition's input is its digit stack's diagonal (Listing 1's
+    ``i == j``: NTT(INTT(x[i])) is x[i])."""
+    diag = np.arange(dec.basis.level)
+    x = RnsPolynomial(dec.basis, dec.digit_ntt[diag, diag], Domain.NTT)
+    for got, want in zip(out, key_switch_v1_reference(x, hint, galois_perm)):
+        assert got.limbs.dtype == np.uint64, "key switch limbs must be uint64"
+        assert np.array_equal(got.limbs, want), \
+            "key_switch_v1_hoisted diverged from its per-digit oracle"
+
+
 def _check_base_extend(out: RnsPolynomial, x: RnsPolynomial,
                        extended: RnsBasis) -> None:
     assert np.array_equal(out.limbs, base_extend_reference(x, extended).limbs), \
@@ -160,9 +196,12 @@ def _hooked(module, name: str, check):
 
 
 def install() -> None:
-    """Route ``base_extend``, ``scale_down_stack``, ``_rescale_bgv`` and
-    ``key_switch_v2_rescale`` through their oracle checks at the module
-    that calls them (``keyswitch`` for the first two, ``bgv`` for the rest)."""
+    """Route ``base_extend``, ``scale_down_stack``, ``key_switch_v1_hoisted``,
+    ``_rescale_bgv`` and ``key_switch_v2_rescale`` through their oracle
+    checks at the module that calls them (``keyswitch`` for the first three,
+    ``bgv`` for the rest)."""
+    keyswitch.key_switch_v1_hoisted = _hooked(
+        keyswitch, "key_switch_v1_hoisted", _check_key_switch_v1)
     keyswitch.base_extend = _hooked(keyswitch, "base_extend",
                                     _check_base_extend)
     keyswitch.scale_down_stack = _hooked(keyswitch, "scale_down_stack",

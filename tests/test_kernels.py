@@ -18,6 +18,7 @@ Three families:
 import numpy as np
 import pytest
 
+import kernel_oracles
 from repro.fhe.bgv import BgvContext
 from repro.fhe.ckks import CkksContext
 from repro.fhe.keyswitch import HoistedDecomposition, key_switch_v1
@@ -104,6 +105,28 @@ def test_mul_accumulate_reduced_path_for_wide_moduli():
         want = (want + stack_a[i] * stack_b[i] % q) % q
     assert np.array_equal(
         kernels.mul_accumulate(stack_a, stack_b, q, max(moduli)), want)
+
+
+@pytest.mark.parametrize("bits", [28, 32])
+def test_mul_accumulate_uint32_stacks_at_the_overflow_edge(bits):
+    """All-(q-1) uint32 stacks, the largest products: at 28 bits with the
+    most terms the raw-sum guard admits, at 32 bits (reduce-first branch)
+    with three.  Products widen inside the kernel, so the result is the
+    uint64 stacks' and the exact ``K * (q-1)^2 mod q = K mod q``."""
+    n = 16
+    moduli = ntt_friendly_primes(n, bits, 2)
+    qmax = max(moduli)
+    edge = ((1 << 64) - 1) // (qmax - 1) ** 2  # the guard's largest K
+    k = edge if bits == 28 else 3
+    assert (k * (qmax - 1) ** 2 < 1 << 64) == (bits == 28)
+    assert (k + 1) * (qmax - 1) ** 2 >= 1 << 64
+    q = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+    wide = np.broadcast_to(q - np.uint64(1), (k, 2, n)).copy()
+    narrow = wide.astype(np.uint32)
+    got = kernels.mul_accumulate(narrow, narrow, q, qmax)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, kernels.mul_accumulate(wide, wide, q, qmax))
+    assert np.array_equal(got, np.broadcast_to(np.uint64(k) % q, (2, n)))
 
 
 @pytest.mark.parametrize("q", [ntt_friendly_primes(64, b, 1)[0] for b in (28, 30, 31)])
@@ -231,6 +254,36 @@ def test_strict_fallback_for_wide_moduli():
         RnsNttContext(n, tuple(ntt_friendly_primes(n, 28, 1)) + (q,), lazy=True)
 
 
+@pytest.mark.parametrize("bits", [28, 31, 32])
+def test_transforms_take_uint32_input_and_out(bits):
+    """uint32 input and ``out=`` (uint32, uint64, or the input itself) give
+    the uint64 path's values on the lazy plan (28 bits) and the strict
+    transform (31 and 32 bits), in one block and across several."""
+    n = 1024
+    moduli = tuple(ntt_friendly_primes(n, bits, 4))
+    ctx = RnsNttContext(n, moduli)
+    assert ctx.lazy == (bits == 28)
+    for lead in (1, 10):  # 4 rows: one block; 40 rows: over the 36 a block
+        wide = np.stack([_random_limbs(moduli, n) for _ in range(lead)])
+        narrow = wide.astype(np.uint32)
+        for call in (ctx.forward, ctx.inverse):
+            want = call(wide)
+            got = call(narrow)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
+            for src in (wide, narrow):
+                for dtype in (np.uint32, np.uint64):
+                    out = np.empty(wide.shape, dtype)
+                    assert call(src, out=out) is out
+                    assert np.array_equal(out, want)
+                alias = src.copy()
+                assert call(alias, out=alias) is alias
+                assert np.array_equal(alias, want)
+    with pytest.raises(ValueError, match="out="):
+        ctx.forward(wide, out=np.empty(wide.shape, np.int64))
+    with pytest.raises(ValueError, match="out="):
+        ctx.forward(wide, out=np.empty(wide.shape, np.uint32)[..., ::-1])
+
+
 def test_debug_validate_catches_an_unreduced_transform_input(monkeypatch):
     """The plan's narrowing cast would turn a residue >= 2^32 into a
     plausible wrong answer; under the debug flag it is refused at entry."""
@@ -250,23 +303,6 @@ def test_debug_validate_catches_an_unreduced_transform_input(monkeypatch):
 
 
 # ------------------------------------------------- fused/hoisted composites
-def _reference_key_switch_v1(x, hint):
-    """The pre-fusion Listing-1 loop: per-digit NTT + reduce-accumulate."""
-    from repro.poly.ntt import get_rns_context
-
-    basis = x.basis
-    ctx = get_rns_context(x.n, basis.moduli)
-    q_col = basis.moduli_column()
-    y = ctx.inverse(x.limbs)
-    u0 = np.zeros_like(x.limbs)
-    u1 = np.zeros_like(x.limbs)
-    for i in range(basis.level):
-        digit_ntt = ctx.forward(np.remainder(y[i][None, :], q_col))
-        u0 = (u0 + digit_ntt * hint.hint0[i].limbs % q_col) % q_col
-        u1 = (u1 + digit_ntt * hint.hint1[i].limbs % q_col) % q_col
-    return u0, u1
-
-
 def test_fused_key_switch_matches_reference_loop():
     params = FheParams.build(n=128, levels=4, prime_bits=28, plaintext_modulus=256)
     bgv = BgvContext(params, seed=5)
@@ -274,7 +310,7 @@ def test_fused_key_switch_matches_reference_loop():
     rng = np.random.default_rng(9)
     x = uniform_poly(params.basis, params.n, rng, Domain.NTT)
     u0, u1 = key_switch_v1(x, hint)
-    ref0, ref1 = _reference_key_switch_v1(x, hint)
+    ref0, ref1 = kernel_oracles.key_switch_v1_reference(x, hint)
     assert np.array_equal(u0.limbs, ref0)
     assert np.array_equal(u1.limbs, ref1)
 

@@ -168,6 +168,30 @@ class TestDebugHook:
         monkeypatch.setitem(kernel_oracles.ENGINE, "scale_down_stack", engine)
         key_switch_v2(x, hint, T)  # the unflipped engine passes its oracle
 
+    def test_flipped_key_switch_v1_bit_fails_hoisted_rotations(self, bgv,
+                                                               monkeypatch):
+        """The Listing-1 hook checks every hoisted key switch, Galois
+        permutation included, against the per-digit loop."""
+        engine = kernel_oracles.ENGINE["key_switch_v1_hoisted"]
+
+        def flipped(*args):
+            u0, u1 = engine(*args)
+            limbs = u0.limbs.copy()
+            limbs.flat[0] ^= np.uint64(1)
+            return RnsPolynomial(u0.basis, limbs, u0.domain), u1
+
+        ct = bgv.encrypt(np.arange(bgv.params.n) % T)
+        monkeypatch.setattr(kernels, "DEBUG_VALIDATE", True)
+        bgv.rotate_many(ct, [1, 2])  # the unflipped engine passes its oracle
+        bgv.mul(ct, ct)
+        monkeypatch.setitem(kernel_oracles.ENGINE, "key_switch_v1_hoisted",
+                            flipped)
+        for step in (lambda: bgv.rotate_many(ct, [1, 2]),
+                     lambda: bgv.mul(ct, ct)):
+            with pytest.raises(AssertionError,
+                               match="key_switch_v1_hoisted diverged"):
+                step()
+
     def test_flipped_fused_rescale_bit_fails_a_mul_rescale(self, bgv_v2,
                                                            monkeypatch):
         engine = kernel_oracles.ENGINE["key_switch_v2_rescale"]
