@@ -140,11 +140,8 @@ class CycleSchedule:
                 EVENT_KINDS[kind], value, start, end))
 
 
-def schedule_cycles(
-    graph: InstructionGraph,
-    movement: DataMovementSchedule,
-    config: F1Config,
-) -> CycleSchedule:
+def schedule_cycles(graph: InstructionGraph, movement: DataMovementSchedule,
+                    config: F1Config) -> CycleSchedule:
     n = graph.n
     # Per FU family, fixed for the whole graph: occupancy, issue-to-result
     # latency (NTT/INTT and ADD/SUB share theirs) and the next-free cycle of
@@ -156,14 +153,18 @@ def schedule_cycles(
                 for fu, occupancy, latency
                 in zip(FU_FAMILIES, occupancies, latencies)]
     num_values = len(graph.value_kind)
+    transfer = config.transfer_cycles(n)
+    # Per value: when its latest copy lands, and when an instruction may
+    # issue on it (plus the operand hop, rounded once, when it is written).
     value_ready: list[float] = [0.0] * num_values
+    delivered: list[int] = [transfer] * num_values
     last_use_end: list[float] = [0.0] * num_values
     event_end: list[float] = []
     hbm_next_free = 0.0
     hbm_busy = 0.0
     load_cycles = config.load_cycles(n)
-    transfer = config.transfer_cycles(n)
     latency_hbm = config.hbm_latency_cycles
+    lows = [0] * len(FU_FAMILIES)     # per FU family, its lowest next-free
 
     # What the loop decides: start and unit per issue, start per transfer.
     starts, unit_indices, transfer_starts = array("q"), array("i"), array("d")
@@ -180,30 +181,32 @@ def schedule_cycles(
             *(column.data for column in columns)):
         if kind == EXEC:
             occupancy, latency, next_free = families[fu]
-            ready = value_ready[a]
-            if b >= 0 and value_ready[b] > ready:
-                ready = value_ready[b]
-            # Operand delivery over the on-chip network.
-            ready = int(round(ready + transfer))
+            ready = delivered[a]
+            if b >= 0 and delivered[b] > ready:
+                ready = delivered[b]
             # Greedy earliest start: the first unit (lowest cluster, then
-            # lowest unit) free at ``ready``, else the first of the earliest.
-            start = min(next_free)
-            if start >= ready:
-                index = next_free.index(start)
+            # lowest unit) free at ``ready``, else the first of the earliest:
+            # the low-water mark, which moves only with a unit holding it.
+            low = lows[fu]
+            if low >= ready:
+                start = free = low
+                index = next_free.index(low)
             else:
                 start = ready
                 for index, free in enumerate(next_free):
                     if free <= ready:
                         break
             next_free[index] = start + occupancy
+            if free == low:
+                lows[fu] = min(next_free)
             end = start + latency
             value_ready[output] = end
+            delivered[output] = end + transfer
             if end > last_use_end[a]:
                 last_use_end[a] = end
             if b >= 0 and end > last_use_end[b]:
                 last_use_end[b] = end
-            if end > last_use_end[output]:
-                last_use_end[output] = end
+            last_use_end[output] = end     # values are produced once
             starts.append(start)
             unit_indices.append(index)
         elif kind == LOAD:
@@ -214,6 +217,7 @@ def schedule_cycles(
             hbm_busy += load_cycles
             end = start + load_cycles + latency_hbm
             value_ready[target] = end
+            delivered[target] = int(round(end + transfer))
             transfer_starts.append(start)
         elif kind == STORE:
             start = max(hbm_next_free, value_ready[target])

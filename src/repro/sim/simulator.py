@@ -8,8 +8,9 @@ as expected and there are no missed dependences or structural hazards").
 
 Checks performed, independently of the scheduler's own bookkeeping:
 
-1. **Dependences**: every instruction starts no earlier than each operand is
-   available.  Availability is decided in event order: it is the completion
+1. **Dependences**: no instruction starts before each operand is available
+   plus the bank->cluster hop (``transfer_cycles``, rounded as the scheduler
+   rounds it).  Availability is decided in event order: it is the completion
    of the operand's latest ``load`` (the k-th load event of a value is timed
    by that value's k-th load transfer) or of its producing instruction,
    whichever event came last before the consumer — so a spilled-and-refilled
@@ -28,9 +29,11 @@ Checks performed, independently of the scheduler's own bookkeeping:
    refill of an instruction's result starts no earlier than the end of the
    store that wrote the copy it reads.
 
-Checks 2 and 3 are comparisons over the schedule's columns as they are;
-checks 1, 4 and 5 share one replay of the event columns.  The checker reads
-the three artifacts (graph, event list, schedule) and nothing else.
+All five run on columns.  Checks 1, 4 and 5 group the event list's steps (an
+exec's operand reads, then each event's add or drop of its own value) by
+value, where the latest load or result before a read, and residency at it,
+are prefix counts; ``tests/schedule_oracles.py`` keeps the event-by-event
+replay as their oracle.  Only the graph, events and schedule are read.
 """
 
 from __future__ import annotations
@@ -61,24 +64,18 @@ class CheckReport:
             )
 
 
-def check_schedule(
-    graph: InstructionGraph,
-    movement: DataMovementSchedule,
-    schedule: CycleSchedule,
-    config: F1Config | None = None,
-) -> CheckReport:
-    config = config or schedule.config
-    violations: list[str] = []
-    peak = _replay_events(graph, movement, schedule, violations)
+def check_schedule(graph: InstructionGraph, movement: DataMovementSchedule,
+                   schedule: CycleSchedule,
+                   config: F1Config | None = None) -> CheckReport:
+    config, violations = config or schedule.config, []
+    peak = _replay_events(graph, movement, schedule,
+                          config.transfer_cycles(graph.n), violations)
     _check_structural_hazards(schedule, violations)
     _check_hbm_serialization(schedule, config.hbm_latency_cycles, violations)
-    return CheckReport(
-        ok=not violations,
-        violations=violations,
-        instructions_checked=len(schedule.instr_id),
-        transfers_checked=len(schedule.transfer_kind),
-        peak_resident_rvecs=peak,
-    )
+    return CheckReport(ok=not violations, violations=violations,
+                       instructions_checked=len(schedule.instr_id),
+                       transfers_checked=len(schedule.transfer_kind),
+                       peak_resident_rvecs=peak)
 
 
 def _check_structural_hazards(schedule: CycleSchedule,
@@ -150,113 +147,113 @@ def _transfer_of_event(movement: DataMovementSchedule, schedule: CycleSchedule,
 
 
 def _replay_events(graph: InstructionGraph, movement: DataMovementSchedule,
-                   schedule: CycleSchedule, violations: list[str]) -> int:
-    """Checks 1, 4 and 5: replay the phase-2 event list against the cycle
-    schedule's times; returns the peak number of resident residue vectors."""
-    num_values = len(graph.value_kind)
+                   schedule: CycleSchedule, hop: int, violations: list) -> int:
+    """Checks 1, 4 and 5 on the event columns against the cycle schedule's
+    times; returns the peak number of resident residue vectors."""
+    kind, target = movement.kind, movement.target
     # Per event, the window the schedule gives it: an exec's issue (start,
     # result), a load's or store's transfer; NaN where it gives none.
-    start = np.full(len(movement.kind), np.nan)
-    end = np.full(len(movement.kind), np.nan)
+    start, end = np.full((2, len(kind)), np.nan)
 
     def timed_by(row: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
         at = np.flatnonzero(row >= 0)
         start[at], end[at] = starts[row[at]], ends[row[at]]
 
-    is_exec = movement.kind == EXEC
+    is_exec = kind == EXEC
+    instr = np.where(is_exec, target, 0)
     issue_of = np.full(len(graph.kind), -1, np.int64)
     issue_of[schedule.instr_id] = np.arange(len(schedule.instr_id))
-    row = np.full(len(movement.kind), -1, np.int64)
-    row[is_exec] = issue_of[movement.target[is_exec]]
-    timed_by(row, schedule.start, schedule.end)
-    for kind in (LOAD, STORE):
-        timed_by(_transfer_of_event(movement, schedule, kind, violations),
+    timed_by(np.where(is_exec, issue_of[instr], -1), schedule.start,
+             schedule.end)
+    for moved in (LOAD, STORE):
+        timed_by(_transfer_of_event(movement, schedule, moved, violations),
                  schedule.transfer_start, schedule.transfer_end)
-    # ... and, for the exec events (row 0 stands in elsewhere and is not
-    # read), the instruction's operands and result.
-    instr = np.where(is_exec, movement.target, 0)
-    columns = (movement.kind, movement.target, start, end,
-               graph.in0[instr], graph.in1[instr], graph.out[instr])
-    produced = (graph.producer >= 0).tolist()
-    available: list = [None] * num_values   # latest load/produce completion
-    stored: list = [None] * num_values      # end of the latest store
-    users_left = np.diff(graph.user_ptr).tolist()
-    outputs, capacity = movement.outputs, movement.capacity_rvecs
-    resident: set[int] = set()
-    peak = issued = 0
+    timed = start == start
 
-    for kind, target, start, end, a, b, output in zip(
-            *(column.data for column in columns)):
-        if kind == EXEC:
-            if start == start:
-                issued += 1
-                available[output] = end
-            else:
-                violations.append(f"instr {target} is issued but never scheduled")
-                start = float("inf")   # no start to hold its operands to
-            for vid in (a, b):
-                if vid < 0:
-                    continue
-                if vid not in resident:
-                    violations.append(
-                        f"clobber: instr {target} reads non-resident {vid}"
-                    )
-                ready = available[vid]
-                if ready is None:
-                    violations.append(
-                        f"instr {target}: operand {vid} never made available"
-                    )
-                elif start + 1e-9 < ready:
-                    violations.append(
-                        f"instr {target} starts at {start} before operand "
-                        f"{vid} is ready at {ready}"
-                    )
-                users_left[vid] -= 1
-                if users_left[vid] <= 0 and vid not in outputs:
-                    resident.discard(vid)
-            resident.add(output)
-        elif kind == LOAD:
-            resident.add(target)
-            available[target] = None if start != start else end
-            if start != start:
-                violations.append(
-                    f"value {target}: a load event without a load transfer"
-                )
-            # A refill reads the copy a store wrote.
-            elif produced[target] and (stored[target] is None
-                                       or start + 1e-9 < stored[target]):
-                violations.append(
-                    f"refill of value {target} starts at {start} before its "
-                    f"store ends at {stored[target]}"
-                )
-        elif kind == STORE:
-            resident.discard(target)
-            ready = available[target]
-            if start != start:
-                violations.append(
-                    f"value {target}: a store event without a store transfer"
-                )
-            elif ready is None or start + 1e-9 < ready:
-                violations.append(
-                    f"store of value {target} starts at {start} before it "
-                    f"is available at {ready}"
-                )
-            if end == end:
-                stored[target] = end
-        elif kind == EVICT:
-            resident.discard(target)
-        if len(resident) > peak:
-            peak = len(resident)
-            if peak > capacity:
-                violations.append(
-                    f"scratchpad capacity exceeded: {peak} resident "
-                    f"> {capacity}"
-                )
-                break
-    else:
-        if issued != len(schedule.instr_id):
-            violations.append(
-                f"{len(schedule.instr_id)} instructions scheduled but "
-                f"{issued} of them issued by the event list"
-            )
+    # Event e is up to three steps, 3e to 3e + 2: an exec reads its operands,
+    # then every event adds or drops its own value (an exec's result, the
+    # value loaded, stored or evicted).  The steps, grouped by value and in
+    # step order within a group:
+    steps = np.stack((np.where(is_exec, graph.in0[instr], -1),
+                      np.where(is_exec, graph.in1[instr], -1),
+                      np.where(is_exec, graph.out[instr], target)), 1).ravel()
+    step = np.flatnonzero(steps >= 0).astype(np.int32)
+    step = step[np.argsort(steps[step], kind="stable")]
+    value, event, own = steps[step], (step // 3).astype(np.int32), step % 3 == 2
+    del steps, step, instr, issue_of
+    of_kind, read = kind[event], ~own
+    grouped = np.bincount(value, minlength=len(graph.value_kind))
+    first = (np.cumsum(grouped) - grouped).astype(np.int32)[value]
+
+    def latest(mask, of, missing, rows=slice(None)) -> np.ndarray:
+        """Per step in ``rows``, ``of`` (one entry per ``mask`` step) at the
+        latest ``mask`` step of its value before it, else ``missing``."""
+        count = np.cumsum(mask.view(np.int8), dtype=np.int32) - mask
+        found = count[rows] > count[first[rows]]
+        return np.append(of, missing)[np.where(found, count[rows] - 1, -1)]
+
+    # Check 4.  A read drops its operand once no reader is left (program
+    # outputs stay), so residency is a per-value sequence of adds and drops.
+    reads = np.cumsum(read.view(np.int8), dtype=np.int32)
+    kept = np.zeros(len(graph.value_kind), bool)
+    kept[list(movement.outputs)] = True
+    change = own | (read & ~kept[value] & (np.diff(graph.user_ptr)[value]
+                                           <= reads - (reads - read)[first]))
+    del reads, kept, grouped
+    adds = own & ((of_kind == EXEC) | (of_kind == LOAD))
+    was_in = latest(change, adds[change], False)
+    resident = np.cumsum(
+        np.bincount(event[change & adds & ~was_in], minlength=len(kind))
+        - np.bincount(event[change & ~adds & was_in], minlength=len(kind)))
+    over = np.flatnonzero(resident > movement.capacity_rvecs)
+    # The replay stops at the first event that overfills the scratchpad.
+    last = int(over[0]) if len(over) else len(kind) - 1
+    peak = int(resident[last] if len(over) else resident.max(initial=0))
+
+    # Check 1: an operand is available from its latest load or result before
+    # the read and delivered a hop later.  Check 5: a store reads that same
+    # copy; a refill reads what the latest store wrote.
+    del change, adds, resident
+    was_in = was_in[reads := np.flatnonzero(read & (event <= last)).astype(
+        np.int32)]
+    wrote = own & ((of_kind == LOAD) | (of_kind == EXEC) & timed[event])
+    own &= (event <= last) & timed[event]
+    stores = np.flatnonzero(own & (of_kind == STORE))
+    refills = np.flatnonzero(own & (of_kind == LOAD)
+                             & (graph.producer[value] >= 0))
+    available, store_ready = (latest(wrote, end[event[wrote]], np.nan, rows)
+                              for rows in (reads, stores))
+    wrote = own & (of_kind == STORE)
+    stored = latest(wrote, end[event[wrote]], np.nan, refills)
+    reader, operand = target[event[reads]], value[reads]
+    began, ready = start[event[reads]], np.round(available + hop)
+    untimed = ~timed & (np.arange(len(kind)) <= last)
+    for message, mask, columns in (
+            ("instr {} is issued but never scheduled", untimed & is_exec,
+             (target,)),
+            *((f"value {{}}: a {EVENT_KINDS[moved]} event without a "
+               f"{EVENT_KINDS[moved]} transfer", untimed & (kind == moved),
+               (target,)) for moved in (LOAD, STORE)),
+            ("clobber: instr {} reads non-resident {}", ~was_in,
+             (reader, operand)),
+            ("instr {}: operand {} never made available",
+             available != available, (reader, operand)),
+            ("instr {} starts at {} before operand {} is ready at {} "
+             f"(available at {{}} + {hop}-cycle hop)", began + 1e-9 < ready,
+             (reader, began, operand, ready, available)),
+            ("store of value {} starts at {} before it is available at {}",
+             ~(start[event[stores]] + 1e-9 >= store_ready),
+             (value[stores], start[event[stores]], store_ready)),
+            ("refill of value {} starts at {} before its store ends at {}",
+             ~(start[event[refills]] + 1e-9 >= stored),
+             (value[refills], start[event[refills]], stored))):
+        for row in zip(*(column[mask].tolist() for column in columns)):
+            violations.append(message.format(
+                *(None if x != x else x for x in row)))
+    if len(over):
+        violations.append(f"scratchpad capacity exceeded: {peak} resident "
+                          f"> {movement.capacity_rvecs}")
+    elif (issued := int(timed[is_exec].sum())) != len(schedule.instr_id):
+        violations.append(f"{len(schedule.instr_id)} instructions scheduled "
+                          f"but {issued} of them issued by the event list")
     return peak

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.csr_scheduler import csr_order
-from repro.compiler.cycle_scheduler import schedule_cycles
+from repro.compiler.cycle_scheduler import CycleSchedule, schedule_cycles
 from repro.compiler.data_scheduler import (
     EVICT, EXEC, LOAD, STORE, schedule_data_movement)
 from repro.compiler.hecompiler import compile_to_instructions
@@ -12,6 +12,7 @@ from repro.compiler.pipeline import compile_program
 from repro.core.config import F1Config
 from repro.dsl.program import Program
 from repro.sim.simulator import check_schedule
+from schedule_oracles import schedule_cycles_loop
 
 
 def _small_program(n=2048, level=4, rows=2):
@@ -167,3 +168,44 @@ class TestCsrScheduler:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
             compile_program(_small_program(), scheduler="magic")
+
+
+# ------------------------------------------------- phase 3 against the loop
+@pytest.fixture(scope="module")
+def suite_schedules():
+    """The seven suite programs under the F1 order and the CSR order."""
+    from repro.bench.workloads import benchmark_suite
+
+    suite = benchmark_suite(scale=0.05)
+    return {(name, order): compile_program(program, scheduler=order)
+            for name, program in suite.items() for order in ("f1", "csr")}
+
+
+ARCHITECTURES = {"default": F1Config(),
+                 "lt_ntt": F1Config().with_low_throughput_ntt(),
+                 "lt_aut": F1Config().with_low_throughput_aut(),
+                 # half the units, and loads of 42.67 cycles: off-integer ends
+                 "c8_p3": F1Config().scaled(clusters=8, phys=3)}
+
+
+@pytest.mark.parametrize("arch", [*ARCHITECTURES, "csr"])
+def test_cycle_schedule_equals_the_min_scan_loop(suite_schedules, arch):
+    """The low-water-mark unit pick and the once-rounded operand delivery
+    give the schedule, bit for bit, that a ``min()`` over the next-free list
+    and a rounding on every read gave: other unit counts (the low-throughput
+    variants have 7x the NTT or 8x the Aut units, ``c8_p3`` half of all),
+    loads that land between cycles, and the CSR order's tie patterns
+    included."""
+    for (name, order), compiled in suite_schedules.items():
+        if (order == "csr") != (arch == "csr"):
+            continue
+        config = ARCHITECTURES.get(arch, F1Config())
+        ours = compiled.retimed(config).schedule
+        loop = schedule_cycles_loop(compiled.translation.graph,
+                                    compiled.movement, config)
+        for column in CycleSchedule.COLUMNS:
+            got, want = getattr(ours, column), getattr(loop, column)
+            assert got.dtype == want.dtype and np.array_equal(got, want), \
+                (name, arch, column)
+        assert (ours.makespan, ours.fu_busy_cycles, ours.hbm_busy_cycles) == (
+            loop.makespan, loop.fu_busy_cycles, loop.hbm_busy_cycles), name

@@ -9,12 +9,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.bench.workloads import benchmark_suite
 from repro.compiler.hecompiler import compile_to_instructions
-from repro.compiler.data_scheduler import LOAD, STORE, schedule_data_movement
+from repro.compiler.data_scheduler import (
+    EVICT, EXEC, LOAD, STORE, schedule_data_movement)
 from repro.compiler.cycle_scheduler import schedule_cycles
+from repro.compiler.pipeline import compile_program
 from repro.core.config import F1Config
 from repro.dsl.program import Program
 from repro.sim.simulator import check_schedule
+from schedule_oracles import check_schedule_loop
 
 
 def _with_cells(artifact, **cells):
@@ -154,9 +158,6 @@ def test_raise_if_failed(pieces):
 def refilling():
     """A schedule that spills and refills intermediates (130 refill loads,
     172 stores) and re-loads evicted key-switch hints."""
-    from repro.bench.workloads import benchmark_suite
-    from repro.compiler.pipeline import compile_program
-
     compiled = compile_program(benchmark_suite(scale=0.05)["bgv_bootstrapping"])
     assert compiled.movement.traffic.intermediate_loads > 0
     assert compiled.movement.traffic.ksh_capacity > 0
@@ -308,3 +309,181 @@ def test_detects_store_transfer_without_its_event(refilling):
                             hacked)
     assert report.violations == [
         "value 7: 1 store transfer(s) without a store event"]
+
+
+# ------------------------------------------------------------- the operand hop
+def test_detects_start_inside_the_operand_hop():
+    """The scheduler holds an issue to ``round(available + transfer_cycles)``
+    for each operand; so does check 1.  Issue 16 of lola_mnist_uw reads
+    value 32, available at 700 and delivered at 828.
+
+    Regression: check 1 asked only for ``start >= available``, so moving the
+    issue into its 128-cycle hop passed."""
+    compiled = compile_program(benchmark_suite(scale=0.05)["lola_mnist_uw"])
+    graph, schedule = compiled.translation.graph, compiled.schedule
+    assert compiled.config.transfer_cycles(graph.n) == 128
+    assert int(schedule.start[16]) == 828
+    latency = int(schedule.end[16] - schedule.start[16])
+    for start in (700, 827):
+        hacked = _with_cells(schedule, start={16: start},
+                             end={16: start + latency})
+        report = check_schedule(graph, compiled.movement, hacked)
+        assert report.violations == [
+            f"instr 16 starts at {float(start)} before operand 32 is ready "
+            f"at 828.0 (available at 700.0 + 128-cycle hop)"]
+
+
+# ------------------------------------- one direct case per remaining violation
+def test_detects_an_issue_the_schedule_never_made(pieces):
+    """An exec event whose instruction has no issue row: it is reported, and
+    so is every read of its result."""
+    translation, movement, schedule, cfg = pieces
+    graph = translation.graph
+    dropped = int(graph.in0[np.flatnonzero(graph.producer[graph.in0] >= 0)[0]])
+    producer = int(graph.producer[dropped])
+    keep = schedule.instr_id != producer
+    hacked = _with_rows(schedule, keep=keep, instr_id=[], start=[], end=[],
+                        unit_index=[], fu=[])
+    report = check_schedule(graph, movement, hacked, cfg)
+    assert f"instr {producer} is issued but never scheduled" in report.violations
+    readers = graph.users[graph.user_ptr[dropped]:graph.user_ptr[dropped + 1]]
+    assert {f"instr {r}: operand {dropped} never made available"
+            for r in readers.tolist()} <= set(report.violations)
+
+
+def test_detects_a_scratchpad_overfill(pieces):
+    translation, movement, schedule, cfg = pieces
+    peak = check_schedule(translation.graph, movement, schedule,
+                          cfg).peak_resident_rvecs
+    hacked = dataclasses.replace(movement, capacity_rvecs=peak - 1)
+    report = check_schedule(translation.graph, hacked, schedule, cfg)
+    assert report.peak_resident_rvecs == peak
+    assert (f"scratchpad capacity exceeded: {peak} resident > {peak - 1}"
+            in report.violations)
+
+
+def test_detects_an_issue_the_event_list_never_made(pieces):
+    translation, movement, schedule, cfg = pieces
+    last_exec = int(np.flatnonzero(movement.kind == EXEC)[-1])
+    keep = np.arange(len(movement.kind)) != last_exec
+    hacked = _with_rows(movement, keep=keep, kind=[], target=[], frees=[])
+    report = check_schedule(translation.graph, hacked, schedule, cfg)
+    issues = len(schedule.instr_id)
+    assert (f"{issues} instructions scheduled but {issues - 1} of them "
+            f"issued by the event list" in report.violations)
+
+
+# ----------------------------------------------- the column checker vs the loop
+def _corrupted(case, compiled, rng):
+    """One seeded corruption of a compiled program's artifacts, or None."""
+    graph, movement, schedule = (compiled.translation.graph, compiled.movement,
+                                 compiled.schedule)
+    pick = lambda count: int(rng.integers(count))     # noqa: E731
+    if case == "shift_start":
+        row, by = pick(len(schedule.start)), int(rng.integers(-400, 400))
+        return graph, movement, _with_cells(
+            schedule, start={row: schedule.start[row] + by},
+            end={row: schedule.end[row] + by})
+    if case == "delay_transfer":
+        return graph, movement, _delay_transfer(
+            schedule, pick(len(schedule.transfer_kind)))
+    if case == "drop_transfer":
+        return graph, movement, _without_transfer(
+            schedule, pick(len(schedule.transfer_kind)))
+    if case == "add_transfer":
+        at = float(pick(int(schedule.transfer_end.max())))
+        return graph, movement, _with_rows(
+            schedule, transfer_kind=[int(rng.choice([LOAD, STORE]))],
+            transfer_value=[pick(len(graph.value_kind))],
+            transfer_start=[at], transfer_end=[at + 64.0])
+    if case == "drop_repeat":    # a spill, a refill or a re-loaded hint
+        again = np.flatnonzero(np.bincount(
+            schedule.transfer_value)[schedule.transfer_value] > 1)
+        return None if not len(again) else (graph, movement, _without_transfer(
+            schedule, again[pick(len(again))]))
+    if case == "drop_issue":
+        keep = np.arange(len(schedule.instr_id)) != pick(len(schedule.instr_id))
+        return graph, movement, _with_rows(
+            schedule, keep=keep, instr_id=[], start=[], end=[], unit_index=[],
+            fu=[])
+    if case == "overfill":
+        peak = check_schedule(graph, movement, schedule).peak_resident_rvecs
+        return graph, dataclasses.replace(
+            movement, capacity_rvecs=peak - 1 - pick(8)), schedule
+    rows = np.flatnonzero(movement.kind == {
+        "drop_load": LOAD, "drop_store": STORE, "drop_evict": EVICT,
+        "drop_exec": EXEC}[case])
+    if case in ("drop_store", "drop_evict"):
+        # Where there is one, a value that is loaded again later: it stays
+        # resident, and that load adds it a second time.
+        last_load = np.full(len(graph.value_kind), -1)
+        np.maximum.at(last_load, movement.target[movement.kind == LOAD],
+                      np.flatnonzero(movement.kind == LOAD))
+        back = rows[last_load[movement.target[rows]] > rows]
+        rows = back if len(back) else rows
+    if not len(rows):
+        return None
+    keep = np.arange(len(movement.kind)) != rows[pick(len(rows))]
+    return graph, _with_rows(movement, keep=keep, kind=[], target=[],
+                             frees=[]), schedule
+
+
+CORRUPTIONS = ("shift_start", "delay_transfer", "drop_transfer",
+               "drop_repeat", "add_transfer", "drop_issue", "overfill",
+               "drop_load", "drop_store", "drop_evict", "drop_exec")
+
+
+@pytest.fixture(scope="module")
+def suite_compiled():
+    suite = benchmark_suite(scale=0.05)
+    compiled = {name: compile_program(p) for name, p in suite.items()}
+    compiled["lola_mnist_ew/csr"] = compile_program(suite["lola_mnist_ew"],
+                                                    scheduler="csr")
+    return compiled
+
+
+def _same_verdict(graph, movement, schedule):
+    columns = check_schedule(graph, movement, schedule)
+    loop = check_schedule_loop(graph, movement, schedule)
+    assert (columns.ok, columns.peak_resident_rvecs) == (
+        loop.ok, loop.peak_resident_rvecs)
+    assert set(columns.violations) == set(loop.violations)
+    return columns
+
+
+def test_program_outputs_stay_resident_after_their_last_read():
+    """An output read by a later instruction is not dropped at that read:
+    it stays resident until it is written back, so every output counts
+    toward the peak at the end."""
+    p = Program(n=2048, name="outputs_read")
+    x, y, z = p.input(3), p.input(3), p.input(3)
+    both = p.add(x, y)
+    p.output(both)
+    p.output(p.add(both, z))
+    for _ in range(4):
+        p.output(p.add(p.input(3), p.input(3)))
+    compiled = compile_program(p)
+    report = _same_verdict(compiled.translation.graph, compiled.movement,
+                           compiled.schedule)
+    assert report.ok
+    assert report.peak_resident_rvecs == len(compiled.movement.outputs) == 36
+
+
+def test_column_checker_passes_what_the_loop_passes(suite_compiled):
+    for compiled in suite_compiled.values():
+        assert _same_verdict(compiled.translation.graph, compiled.movement,
+                             compiled.schedule).ok
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_column_checker_matches_the_loop_on_corruptions(suite_compiled, case):
+    """Seeded corruptions of the suite's schedules and event lists: the column
+    checker and the event-by-event replay agree on the verdict, on every
+    violation and on the peak."""
+    rng = np.random.default_rng(CORRUPTIONS.index(case))
+    rejected = 0
+    for compiled in suite_compiled.values():
+        artifacts = _corrupted(case, compiled, rng)
+        if artifacts is not None:
+            rejected += not _same_verdict(*artifacts).ok
+    assert rejected > 0
