@@ -66,7 +66,7 @@ class BgvContext(FheContext):
             params.n, self.rng
         )
         self.ks_variant = ks_variant
-        self._hints_v1: dict[tuple[str, RnsBasis], KeySwitchHint] = {}
+        self._hints_v1: dict[str, KeySwitchHint] = {}
         self._hints_v2: dict[tuple[str, RnsBasis], RaisedKeySwitchHint] = {}
         self._special_primes: dict[RnsBasis, RnsBasis] = {}
 
@@ -174,53 +174,42 @@ class BgvContext(FheContext):
         return float(ct.basis.modulus.bit_length() - 1 - max(max_noise, 1).bit_length())
 
     # ------------------------------------------------------ hint management
-    def _old_key_for_target(self, target: str, basis: RnsBasis) -> RnsPolynomial:
+    def _old_key_for_target(self, target: str) -> RnsPolynomial:
+        basis = self.params.basis
         if target == "relin":
             return self.secret.square_poly(basis)
         if target.startswith("galois_"):
             k = int(target.split("_", 1)[1])
-            coeffs = self.secret.automorphism_coeffs(k)
-            return small_poly(basis, coeffs, Domain.NTT)
+            return small_poly(basis, self.secret.automorphism_coeffs(k), Domain.NTT)
         raise ValueError(f"unknown key-switch target {target!r}")
 
     def _old_key_int_coeffs(self, target: str) -> list[int]:
-        if target == "relin":
-            # s^2 over the integers (negacyclic); compute exactly at top basis.
-            basis = self.params.basis
-            sq = self.secret.square_poly(basis).to_int_coeffs(centered=True)
-            return sq
+        if target == "relin":  # s^2 over the integers (negacyclic), exact at Q
+            return self._old_key_for_target(target).to_int_coeffs(centered=True)
         if target.startswith("galois_"):
             k = int(target.split("_", 1)[1])
             return [int(c) for c in self.secret.automorphism_coeffs(k)]
         raise ValueError(f"unknown key-switch target {target!r}")
 
     def hint_v1(self, target: str, basis: RnsBasis) -> KeySwitchHint:
-        key = (target, basis)
-        hint = self._hints_v1.get(key)
+        """``target``'s Listing-1 hint at ``basis``, a prefix of the chain:
+        generated once, at the top basis, and sliced for every lower level
+        (:meth:`~repro.fhe.keys.KeySwitchHint.prefix`)."""
+        hint = self._hints_v1.get(target)
         if hint is None:
-            old_key = self._old_key_for_target(target, basis)
-            hint = generate_ks_hint(
-                self.secret, target, old_key, self.t, self.params.error_width, self.rng
-            )
-            self._hints_v1[key] = hint
-        return hint
+            hint = self._hints_v1[target] = generate_ks_hint(
+                self.secret, target, self._old_key_for_target(target), self.t,
+                self.params.error_width, self.rng)
+        return hint.prefix(basis)
 
     def hint_v2(self, target: str, basis: RnsBasis) -> RaisedKeySwitchHint:
         key = (target, basis)
         hint = self._hints_v2.get(key)
         if hint is None:
-            special = self._special_basis_for(basis)
-            hint = generate_raised_ks_hint(
-                self.secret,
-                target,
-                self._old_key_int_coeffs(target),
-                basis,
-                special,
-                self.t,
-                self.params.error_width,
-                self.rng,
-            )
-            self._hints_v2[key] = hint
+            hint = self._hints_v2[key] = generate_raised_ks_hint(
+                self.secret, target, self._old_key_int_coeffs(target), basis,
+                self._special_basis_for(basis), self.t,
+                self.params.error_width, self.rng)
         return hint
 
     def _special_basis_for(self, basis: RnsBasis) -> RnsBasis:

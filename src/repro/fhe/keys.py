@@ -2,8 +2,7 @@
 
 A :class:`SecretKey` stores small integer coefficients and lazily caches its
 RNS/NTT form at every basis in the modulus chain (modulus switching shortens
-the basis, and hints are per-basis data — which is why key-switch hints
-dominate off-chip traffic in Fig. 9a).
+the basis; key-switch hints dominate off-chip traffic in Fig. 9a).
 
 Key-switch hints (Sec. 2.4, Listing 1) let a ciphertext component encrypted
 under a key ``s_old`` (e.g. ``s^2`` after a multiplication, or ``sigma_k(s)``
@@ -15,7 +14,9 @@ hint for limb i is the pair
 
 where ``D_i = (Q/q_i) * [(Q/q_i)^{-1}]_{q_i}`` is the CRT interpolation basis
 element — whose RNS representation is simply the indicator of limb i, so the
-``D_i * s_old`` term is ``s_old`` masked to limb i.
+``D_i * s_old`` term is ``s_old`` masked to limb i.  That indicator does not
+depend on the limbs above i, so a lower level's hint (a prefix basis) is the
+top hint's leading rows and limbs: one hint per target serves every level.
 
 Every modulus is below 2^32 and F1 holds a residue as a 32-bit word (Sec.
 5.3), so variant-1 hints are uint32 stacks, half the bytes of uint64.
@@ -97,7 +98,9 @@ class KeySwitchHint:
     ``basis``, laid out for the fused multiply-accumulate over the digit
     axis; written once at keygen, pickled once.  The hint totals ``2 * L``
     rows but its scheduling footprint is the ``2 * L^2`` RVecs the paper
-    counts: every row is consumed at all L limb moduli.
+    counts: every row is consumed at all L limb moduli.  A hint at a prefix
+    basis of ``l`` limbs is the ``[:l, :l]`` view of both stacks: row i < l
+    keeps ``a_i``, ``e_i`` and limb i's indicator on the limbs that remain.
     """
 
     target: str
@@ -105,9 +108,14 @@ class KeySwitchHint:
     stack0: np.ndarray
     stack1: np.ndarray
 
-    @property
-    def level(self) -> int:
-        return self.basis.level
+    def prefix(self, basis: RnsBasis) -> "KeySwitchHint":
+        """The hint at ``basis``, a prefix of this one's, as views."""
+        level = basis.level
+        if basis.moduli != self.basis.moduli[:level]:
+            raise ValueError(
+                f"{basis.moduli} is not a prefix of {self.basis.moduli}")
+        return KeySwitchHint(self.target, basis, self.stack0[:level, :level],
+                             self.stack1[:level, :level])
 
     @property
     def hint0(self) -> list[RnsPolynomial]:
@@ -152,7 +160,8 @@ def generate_ks_hint(
     rng: np.random.Generator,
 ) -> KeySwitchHint:
     """Generate a variant-1 hint re-encrypting ``old_key``-terms under
-    ``secret``, written row by row into its two uint32 stacks."""
+    ``secret``, written row by row into its two uint32 stacks.  Row i puts
+    ``old_key`` in limb i alone, so :meth:`KeySwitchHint.prefix` slices it."""
     basis = old_key.basis
     n = old_key.n
     s = secret.poly(basis)

@@ -8,10 +8,10 @@ root), the negacyclic NTT
 
 linearizes it: ``NTT(a*b) = NTT(a) ⊙ NTT(b)`` with no zero padding.
 
-Two execution paths share the same tables:
+Two classes, one transform:
 
-- :class:`NttContext`: one limb at a time, every butterfly stage vectorized
-  across the N coefficients.
+- :class:`NttContext`: one limb's tables; it transforms as the one-limb case
+  of the batched engine.
 - :class:`RnsNttContext`: the *batched residue-matrix engine*.  Polynomials in
   R_Q live as limb-major (L, N) uint64 matrices (one row per RNS limb — the
   paper's RVecs); the context stacks the per-limb twiddle tables and runs
@@ -22,7 +22,8 @@ Two execution paths share the same tables:
   runs as a loop of cache-sized blocks (:data:`BLOCK_ELEMS`) through a
   per-thread workspace, so concurrent callers (server worker threads,
   registry builds) never share one.  Results are bit-identical to the
-  per-limb path.
+  per-limb path.  Tables are built per prime *chain*, not per moduli tuple:
+  :func:`get_rns_context` runs every prefix of a chain on its tables.
   At small rings a call is one block whose cost is mostly fixed (~100
   numpy calls on strided views, see :data:`BLOCK_ELEMS`), so the schemes
   make one call per HE step, not one per term.
@@ -244,8 +245,6 @@ class _LazyPlan:
         # Broadcast constants for the 3-D (phase 1) and 4-D (phase 2) views.
         self._c3 = (self.q_col[:, :, None], self.two_q_col[:, :, None])
         self._c4 = tuple(c[:, :, None] for c in self._c3)
-        self._all = slice(0, level)
-        self._whole = (self._cut(self._all, False), self._cut(self._all, True))
 
     # ------------------------------------------------------------- butterflies
     def _ct_stage(self, lo, hi, w, ws, consts, first: bool, tmp) -> None:
@@ -302,21 +301,15 @@ class _LazyPlan:
              [(m, t, w[rows], ws[rows]) for m, t, w, ws in stages])
             for consts, stages in phases)
 
-    def _views(self, rows: slice | None, inverse: bool):
-        """:meth:`_cut`; the whole basis (``None``) is read from the plan."""
-        whole = rows is None or rows == self._all
-        return self._whole[inverse] if whole else self._cut(rows, inverse)
-
-    def forward(self, limbs: np.ndarray, out: np.ndarray,
-                rows: slice | None = None) -> np.ndarray:
+    def forward(self, limbs: np.ndarray, out: np.ndarray, cut) -> np.ndarray:
         """Merged-twist negacyclic NTT of one block into ``out``.
 
-        ``limbs`` holds limbs ``rows`` of the plan's basis (reduced, any
-        leading axes, uint32 or uint64, read before ``out`` is written);
+        ``limbs`` holds the limbs ``cut`` (:meth:`_cut`) was cut to (reduced,
+        any leading axes, uint32 or uint64, read before ``out`` is written);
         ``out`` is C-contiguous, uint32 or uint64, of the same shape, may be
         ``limbs``, and receives reduced natural-order values.
         """
-        q, two_q, _, _, (c3, p1), (c4, p2) = self._views(rows, False)
+        q, two_q, _, _, (c3, p1), (c4, p2) = cut
         kernels._validate_reduced(limbs, q, "ntt forward")
         lead = limbs.shape[:-1]
         a, b, tmp = _workspace(limbs)
@@ -340,11 +333,10 @@ class _LazyPlan:
             np.copyto(out, b)
         return out
 
-    def inverse(self, evals: np.ndarray, out: np.ndarray,
-                rows: slice | None = None) -> np.ndarray:
-        """Inverse of :meth:`forward` (same contract), ``n^{-1}`` fused into
-        the final pass."""
-        q, _, n_inv, n_inv_shoup, (c3, p1), (c4, p2) = self._views(rows, True)
+    def inverse(self, evals: np.ndarray, out: np.ndarray, cut) -> np.ndarray:
+        """Inverse of :meth:`forward` (same contract, an inverse ``cut``),
+        ``n^{-1}`` fused into the final pass."""
+        q, _, n_inv, n_inv_shoup, (c3, p1), (c4, p2) = cut
         kernels._validate_reduced(evals, q, "ntt inverse")
         lead = evals.shape[:-1]
         a, b, tmp = _workspace(evals)
@@ -373,7 +365,8 @@ class NttContext:
 
     ``lazy=None`` (default) auto-selects the division-free lazy path when
     ``q < 2^30``; ``lazy=False`` forces the strict path (bit-identical, used
-    as the oracle in tests).
+    as the oracle in tests).  Both run as the one-limb case of
+    :class:`RnsNttContext`, which stacks these per-limb tables.
     """
 
     def __init__(self, n: int, q: int, *, lazy: bool | None = None):
@@ -389,20 +382,11 @@ class NttContext:
         self.n_inv = pow(n, -1, q)
         qq = np.uint64(q)
         # psi^i and psi^-i for the negacyclic pre/post twist.
-        psi_powers = np.empty(n, dtype=np.uint64)
-        psi_inv_powers = np.empty(n, dtype=np.uint64)
-        psi_inv = pow(self.psi, -1, q)
-        acc_f, acc_i = 1, 1
-        for i in range(n):
-            psi_powers[i] = acc_f
-            psi_inv_powers[i] = acc_i
-            acc_f = acc_f * self.psi % q
-            acc_i = acc_i * psi_inv % q
-        self._psi_powers = psi_powers
-        self._psi_inv_powers = psi_inv_powers
+        self._psi_powers = _powers(self.psi, n, q)
+        self._psi_inv_powers = _powers(pow(self.psi, -1, q), n, q)
         # Fused inverse post-scale for the strict path: n^{-1} * psi^{-i} in
         # one table (one reduction instead of two).
-        self._psi_inv_scaled = (psi_inv_powers * np.uint64(self.n_inv)) % qq
+        self._psi_inv_scaled = (self._psi_inv_powers * np.uint64(self.n_inv)) % qq
         self._q_u64 = qq
         self._stage_twiddles = list(_stage_twiddle_tables(n, self.omega, q))
         self._stage_twiddles_inv = list(
@@ -410,41 +394,27 @@ class NttContext:
         )
         self._bitrev = _bit_reverse_indices(n)
         self.lazy = _resolve_lazy(lazy, (q,))
-        self._plan: _LazyPlan | None = None
-        if self.lazy:
-            brv = self._bitrev
-            self._plan = _LazyPlan(
-                n, (q,),
-                psi_powers[brv][None, :],
-                psi_inv_powers[brv][None, :],
-                np.array([[self.n_inv]], dtype=np.uint64),
-            )
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic NTT: coefficient domain -> evaluation (NTT) domain."""
-        coeffs = _as_residues(coeffs)
-        if coeffs.shape != (self.n,):
-            raise ValueError(f"expected shape ({self.n},), got {coeffs.shape}")
-        if self._plan is not None:
-            return self._plan.forward(coeffs[None, :],
-                                      np.empty((1, self.n), np.uint64))[0]
-        twisted = (coeffs * self._psi_powers) % self._q_u64
-        return _stage_loop_strict(
-            twisted[self._bitrev], self._stage_twiddles, self._q_u64
-        )
+        return self._batched().forward(self._one_limb(coeffs))[0]
 
     def inverse(self, evals: np.ndarray) -> np.ndarray:
         """Inverse negacyclic NTT: evaluation domain -> coefficient domain."""
-        evals = _as_residues(evals)
-        if evals.shape != (self.n,):
-            raise ValueError(f"expected shape ({self.n},), got {evals.shape}")
-        if self._plan is not None:
-            return self._plan.inverse(evals[None, :],
-                                      np.empty((1, self.n), np.uint64))[0]
-        a = _stage_loop_strict(
-            evals[self._bitrev], self._stage_twiddles_inv, self._q_u64
-        )
-        return (a * self._psi_inv_scaled) % self._q_u64
+        return self._batched().inverse(self._one_limb(evals))[0]
+
+    def _one_limb(self, x) -> np.ndarray:
+        x = _as_residues(x)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected shape ({self.n},), got {x.shape}")
+        return x[None]
+
+    def _batched(self) -> "RnsNttContext":
+        """The one-limb batched context: ``(q,)``'s, on q's chain, unless
+        ``lazy=False`` forced the strict path where the plan would run."""
+        if self.lazy == (self.q < MAX_LAZY_NTT_MODULUS):
+            return get_rns_context(self.n, (self.q,))
+        return RnsNttContext(self.n, (self.q,), lazy=False)
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Polynomial product in R_q via NTT ⊙ NTT."""
@@ -461,45 +431,52 @@ class RnsNttContext:
     single numpy op — ``forward``/``inverse`` accept ``(..., L, N)`` stacks.
     Outputs are bit-identical to running the per-limb contexts row by row,
     on both the lazy and strict reduction paths (see module docstring).
+
+    Row l of every table depends on ``q_l`` alone, so a context whose
+    moduli start ``chain``'s runs on ``chain``'s tables (:meth:`_adopt`).
     """
 
     def __init__(self, n: int, moduli: tuple[int, ...], *,
-                 lazy: bool | None = None):
+                 lazy: bool | None = None, chain: "RnsNttContext | None" = None):
         self.n = n
         self.moduli = tuple(moduli)
-        ctxs = [get_context(n, q) for q in self.moduli]
-        self._contexts = ctxs
-        self._q_col = np.array(self.moduli, dtype=np.uint64).reshape(-1, 1)
-        self._q_block = self._q_col[:, :, None]
-        self._n_inv = np.array(
-            [c.n_inv for c in ctxs], dtype=np.uint64
-        ).reshape(-1, 1)
-        self._bitrev = ctxs[0]._bitrev
         self.lazy = _resolve_lazy(lazy, self.moduli)
-        self._plan: _LazyPlan | None = None
+        self._all = slice(0, len(self.moduli))
+        if chain is not None and (chain.moduli[:self.level], chain.lazy) != (
+                self.moduli, self.lazy):
+            raise ValueError("chain= must start with these moduli, same path")
+        self._adopt(chain or self)
+
+    def _adopt(self, chain: "RnsNttContext") -> None:
+        """Run on ``chain``'s tables (``self``: build its own): the lazy plan
+        with its views cut to this basis here, once, or the strict stacks,
+        which each block indexes by its rows.  One attribute, so a transform
+        running meanwhile reads the old tables or the new, never a mix."""
+        self._chain = chain._chain if chain is not self else self
+        tables = self._build() if chain is self else self._chain._tables[0]
+        whole = (tables._cut(self._all, False), tables._cut(self._all, True)
+                 ) if isinstance(tables, _LazyPlan) else None
+        self._tables = (tables, whole)
+
+    def _build(self):
+        """A :class:`_LazyPlan`, or the stacked strict tables (built only
+        without a plan: they are O(L*N) residency)."""
+        ctxs = [get_context(self.n, q) for q in self.moduli]
+        brv = ctxs[0]._bitrev
         if self.lazy:
-            brv = self._bitrev
-            self._plan = _LazyPlan(
-                n, self.moduli,
+            return _LazyPlan(
+                self.n, self.moduli,
                 np.stack([c._psi_powers[brv] for c in ctxs]),
                 np.stack([c._psi_inv_powers[brv] for c in ctxs]),
-                self._n_inv,
-            )
-        else:
-            # The stacked strict-path tables are only reachable when the
-            # plan is absent; building them unconditionally would waste
-            # O(L*N) precompute and residency per cached context.
-            self._psi = np.stack([c._psi_powers for c in ctxs])
-            self._psi_inv_scaled = np.stack([c._psi_inv_scaled for c in ctxs])
-            stages = len(ctxs[0]._stage_twiddles)
-            self._stages_fwd = [
-                np.stack([c._stage_twiddles[s] for c in ctxs])[:, None, :]
-                for s in range(stages)
-            ]
-            self._stages_inv = [
-                np.stack([c._stage_twiddles_inv[s] for c in ctxs])[:, None, :]
-                for s in range(stages)
-            ]
+                np.array([[c.n_inv] for c in ctxs], dtype=np.uint64))
+
+        def stages(name):  # per stage, (L, 1, half) to broadcast over blocks
+            return [np.stack([getattr(c, name)[s] for c in ctxs])[:, None, :]
+                    for s in range(len(ctxs[0]._stage_twiddles))]
+        return (np.array(self.moduli, dtype=np.uint64).reshape(-1, 1), brv,
+                np.stack([c._psi_powers for c in ctxs]),
+                np.stack([c._psi_inv_scaled for c in ctxs]),
+                stages("_stage_twiddles"), stages("_stage_twiddles_inv"))
 
     @property
     def level(self) -> int:
@@ -574,18 +551,17 @@ class RnsNttContext:
     def _transform(self, src: np.ndarray, dst: np.ndarray, rows: slice,
                    inverse: bool) -> None:
         """One block (limbs ``rows`` of the basis) from ``src`` into ``dst``."""
-        if self._plan is not None:
-            (self._plan.inverse if inverse else self._plan.forward)(
-                src, dst, rows)
+        tables, whole = self._tables
+        if whole is not None:
+            cut = whole[inverse] if rows == self._all else tables._cut(rows, inverse)
+            (tables.inverse if inverse else tables.forward)(src, dst, cut)
             return
-        q_col = self._q_col[rows]
-        if inverse:
-            tables, a = self._stages_inv, src
-        else:
-            tables, a = self._stages_fwd, (src * self._psi[rows]) % q_col
-        a = _stage_loop_strict(a[..., self._bitrev],
-                               [tw[rows] for tw in tables], self._q_block[rows])
-        dst[...] = (a * self._psi_inv_scaled[rows]) % q_col if inverse else a
+        q_col, brv, psi, psi_inv_scaled, fwd, inv = tables
+        q_col = q_col[rows]
+        a = src if inverse else (src * psi[rows]) % q_col
+        stages = [tw[rows] for tw in (inv if inverse else fwd)]
+        a = _stage_loop_strict(a[..., brv], stages, q_col[:, :, None])
+        dst[...] = (a * psi_inv_scaled[rows]) % q_col if inverse else a
 
 
 def _stage_loop_strict(a: np.ndarray, tables, q_block) -> np.ndarray:
@@ -610,10 +586,36 @@ def get_context(n: int, q: int) -> NttContext:
     return NttContext(n, q)
 
 
-@lru_cache(maxsize=None)
+_rns_contexts: dict[tuple[int, tuple[int, ...]], RnsNttContext] = {}
+_rns_lock = threading.Lock()
+
+
 def get_rns_context(n: int, moduli: tuple[int, ...]) -> RnsNttContext:
-    """Shared, cached batched context for an RNS basis' moduli tuple."""
-    return RnsNttContext(n, moduli)
+    """Shared, cached batched context for a moduli tuple, on one plan per
+    prime chain, not per tuple: every basis the engine transforms at is a
+    prefix of one chain (a level drops top limbs; the variant-2 ``Q ∪ P``
+    takes the next primes).  A tuple runs on the tables of the longest
+    cached tuple it prefixes, and a new chain takes its cached prefixes
+    over.  The first request builds under a lock: concurrent callers get one.
+    """
+    ctx = _rns_contexts.get((n, moduli))
+    if ctx is None:
+        with _rns_lock:
+            ctx = _rns_contexts.get((n, moduli)) or _cache_on_chain(n, moduli)
+    return ctx
+
+
+def _cache_on_chain(n: int, moduli: tuple[int, ...]) -> RnsNttContext:
+    level, lazy = len(moduli), _resolve_lazy(None, moduli)
+    kin = [c for (m, _), c in _rns_contexts.items() if m == n and c.lazy == lazy]
+    chains = [c._chain for c in kin if c.moduli[:level] == moduli]
+    ctx = _rns_contexts[n, moduli] = RnsNttContext(
+        n, moduli, chain=max(chains, key=lambda c: c.level, default=None))
+    if not chains:  # a new chain: move the cached prefixes onto it
+        for c in kin:
+            if c.moduli == moduli[:c.level] and c._chain.level < level:
+                c._adopt(ctx)
+    return ctx
 
 
 @lru_cache(maxsize=None)
@@ -634,19 +636,18 @@ def _stage_twiddle_tables(n: int, omega: int, q: int) -> tuple[np.ndarray, ...]:
     Shared by :class:`NttContext` and :func:`cyclic_ntt_rows` (which used to
     rebuild these on every call).
     """
-    tables = []
-    length = 2
-    while length <= n:
-        half = length // 2
-        w = pow(omega, n // length, q)
-        tw = np.empty(half, dtype=np.uint64)
-        acc = 1
-        for i in range(half):
-            tw[i] = acc
-            acc = acc * w % q
-        tables.append(tw)
-        length *= 2
-    return tuple(tables)
+    return tuple(_powers(pow(omega, n >> s, q), 1 << (s - 1), q)
+                 for s in range(1, n.bit_length()))
+
+
+def _powers(w: int, count: int, q: int) -> np.ndarray:
+    """``w^0 .. w^(count-1) mod q`` as uint64."""
+    out = np.empty(count, dtype=np.uint64)
+    acc = 1
+    for i in range(count):
+        out[i] = acc
+        acc = acc * w % q
+    return out
 
 
 def cyclic_ntt_rows(matrix: np.ndarray, omega: int, q: int) -> np.ndarray:
