@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from repro.poly.ntt import get_context, get_rns_context
+from repro.poly.ntt import NttContext, get_rns_context
 from repro.rns.crt import RnsBasis
 from repro.rns.primes import ntt_friendly_primes
 
@@ -41,7 +41,7 @@ def _time(fn, reps=REPS):
 def test_batched_ntt_vs_per_limb(benchmark, once):
     basis, limbs = _setup()
     ctx = get_rns_context(N_BENCH, basis.moduli)
-    per_limb = [get_context(N_BENCH, q) for q in basis.moduli]
+    per_limb = [NttContext(N_BENCH, q) for q in basis.moduli]
 
     batched = once(benchmark, lambda: ctx.forward(limbs))
     reference = np.stack([c.forward(limbs[i]) for i, c in enumerate(per_limb)])

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.poly.ntt import get_context
+from repro.poly.ntt import NttContext
 
 
 class BatchEncoder:
@@ -30,7 +30,7 @@ class BatchEncoder:
             raise ValueError(f"t={t} must be ≡ 1 mod 2N for batching (N={n})")
         self.n = n
         self.t = t
-        self._ctx = get_context(n, t)
+        self._ctx = NttContext(n, t)
         # Slot ordering: exponent orbit of g=3.  Hypercolumn 0 holds the NTT
         # slots whose exponent is 3^i mod 2N; hypercolumn 1 holds -3^i.
         order = []

@@ -9,7 +9,9 @@ the RNS-CRT gadget (the same D_i basis the key switch uses):
 The *external product* RGSW(m) ⊡ RLWE(mu) decomposes the RLWE pair into RNS
 digits and takes inner products with the rows, yielding RLWE(m * mu) with
 noise growing only with ``|m|`` and the digit magnitudes — GSW's hallmark
-asymmetric growth.  F1 supports GSW with the same primitive mix (Sec. 2.5).
+asymmetric growth.  F1 supports GSW with the same primitive mix (Sec. 2.5),
+and so does this engine: the digits are Listing 1's digit stack and the
+inner products the key switch's fused multiply-accumulate.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import numpy as np
 
 from repro.fhe.bgv import BgvContext
 from repro.fhe.ciphertext import Ciphertext
+from repro.fhe.keyswitch import _digit_ntt_stack
 from repro.fhe.sampling import sample_error, small_poly, uniform_poly
-from repro.poly.ntt import get_context
+from repro.poly import kernels
 from repro.poly.polynomial import Domain, RnsPolynomial
 
 
@@ -72,45 +75,20 @@ class GswContext:
         basis = ct.basis
         if gsw.level != basis.level:
             raise ValueError("GSW ciphertext level does not match RLWE input")
-        n = ct.n
-        moduli = basis.moduli
-        a_digits = _rns_digits(ct.a)
-        b_digits = _rns_digits(ct.b)
-        out_a = RnsPolynomial.zeros(basis, n, Domain.NTT)
-        out_b = RnsPolynomial.zeros(basis, n, Domain.NTT)
-        for i in range(basis.level):
-            a0_i, b0_i = gsw.c0[i]
-            a1_i, b1_i = gsw.c1[i]
-            for j, q in enumerate(moduli):
-                qq = np.uint64(q)
-                bd = b_digits[i][j]
-                ad = a_digits[i][j]
-                # result += b_digit * C0[i] - a_digit * C1[i]
-                out_a.limbs[j] = (
-                    out_a.limbs[j] + bd * a0_i.limbs[j] % qq + (qq - ad * a1_i.limbs[j] % qq)
-                ) % qq
-                out_b.limbs[j] = (
-                    out_b.limbs[j] + bd * b0_i.limbs[j] % qq + (qq - ad * b1_i.limbs[j] % qq)
-                ) % qq
-        return ct.with_polys(out_a, out_b, noise_bits=ct.noise_bits + 12.0)
+        q_col = basis.moduli_column()
+
+        def inner(digits, rows):  # sum_i digits[i] * rows[i] mod q, per poly
+            return np.stack([kernels.mul_accumulate(
+                digits, np.stack([row[k].limbs for row in rows]), q_col,
+                basis.max_modulus) for k in (0, 1)])
+        # result = b_digits . C0 - a_digits . C1, both output polys at once
+        out_a, out_b = kernels.sub_mod(inner(_digit_ntt_stack(ct.b), gsw.c0),
+                                       inner(_digit_ntt_stack(ct.a), gsw.c1),
+                                       q_col)
+        return ct.with_polys(RnsPolynomial(basis, out_a, Domain.NTT),
+                             RnsPolynomial(basis, out_b, Domain.NTT),
+                             noise_bits=ct.noise_bits + 12.0)
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:
         return self.bgv.decrypt(ct)
 
-
-def _rns_digits(x: RnsPolynomial) -> list[list[np.ndarray]]:
-    """digits[i][j] = NTT_{q_j}(lift of x mod q_i), as in Listing 1."""
-    basis = x.basis
-    n = x.n
-    moduli = basis.moduli
-    y = [get_context(n, moduli[i]).inverse(x.limbs[i]) for i in range(basis.level)]
-    digits: list[list[np.ndarray]] = []
-    for i in range(basis.level):
-        row = []
-        for j, qj in enumerate(moduli):
-            if i == j:
-                row.append(x.limbs[i])
-            else:
-                row.append(get_context(n, qj).forward(y[i] % np.uint64(qj)))
-        digits.append(row)
-    return digits

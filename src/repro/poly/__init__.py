@@ -2,36 +2,29 @@
 
 Implements the math the F1 functional units compute (Sec. 5):
 
-- negacyclic NTT / inverse NTT (:mod:`repro.poly.ntt`), including the
-  *four-step* decomposition the hardware NTT unit uses (:mod:`repro.poly.fourstep`);
-- automorphisms :math:`\\sigma_k` with the column/row/transpose vectorized
-  decomposition of Sec. 5.1 (:mod:`repro.poly.automorphism`);
-- the quadrant-swap transpose (:mod:`repro.poly.transpose`);
+- negacyclic NTT / inverse NTT (:mod:`repro.poly.ntt`), batched over the
+  limbs of an RNS basis on one plan per prime chain, laid out as the
+  four-step ``G x C`` split the hardware NTT unit uses;
+- automorphisms :math:`\\sigma_k` as coefficient-domain signed permutations
+  and NTT-domain index permutations (:mod:`repro.poly.automorphism`);
 - the :class:`~repro.poly.polynomial.RnsPolynomial` value type used by the
   FHE schemes.
 """
 
 from repro.poly.ntt import NttContext, RnsNttContext, get_rns_context
-from repro.poly.fourstep import four_step_ntt, four_step_intt
 from repro.poly.automorphism import (
     automorphism_coeff,
     automorphism_ntt_permutation,
-    decompose_automorphism,
     valid_automorphism_exponents,
 )
-from repro.poly.transpose import quadrant_swap_transpose
 from repro.poly.polynomial import RnsPolynomial
 
 __all__ = [
     "NttContext",
     "RnsNttContext",
     "get_rns_context",
-    "four_step_ntt",
-    "four_step_intt",
     "automorphism_coeff",
     "automorphism_ntt_permutation",
-    "decompose_automorphism",
     "valid_automorphism_exponents",
-    "quadrant_swap_transpose",
     "RnsPolynomial",
 ]

@@ -8,16 +8,12 @@ For odd k, the ring automorphism sigma_k maps x -> x^k:
 There are N automorphisms (sigma_k and sigma_{-k} for each positive odd
 k < N; -k is represented as 2N - k).
 
-Three views are provided:
+Two views are provided:
 
 - ``automorphism_coeff``: the exact coefficient-domain permutation+sign;
 - ``automorphism_ntt_permutation``: in the (natural-order) NTT domain the
   automorphism is a pure index permutation j -> j' with
-  ``2j'+1 = k*(2j+1) mod 2N`` — this is what the hardware applies;
-- ``decompose_automorphism``: the Sec. 5.1 insight that, viewing the vector as
-  a G×E matrix, sigma_k factors into a column permutation, a transpose, a row
-  permutation, and a transpose back — all local to E-element chunks, which is
-  what makes the functional unit vectorizable.
+  ``2j'+1 = k*(2j+1) mod 2N`` — this is what the hardware applies.
 """
 
 from __future__ import annotations
@@ -99,82 +95,3 @@ def automorphism_ntt(evals: np.ndarray, k: int) -> np.ndarray:
     perm = automorphism_ntt_permutation(evals.shape[0], k)
     return evals[perm]
 
-
-def decompose_automorphism(n: int, e: int, k: int):
-    """Factor the NTT-domain sigma_k permutation per Sec. 5.1.
-
-    Interpreting the length-N slot vector as a G×E matrix (G = N/E rows
-    streamed one per cycle), the automorphism permutation factors as
-
-        sigma_k = transpose^-1 ∘ row_perm ∘ transpose ∘ col_perm
-
-    where ``col_perm`` permutes within each row (an E-element chunk) and
-    ``row_perm`` permutes within each length-G chunk of the transposed
-    matrix.  Returns ``(col_perm, row_perm)`` as index arrays of shape (G, E)
-    and (E, G), or raises ValueError if the permutation does not factor (it
-    always does for automorphisms; the check is a safety net).
-    """
-    k = _check_exponent(n, k)
-    if n % e:
-        raise ValueError(f"N={n} not divisible by E={e}")
-    g = n // e
-    perm = automorphism_ntt_permutation(n, k)  # out[j] = in[perm[j]]
-    # Source index of output slot (r, c) in matrix view: perm[r*e + c].
-    src = perm.reshape(g, e)
-    src_row = src // e
-    src_col = src % e
-    # After col_perm (within rows of the input) and transpose, output element
-    # (r, c) must be fetched from input (src_row, src_col).  The transpose
-    # aligns rows<->columns, so we need: for output row r, all sources lie in
-    # distinct input rows spread so that a per-chunk permutation suffices.
-    # Column permutation: position (i, j) of the input matrix moves within row
-    # i to column sigma(i, j); then transpose makes row j' = sigma(i, j).
-    # Solving: we need col_perm[i][c] = the input column of the element that
-    # must end up, post-transpose, where row/col perms can route it.
-    # The factorization holds because perm(j) = (k*j + (k-1)/2) mod-ish is an
-    # affine map: src index = (k*(2j+1)-1)/2 mod N, i.e. j -> k*j + (k-1)/2
-    # (mod N).  An affine map with odd multiplier factors over the G×E grid.
-    col_perm = np.empty((g, e), dtype=np.int64)
-    row_perm = np.empty((e, g), dtype=np.int64)
-    # Output (r, c) <- input (src_row[r,c], src_col[r,c]).
-    # Stage 1 (col perm on input rows): input (i, j) -> (i, f(i, j)).
-    # Stage 2 (transpose): (i, c') -> (c', i).
-    # Stage 3 (row perm on length-G chunks): (c', i) -> (c', h(c', i)).
-    # Stage 4 (transpose back): (c', r) -> (r, c').
-    # Net: output (r, c') = input (i, j) with c' = f(i, j) and r = h(c', i).
-    # For each output (r, c): need f(src_row, src_col) = c and
-    # h(c, src_row) = r.
-    for r in range(g):
-        for c in range(e):
-            i, j = src_row[r, c], src_col[r, c]
-            col_perm[i, j] = c
-            row_perm[c, i] = r
-    # Validate both stages are genuine permutations.
-    for i in range(g):
-        if len(set(col_perm[i])) != e:
-            raise ValueError("column permutation stage is not a permutation")
-    for c in range(e):
-        if len(set(row_perm[c])) != g:
-            raise ValueError("row permutation stage is not a permutation")
-    return col_perm, row_perm
-
-
-def apply_decomposed_automorphism(evals: np.ndarray, e: int, k: int) -> np.ndarray:
-    """Apply sigma_k using only chunk-local permutations and transposes.
-
-    This mirrors the hardware datapath of Fig. 6 and is tested to agree with
-    :func:`automorphism_ntt`.
-    """
-    evals = np.asarray(evals)
-    n = evals.shape[0]
-    g = n // e
-    col_perm, row_perm = decompose_automorphism(n, e, k)
-    matrix = evals.reshape(g, e)
-    stage1 = np.empty_like(matrix)
-    for i in range(g):
-        stage1[i, col_perm[i]] = matrix[i]
-    stage2 = stage1.T.copy()  # hardware: quadrant-swap transpose
-    stage3 = np.empty_like(stage2)
-    for c in range(e):
-        stage3[c, row_perm[c]] = stage2[c]
-    return stage3.T.reshape(-1).copy()

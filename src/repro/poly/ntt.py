@@ -8,10 +8,8 @@ root), the negacyclic NTT
 
 linearizes it: ``NTT(a*b) = NTT(a) ⊙ NTT(b)`` with no zero padding.
 
-Two classes, one transform:
+Two classes, one transform, one set of tables per prime chain:
 
-- :class:`NttContext`: one limb's tables; it transforms as the one-limb case
-  of the batched engine.
 - :class:`RnsNttContext`: the *batched residue-matrix engine*.  Polynomials in
   R_Q live as limb-major (L, N) uint64 matrices (one row per RNS limb — the
   paper's RVecs); the context stacks the per-limb twiddle tables and runs
@@ -22,11 +20,13 @@ Two classes, one transform:
   runs as a loop of cache-sized blocks (:data:`BLOCK_ELEMS`) through a
   per-thread workspace, so concurrent callers (server worker threads,
   registry builds) never share one.  Results are bit-identical to the
-  per-limb path.  Tables are built per prime *chain*, not per moduli tuple:
-  :func:`get_rns_context` runs every prefix of a chain on its tables.
-  At small rings a call is one block whose cost is mostly fixed (~100
-  numpy calls on strided views, see :data:`BLOCK_ELEMS`), so the schemes
-  make one call per HE step, not one per term.
+  one-limb transform of each row.  Tables are built per prime *chain*, not
+  per moduli tuple: :func:`get_rns_context` runs every prefix of a chain on
+  its tables.  At small rings a call is one block whose cost is mostly
+  fixed (~100 numpy calls on strided views, see :data:`BLOCK_ELEMS`), so the
+  schemes make one call per HE step, not one per term.
+- :class:`NttContext`: the one-limb facade, ``(N,)`` vectors in and out; it
+  holds no tables and runs on ``get_rns_context(n, (q,))``.
 
 Hot-path design (see :mod:`repro.poly.kernels` for the primitive proofs):
 
@@ -69,11 +69,11 @@ Hot-path design (see :mod:`repro.poly.kernels` for the primitive proofs):
 
 Invariant: every modulus must satisfy ``q < 2**32`` (products of residues
 then fit the strict path's uint64 intermediates).  Both context constructors
-and :func:`cyclic_ntt_rows` take a bare ``q``, so they check it against the
-engine's one bound, :data:`repro.rns.crt.MAX_MODULUS`, rather than silently
-wrapping.  Transform inputs must be reduced (``[0, q)`` per limb) — the
-engine-wide invariant, which the lazy path's narrowing cast relies on and
-``REPRO_KERNEL_DEBUG=1`` asserts at its entry.
+take bare moduli, so they check each against the engine's one bound,
+:data:`repro.rns.crt.MAX_MODULUS`, rather than silently wrapping.  Transform
+inputs must be reduced (``[0, q)`` per limb) — the engine-wide invariant,
+which the lazy path's narrowing cast relies on and ``REPRO_KERNEL_DEBUG=1``
+asserts at its entry.
 
 Outputs are in natural order, so NTT-domain automorphisms are plain index
 permutations (see :mod:`repro.poly.automorphism`).
@@ -361,38 +361,18 @@ class _LazyPlan:
 
 
 class NttContext:
-    """Precomputed tables for length-N negacyclic NTTs modulo prime q.
+    """Length-N negacyclic NTTs modulo one prime q: the one-limb case of
+    :class:`RnsNttContext`, on ``q``'s chain tables.  Holds no tables.
 
     ``lazy=None`` (default) auto-selects the division-free lazy path when
     ``q < 2^30``; ``lazy=False`` forces the strict path (bit-identical, used
-    as the oracle in tests).  Both run as the one-limb case of
-    :class:`RnsNttContext`, which stacks these per-limb tables.
+    as the oracle in tests).
     """
 
     def __init__(self, n: int, q: int, *, lazy: bool | None = None):
-        if n & (n - 1) or n < 2:
-            raise ValueError(f"N must be a power of two >= 2, got {n}")
-        if (q - 1) % (2 * n) != 0:
-            raise ValueError(f"q = {q} is not NTT-friendly for N = {n}")
-        check_modulus_width(q)
+        _check_ntt_modulus(n, q)
         self.n = n
         self.q = q
-        self.psi = primitive_root_of_unity(2 * n, q)
-        self.omega = self.psi * self.psi % q
-        self.n_inv = pow(n, -1, q)
-        qq = np.uint64(q)
-        # psi^i and psi^-i for the negacyclic pre/post twist.
-        self._psi_powers = _powers(self.psi, n, q)
-        self._psi_inv_powers = _powers(pow(self.psi, -1, q), n, q)
-        # Fused inverse post-scale for the strict path: n^{-1} * psi^{-i} in
-        # one table (one reduction instead of two).
-        self._psi_inv_scaled = (self._psi_inv_powers * np.uint64(self.n_inv)) % qq
-        self._q_u64 = qq
-        self._stage_twiddles = list(_stage_twiddle_tables(n, self.omega, q))
-        self._stage_twiddles_inv = list(
-            _stage_twiddle_tables(n, pow(self.omega, -1, q), q)
-        )
-        self._bitrev = _bit_reverse_indices(n)
         self.lazy = _resolve_lazy(lazy, (q,))
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
@@ -418,19 +398,17 @@ class NttContext:
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Polynomial product in R_q via NTT ⊙ NTT."""
-        fa = self.forward(a)
-        fb = self.forward(b)
-        return self.inverse((fa * fb) % self._q_u64)
+        return self.inverse(self.forward(a) * self.forward(b) % np.uint64(self.q))
 
 
 class RnsNttContext:
     """Batched negacyclic NTT over an RNS basis: (L, N) matrices in one shot.
 
-    Stacks the tables of L per-limb :class:`NttContext` instances so every
-    butterfly stage runs across all limbs (and any leading batch axes) in a
-    single numpy op — ``forward``/``inverse`` accept ``(..., L, N)`` stacks.
-    Outputs are bit-identical to running the per-limb contexts row by row,
-    on both the lazy and strict reduction paths (see module docstring).
+    Stacks one table row per limb so every butterfly stage runs across all
+    limbs (and any leading batch axes) in a single numpy op —
+    ``forward``/``inverse`` accept ``(..., L, N)`` stacks.  Outputs are
+    bit-identical to transforming each row on its own, on both the lazy and
+    strict reduction paths (see module docstring).
 
     Row l of every table depends on ``q_l`` alone, so a context whose
     moduli start ``chain``'s runs on ``chain``'s tables (:meth:`_adopt`).
@@ -459,24 +437,27 @@ class RnsNttContext:
         self._tables = (tables, whole)
 
     def _build(self):
-        """A :class:`_LazyPlan`, or the stacked strict tables (built only
-        without a plan: they are O(L*N) residency)."""
-        ctxs = [get_context(self.n, q) for q in self.moduli]
-        brv = ctxs[0]._bitrev
-        if self.lazy:
-            return _LazyPlan(
-                self.n, self.moduli,
-                np.stack([c._psi_powers[brv] for c in ctxs]),
-                np.stack([c._psi_inv_powers[brv] for c in ctxs]),
-                np.array([[c.n_inv] for c in ctxs], dtype=np.uint64))
+        """A :class:`_LazyPlan`, or the strict tables (built only without a
+        plan: they are O(L*N) residency), from each modulus' ``psi^i`` and
+        ``psi^-i`` rows and ``n^-1``."""
+        n, moduli = self.n, self.moduli
+        for q in moduli:
+            _check_ntt_modulus(n, q)
+        psis = [primitive_root_of_unity(2 * n, q) for q in moduli]
+        psi = _power_rows(psis, n, moduli)
+        psi_inv = _power_rows([pow(p, -1, q) for p, q in zip(psis, moduli)],
+                              n, moduli)
+        n_inv = np.array([[pow(n, -1, q)] for q in moduli], dtype=np.uint64)
+        brv = _bit_reverse_indices(n)
+        if self.lazy:  # np.take keeps C order, so the plan's views copy
+            return _LazyPlan(n, moduli, np.take(psi, brv, axis=1),
+                             np.take(psi_inv, brv, axis=1), n_inv)
+        q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
 
-        def stages(name):  # per stage, (L, 1, half) to broadcast over blocks
-            return [np.stack([getattr(c, name)[s] for c in ctxs])[:, None, :]
-                    for s in range(len(ctxs[0]._stage_twiddles))]
-        return (np.array(self.moduli, dtype=np.uint64).reshape(-1, 1), brv,
-                np.stack([c._psi_powers for c in ctxs]),
-                np.stack([c._psi_inv_scaled for c in ctxs]),
-                stages("_stage_twiddles"), stages("_stage_twiddles_inv"))
+        def stages(rows):  # omega^(k*N/2^s) = psi^(k*N/2^(s-1)), k < 2^(s-1)
+            return [rows[:, None, ::n >> (s - 1)] for s in range(1, n.bit_length())]
+        return (q_col, brv, psi, psi_inv * n_inv % q_col,
+                stages(psi), stages(psi_inv))
 
     @property
     def level(self) -> int:
@@ -580,12 +561,6 @@ def _stage_loop_strict(a: np.ndarray, tables, q_block) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
-def get_context(n: int, q: int) -> NttContext:
-    """Shared, cached NTT context (tables are expensive to rebuild)."""
-    return NttContext(n, q)
-
-
 _rns_contexts: dict[tuple[int, tuple[int, ...]], RnsNttContext] = {}
 _rns_lock = threading.Lock()
 
@@ -629,45 +604,29 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
-@lru_cache(maxsize=None)
-def _stage_twiddle_tables(n: int, omega: int, q: int) -> tuple[np.ndarray, ...]:
-    """Per-stage twiddle arrays for the iterative DIT cyclic NTT.
-
-    Shared by :class:`NttContext` and :func:`cyclic_ntt_rows` (which used to
-    rebuild these on every call).
-    """
-    return tuple(_powers(pow(omega, n >> s, q), 1 << (s - 1), q)
-                 for s in range(1, n.bit_length()))
-
-
-def _powers(w: int, count: int, q: int) -> np.ndarray:
-    """``w^0 .. w^(count-1) mod q`` as uint64."""
-    out = np.empty(count, dtype=np.uint64)
-    acc = 1
-    for i in range(count):
-        out[i] = acc
-        acc = acc * w % q
+def _power_rows(roots, n: int, moduli) -> np.ndarray:
+    """Row l: ``roots[l]^0 .. roots[l]^(n-1) mod moduli[l]`` as (L, n)
+    uint64, doubling the filled prefix per pass (products of residues
+    below ``2^32`` fit a uint64)."""
+    q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+    out = np.ones((len(moduli), n), dtype=np.uint64)
+    m = 1
+    while m < n:
+        step = np.array([[pow(r, m, q)] for r, q in zip(roots, moduli)],
+                        dtype=np.uint64)
+        np.remainder(out[:, :m] * step, q_col, out=out[:, m:2 * m])
+        m *= 2
     return out
 
 
-def cyclic_ntt_rows(matrix: np.ndarray, omega: int, q: int) -> np.ndarray:
-    """Cyclic NTT of each row of ``matrix`` with the given primitive root.
-
-    Used by the four-step decomposition, which needs sub-NTTs with *specific*
-    roots (powers of the full transform's root).  Iterative radix-2 DIT,
-    natural-order in and out, vectorized across rows; rows must be reduced
-    mod q.  Twiddle tables are cached per (N, omega, q).
-    """
+def _check_ntt_modulus(n: int, q: int) -> None:
+    """Raise ValueError unless N is a power of two >= 2 and ``q`` is below
+    ``2^32`` with ``2N | q - 1``."""
+    if n & (n - 1) or n < 2:
+        raise ValueError(f"N must be a power of two >= 2, got {n}")
+    if (q - 1) % (2 * n) != 0:
+        raise ValueError(f"q = {q} is not NTT-friendly for N = {n}")
     check_modulus_width(q)
-    matrix = np.asarray(matrix, dtype=np.uint64)
-    rows, n = matrix.shape
-    if n == 1:
-        return matrix.copy()
-    if pow(omega, n, q) != 1 or pow(omega, n // 2, q) != q - 1:
-        raise ValueError(f"omega is not a primitive {n}-th root mod {q}")
-    a = matrix[:, _bit_reverse_indices(n)]  # fancy indexing already copies
-    return _stage_loop_strict(a, _stage_twiddle_tables(n, omega, q),
-                              np.uint64(q))
 
 
 def naive_negacyclic_multiply(a, b, q: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Big-int oracles for the RNS conversion kernels, the per-digit Listing-1
-key switch, and the debug hook.
+key switch, the per-limb GSW external product, and the debug hook.
 
 The engine computes base extension, scale-down and CRT reconstruction with
 uint64 tables (:mod:`repro.rns.convert`), and the Listing-1 key switch as
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.fhe import bgv, keyswitch
 from repro.poly import kernels
-from repro.poly.ntt import get_rns_context
+from repro.poly.ntt import NttContext, get_rns_context
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns.crt import RnsBasis
 
@@ -126,6 +126,32 @@ def key_switch_v1_reference(x: RnsPolynomial, hint,
         u1 = (u1 + digit_ntt * h1.limbs % q_col) % q_col
     return u0, u1
 
+
+def external_product_reference(gsw, ct):
+    """The per-limb GSW external product: digit ``[i][j]`` is ``x[i]``'s
+    inverse NTT lifted to ``q_j`` and NTT'd on its own (``x[i]`` itself at
+    ``j == i``), and ``b_digits . C0 - a_digits . C1`` is reduce-accumulated
+    limb by limb.  Returns the ``(a, b)`` limbs."""
+    basis, n = ct.basis, ct.n
+
+    def digits(x):
+        y = [NttContext(n, q).inverse(x.limbs[i])
+             for i, q in enumerate(basis.moduli)]
+        return [[x.limbs[i] if i == j else
+                 NttContext(n, qj).forward(y[i] % np.uint64(qj))
+                 for j, qj in enumerate(basis.moduli)]
+                for i in range(basis.level)]
+
+    a_digits, b_digits = digits(ct.a), digits(ct.b)
+    out = np.zeros((2,) + ct.a.limbs.shape, dtype=np.uint64)
+    for i in range(basis.level):
+        for j, q in enumerate(basis.moduli):
+            qq = np.uint64(q)
+            bd, ad = b_digits[i][j], a_digits[i][j]
+            for k in (0, 1):  # result += b_digit * C0[i] - a_digit * C1[i]
+                out[k, j] = (out[k, j] + bd * gsw.c0[i][k].limbs[j] % qq
+                             + (qq - ad * gsw.c1[i][k].limbs[j] % qq)) % qq
+    return out[0], out[1]
 
 def _check_key_switch_v1(out, dec, hint, galois_perm=None) -> None:
     """The decomposition's input is its digit stack's diagonal (Listing 1's

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.poly.automorphism import (
-    apply_decomposed_automorphism,
     automorphism_coeff,
     automorphism_ntt,
     automorphism_ntt_permutation,
-    decompose_automorphism,
     valid_automorphism_exponents,
 )
-from repro.poly.ntt import get_context
+from repro.poly.ntt import NttContext
 from repro.rns.primes import ntt_friendly_primes
 
 N = 64
@@ -73,7 +71,7 @@ class TestNttDomain:
     @pytest.mark.parametrize("k", [3, 5, 7, 25, 127])
     def test_ntt_domain_is_pure_permutation(self, poly, k):
         """NTT(sigma_k(a)) == permute(NTT(a)) — the hardware's view."""
-        ctx = get_context(N, Q)
+        ctx = NttContext(N, Q)
         direct = ctx.forward(automorphism_coeff(poly, k, Q))
         permuted = automorphism_ntt(ctx.forward(poly), k)
         assert np.array_equal(direct, permuted)
@@ -84,40 +82,12 @@ class TestNttDomain:
             assert sorted(perm) == list(range(N))
 
 
-class TestHardwareDecomposition:
-    """Sec. 5.1: sigma_k factors into chunk-local column/row permutations
-    around transposes — the insight enabling the vector automorphism unit."""
-
-    @pytest.mark.parametrize("k", [3, 5, 31, 127])
-    @pytest.mark.parametrize("e", [4, 8, 16])
-    def test_decomposed_matches_direct(self, poly, k, e):
-        ctx = get_context(N, Q)
-        evals = ctx.forward(poly)
-        assert np.array_equal(
-            apply_decomposed_automorphism(evals, e, k), automorphism_ntt(evals, k)
-        )
-
-    def test_stage_permutations_are_chunk_local(self):
-        col_perm, row_perm = decompose_automorphism(N, 8, 5)
-        g, e = N // 8, 8
-        assert col_perm.shape == (g, e)
-        assert row_perm.shape == (e, g)
-        for row in col_perm:
-            assert sorted(row) == list(range(e))
-        for row in row_perm:
-            assert sorted(row) == list(range(g))
-
-    def test_rejects_bad_chunking(self):
-        with pytest.raises(ValueError):
-            decompose_automorphism(N, 7, 3)
-
-
 @given(st.sampled_from([k for k in range(1, 2 * N, 2)]))
 @settings(max_examples=40, deadline=None)
 def test_ntt_permutation_consistency_property(k):
     """Every automorphism is a slot permutation in the NTT domain."""
     rng = np.random.default_rng(k)
     poly = rng.integers(0, Q, N, dtype=np.uint64)
-    ctx = get_context(N, Q)
+    ctx = NttContext(N, Q)
     direct = ctx.forward(automorphism_coeff(poly, k, Q))
     assert np.array_equal(direct, automorphism_ntt(ctx.forward(poly), k))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.fhe.keyswitch import base_extend, scale_down
-from repro.poly.ntt import get_context, get_rns_context
+from repro.poly.ntt import NttContext, get_rns_context
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns.crt import RnsBasis
 from repro.rns.primes import ntt_friendly_primes
@@ -33,7 +33,7 @@ class TestBatchedNtt:
         )
         batched = ctx.forward(limbs)
         for i, q in enumerate(basis.moduli):
-            assert np.array_equal(batched[i], get_context(n, q).forward(limbs[i]))
+            assert np.array_equal(batched[i], NttContext(n, q).forward(limbs[i]))
 
     @pytest.mark.parametrize("n,level", SHAPES)
     def test_inverse_matches_per_limb(self, n, level, rng):
@@ -44,7 +44,7 @@ class TestBatchedNtt:
         )
         batched = ctx.inverse(limbs)
         for i, q in enumerate(basis.moduli):
-            assert np.array_equal(batched[i], get_context(n, q).inverse(limbs[i]))
+            assert np.array_equal(batched[i], NttContext(n, q).inverse(limbs[i]))
 
     @pytest.mark.parametrize("n,level", SHAPES)
     def test_roundtrip_identity(self, n, level, rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.poly.ntt import NttContext, cyclic_ntt_rows, get_context, naive_negacyclic_multiply
+from repro.poly.ntt import NttContext, _power_rows, naive_negacyclic_multiply
 from repro.rns.primes import ntt_friendly_primes, primitive_root_of_unity
 
 N = 128
@@ -13,7 +13,7 @@ Q = ntt_friendly_primes(N, 28, 1)[0]
 
 @pytest.fixture(scope="module")
 def ctx():
-    return get_context(N, Q)
+    return NttContext(N, Q)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("n", [2, 4, 16, 64, 512, 1024])
     def test_many_sizes(self, n, rng):
         q = ntt_friendly_primes(n, 26, 1)[0]
-        local = get_context(n, q)
+        local = NttContext(n, q)
         a = rng.integers(0, q, n, dtype=np.uint64)
         assert np.array_equal(local.inverse(local.forward(a)), a)
 
@@ -99,40 +99,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="2\\^32"):
             NttContext(N, q33)
 
-    def test_cyclic_ntt_rows_rejects_wide_modulus(self):
-        q33 = ntt_friendly_primes(16, 33, 1)[0]
-        omega = primitive_root_of_unity(16, q33)
-        with pytest.raises(ValueError, match="2\\^32"):
-            cyclic_ntt_rows(np.zeros((1, 16), dtype=np.uint64), omega, q33)
-
     def test_wrong_shape_rejected(self, ctx):
         with pytest.raises(ValueError):
             ctx.forward(np.zeros(N + 1, dtype=np.uint64))
 
-    def test_context_cache_identity(self):
-        assert get_context(N, Q) is get_context(N, Q)
 
-
-class TestCyclicNttRows:
-    def test_matches_dft_definition(self, rng):
-        n, rows = 16, 3
-        omega = primitive_root_of_unity(n, Q)
-        m = rng.integers(0, Q, (rows, n), dtype=np.uint64)
-        out = cyclic_ntt_rows(m, omega, Q)
-        for r in range(rows):
-            for k in range(n):
-                expected = sum(int(m[r, i]) * pow(omega, i * k, Q) for i in range(n)) % Q
-                assert out[r, k] == expected
-
-    def test_rejects_non_primitive_root(self):
-        with pytest.raises(ValueError):
-            cyclic_ntt_rows(np.zeros((1, 8), dtype=np.uint64), 1, Q)
-
+@pytest.mark.parametrize("bits", [28, 32])
+def test_power_rows_match_python_int_powers(bits):
+    """The plan's psi-power rows, built by doubling in uint64, against the
+    Python-int loop, up to the widest modulus the engine admits."""
+    moduli = ntt_friendly_primes(N, bits, 3)
+    roots = [primitive_root_of_unity(2 * N, q) for q in moduli]
+    want = [[pow(r, i, q) for i in range(N)] for r, q in zip(roots, moduli)]
+    assert _power_rows(roots, N, moduli).tolist() == want
 
 @given(st.lists(st.integers(min_value=0, max_value=Q - 1), min_size=N, max_size=N))
 @settings(max_examples=25, deadline=None)
 def test_roundtrip_property(coeffs):
-    ctx = get_context(N, Q)
+    ctx = NttContext(N, Q)
     a = np.array(coeffs, dtype=np.uint64)
     assert np.array_equal(ctx.inverse(ctx.forward(a)), a)
 
@@ -144,7 +128,7 @@ def test_roundtrip_property(coeffs):
 @settings(max_examples=25, deadline=None)
 def test_convolution_property_small(a, b):
     q16 = ntt_friendly_primes(16, 24, 1)[0]
-    ctx = get_context(16, q16)
+    ctx = NttContext(16, q16)
     av = np.array(a, dtype=np.uint64) % np.uint64(q16)
     bv = np.array(b, dtype=np.uint64) % np.uint64(q16)
     assert np.array_equal(

@@ -10,7 +10,9 @@ a longer chain onto that chain's tables.  Pinned here on a private cache:
   the prefix alone: whole bases, ``start=`` runs, blocked stacks, uint32
   ``out=``;
 - concurrent first requests build one context and one plan, and a
-  transform running while its context moves onto a longer chain is exact.
+  transform running while its context moves onto a longer chain is exact;
+- building a chain keeps its plan's arrays and little else: no per-prime
+  tables beside them.
 
 ``tests/test_block_driver.py`` pins that a prefix's views are cut when its
 context is made, not inside a transform (its workspace bound is traced).
@@ -18,8 +20,11 @@ context is made, not inside a transform (its workspace bound is traced).
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,3 +180,48 @@ def test_a_transform_running_while_its_context_moves_is_exact(short_switches):
         stop.set()
         _join(threads)
     assert _plan(ctx) is _plan(get_rns_context(N, CHAIN)) and not wrong
+
+
+_RESIDENCY_PROBE = """
+import tracemalloc
+import numpy as np
+from repro.poly.ntt import get_rns_context
+from repro.rns.primes import ntt_friendly_primes
+
+moduli = tuple(ntt_friendly_primes(1024, 28, 18))
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+plan = get_rns_context(1024, moduli)._tables[0]
+grown = tracemalloc.get_traced_memory()[0] - before
+owners, todo = {}, list(vars(plan).values())
+while todo:                       # every array the plan reaches, by owner
+    x = todo.pop()
+    if isinstance(x, np.ndarray):
+        while x.base is not None:
+            x = x.base
+        owners[id(x)] = x.nbytes
+    elif isinstance(x, (list, tuple)):
+        todo.extend(x)
+print(grown, sum(owners.values()))
+"""
+
+#: what a chain may keep beside its plan's arrays: the cached bit-reversal
+#: (8 KiB at N = 1024), the context, its cut views and the cache entry
+RESIDENCY_SLACK = 64 * 1024
+
+
+def test_a_new_chain_keeps_only_its_plan():
+    """18 fresh 28-bit primes at N = 1024 in a fresh interpreter: the memory
+    the build keeps (``tracemalloc``) is the plan's own arrays plus a small
+    slack.  Per-prime tables kept beside the plan (psi powers, inverse
+    powers, stage twiddles) would add ~0.7 MB."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c", _RESIDENCY_PROBE], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert probe.returncode == 0, probe.stderr
+    grown, plan_bytes = map(int, probe.stdout.split())
+    # per direction a uint32 twiddle and its uint64 partner for each of the
+    # 18 x 1024 slots, two int64 permutations: no view pins a wider array
+    assert 400_000 < plan_bytes <= 2 * 12 * 18 * 1024 + 2 * 8 * 1024 + 1024
+    assert grown <= plan_bytes + RESIDENCY_SLACK, (grown, plan_bytes)
