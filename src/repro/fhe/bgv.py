@@ -151,8 +151,6 @@ class BgvContext(FheContext):
         """Decrypt to integers mod t (undoing any modulus-switch scale)."""
         wide, t = self._phase(ct), self.t  # m + t*e, centered mod Q
         correction = pow(ct.plaintext_scale, -1, t) if t > 1 else 0
-        if t >= 1 << 31:  # (wide mod t) * correction must fit an int64
-            wide = wide.astype(object)
         return (wide % t * correction % t).astype(np.int64)
 
     # Unified FheContext surface (see repro.fhe.context): BGV's historical
@@ -217,8 +215,8 @@ class BgvContext(FheContext):
         if special is None:
             bits = max(q.bit_length() for q in basis.moduli)
             # P must be ~>= Q for the raised-modulus noise bound: one special
-            # prime per ciphertext limb at the same width (wider would push
-            # products past 64 bits when the base primes are 32-bit).
+            # prime per ciphertext limb at the same width (wider would cross
+            # the engine's 2^30 modulus bound when the base primes are 30-bit).
             candidates = ntt_friendly_primes(
                 self.params.n, bits, 2 * basis.level + 8
             )
@@ -285,11 +283,8 @@ class BgvContext(FheContext):
         q = basis.moduli_column()
         a0, b0, a1, b1 = ct0.a.limbs, ct0.b.limbs, ct1.a.limbs, ct1.b.limbs
         l2 = RnsPolynomial(basis, kernels.mul_mod(a0, a1, q), Domain.NTT)
-        l1 = RnsPolynomial(
-            basis,
-            kernels.fused_mul_add(a0, b1, a1, b0, q, basis.max_modulus),
-            Domain.NTT,
-        )
+        l1 = RnsPolynomial(basis, kernels.fused_mul_add(a0, b1, a1, b0, q),
+                           Domain.NTT)
         l0 = RnsPolynomial(basis, kernels.mul_mod(b0, b1, q), Domain.NTT)
         return l2, l1, l0
 

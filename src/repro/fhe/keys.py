@@ -18,7 +18,7 @@ element — whose RNS representation is simply the indicator of limb i, so the
 depend on the limbs above i, so a lower level's hint (a prefix basis) is the
 top hint's leading rows and limbs: one hint per target serves every level.
 
-Every modulus is below 2^32 and F1 holds a residue as a 32-bit word (Sec.
+Every modulus is below 2^30 and F1 holds a residue as a 32-bit word (Sec.
 5.3), so variant-1 hints are uint32 stacks, half the bytes of uint64.
 Ciphertexts and variant-2 hints stay uint64 (see :mod:`repro.fhe.keyswitch`).
 """

@@ -47,7 +47,7 @@ the raised NTT per rotation and scales all products down in one stack.
 
 Both variants return ``(u0, u1)`` such that ``u0 - u1 * s ≈ x * s_old
 (mod Q)`` up to ``t``-multiple noise.  Every modulus and ``t`` is below
-2^32 (checked once, when the :class:`~repro.rns.crt.RnsBasis` and
+2^30 (checked once, when the :class:`~repro.rns.crt.RnsBasis` and
 :class:`~repro.fhe.params.FheParams` are built), so :func:`base_extend` and
 :func:`scale_down` have one path each; their big-int oracles live in
 ``tests/kernel_oracles.py``, which ``REPRO_KERNEL_DEBUG=1`` checks in tests.
@@ -375,7 +375,7 @@ def _scale_down_correction(
     * P^{-1}]_t`` (which needs only ``v_c mod t``): ``delta = v_c + P *
     w_c``, so ``delta / P = v * P^{-1} + w - big - big_w * t (mod q)``.  The
     two centerings pick one of four constants per limb, and ``v*P^{-1} + w +
-    constant < q^2 + 2^33 < 2^64`` for ``q, t < 2^32``: one division.
+    constant < q^2 + 2^33 < 2^64`` for ``q, t < 2^30``: one division.
     """
     q_col, p_inv_col, centering, p_inv_t, p_mod_t, half = _scale_down_tables(
         q_moduli, special_moduli, t)

@@ -51,7 +51,7 @@ class FheParams:
             raise ValueError(f"N must be a power of two >= 2, got {self.n}")
         if not 1 <= self.plaintext_modulus < MAX_MODULUS:
             raise ValueError(
-                f"plaintext modulus must be in [1, 2^32), got "
+                f"plaintext modulus must be in [1, 2^30), got "
                 f"{self.plaintext_modulus}"
             )
         for q in self.basis.moduli:

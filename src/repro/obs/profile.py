@@ -40,10 +40,6 @@ _depth_lock = threading.Lock()
 _profiled_depth = 0
 
 
-def kernels_enabled() -> bool:
-    return ENABLED
-
-
 @contextmanager
 def profiled():
     """Enable kernel timers for the duration of the block (re-entrant)."""

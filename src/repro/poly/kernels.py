@@ -16,25 +16,19 @@ modular multipliers avoid generic division in hardware (Sec. 5.3):
 
 2. **Harvey/Shoup lazy multiplication** (:func:`shoup_mul`,
    :func:`shoup_mul32`): with a precomputed scaled twiddle
-   ``w' = floor(w * 2^s / q)`` the product ``x*w mod q`` is obtained
-   *division-free* as ``x*w - q*((x*w') >> s)``, landing in the *lazy* range
-   ``[0, 2q)`` (see the proofs in the two functions).  :func:`shoup_mul` is
-   the uint64 form with a per-modulus shift, used by the digit decomposer of
+   ``w' = floor(w * 2^32 / q)`` the product ``x*w mod q`` is obtained
+   *division-free* as ``x*w - q*((x*w') >> 32)``, landing in the *lazy*
+   range ``[0, 2q)`` (see the proofs in the two functions).
+   :func:`shoup_mul` is the uint64 form, used by the digit decomposer of
    :mod:`repro.rns.convert`; :func:`shoup_mul32` is the NTT butterflies'
-   form at the paper's 32-bit word size, ``s = 32`` fixed so the shift is a
-   view of the high word.
+   form at the paper's 32-bit word size, the shift a view of the high word.
 
-:data:`MAX_LAZY_MODULUS` (``q < 2^31``, the uint64 headroom of
-:func:`shoup_mul`) governs :mod:`repro.rns.convert` only.  The NTT plan's
-band is ``q < 2^30``, where its range ``[0, 4q)`` fits a uint32
-(:data:`repro.poly.ntt.MAX_LAZY_NTT_MODULUS`); wider moduli take the strict
-(division-based) transform.  The default parameter sets use 28-bit primes.
-Either way results are bit-identical, because every lazy intermediate is
-congruent mod q to its strict counterpart and the final reduction is exact.
-
-Every modulus is below 2^32, checked once where a basis is built
-(:data:`repro.rns.crt.MAX_MODULUS`); the kernels here guard only the
-headroom bounds that also depend on operand counts.
+Every modulus is below 2^30, checked once where a basis is built
+(:data:`repro.rns.crt.MAX_MODULUS`), so both Shoup forms and the NTT's
+``[0, 4q)`` range hold for every basis.  Results are bit-identical to the
+strict ``%`` formulas, because every lazy intermediate is congruent mod q
+to its strict counterpart and the final reduction is exact.  The kernels
+here guard only the headroom bounds that also depend on operand counts.
 
 Debug validation: set the environment variable ``REPRO_KERNEL_DEBUG=1`` (or
 flip :data:`DEBUG_VALIDATE`) to assert the reduced-input invariants that the
@@ -52,10 +46,9 @@ import numpy as np
 
 from repro.obs.profile import instrument
 
-#: Exclusive upper bound on moduli eligible for :func:`shoup_mul`.  Proof
-#: obligations (see there): with x < 2q and w < q, both x*w and x*w' stay
-#: below 2^63 < 2^64 only when q < 2^31.
-MAX_LAZY_MODULUS = 1 << 31
+#: The scaling shift of :func:`shoup_mul`: partners are
+#: ``floor(w * 2^SHOUP_SHIFT / q)``.
+SHOUP_SHIFT = 32
 
 #: When True, kernels assert their documented input invariants (values
 #: reduced below their moduli).  Enabled by REPRO_KERNEL_DEBUG=1; cheap enough
@@ -66,11 +59,6 @@ DEBUG_VALIDATE = os.environ.get("REPRO_KERNEL_DEBUG", "") not in ("", "0")
 def _validate_reduced(x: np.ndarray, q, what: str) -> None:
     if DEBUG_VALIDATE:
         assert np.all(x < q), f"{what}: operand not reduced below modulus"
-
-
-def lazy_supported(moduli) -> bool:
-    """True when every modulus qualifies for :func:`shoup_mul`."""
-    return max(int(q) for q in moduli) < MAX_LAZY_MODULUS
 
 
 # --------------------------------------------------------------- reduction
@@ -100,7 +88,7 @@ def add_mod(x: np.ndarray, y: np.ndarray, q) -> np.ndarray:
     """``(x + y) mod q`` for reduced inputs — division-free.
 
     ``x, y in [0, q)`` gives ``x + y in [0, 2q)``; with the engine-wide
-    ``q < 2^32`` the sum is below ``2^33``, far from uint64 wrap, and one
+    ``q < 2^30`` the sum is below ``2^31``, far from uint64 wrap, and one
     :func:`cond_sub` finishes the job.
     """
     _validate_reduced(x, q, "add_mod lhs")
@@ -128,7 +116,7 @@ def neg_mod(x: np.ndarray, q) -> np.ndarray:
 
 
 def mul_mod(x: np.ndarray, y: np.ndarray, q) -> np.ndarray:
-    """``(x * y) mod q`` for reduced inputs; products fit uint64 for q < 2^32.
+    """``(x * y) mod q`` for reduced inputs; products fit uint64 for q < 2^30.
 
     The one place a true division remains; Shoup multiplication needs a
     precomputed partner (see :func:`shoup_mul`) so generic value-times-value
@@ -140,19 +128,14 @@ def mul_mod(x: np.ndarray, y: np.ndarray, q) -> np.ndarray:
 
 
 def fused_mul_add(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-                  q, qmax: int) -> np.ndarray:
+                  q) -> np.ndarray:
     """``(a*b + c*d) mod q`` with a single reduction.
 
     Used by the tensor-product middle term ``l1 = a0*b1 + a1*b0`` of
     homomorphic multiplication.  Both products are below ``(q-1)^2``, so the
-    sum stays below ``2*(q-1)^2 < 2^64`` whenever ``q <= 2^31``; above that
-    we fall back to reducing each product first (still one fewer division
-    than reduce-add-reduce).  ``qmax`` is the widest modulus in ``q`` (the
-    basis caches it: :attr:`repro.rns.crt.RnsBasis.max_modulus`).
+    sum stays below ``2*(q-1)^2 < 2^61`` under the engine-wide ``q < 2^30``.
     """
-    if 2 * (qmax - 1) ** 2 < 1 << 64:
-        return (a * b + c * d) % q
-    return add_mod((a * b) % q, (c * d) % q, q)
+    return (a * b + c * d) % q
 
 
 @instrument("modmul_mac")
@@ -164,12 +147,13 @@ def mul_accumulate(stack_a: np.ndarray, stack_b: np.ndarray,
     stacks (the key switch's are uint32) with ``q_col`` the ``(L, 1)``
     modulus column and ``qmax`` its widest modulus
     (:attr:`repro.rns.crt.RnsBasis.max_modulus`).  Each product, formed in
-    uint64, is below ``(q-1)^2``; when ``K * (q-1)^2 < 2^64`` (e.g. 28-bit
-    primes up to K = 256 terms) the raw products are summed *unreduced* and
-    a single division per output limb finishes — 2K-2 fewer reductions than
-    the reduce-accumulate-reduce loop it replaces.  Otherwise each product is
-    reduced first and the sum of K reduced terms (< K * 2^32 < 2^64 for any
-    realistic K) still needs only one final division.  Returns uint64.
+    uint64, is below ``(q-1)^2``; when ``K * (q-1)^2 < 2^64`` (28-bit primes
+    up to K = 256 terms, 30-bit ones up to K = 16) the raw products are
+    summed *unreduced* and a single division per output limb finishes —
+    2K-2 fewer reductions than the reduce-accumulate-reduce loop it
+    replaces.  Otherwise each product is reduced first and the sum of K
+    reduced terms (< K * 2^30 < 2^64 for any realistic K) still needs only
+    one final division.  Returns uint64.
     """
     k = stack_a.shape[0]
     if k * (qmax - 1) ** 2 < 1 << 64:
@@ -180,49 +164,29 @@ def mul_accumulate(stack_a: np.ndarray, stack_b: np.ndarray,
 
 
 # --------------------------------------------------- Shoup lazy multiplication
-def shoup_shift(q: int) -> int:
-    """The per-modulus scaling shift ``s`` for Shoup multiplication.
-
-    Chosen as ``s = 63 - bitlen(2q)`` so that ``x * w' < 2q * 2^s <= 2^63``
-    for every lazy operand ``x < 2q`` — the largest shift that can never
-    overflow uint64.
-    """
-    return 63 - (2 * q).bit_length()
-
-
-def shoup_needs_extra_sub(q: int) -> bool:
-    """Whether :func:`shoup_mul` for this modulus lands in ``[0, 3q)``
-    instead of ``[0, 2q)`` (quotient estimate off by up to 2, see
-    :func:`shoup_mul`); true only for ``q in (2^30, 2^31)``."""
-    return 2 * q > 1 << shoup_shift(q)
-
-
 def shoup_mul(x: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
-              shift, q) -> np.ndarray:
+              q) -> np.ndarray:
     """Division-free ``x * w mod q`` into the lazy range ``[0, 2q)``.
 
-    Preconditions (with ``s = shoup_shift(q)`` and ``q < 2^31``):
+    Preconditions (with ``s =`` :data:`SHOUP_SHIFT` ``= 32`` and the
+    engine-wide ``q < 2^30``):
 
     - ``x < 2q`` (lazy operand), ``w < q`` (precomputed constant),
       ``w_shoup = floor(w * 2^s / q) < 2^s``;
-    - ``x * w < 2q * q < 2^63`` and ``x * w_shoup < 2q * 2^s <= 2^63``
-      (by the choice of ``s``), so both products fit uint64 exactly.
+    - ``x * w < 2q * q < 2^61`` and ``x * w_shoup < 2q * 2^s <= 2^63``,
+      so both products fit uint64 exactly.
 
     With ``est = (x * w_shoup) >> s``: writing ``w_shoup = (w*2^s - r)/q``
     for ``r in [0, q)``, we get ``x*w_shoup/2^s = x*w/q - x*r/(q*2^s)`` and
-    ``x*r/(q*2^s) < x/2^s <= 2q/2^s``.  When ``2q <= 2^s`` (every
-    ``q <= 2^30``) the error is below 1, so ``est`` is the true quotient or
-    one less and the remainder ``x*w - q*est`` lies in ``[0, 2q)``.  For
-    ``q in (2^30, 2^31)`` the error can reach 2 (``[0, 3q)`` result); those
-    moduli carry :func:`shoup_needs_extra_sub` and the callers append one
-    extra conditional subtract of ``2q``.  ``est <= x*w/q`` always, so the
-    final subtraction never underflows.
+    ``x*r/(q*2^s) < x/2^s < 2q/2^s < 1``, so ``est`` is the true quotient or
+    one less and the remainder ``x*w - q*est`` lies in ``[0, 2q)``.
+    ``est <= x*w/q`` always, so the final subtraction never underflows.
 
     All intermediates are congruent to ``x*w`` mod q, so downstream exact
     reduction yields bit-identical results to the strict ``%`` path.
     """
     est = x * w_shoup
-    np.right_shift(est, shift, out=est)
+    np.right_shift(est, np.uint64(SHOUP_SHIFT), out=est)
     np.multiply(est, q, out=est)
     return np.subtract(x * w, est, out=est)
 

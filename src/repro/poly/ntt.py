@@ -28,52 +28,48 @@ Two classes, one transform, one set of tables per prime chain:
 - :class:`NttContext`: the one-limb facade, ``(N,)`` vectors in and out; it
   holds no tables and runs on ``get_rns_context(n, (q,))``.
 
-Hot-path design (see :mod:`repro.poly.kernels` for the primitive proofs):
+Hot-path design (see :mod:`repro.poly.kernels` for the primitive proofs): a
+merged-twist Harvey-style lazy transform with **zero divisions**, run at the
+paper's word size: a residue vector is N x 32-bit words (Sec. 5.3), and so
+is the workspace.  The psi twist is folded into per-stage twiddles
+(``psi^brv(j)`` tables, Longa–Naehrig style), each Cooley–Tukey butterfly
+uses Shoup multiplication with precomputed scaled twiddles and keeps values
+in the extended range ``[0, 4q)`` with a single conditional subtract per
+butterfly, and one exact reduction happens at the end of the transform.  To
+keep every numpy pass striding over contiguous runs, the stage pipeline is
+split in two phases around a ``G x C`` matrix transpose (the four-step
+layout trick, Sec. 5.2): phase 1 runs the large-span stages in natural
+layout, phase 2 runs the small-span stages on the transposed matrix where
+the short spans become the leading axis, and a single fused gather produces
+natural-order output.  The inverse mirrors the pipeline with
+Gentleman–Sande butterflies and folds ``n^{-1}`` into a final Shoup
+multiply.  A uint64 input is narrowed by its copy into the workspace and a
+uint32 one is copied as is; the final gather writes a uint32 ``out=``
+directly and a uint64 one through one widening copy.
 
-- **Strict path** (any ``q < 2^32``; what moduli from ``2^30`` up take): the
-  textbook pre-twist + bit-reverse + DIT stage loop on uint64, three ``%``
-  reductions per butterfly.
-- **Lazy path** (all ``q < 2^30``, auto-selected): a merged-twist
-  Harvey-style transform with **zero divisions**, run at the paper's word
-  size: a residue vector is N x 32-bit words (Sec. 5.3), and so is the
-  workspace.  The psi twist is folded into per-stage twiddles
-  (``psi^brv(j)`` tables, Longa–Naehrig style), each Cooley–Tukey butterfly
-  uses Shoup multiplication with precomputed scaled twiddles and keeps
-  values in the extended range ``[0, 4q)`` with a single conditional
-  subtract per butterfly, and one exact reduction happens at the end of the
-  transform.  To keep every numpy pass striding over contiguous runs, the
-  stage pipeline is split in two phases around a ``G x C`` matrix transpose
-  (the four-step layout trick, Sec. 5.2): phase 1 runs the large-span stages
-  in natural layout, phase 2 runs the small-span stages on the transposed
-  matrix where the short spans become the leading axis, and a single fused
-  gather produces natural-order output.  The inverse mirrors the pipeline
-  with Gentleman–Sande butterflies and folds ``n^{-1}`` into a final Shoup
-  multiply.  A uint64 input is narrowed by its copy into the workspace and
-  a uint32 one is copied as is; the final gather writes a uint32 ``out=``
-  directly and a uint64 one through one widening copy.
+Lazy-range proof sketch (per butterfly; ``w < q`` a uint32 twiddle,
+``ws = floor(w * 2^32 / q) < 2^32`` its uint64 partner): inputs are
+``x < 4q < 2^32``, so the one wide product ``x * ws < 2^64`` cannot wrap.
+Its high word ``est`` is the true quotient ``floor(x*w / q)`` or one less,
+because the estimate's error ``x*r / (q * 2^32)`` (``r < q``) is below
+``x / 2^32 < 1``.  Hence ``t = x*w - q*est`` lies in ``[0, 2q)``, below
+``2^31``, and is exact on low words alone: two wrapping uint32 multiplies
+and a subtract (:func:`~repro.poly.kernels.shoup_mul32`).  Then
+``lo' = cond_sub(lo, 2q) in [0, 2q)`` (the ``min(x, x - c)`` trick holds in
+uint32 for ``x < 2c <= 2^32``), and ``new_lo = lo' + t in [0, 4q)``,
+``new_hi = lo' + (2q - t) in (0, 4q)`` re-establish the invariant below
+``2^32``.  Every intermediate is congruent mod q to the textbook ``%``
+butterfly's value and the final reduction is exact, so the output is the
+strict transform's bit for bit (the test oracle,
+``tests/kernel_oracles.py::ntt_reference``).  A CT stage is 9 passes over
+half a block, 8 of them uint32.
 
-  Lazy-range proof sketch (per butterfly; ``w < q`` a uint32 twiddle,
-  ``ws = floor(w * 2^32 / q) < 2^32`` its uint64 partner): inputs are
-  ``x < 4q < 2^32``, so the one wide product ``x * ws < 2^64`` cannot wrap.
-  Its high word ``est`` is the true quotient ``floor(x*w / q)`` or one less,
-  because the estimate's error ``x*r / (q * 2^32)`` (``r < q``) is below
-  ``x / 2^32 < 1``.  Hence ``t = x*w - q*est`` lies in ``[0, 2q)``, below
-  ``2^31``, and is exact on low words alone: two wrapping uint32 multiplies
-  and a subtract (:func:`~repro.poly.kernels.shoup_mul32`).  Then
-  ``lo' = cond_sub(lo, 2q) in [0, 2q)`` (the ``min(x, x - c)`` trick holds
-  in uint32 for ``x < 2c <= 2^32``), and ``new_lo = lo' + t in [0, 4q)``,
-  ``new_hi = lo' + (2q - t) in (0, 4q)`` re-establish the invariant below
-  ``2^32``.  Every intermediate is congruent mod q to the strict path's
-  value and the final reduction is exact, so the two paths are
-  bit-identical.  A CT stage is 9 passes over half a block, 8 of them uint32.
-
-Invariant: every modulus must satisfy ``q < 2**32`` (products of residues
-then fit the strict path's uint64 intermediates).  Both context constructors
-take bare moduli, so they check each against the engine's one bound,
-:data:`repro.rns.crt.MAX_MODULUS`, rather than silently wrapping.  Transform
-inputs must be reduced (``[0, q)`` per limb) — the engine-wide invariant,
-which the lazy path's narrowing cast relies on and ``REPRO_KERNEL_DEBUG=1``
-asserts at its entry.
+Invariant: every modulus must satisfy ``q < 2**30``, the engine's one bound
+(:data:`repro.rns.crt.MAX_MODULUS`), so that ``4q`` fits the uint32 word.
+Both context constructors take bare moduli, so they check each against it
+rather than silently wrapping.  Transform inputs must be reduced (``[0, q)``
+per limb) — the engine-wide invariant, which the narrowing cast relies on
+and ``REPRO_KERNEL_DEBUG=1`` asserts at its entry.
 
 Outputs are in natural order, so NTT-domain automorphisms are plain index
 permutations (see :mod:`repro.poly.automorphism`).
@@ -91,9 +87,6 @@ from repro.poly import kernels
 from repro.poly.kernels import cond_sub
 from repro.rns.crt import check_modulus_width
 from repro.rns.primes import primitive_root_of_unity
-
-#: Moduli below this take the lazy plan: its range ``[0, 4q)`` fits a uint32.
-MAX_LAZY_NTT_MODULUS = 1 << 30
 
 #: Below this transform size the two-phase transpose layout buys nothing.
 _SINGLE_PHASE_MAX_N = 32
@@ -142,20 +135,6 @@ def _as_residues(x) -> np.ndarray:
     if x.dtype.kind == "i" and x.size and int(x.min()) < 0:
         raise ValueError("residues must be non-negative (reduce mod q first)")
     return x if x.dtype == np.uint32 else x.astype(np.uint64, copy=False)
-
-
-def _resolve_lazy(lazy: bool | None, moduli) -> bool:
-    """Auto-select the lazy path; reject an explicit request it can't honor."""
-    supported = max(int(q) for q in moduli) < MAX_LAZY_NTT_MODULUS
-    if lazy is None:
-        return supported
-    if lazy and not supported:
-        raise ValueError(
-            "lazy reduction requires all moduli < "
-            f"2^{MAX_LAZY_NTT_MODULUS.bit_length() - 1}; "
-            f"got {max(int(q) for q in moduli)}"
-        )
-    return lazy
 
 
 class _LazyPlan:
@@ -362,39 +341,28 @@ class _LazyPlan:
 
 class NttContext:
     """Length-N negacyclic NTTs modulo one prime q: the one-limb case of
-    :class:`RnsNttContext`, on ``q``'s chain tables.  Holds no tables.
+    :class:`RnsNttContext`, on ``q``'s chain tables.  Holds no tables."""
 
-    ``lazy=None`` (default) auto-selects the division-free lazy path when
-    ``q < 2^30``; ``lazy=False`` forces the strict path (bit-identical, used
-    as the oracle in tests).
-    """
-
-    def __init__(self, n: int, q: int, *, lazy: bool | None = None):
+    def __init__(self, n: int, q: int):
         _check_ntt_modulus(n, q)
         self.n = n
         self.q = q
-        self.lazy = _resolve_lazy(lazy, (q,))
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic NTT: coefficient domain -> evaluation (NTT) domain."""
-        return self._batched().forward(self._one_limb(coeffs))[0]
+        return get_rns_context(self.n, (self.q,)).forward(
+            self._one_limb(coeffs))[0]
 
     def inverse(self, evals: np.ndarray) -> np.ndarray:
         """Inverse negacyclic NTT: evaluation domain -> coefficient domain."""
-        return self._batched().inverse(self._one_limb(evals))[0]
+        return get_rns_context(self.n, (self.q,)).inverse(
+            self._one_limb(evals))[0]
 
     def _one_limb(self, x) -> np.ndarray:
         x = _as_residues(x)
         if x.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {x.shape}")
         return x[None]
-
-    def _batched(self) -> "RnsNttContext":
-        """The one-limb batched context: ``(q,)``'s, on q's chain, unless
-        ``lazy=False`` forced the strict path where the plan would run."""
-        if self.lazy == (self.q < MAX_LAZY_NTT_MODULUS):
-            return get_rns_context(self.n, (self.q,))
-        return RnsNttContext(self.n, (self.q,), lazy=False)
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Polynomial product in R_q via NTT ⊙ NTT."""
@@ -407,39 +375,33 @@ class RnsNttContext:
     Stacks one table row per limb so every butterfly stage runs across all
     limbs (and any leading batch axes) in a single numpy op —
     ``forward``/``inverse`` accept ``(..., L, N)`` stacks.  Outputs are
-    bit-identical to transforming each row on its own, on both the lazy and
-    strict reduction paths (see module docstring).
+    bit-identical to transforming each row on its own.
 
     Row l of every table depends on ``q_l`` alone, so a context whose
     moduli start ``chain``'s runs on ``chain``'s tables (:meth:`_adopt`).
     """
 
     def __init__(self, n: int, moduli: tuple[int, ...], *,
-                 lazy: bool | None = None, chain: "RnsNttContext | None" = None):
+                 chain: "RnsNttContext | None" = None):
         self.n = n
         self.moduli = tuple(moduli)
-        self.lazy = _resolve_lazy(lazy, self.moduli)
         self._all = slice(0, len(self.moduli))
-        if chain is not None and (chain.moduli[:self.level], chain.lazy) != (
-                self.moduli, self.lazy):
-            raise ValueError("chain= must start with these moduli, same path")
+        if chain is not None and chain.moduli[:self.level] != self.moduli:
+            raise ValueError("chain= must start with these moduli")
         self._adopt(chain or self)
 
     def _adopt(self, chain: "RnsNttContext") -> None:
-        """Run on ``chain``'s tables (``self``: build its own): the lazy plan
-        with its views cut to this basis here, once, or the strict stacks,
-        which each block indexes by its rows.  One attribute, so a transform
-        running meanwhile reads the old tables or the new, never a mix."""
+        """Run on ``chain``'s plan (``self``: build its own), with its views
+        cut to this basis here, once.  One attribute, so a transform running
+        meanwhile reads the old tables or the new, never a mix."""
         self._chain = chain._chain if chain is not self else self
-        tables = self._build() if chain is self else self._chain._tables[0]
-        whole = (tables._cut(self._all, False), tables._cut(self._all, True)
-                 ) if isinstance(tables, _LazyPlan) else None
-        self._tables = (tables, whole)
+        plan = self._build() if chain is self else self._chain._tables[0]
+        self._tables = (plan, (plan._cut(self._all, False),
+                               plan._cut(self._all, True)))
 
-    def _build(self):
-        """A :class:`_LazyPlan`, or the strict tables (built only without a
-        plan: they are O(L*N) residency), from each modulus' ``psi^i`` and
-        ``psi^-i`` rows and ``n^-1``."""
+    def _build(self) -> _LazyPlan:
+        """The plan, from each modulus' ``psi^i`` and ``psi^-i`` rows and
+        ``n^-1`` (``np.take`` keeps C order, so the plan's views copy)."""
         n, moduli = self.n, self.moduli
         for q in moduli:
             _check_ntt_modulus(n, q)
@@ -449,15 +411,8 @@ class RnsNttContext:
                               n, moduli)
         n_inv = np.array([[pow(n, -1, q)] for q in moduli], dtype=np.uint64)
         brv = _bit_reverse_indices(n)
-        if self.lazy:  # np.take keeps C order, so the plan's views copy
-            return _LazyPlan(n, moduli, np.take(psi, brv, axis=1),
-                             np.take(psi_inv, brv, axis=1), n_inv)
-        q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
-
-        def stages(rows):  # omega^(k*N/2^s) = psi^(k*N/2^(s-1)), k < 2^(s-1)
-            return [rows[:, None, ::n >> (s - 1)] for s in range(1, n.bit_length())]
-        return (q_col, brv, psi, psi_inv * n_inv % q_col,
-                stages(psi), stages(psi_inv))
+        return _LazyPlan(n, moduli, np.take(psi, brv, axis=1),
+                         np.take(psi_inv, brv, axis=1), n_inv)
 
     @property
     def level(self) -> int:
@@ -532,33 +487,9 @@ class RnsNttContext:
     def _transform(self, src: np.ndarray, dst: np.ndarray, rows: slice,
                    inverse: bool) -> None:
         """One block (limbs ``rows`` of the basis) from ``src`` into ``dst``."""
-        tables, whole = self._tables
-        if whole is not None:
-            cut = whole[inverse] if rows == self._all else tables._cut(rows, inverse)
-            (tables.inverse if inverse else tables.forward)(src, dst, cut)
-            return
-        q_col, brv, psi, psi_inv_scaled, fwd, inv = tables
-        q_col = q_col[rows]
-        a = src if inverse else (src * psi[rows]) % q_col
-        stages = [tw[rows] for tw in (inv if inverse else fwd)]
-        a = _stage_loop_strict(a[..., brv], stages, q_col[:, :, None])
-        dst[...] = (a * psi_inv_scaled[rows]) % q_col if inverse else a
-
-
-def _stage_loop_strict(a: np.ndarray, tables, q_block) -> np.ndarray:
-    """Iterative DIT stage loop with full ``%`` reduction per butterfly."""
-    n = a.shape[-1]
-    length = 2
-    for tw in tables:
-        half = length // 2
-        blocks = a.reshape(a.shape[:-1] + (n // length, length))
-        lo = blocks[..., :half]
-        hi = blocks[..., half:]
-        t = (hi * tw) % q_block
-        blocks[..., half:] = (lo + q_block - t) % q_block
-        blocks[..., :half] = (lo + t) % q_block
-        length *= 2
-    return a
+        plan, whole = self._tables
+        cut = whole[inverse] if rows == self._all else plan._cut(rows, inverse)
+        (plan.inverse if inverse else plan.forward)(src, dst, cut)
 
 
 _rns_contexts: dict[tuple[int, tuple[int, ...]], RnsNttContext] = {}
@@ -581,8 +512,8 @@ def get_rns_context(n: int, moduli: tuple[int, ...]) -> RnsNttContext:
 
 
 def _cache_on_chain(n: int, moduli: tuple[int, ...]) -> RnsNttContext:
-    level, lazy = len(moduli), _resolve_lazy(None, moduli)
-    kin = [c for (m, _), c in _rns_contexts.items() if m == n and c.lazy == lazy]
+    level = len(moduli)
+    kin = [c for (m, _), c in _rns_contexts.items() if m == n]
     chains = [c._chain for c in kin if c.moduli[:level] == moduli]
     ctx = _rns_contexts[n, moduli] = RnsNttContext(
         n, moduli, chain=max(chains, key=lambda c: c.level, default=None))
@@ -621,7 +552,7 @@ def _power_rows(roots, n: int, moduli) -> np.ndarray:
 
 def _check_ntt_modulus(n: int, q: int) -> None:
     """Raise ValueError unless N is a power of two >= 2 and ``q`` is below
-    ``2^32`` with ``2N | q - 1``."""
+    ``2^30`` with ``2N | q - 1``."""
     if n & (n - 1) or n < 2:
         raise ValueError(f"N must be a power of two >= 2, got {n}")
     if (q - 1) % (2 * n) != 0:

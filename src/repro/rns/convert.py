@@ -6,8 +6,8 @@ process-globally per moduli tuple, exactly like the NTT twiddle caches in
 :mod:`repro.poly.ntt`:
 
 - :class:`DigitDecomposer` — CRT digits ``d_i = [x_i * (Q/q_i)^{-1}]_{q_i}``
-  for a whole limb stack via Shoup multiplication (division-free when every
-  modulus is lazy-eligible, strict ``%`` otherwise; bit-identical results).
+  for a whole limb stack via Shoup multiplication (division-free,
+  bit-identical to the ``%`` formula).
 - :class:`BaseConversion` — the approximate CRT lift ``[x + u*Q]_dst``
   (``0 <= u < L_src``) as one uint64 matrix product against the cached
   ``(Q/q_i) mod p_j`` matrix, summed *raw* under the
@@ -24,9 +24,9 @@ process-globally per moduli tuple, exactly like the NTT twiddle caches in
   targets and an exact ``v > P/2`` test without ever materializing big
   ints.
 
-Every modulus is below 2^32: :class:`~repro.rns.crt.RnsBasis` rejects
+Every modulus is below 2^30: :class:`~repro.rns.crt.RnsBasis` rejects
 wider ones when it is built, and the FHE parameters reject a plaintext
-modulus ``t >= 2^32``, so no table here re-checks that bound.  The
+modulus ``t >= 2^30``, so no table here re-checks that bound.  The
 headroom bounds that depend on the basis length are each table's own.
 
 Everything here is *exact* integer arithmetic: each fast path computes the
@@ -59,14 +59,12 @@ def crt_weights(moduli: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 class DigitDecomposer:
     """CRT digits of a whole ``(..., L, N)`` limb stack, division-free.
 
-    ``digits()`` returns ``d_i = [x_i * (Q/q_i)^{-1}]_{q_i}``, fully reduced.
-    When every modulus is lazy-eligible (q < 2^31) the per-limb ``%`` is
-    replaced by a Shoup multiply plus conditional subtracts — exact, hence
-    bit-identical to the strict formula.
+    ``digits()`` returns ``d_i = [x_i * (Q/q_i)^{-1}]_{q_i}``, fully reduced:
+    the per-limb ``%`` is replaced by a Shoup multiply plus one conditional
+    subtract — exact, hence bit-identical to the strict formula.
     """
 
-    __slots__ = ("moduli", "q_col", "two_q_col", "inv_col", "inv_shoup",
-                 "shift_col", "lazy", "extra")
+    __slots__ = ("moduli", "q_col", "inv_col", "inv_shoup")
 
     def __init__(self, moduli: tuple[int, ...]):
         self.moduli = moduli
@@ -75,30 +73,14 @@ class DigitDecomposer:
         self.inv_col = np.array(
             [w[1] for w in weights], dtype=np.uint64
         ).reshape(-1, 1)
-        self.lazy = kernels.lazy_supported(moduli)
-        if self.lazy:
-            self.two_q_col = self.q_col * np.uint64(2)
-            self.shift_col = np.array(
-                [kernels.shoup_shift(q) for q in moduli], dtype=np.uint64
-            ).reshape(-1, 1)
-            self.inv_shoup = np.array(
-                [(w[1] << kernels.shoup_shift(q)) // q
-                 for q, w in zip(moduli, weights)],
-                dtype=np.uint64,
-            ).reshape(-1, 1)
-            self.extra = any(kernels.shoup_needs_extra_sub(q) for q in moduli)
-        else:
-            self.two_q_col = self.shift_col = self.inv_shoup = None
-            self.extra = False
+        self.inv_shoup = np.array(
+            [(w[1] << kernels.SHOUP_SHIFT) // q
+             for q, w in zip(moduli, weights)],
+            dtype=np.uint64,
+        ).reshape(-1, 1)
 
     def digits(self, limbs: np.ndarray) -> np.ndarray:
-        if not self.lazy:
-            return (limbs * self.inv_col) % self.q_col
-        d = kernels.shoup_mul(
-            limbs, self.inv_col, self.inv_shoup, self.shift_col, self.q_col
-        )
-        if self.extra:  # wide (2^30, 2^31) moduli land in [0, 3q)
-            d = kernels.cond_sub(d, self.two_q_col)
+        d = kernels.shoup_mul(limbs, self.inv_col, self.inv_shoup, self.q_col)
         return kernels.cond_sub(d, self.q_col)
 
 
@@ -249,7 +231,8 @@ class MixedRadix:
     digit first), exactly.
 
     All products are proven < 2^64 for source and target moduli below 2^32,
-    the engine-wide bound that every basis and plaintext modulus meets.
+    which the engine-wide ``2^30`` bound on every basis and plaintext
+    modulus implies.
     """
 
     __slots__ = ("moduli", "k", "modulus", "prefixes", "q_u", "step_mods",

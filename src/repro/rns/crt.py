@@ -5,11 +5,12 @@ An :class:`RnsBasis` captures an ordered tuple of distinct primes
 switching drops the last prime, so bases form a chain; :meth:`RnsBasis.drop`
 returns the next basis in the chain.
 
-Modulus bound: every modulus is below :data:`MAX_MODULUS` ``= 2^32``, F1's
-32-bit residue word (Sec. 5.3), so a product of two residues fits a uint64.
-The bound is checked here, once, when a basis is built (and by the NTT
-constructors, which take a bare ``q``); no kernel below re-checks it or
-keeps a wide-modulus fallback.
+Modulus bound: every modulus is below :data:`MAX_MODULUS` ``= 2^30``, so the
+NTT's lazy range ``[0, 4q)`` fits F1's 32-bit residue word (Sec. 5.3) and a
+product of two residues fits a uint64 with room to spare.  The bound is
+checked here, once, when a basis is built (and by the NTT constructors,
+which take a bare ``q``); no kernel below re-checks it or keeps a
+wide-modulus fallback.
 
 Batched layout: RNS values are limb-major ``(L, N)`` uint64 matrices (row i
 holds the residues mod ``q_i``), matching the batched NTT engine in
@@ -34,17 +35,17 @@ import numpy as np
 
 from repro.obs.profile import instrument
 
-#: The engine's one modulus bound: every residue fits F1's 32-bit word, so
-#: a product of two fits a uint64.
-MAX_MODULUS = 1 << 32
+#: The engine's one modulus bound: the lazy NTT range ``[0, 4q)`` fits F1's
+#: 32-bit word, so a product of two residues fits a uint64.
+MAX_MODULUS = 1 << 30
 
 
 def check_modulus_width(q: int) -> None:
-    """Raise ValueError unless ``q < 2^32`` (:data:`MAX_MODULUS`)."""
+    """Raise ValueError unless ``q < 2^30`` (:data:`MAX_MODULUS`)."""
     if q >= MAX_MODULUS:
         raise ValueError(
-            f"q = {q} needs {q.bit_length()} bits; moduli must be < 2^32 so "
-            "products of residues fit a uint64"
+            f"q = {q} needs {q.bit_length()} bits; moduli must be < 2^30 so "
+            "the lazy NTT range [0, 4q) fits a 32-bit word"
         )
 
 

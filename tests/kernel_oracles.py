@@ -1,10 +1,12 @@
 """Big-int oracles for the RNS conversion kernels, the per-digit Listing-1
-key switch, the per-limb GSW external product, and the debug hook.
+key switch, the per-limb GSW external product, the strict ``%`` NTT, and
+the debug hook.
 
 The engine computes base extension, scale-down and CRT reconstruction with
 uint64 tables (:mod:`repro.rns.convert`), and the Listing-1 key switch as
 one fused multiply-accumulate over uint32 digit and hint stacks; each fast
-path must equal the formulation here bit for bit.
+path must equal the formulation here bit for bit.  :func:`ntt_reference`
+is the textbook transform the lazy NTT plan must match.
 ``tests/test_base_convert.py`` fuzzes the conversions, and :func:`install`
 (called from ``tests/conftest.py``) makes every ``base_extend`` /
 ``scale_down_stack`` call, every Listing-1 key switch, every rescale and
@@ -23,6 +25,7 @@ from repro.poly import kernels
 from repro.poly.ntt import NttContext, get_rns_context
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns.crt import RnsBasis
+from repro.rns.primes import primitive_root_of_unity
 
 
 def from_rns_exact(basis: RnsBasis, limbs: np.ndarray, *,
@@ -152,6 +155,55 @@ def external_product_reference(gsw, ct):
                 out[k, j] = (out[k, j] + bd * gsw.c0[i][k].limbs[j] % qq
                              + (qq - ad * gsw.c1[i][k].limbs[j] % qq)) % qq
     return out[0], out[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _ntt_reference_tables(n: int, q: int):
+    """``psi^i`` and ``psi^-i`` (i < n) as uint64 rows, from Python ints,
+    and ``n^-1 mod q``."""
+    psi = primitive_root_of_unity(2 * n, q)
+
+    def powers(root):
+        out = [1] * n
+        for i in range(1, n):
+            out[i] = out[i - 1] * root % q
+        return np.array(out, dtype=np.uint64)
+
+    return powers(psi), powers(pow(psi, -1, q)), pow(n, -1, q)
+
+
+def ntt_reference(x, moduli, inverse: bool = False) -> np.ndarray:
+    """The strict negacyclic NTT of every limb of ``x`` (``(..., L, N)``,
+    limb l mod ``moduli[l]``): pre-twist by ``psi^i``, bit-reverse, and a
+    radix-2 DIT stage loop with a ``%`` per product and per sum; the inverse
+    runs the loop on ``psi^-1`` and scales by ``psi^-i * n^-1``.  Products
+    of residues fit a uint64 for any ``q < 2^32``."""
+    x = np.asarray(x, dtype=np.uint64)
+    n = x.shape[-1]
+    bits = n.bit_length() - 1
+    brv = np.array([int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
+                    for i in range(n)])
+    out = np.empty_like(x)
+    for limb, q in enumerate(moduli):
+        psi, psi_inv, n_inv = _ntt_reference_tables(n, int(q))
+        qq = np.uint64(q)
+        a = x[..., limb, :]
+        a = (a if inverse else a * psi % qq)[..., brv]
+        roots = psi_inv if inverse else psi
+        length = 2
+        while length <= n:  # omega_length^k = psi^(k * 2n / length)
+            half = length // 2
+            tw = roots[::n // half]
+            blocks = a.reshape(a.shape[:-1] + (n // length, length))
+            lo, hi = blocks[..., :half], blocks[..., half:]
+            t = hi * tw % qq
+            blocks[..., half:] = (lo + qq - t) % qq
+            blocks[..., :half] = (lo + t) % qq
+            length *= 2
+        out[..., limb, :] = a * (psi_inv * np.uint64(n_inv) % qq) % qq \
+            if inverse else a
+    return out
+
 
 def _check_key_switch_v1(out, dec, hint, galois_perm=None) -> None:
     """The decomposition's input is its digit stack's diagonal (Listing 1's

@@ -3,10 +3,13 @@
 Kernel contract: every fast path in :mod:`repro.rns.convert` and its
 consumers (``base_extend``, ``scale_down``, ``from_rns``, the ``to_rns``
 tile fast path) computes the *same integers* as the big-int formulation in
-``kernel_oracles.py``, so outputs must be bit-identical — across 28-, 30-,
-31- and 32-bit prime sets (including the largest admissible lazy modulus),
-mixed-width bases, the strict >= 2^31 paths, and worst-case all-max inputs
-that sit right at the overflow-headroom bounds.
+``kernel_oracles.py``, so outputs must be bit-identical — across 27-, 28-
+and 30-bit prime sets (the 30-bit ones hold the largest moduli below the
+engine's 2^30 bound), mixed-width bases, and worst-case all-max inputs that
+sit right at the overflow-headroom bounds.  The fallbacks that depend on
+the number of limbs are each reached at 30 bits, and the tests assert so:
+the per-row base-extension lift, the CRT accumulator's narrower words and
+the mixed-radix form's per-row residues.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from kernel_oracles import (
     scale_down_reference,
 )
 from repro.fhe.keyswitch import base_extend, scale_down
-from repro.poly import kernels
 from repro.poly.polynomial import Domain, RnsPolynomial
 from repro.rns import convert
-from repro.rns.crt import RnsBasis
+from repro.rns.crt import MAX_MODULUS, RnsBasis
 from repro.rns.primes import ntt_friendly_primes
 
 N = 128
@@ -53,21 +55,23 @@ def _pair(src_bits: int, dst_bits: int, l_src: int = 4, l_dst: int = 3):
     return RnsBasis(src), RnsBasis(src + dst)
 
 
+#: 17 limbs of 30-bit products pass the raw lift's 2^64 headroom
+PER_ROW_LIMBS = 17
+
 BASE_CASES = [
-    pytest.param(28, 27, id="28bit-to-27bit-default"),
-    pytest.param(28, 28, id="28bit-uniform"),
-    pytest.param(30, 30, id="30bit-uniform"),
-    pytest.param(31, 31, id="31bit-largest-lazy"),
-    pytest.param(31, 28, id="31bit-down-to-28bit"),
-    pytest.param(32, 32, id="32bit-strict-fallback"),
+    pytest.param(28, 27, 4, id="28bit-to-27bit-default"),
+    pytest.param(28, 28, 4, id="28bit-uniform"),
+    pytest.param(30, 30, 4, id="30bit-uniform"),
+    pytest.param(30, 28, 4, id="30bit-down-to-28bit"),
+    pytest.param(30, 30, PER_ROW_LIMBS, id="30bit-per-row-lift"),
 ]
 
 
 class TestBaseExtend:
-    @pytest.mark.parametrize("src_bits,dst_bits", BASE_CASES)
+    @pytest.mark.parametrize("src_bits,dst_bits,l_src", BASE_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_batched_matches_reference(self, src_bits, dst_bits, seed):
-        basis, extended = _pair(src_bits, dst_bits)
+    def test_batched_matches_reference(self, src_bits, dst_bits, l_src, seed):
+        basis, extended = _pair(src_bits, dst_bits, l_src=l_src)
         rng = np.random.default_rng(seed)
         x = RnsPolynomial(basis, _random_limbs(rng, basis), Domain.COEFF)
         got = base_extend(x, extended)
@@ -75,9 +79,9 @@ class TestBaseExtend:
         assert got.basis == ref.basis
         assert np.array_equal(got.limbs, ref.limbs)
 
-    @pytest.mark.parametrize("src_bits,dst_bits", BASE_CASES)
-    def test_all_max_residues(self, src_bits, dst_bits):
-        basis, extended = _pair(src_bits, dst_bits)
+    @pytest.mark.parametrize("src_bits,dst_bits,l_src", BASE_CASES)
+    def test_all_max_residues(self, src_bits, dst_bits, l_src):
+        basis, extended = _pair(src_bits, dst_bits, l_src=l_src)
         x = RnsPolynomial(basis, _max_limbs(basis), Domain.COEFF)
         assert np.array_equal(
             base_extend(x, extended).limbs,
@@ -85,27 +89,28 @@ class TestBaseExtend:
         )
 
     def test_largest_lazy_modulus_is_exercised(self):
-        # The 31-bit prime set tops out just below the lazy-eligibility
-        # bound, so the Shoup digit path runs at its widest admissible
-        # modulus (with the extra conditional subtract engaged).
-        top = ntt_friendly_primes(N, 31, 1)[0]
-        assert 1 << 30 < top < kernels.MAX_LAZY_MODULUS
-        assert kernels.shoup_needs_extra_sub(top)
-        dec = convert.get_digit_decomposer(tuple(_primes(31, 4)))
-        assert dec.lazy and dec.extra
+        # The 30-bit prime set tops out just below the engine's bound, so
+        # the Shoup digit path runs at its widest admissible modulus, where
+        # x * w' comes closest to 2^64.
+        moduli = tuple(_primes(30, 4))
+        assert max(moduli) < MAX_MODULUS < 1.001 * max(moduli)
+        dec = convert.get_digit_decomposer(moduli)
+        maxed = _max_limbs(RnsBasis(moduli))
+        assert np.array_equal(dec.digits(maxed),
+                              (maxed * dec.inv_col) % dec.q_col)
 
-    def test_strict_fallback_paths_are_exercised(self):
-        # 32-bit moduli sit past both the Shoup bound (q >= 2^31) and the
-        # raw-matmul headroom bound, so the strict digit formula and the
-        # per-row reduced lift must carry the conversion.
-        src = tuple(_primes(32, 4))
-        dst = tuple(_primes(32, 3, exclude=src))
-        conv = convert.get_base_conversion(src, src + dst)
-        assert not conv.decomposer.lazy
-        assert not conv.raw_ok
+    def test_per_row_lift_is_exercised(self):
+        # 17 limbs of 30-bit primes pass the raw-matmul headroom bound, so
+        # the per-row reduced lift carries the conversion (the
+        # "30bit-per-row-lift" cases above pin its values).
+        src = tuple(_primes(30, PER_ROW_LIMBS))
+        dst = tuple(_primes(30, 3, exclude=src))
+        assert not convert.get_base_conversion(src, src + dst).raw_ok
+        short = src[:PER_ROW_LIMBS - 1]
+        assert convert.get_base_conversion(short, short + dst).raw_ok
 
     def test_mixed_width_source_basis(self):
-        src = _primes(28, 2) + _primes(31, 1) + _primes(30, 1)
+        src = _primes(28, 2) + _primes(30, 2)
         dst = _primes(27, 3, exclude=src)
         basis, extended = RnsBasis(src), RnsBasis(src + dst)
         rng = np.random.default_rng(9)
@@ -124,11 +129,10 @@ class TestBaseExtend:
 
 
 class TestDigitDecomposer:
-    @pytest.mark.parametrize("bits", [28, 30, 31])
+    @pytest.mark.parametrize("bits", [28, 30])
     def test_shoup_digits_match_strict_formula(self, bits):
         moduli = tuple(_primes(bits, 5))
         dec = convert.get_digit_decomposer(moduli)
-        assert dec.lazy
         rng = np.random.default_rng(bits)
         limbs = _random_limbs(rng, RnsBasis(moduli))
         strict = (limbs * dec.inv_col) % dec.q_col
@@ -163,7 +167,7 @@ class TestScaleDown:
         )
 
     def test_wide_lazy_moduli(self):
-        basis, extended = _pair(31, 30, l_src=3, l_dst=2)
+        basis, extended = _pair(30, 30, l_src=3, l_dst=2)
         special = RnsBasis(extended.moduli[-2:])
         rng = np.random.default_rng(11)
         x = RnsPolynomial(extended, _random_limbs(rng, extended), Domain.COEFF)
@@ -178,7 +182,7 @@ class TestScaleDown:
         special = RnsBasis(extended.moduli[-2:])
         rng = np.random.default_rng(13)
         x = RnsPolynomial(extended, _random_limbs(rng, extended), Domain.COEFF)
-        t = 1 << 30
+        t = 1 << 29
         assert t > min(basis.moduli)
         assert np.array_equal(
             scale_down(x, special, t).limbs,
@@ -187,7 +191,7 @@ class TestScaleDown:
 
 
 class TestMixedRadix:
-    @pytest.mark.parametrize("bits", [27, 31])
+    @pytest.mark.parametrize("bits", [27, 30])
     def test_digits_residues_and_compare_are_exact(self, bits):
         moduli = tuple(_primes(bits, 3))
         special = RnsBasis(moduli)
@@ -214,10 +218,26 @@ class TestMixedRadix:
         assert np.array_equal(col[:, 0], exact)
         assert not mr.greater_than(col, values[0])[0]
 
+    def test_residues_per_row_past_the_raw_bound(self):
+        # 17 digits of 30-bit moduli against 30-bit targets pass the raw
+        # matmul's 2^64 headroom: residues() reduces row by row.
+        moduli = tuple(_primes(30, PER_ROW_LIMBS))
+        targets = tuple(_primes(30, 2, exclude=moduli))
+        assert not convert._radix_residue_table(moduli, targets)[1]
+        assert convert._radix_residue_table(moduli[:-1], targets)[1]
+        special = RnsBasis(moduli)
+        mr = convert.get_mixed_radix(moduli)
+        limbs = _random_limbs(np.random.default_rng(4), special, n=32)
+        limbs[:, :2] = _max_limbs(special, n=2)
+        values = special.from_rns(limbs)
+        res = mr.residues(mr.digits(limbs), targets)
+        for r, m in enumerate(targets):
+            assert [int(v) for v in res[r]] == [v % m for v in values]
+
 
 class TestFromRns:
     @pytest.mark.parametrize("bits,level",
-                             [(28, 4), (28, 16), (30, 6), (31, 6), (32, 6)])
+                             [(28, 4), (28, 16), (30, 6), (30, 16), (30, 64)])
     @pytest.mark.parametrize("centered", [False, True])
     def test_lazy_matches_exact(self, bits, level, centered):
         basis = RnsBasis(_primes(bits, level))
@@ -234,6 +254,13 @@ class TestFromRns:
         # the no-big-int carry-propagation recomposition.
         acc = convert.get_word_accumulator(tuple(_primes(28, 8)))
         assert acc.wbits == 32
+
+    @pytest.mark.parametrize("level,wbits", [(6, 31), (16, 30), (64, 28)])
+    def test_wide_bases_take_narrower_words(self, level, wbits):
+        # 30-bit limbs leave less headroom per word: the Horner recomposition
+        # over narrower words runs (the cases above pin its values).
+        acc = convert.get_word_accumulator(tuple(_primes(30, level)))
+        assert acc.wbits == wbits
 
     def test_word_accumulator_refuses_past_its_headroom(self):
         class Tall:  # 2^25 moduli just below 2^32, without storing them

@@ -2,9 +2,9 @@
 
 ``RnsNttContext`` runs every call as blocks of about ``BLOCK_ELEMS`` elements
 — runs of whole leading matrices, or limb ranges of one wide matrix — through
-a per-thread workspace.  Pinned here: blocked == row-by-row ``NttContext``
-for every way a shape can meet the block size, at 1, 2 and 3 concurrent
-callers; inputs are never written and
+a per-thread workspace.  Pinned here: blocked == the strict transform of
+each row (``kernel_oracles.ntt_reference``) for every way a shape can meet
+the block size, at 1, 2 and 3 concurrent callers; inputs are never written and
 results never alias the workspace; the workspace is per thread and bounded
 (``tracemalloc``, not wall clock); negative residues are refused.
 """
@@ -18,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kernel_oracles import ntt_reference
 from repro.poly import ntt
 from repro.poly.ntt import BLOCK_ELEMS, NttContext, get_rns_context
 from repro.rns.primes import ntt_friendly_primes
@@ -55,11 +56,7 @@ def _input(shape, moduli, seed=0):
 
 
 def _row_by_row(x, moduli, inverse):
-    out = np.empty_like(x)
-    for idx in np.ndindex(*x.shape[:-1]):
-        ctx = NttContext(N, moduli[idx[-1]], lazy=False)
-        out[idx] = (ctx.inverse if inverse else ctx.forward)(x[idx])
-    return out
+    return ntt_reference(x, moduli[:x.shape[-2]], inverse)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rns.crt import RnsBasis
-from repro.rns.primes import ntt_friendly_primes
+from repro.rns.primes import is_prime, ntt_friendly_primes
 
 PRIMES = ntt_friendly_primes(64, 28, 4)
 
@@ -49,11 +49,22 @@ class TestRnsBasis:
             RnsBasis([])
 
     def test_modulus_at_or_above_2_pow_32_rejected(self):
-        """The engine's one modulus bound is checked when a basis is built."""
-        RnsBasis([(1 << 32) - 5])  # the largest 32-bit prime is admitted
+        """Word-sized and wider moduli are refused, naming the bound."""
         for q in (1 << 32, 8589932801):  # 2^32, a 33-bit NTT-friendly prime
-            with pytest.raises(ValueError, match="2\\^32"):
+            with pytest.raises(ValueError, match="2\\^30"):
                 RnsBasis(PRIMES + [q])
+
+    def test_modulus_at_or_above_2_pow_30_rejected(self):
+        """The engine's one modulus bound is checked when a basis is built:
+        the largest NTT-friendly prime below 2^30 is admitted, the smallest
+        one above it is not."""
+        below = ntt_friendly_primes(64, 30, 1)[0]
+        above = next(q for q in range((1 << 30) + 1, 1 << 31, 128)
+                     if is_prime(q))
+        assert below < 1 << 30 < above
+        RnsBasis(PRIMES + [below])
+        with pytest.raises(ValueError, match="2\\^30"):
+            RnsBasis(PRIMES + [above])
 
     def test_equality_and_hash(self):
         assert RnsBasis(PRIMES) == RnsBasis(PRIMES)

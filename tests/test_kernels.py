@@ -3,12 +3,13 @@
 Three families:
 
 - unit oracles for :mod:`repro.poly.kernels` against plain ``%`` arithmetic,
-  across the modulus widths the engine admits (28/30/31-bit lazy, 32-bit
-  strict-only), including the documented overflow edges;
-- bit-identity of the uint32 lazy NTT plan (moduli below 2^30) against the
-  strict ``%``-reduction paths and the per-limb reference, including the
-  largest admissible lazy modulus with adversarial all-(q-1) inputs, and
-  the strict fallback from 2^30 up;
+  including the documented overflow edges and the count-dependent
+  reduce-first branch.  The engine admits moduli below 2^30; the kernels
+  take bare arrays and hold for any word-sized q, so some cases here also
+  run 31- and 32-bit moduli;
+- bit-identity of the uint32 lazy NTT plan against the strict ``%``
+  transform (``kernel_oracles.ntt_reference``), including the largest
+  admissible modulus with adversarial all-(q-1) inputs;
 - behavioral equivalence of the fused/hoisted composites: fused
   ``key_switch_v1`` vs. the unfused reference loop, ``rotate_many`` vs.
   sequential rotations on both schemes and both key-switch variants, and the
@@ -25,9 +26,9 @@ from repro.fhe.keyswitch import HoistedDecomposition, key_switch_v1
 from repro.fhe.params import FheParams
 from repro.fhe.sampling import uniform_poly
 from repro.poly import kernels
-from repro.poly.ntt import MAX_LAZY_NTT_MODULUS, NttContext, RnsNttContext
+from repro.poly.ntt import NttContext, RnsNttContext, get_rns_context
 from repro.poly.polynomial import Domain, RnsPolynomial
-from repro.rns.crt import RnsBasis
+from repro.rns.crt import MAX_MODULUS, RnsBasis
 from repro.rns.primes import ntt_friendly_primes
 
 RNG = np.random.default_rng(20260727)
@@ -80,7 +81,7 @@ def test_fused_mul_add_and_mul_accumulate(bits):
     q = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
     a, b, c, d = (_random_limbs(moduli, n) for _ in range(4))
     assert np.array_equal(
-        kernels.fused_mul_add(a, b, c, d, q, max(moduli)),
+        kernels.fused_mul_add(a, b, c, d, q),
         ((a * b) % q + (c * d) % q) % q,
     )
     stack_a = np.stack([_random_limbs(moduli, n) for _ in range(k)])
@@ -93,33 +94,40 @@ def test_fused_mul_add_and_mul_accumulate(bits):
 
 
 def test_mul_accumulate_reduced_path_for_wide_moduli():
-    """K * (q-1)^2 >= 2^64 forces the reduce-first branch; still exact."""
-    n, k = 32, 8
-    moduli = ntt_friendly_primes(n, 32, 2)
+    """17 terms of 30-bit products pass the raw-sum guard's 2^64: the
+    reduce-first branch runs, and it is exact (the overflow-edge test below
+    shows the branch is taken)."""
+    n, k = 32, 17
+    moduli = ntt_friendly_primes(n, 30, 2)
     q = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
-    assert k * (max(moduli) - 1) ** 2 >= 1 << 64
+    qmax = max(moduli)
+    assert (k - 1) * (qmax - 1) ** 2 < 1 << 64 <= k * (qmax - 1) ** 2
     stack_a = np.stack([_random_limbs(moduli, n) for _ in range(k)])
     stack_b = np.stack([_random_limbs(moduli, n) for _ in range(k)])
     want = np.zeros((2, n), dtype=np.uint64)
     for i in range(k):
         want = (want + stack_a[i] * stack_b[i] % q) % q
     assert np.array_equal(
-        kernels.mul_accumulate(stack_a, stack_b, q, max(moduli)), want)
+        kernels.mul_accumulate(stack_a, stack_b, q, qmax), want)
 
 
-@pytest.mark.parametrize("bits", [28, 32])
+@pytest.mark.parametrize("bits", [28, 30, 32])
 def test_mul_accumulate_uint32_stacks_at_the_overflow_edge(bits):
     """All-(q-1) uint32 stacks, the largest products: at 28 bits with the
-    most terms the raw-sum guard admits, at 32 bits (reduce-first branch)
-    with three.  Products widen inside the kernel, so the result is the
-    uint64 stacks' and the exact ``K * (q-1)^2 mod q = K mod q``."""
+    most terms the raw-sum guard admits, at 30 and 32 bits with one term
+    more (reduce-first branch; the raw sum would wrap to another residue,
+    so the exact result shows the branch ran).  Products widen inside the
+    kernel, so the result is the uint64 stacks' and the exact
+    ``K * (q-1)^2 mod q = K mod q``."""
     n = 16
     moduli = ntt_friendly_primes(n, bits, 2)
     qmax = max(moduli)
     edge = ((1 << 64) - 1) // (qmax - 1) ** 2  # the guard's largest K
-    k = edge if bits == 28 else 3
+    k = edge if bits == 28 else edge + 1
     assert (k * (qmax - 1) ** 2 < 1 << 64) == (bits == 28)
     assert (k + 1) * (qmax - 1) ** 2 >= 1 << 64
+    if bits != 28:
+        assert k * (qmax - 1) ** 2 % (1 << 64) % qmax != k % qmax
     q = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
     wide = np.broadcast_to(q - np.uint64(1), (k, 2, n)).copy()
     narrow = wide.astype(np.uint32)
@@ -131,15 +139,17 @@ def test_mul_accumulate_uint32_stacks_at_the_overflow_edge(bits):
 
 @pytest.mark.parametrize("q", [ntt_friendly_primes(64, b, 1)[0] for b in (28, 30, 31)])
 def test_shoup_mul_congruent_and_lazy_bounded(q):
+    """``[0, 2q)`` over the whole lazy input range ``x < 2q``.  The fixed
+    32-bit shift keeps ``x * w' < 2q * 2^32 <= 2^64`` up to ``q < 2^31``,
+    one bit past the engine's bound, so the 31-bit case holds too."""
     rng = np.random.default_rng(q)
-    shift = np.uint64(kernels.shoup_shift(q))
     qq = np.uint64(q)
     w = rng.integers(0, q, 256, dtype=np.uint64)
-    ws = ((w.astype(object) << int(shift)) // q).astype(np.uint64)
+    ws = ((w.astype(object) << kernels.SHOUP_SHIFT) // q).astype(np.uint64)
     x = rng.integers(0, 2 * q, 256, dtype=np.uint64)  # full lazy input range
-    t = kernels.shoup_mul(x, w, ws, shift, qq)
-    bound = 3 * q if kernels.shoup_needs_extra_sub(q) else 2 * q
-    assert int(t.max()) < bound
+    x[:2] = 0, 2 * q - 1
+    t = kernels.shoup_mul(x, w, ws, qq)
+    assert int(t.max()) < 2 * q
     assert np.array_equal(t % qq, (x * w) % qq)
 
 
@@ -174,48 +184,38 @@ def test_shoup_mul32_lands_in_the_lazy_range(bits):
 
 
 # ------------------------------------------------------- lazy vs strict NTT
-def _per_limb(n, moduli, limbs, inverse=False):
-    rows = [NttContext(n, q, lazy=False) for q in moduli]
-    return np.stack([(c.inverse if inverse else c.forward)(row)
-                     for c, row in zip(rows, limbs)])
-
-
-@pytest.mark.parametrize("bits", [28, 30, 31])
+@pytest.mark.parametrize("bits", [28, 30])
 @pytest.mark.parametrize("n", [16, 256, 1024])
 def test_lazy_ntt_bit_identical_to_strict(bits, n):
-    """What the engine auto-selects == strict == per-limb: the uint32 plan
-    at 28 and 30 bits, the strict path at 31, where ``lazy=True`` raises."""
+    """The uint32 plan == the strict ``%`` transform, batched and per limb."""
     moduli = tuple(ntt_friendly_primes(n, bits, 3))
-    auto = RnsNttContext(n, moduli)
-    strict = RnsNttContext(n, moduli, lazy=False)
-    assert auto.lazy == (bits <= 30) and not strict.lazy
-    if bits == 31:
-        with pytest.raises(ValueError, match="lazy reduction requires"):
-            RnsNttContext(n, moduli, lazy=True)
+    ctx = RnsNttContext(n, moduli)
     for _ in range(3):
         limbs = _random_limbs(moduli, n)
-        assert np.array_equal(auto.forward(limbs), strict.forward(limbs))
-        assert np.array_equal(auto.inverse(limbs), strict.inverse(limbs))
-        assert np.array_equal(auto.forward(limbs), _per_limb(n, moduli, limbs))
-        assert np.array_equal(auto.inverse(limbs),
-                              _per_limb(n, moduli, limbs, inverse=True))
-        assert np.array_equal(auto.inverse(auto.forward(limbs)), limbs)
+        want_fwd = kernel_oracles.ntt_reference(limbs, moduli)
+        want_inv = kernel_oracles.ntt_reference(limbs, moduli, inverse=True)
+        assert np.array_equal(ctx.forward(limbs), want_fwd)
+        assert np.array_equal(ctx.inverse(limbs), want_inv)
+        for row, q in enumerate(moduli):
+            one = NttContext(n, q)
+            assert np.array_equal(one.forward(limbs[row]), want_fwd[row])
+            assert np.array_equal(one.inverse(limbs[row]), want_inv[row])
+        assert np.array_equal(ctx.inverse(ctx.forward(limbs)), limbs)
 
 
 def test_lazy_ntt_mixed_width_basis_and_batched_stacks():
     for n in (128, 4096):
         moduli = tuple(ntt_friendly_primes(n, 28, 3)
                        + ntt_friendly_primes(n, 30, 2))
-        lazy = RnsNttContext(n, moduli)
-        strict = RnsNttContext(n, moduli, lazy=False)
-        assert lazy.lazy  # auto-selected
+        ctx = RnsNttContext(n, moduli)
         limbs = _random_limbs(moduli, n)
-        assert np.array_equal(lazy.forward(limbs), strict.forward(limbs))
-        stack = np.stack([limbs, strict.forward(limbs), limbs])
-        fwd, inv = lazy.forward(stack), lazy.inverse(stack)
-        for i in range(3):
-            assert np.array_equal(fwd[i], strict.forward(stack[i]))
-            assert np.array_equal(inv[i], strict.inverse(stack[i]))
+        fwd = kernel_oracles.ntt_reference(limbs, moduli)
+        assert np.array_equal(ctx.forward(limbs), fwd)
+        stack = np.stack([limbs, fwd, limbs])
+        assert np.array_equal(ctx.forward(stack),
+                              kernel_oracles.ntt_reference(stack, moduli))
+        assert np.array_equal(ctx.inverse(stack), kernel_oracles.ntt_reference(
+            stack, moduli, inverse=True))
 
 
 def test_overflow_edge_at_largest_admissible_lazy_modulus():
@@ -224,45 +224,31 @@ def test_overflow_edge_at_largest_admissible_lazy_modulus():
     which must stay below 2^32 for the uint32 workspace not to wrap."""
     n = 256
     q = ntt_friendly_primes(n, 30, 1)[0]  # scans downward from 2^30 - 1
-    assert q < MAX_LAZY_NTT_MODULUS and 4 * q - 1 > 0.999 * (1 << 32)
-    lazy = NttContext(n, q, lazy=True)
-    strict = NttContext(n, q, lazy=False)
+    assert q < MAX_MODULUS and 4 * q - 1 > 0.999 * (1 << 32)
+    one = NttContext(n, q)
     tops = np.full(n, q - 1, dtype=np.uint64)
-    assert np.array_equal(lazy.forward(tops), strict.forward(tops))
-    assert np.array_equal(lazy.inverse(tops), strict.inverse(tops))
-    assert np.array_equal(lazy.inverse(lazy.forward(tops)), tops)
+    assert np.array_equal(one.forward(tops),
+                          kernel_oracles.ntt_reference(tops[None], (q,))[0])
+    assert np.array_equal(one.inverse(tops), kernel_oracles.ntt_reference(
+        tops[None], (q,), inverse=True)[0])
+    assert np.array_equal(one.inverse(one.forward(tops)), tops)
     rng = np.random.default_rng(0)
     block = rng.integers(0, q, (64, 1, n), dtype=np.uint64)
     block[:, :, ::3] = q - 1
-    ctx, ref = RnsNttContext(n, (q,)), RnsNttContext(n, (q,), lazy=False)
-    assert ctx.lazy
-    assert np.array_equal(ctx.forward(block), ref.forward(block))
-    assert np.array_equal(ctx.inverse(block), ref.inverse(block))
+    ctx = RnsNttContext(n, (q,))
+    assert np.array_equal(ctx.forward(block),
+                          kernel_oracles.ntt_reference(block, (q,)))
+    assert np.array_equal(ctx.inverse(block), kernel_oracles.ntt_reference(
+        block, (q,), inverse=True))
 
 
-def test_strict_fallback_for_wide_moduli():
-    n = 64
-    q = ntt_friendly_primes(n, 32, 1)[0]
-    assert q >= MAX_LAZY_NTT_MODULUS
-    ctx = NttContext(n, q)  # auto-selects strict
-    assert not ctx.lazy
-    x = RNG.integers(0, q, n, dtype=np.uint64)
-    assert np.array_equal(ctx.inverse(ctx.forward(x)), x)
-    with pytest.raises(ValueError, match="lazy reduction requires"):
-        NttContext(n, q, lazy=True)
-    with pytest.raises(ValueError, match="lazy reduction requires"):
-        RnsNttContext(n, tuple(ntt_friendly_primes(n, 28, 1)) + (q,), lazy=True)
-
-
-@pytest.mark.parametrize("bits", [28, 31, 32])
+@pytest.mark.parametrize("bits", [28, 30])
 def test_transforms_take_uint32_input_and_out(bits):
     """uint32 input and ``out=`` (uint32, uint64, or the input itself) give
-    the uint64 path's values on the lazy plan (28 bits) and the strict
-    transform (31 and 32 bits), in one block and across several."""
+    the uint64 path's values, in one block and across several."""
     n = 1024
     moduli = tuple(ntt_friendly_primes(n, bits, 4))
     ctx = RnsNttContext(n, moduli)
-    assert ctx.lazy == (bits == 28)
     for lead in (1, 10):  # 4 rows: one block; 40 rows: over the 36 a block
         wide = np.stack([_random_limbs(moduli, n) for _ in range(lead)])
         narrow = wide.astype(np.uint32)
@@ -303,6 +289,30 @@ def test_debug_validate_catches_an_unreduced_transform_input(monkeypatch):
 
 
 # ------------------------------------------------- fused/hoisted composites
+def test_key_switch_lifts_digits_by_remainder_on_an_unbalanced_basis(
+        monkeypatch):
+    """On a 28/30-bit basis ``max q >= 2 min q``, so a 30-bit digit lifted
+    to a 28-bit limb can sit at or above ``2q``: one conditional subtract
+    would leave it unreduced.  The ``%`` lift hands the forward NTT reduced
+    residues (its entry assert, under the debug flag) and gives the
+    per-digit loop's answer."""
+    monkeypatch.setattr(kernels, "DEBUG_VALIDATE", True)
+    n = 128
+    moduli = tuple(ntt_friendly_primes(n, 28, 2)
+                   + ntt_friendly_primes(n, 30, 2))
+    params = FheParams(n=n, basis=RnsBasis(moduli), plaintext_modulus=256)
+    bgv = BgvContext(params, seed=5)
+    hint = bgv.hint_v1("relin", params.basis)
+    x = uniform_poly(params.basis, n, np.random.default_rng(9), Domain.NTT)
+    assert params.basis.max_modulus >= 2 * min(moduli)
+    digits = get_rns_context(n, moduli).inverse(x.limbs)
+    assert (digits[2:] >= 2 * min(moduli)).any()
+    u0, u1 = key_switch_v1(x, hint)
+    ref0, ref1 = kernel_oracles.key_switch_v1_reference(x, hint)
+    assert np.array_equal(u0.limbs, ref0)
+    assert np.array_equal(u1.limbs, ref1)
+
+
 def test_fused_key_switch_matches_reference_loop():
     params = FheParams.build(n=128, levels=4, prime_bits=28, plaintext_modulus=256)
     bgv = BgvContext(params, seed=5)

@@ -77,25 +77,41 @@ class TestParams:
         with pytest.raises(ValueError, match="power of two"):
             FheParams(n=n, basis=basis)
 
-    @pytest.mark.parametrize("t", [0, -3, 1 << 32, 2**40])
-    def test_plaintext_modulus_must_be_in_1_to_2_pow_32(self, t):
+    @pytest.mark.parametrize("t", [0, -3, 1 << 30, 2**40])
+    def test_plaintext_modulus_must_be_in_1_to_2_pow_30(self, t):
         basis = RnsBasis(ntt_friendly_primes(64, 28, 2))
-        with pytest.raises(ValueError, match="plaintext modulus"):
+        bound = "plaintext modulus must be in \\[1, 2\\^30\\)"
+        with pytest.raises(ValueError, match=bound):
             FheParams(n=64, basis=basis, plaintext_modulus=t)
         state = FheParams(n=64, basis=basis).to_state()
-        with pytest.raises(ValueError, match="plaintext modulus"):
+        with pytest.raises(ValueError, match=bound):
             FheParams.from_state({**state, "plaintext_modulus": t})
-        FheParams(n=64, basis=basis, plaintext_modulus=(1 << 32) - 1)
+        FheParams(n=64, basis=basis, plaintext_modulus=(1 << 30) - 1)
 
     def test_33_bit_modulus_rejected_on_restore(self):
         """A 33-bit NTT-friendly modulus used to build a parameter set."""
         basis = RnsBasis(ntt_friendly_primes(64, 28, 2))
         state = FheParams(n=64, basis=basis).to_state()
-        with pytest.raises(ValueError, match="2\\^32"):
+        with pytest.raises(ValueError, match="2\\^30"):
             FheParams.from_state({**state, "moduli": [8589932801]})
         poly = RnsPolynomial.zeros(basis, 64).to_state()
-        with pytest.raises(ValueError, match="2\\^32"):
+        with pytest.raises(ValueError, match="2\\^30"):
             RnsPolynomial.from_state({**poly, "moduli": (8589932801, 65537)})
+
+    def test_31_bit_moduli_rejected(self):
+        """Every door to a parameter set or polynomial refuses a modulus at
+        or above the engine's 2^30 bound, naming it."""
+        with pytest.raises(ValueError, match="2\\^30"):
+            FheParams.build(n=64, levels=2, prime_bits=31)
+        FheParams.build(n=64, levels=2, prime_bits=30)
+        wide = ntt_friendly_primes(64, 31, 2)
+        basis = RnsBasis(ntt_friendly_primes(64, 28, 2))
+        state = FheParams(n=64, basis=basis).to_state()
+        with pytest.raises(ValueError, match="2\\^30"):
+            FheParams.from_state({**state, "moduli": wide})
+        poly = RnsPolynomial.zeros(basis, 64).to_state()
+        with pytest.raises(ValueError, match="2\\^30"):
+            RnsPolynomial.from_state({**poly, "moduli": tuple(wide)})
 
     def test_basis_at(self, bgv_params):
         assert bgv_params.basis_at(2).level == 2

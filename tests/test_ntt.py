@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.poly.ntt import NttContext, _power_rows, naive_negacyclic_multiply
-from repro.rns.primes import ntt_friendly_primes, primitive_root_of_unity
+from repro.rns.primes import (
+    is_prime,
+    ntt_friendly_primes,
+    primitive_root_of_unity,
+)
 
 N = 128
 Q = ntt_friendly_primes(N, 28, 1)[0]
@@ -96,18 +100,31 @@ class TestValidation:
         """A >=2^32 prime would silently wrap hi*tw in uint64; must be refused."""
         q33 = ntt_friendly_primes(N, 33, 1)[0]
         assert q33 >= 2**32 and (q33 - 1) % (2 * N) == 0  # NTT-friendly, too wide
-        with pytest.raises(ValueError, match="2\\^32"):
+        with pytest.raises(ValueError, match="2\\^30"):
             NttContext(N, q33)
+
+    def test_modulus_bound_is_2_pow_30(self, rng):
+        """The largest NTT-friendly prime below 2^30 transforms; the
+        smallest one above it is refused."""
+        below = ntt_friendly_primes(N, 30, 1)[0]
+        above = next(q for q in range((1 << 30) + 1, 1 << 31, 2 * N)
+                     if is_prime(q))
+        ctx = NttContext(N, below)
+        x = rng.integers(0, below, N, dtype=np.uint64)
+        assert np.array_equal(ctx.inverse(ctx.forward(x)), x)
+        with pytest.raises(ValueError, match="2\\^30"):
+            NttContext(N, above)
 
     def test_wrong_shape_rejected(self, ctx):
         with pytest.raises(ValueError):
             ctx.forward(np.zeros(N + 1, dtype=np.uint64))
 
 
-@pytest.mark.parametrize("bits", [28, 32])
+@pytest.mark.parametrize("bits", [28, 30, 32])
 def test_power_rows_match_python_int_powers(bits):
     """The plan's psi-power rows, built by doubling in uint64, against the
-    Python-int loop, up to the widest modulus the engine admits."""
+    Python-int loop, up to the engine's 30-bit moduli and, since the
+    doubling needs only ``q < 2^32``, past them."""
     moduli = ntt_friendly_primes(N, bits, 3)
     roots = [primitive_root_of_unity(2 * N, q) for q in moduli]
     want = [[pow(r, i, q) for i in range(N)] for r, q in zip(roots, moduli)]

@@ -226,7 +226,7 @@ class TestKernelProfiling:
         basis.to_rns(np.arange(64, dtype=np.int64))
 
     def test_off_by_default_on_under_profiled(self):
-        assert not profile.kernels_enabled()
+        assert not profile.ENABLED
         before = self._crt_count()
         self._run_kernel()
         assert self._crt_count() == before   # disabled: no observation

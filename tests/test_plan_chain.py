@@ -7,8 +7,9 @@ a longer chain onto that chain's tables.  Pinned here on a private cache:
 
 - prefixes built before and after their chain end up on one plan object;
 - a prefix on the chain's plan transforms bit for bit like a plan built for
-  the prefix alone: whole bases, ``start=`` runs, blocked stacks, uint32
-  ``out=``;
+  the prefix alone and the strict ``%`` transform
+  (``kernel_oracles.ntt_reference``): whole bases, ``start=`` runs, blocked
+  stacks, uint32 ``out=``;
 - concurrent first requests build one context and one plan, and a
   transform running while its context moves onto a longer chain is exact;
 - building a chain keeps its plan's arrays and little else: no per-prime
@@ -29,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kernel_oracles import ntt_reference
 from repro.poly import ntt
 from repro.poly.ntt import RnsNttContext, get_rns_context
 from repro.rns.primes import ntt_friendly_primes
@@ -85,6 +87,8 @@ def test_a_prefix_on_the_chain_transforms_like_its_own_plan(level):
     for x, start in cases:
         for call in ("forward", "inverse"):
             want = getattr(own, call)(x, start=start)
+            assert np.array_equal(want, ntt_reference(
+                x, moduli[start or 0:], inverse=call == "inverse"))
             got = getattr(shared, call)(x, start=start)
             assert np.array_equal(got, want)
             out = np.empty(x.shape, np.uint32)
@@ -103,18 +107,12 @@ def test_a_prefix_runs_on_views_cut_once():
     assert ctx._tables[1][0] is fwd_cut               # reused, not re-cut
 
 
-def test_the_strict_path_shares_its_chain_tables_too():
-    chain = RnsNttContext(N, CHAIN[:6], lazy=False)
-    prefix = RnsNttContext(N, CHAIN[:3], lazy=False, chain=chain)
+def test_a_context_rides_only_a_chain_it_prefixes():
+    chain = RnsNttContext(N, CHAIN[:6])
+    prefix = RnsNttContext(N, CHAIN[:3], chain=chain)
     assert _plan(prefix) is _plan(chain)
-    x = _limbs(CHAIN[:3], (2,), 3)
-    own = RnsNttContext(N, CHAIN[:3], lazy=False)
-    for call in ("forward", "inverse"):
-        assert np.array_equal(getattr(prefix, call)(x), getattr(own, call)(x))
     with pytest.raises(ValueError, match="chain="):
-        RnsNttContext(N, CHAIN[1:3], lazy=False, chain=chain)
-    with pytest.raises(ValueError, match="chain="):
-        RnsNttContext(N, CHAIN[:3], chain=chain)      # lazy on a strict chain
+        RnsNttContext(N, CHAIN[1:3], chain=chain)
 
 
 @pytest.fixture()
