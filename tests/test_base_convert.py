@@ -64,6 +64,10 @@ BASE_CASES = [
     pytest.param(30, 30, 4, id="30bit-uniform"),
     pytest.param(30, 28, 4, id="30bit-down-to-28bit"),
     pytest.param(30, 30, PER_ROW_LIMBS, id="30bit-per-row-lift"),
+    # The id dates from when the widest lazy primes were 31-bit; the case
+    # now runs the largest primes below 2^30 on the widest source basis
+    # that still takes the raw lift, the edge of both lazy paths.
+    pytest.param(30, 30, PER_ROW_LIMBS - 1, id="31bit-largest-lazy"),
 ]
 
 
