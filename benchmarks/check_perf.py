@@ -240,7 +240,7 @@ def _kernels():
     from concurrent.futures import Future
 
     from repro.serve import Request
-    from repro.serve.server import _Group, _Pending, pick_ready
+    from repro.serve.policy import _Group, _Pending, pick_ready
 
     pick_groups = []
     for _ in range(8):

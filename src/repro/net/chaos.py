@@ -51,6 +51,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from repro.serve.outcome import STATUSES
+
 __all__ = [
     "ChaosPolicy",
     "ChaosEngine",
@@ -280,7 +282,7 @@ class ChaosSocket:
 
 # --------------------------------------------------------------------- soak
 #: statuses a resolved future may legally carry after a chaos run
-ALLOWED_STATUSES = frozenset({"ok", "expired", "failed", "shed"})
+ALLOWED_STATUSES = frozenset(STATUSES)
 
 
 def chaos_soak(seed: int = 0, *, hosts: int = 2, requests: int = 32,

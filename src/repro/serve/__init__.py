@@ -16,10 +16,15 @@ amortize cost across many values; this package applies it across *users*:
   over forked worker processes, each holding its own context replica
   restored from the parent's serialized keys — true multi-core
   parallelism with no cross-request lock);
-- :mod:`repro.serve.server` — :class:`FheServer` ties them to a bounded
-  queue and a worker pool in which a free worker pulls the most urgent
-  ready bucket (full, quiet for half its own batch time, ``max_wait_ms``
-  old, or near a deadline), with per-request and aggregate telemetry.
+- :mod:`repro.serve.policy` — per-signature buckets and the pure batch
+  forming policy: a free worker pulls the most urgent ready bucket (full,
+  quiet for half its own batch time, ``max_wait_ms`` old, or near a
+  deadline);
+- :mod:`repro.serve.outcome` — :class:`RequestResult`, the status
+  vocabulary, and the one function every request ends through, with the
+  telemetry ``stats()`` reports;
+- :mod:`repro.serve.server` — :class:`FheServer` composes them: a bounded,
+  load-shedding queue, the worker pool, dispatch and degradation.
 
 Ten-line tour::
 
@@ -55,14 +60,14 @@ from repro.serve.resilience import (
     RetriesExhausted,
     RetryPolicy,
 )
-from repro.serve.server import (
+from repro.serve.outcome import (
     STATUS_EXPIRED,
     STATUS_FAILED,
     STATUS_OK,
     STATUS_SHED,
-    FheServer,
     RequestResult,
 )
+from repro.serve.server import FheServer
 
 # Last: repro.net builds on the serve modules above.
 from repro.net.remote import ProcessExecutor  # noqa: E402

@@ -607,18 +607,9 @@ class SlotBatcher:
         """
         requests = list(requests)
         tr = tracer()
-        if not tr.active:
-            inputs, plains = self.pack(requests)
-            layout = self.layout(requests)
-            if layout is not None:
-                run_kw = {**run_kw, "batch_layout": layout}
-            result = resolve_backend(backend).run(
-                self.program, inputs=inputs, plains=plains, seed=seed, **run_kw
-            )
-            return self.unpack(result.outputs, len(requests)), result
-        # Traced path: identical work, with pack/execute/unpack spans
-        # carrying the batch's trace ids (runs coordinator-side under a
-        # ThreadExecutor and worker-side under a remote host alike).
+        # Pack/execute/unpack spans carry the batch's trace ids (recorded
+        # coordinator-side under a ThreadExecutor and worker-side under a
+        # remote host alike); each span is a no-op while tracing is off.
         traces = [r.trace for r in requests if getattr(r, "trace", None)]
         with tr.span("pack", traces=traces, k=len(requests)):
             inputs, plains = self.pack(requests)

@@ -226,11 +226,12 @@ class ThreadExecutor:
         pass
 
 
-def resolve_executor(executor) -> Executor:
+def resolve_executor(executor, pool_size: int = 2) -> Executor:
     """Accept an Executor instance or a name: ``"thread"``, ``"process"``,
     or ``"remote"``.
 
-    ``"remote"`` spawns a local 2-host worker cluster
+    ``"process"`` forks ``pool_size`` worker-process replicas.
+    ``"remote"`` spawns a local ``pool_size``-host worker cluster
     (:func:`repro.net.cluster.remote_executor`) and fronts it with a
     :class:`~repro.net.remote.RemoteExecutor` that owns it — the sharded
     network tier, working out of the box; pass a RemoteExecutor instance
@@ -243,11 +244,11 @@ def resolve_executor(executor) -> Executor:
         if executor == "process":
             from repro.net.remote import ProcessExecutor
 
-            return ProcessExecutor()
+            return ProcessExecutor(pool_size)
         if executor == "remote":
             from repro.net.cluster import remote_executor
 
-            return remote_executor()
+            return remote_executor(pool_size)
         raise ValueError(
             f"unknown executor {executor!r}; choose 'thread', 'process', "
             f"'remote', or pass an Executor instance"

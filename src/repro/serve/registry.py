@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.backends import params_for_program
+from repro.backends import F1Backend, FunctionalBackend, params_for_program
 from repro.obs.metrics import MetricsRegistry
 from repro.compiler.pipeline import CompiledProgram, compile_program
 from repro.serve.batcher import level_alignment_plan
@@ -178,6 +178,27 @@ class ProgramRegistry:
                     entry.level_plan = plan
                 plan = entry.level_plan
         return plan
+
+    def entries_for(self, program: Program, backend, *, seed: int = 0
+                    ) -> tuple[ContextEntry | None, CompiledEntry | None, bool]:
+        """What ``backend`` needs cached to run ``program``: ``(context
+        entry, compiled entry, cache hit)``.  A functional backend's
+        scheme/params/ks settings pick the context, whose cross-level plan
+        is cached on it too; an F1 backend's config and scheduler pick the
+        schedule; the analytic backends need neither."""
+        if isinstance(backend, FunctionalBackend):
+            entry, hit = self.context_for(
+                program, scheme=backend.scheme, prime_bits=backend.prime_bits,
+                plaintext_modulus=backend.plaintext_modulus, seed=seed,
+                ks_variant=backend.ks_variant, params=backend.params)
+            self.level_plan_for(program, entry)
+            return entry, None, hit
+        if isinstance(backend, F1Backend):
+            entry, hit = self.compiled_for(
+                program, backend.config, scheduler=backend.scheduler,
+                ks_choice=backend.ks_choice, check=backend.check)
+            return None, entry, hit
+        return None, None, False
 
     # ----------------------------------------------------------- accelerator
     def compiled_for(self, program: Program, config: F1Config | None = None,

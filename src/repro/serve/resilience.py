@@ -207,7 +207,7 @@ class LoadShedder:
     """
 
     #: EWMA weight: service time here; a bucket's batch time and its
-    #: partner share (``serve.server._Group``)
+    #: partner share (``serve.policy._Group``)
     ALPHA = 0.2
 
     def __init__(self, *, workers: int = 1, min_samples: int = 4,

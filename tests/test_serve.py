@@ -14,6 +14,7 @@ The serving-layer invariants:
 """
 
 import math
+import queue
 import random
 import threading
 import time
@@ -27,7 +28,9 @@ from repro.backends import FunctionalBackend, RunResult, validate_run_args
 from repro.dsl.program import Program
 from repro.serve import (
     STATUS_EXPIRED,
+    STATUS_FAILED,
     STATUS_OK,
+    STATUS_SHED,
     BatchUnsupported,
     FheServer,
     ProgramRegistry,
@@ -36,8 +39,8 @@ from repro.serve import (
     unbatchable_reason,
 )
 from repro.serve.batcher import solo_layout
-from repro.serve.resilience import LoadShedder
-from repro.serve.server import _Group, _Pending, pick_ready
+from repro.serve.policy import _Group, _Pending, pick_ready
+from repro.serve.resilience import LoadShedder, RetriesExhausted
 
 N = 256
 WIDTH = 8
@@ -531,6 +534,9 @@ class TestFheServer:
             stats = server.stats()
         assert not errors, errors[:1]
         assert stats["requests"] == 30
+        assert stats["latency_ms"]["count"] == 30
+        assert sum(row["requests"]
+                   for row in stats["per_signature"].values()) == 30
         assert stats["errors"] == 0
         # One keygen per (signature, params): 2 signatures -> 2 context misses.
         assert stats["registry"]["contexts"] == 2
@@ -625,6 +631,86 @@ class TestFheServer:
         assert batch_sizes[:2] == [1, min(20, capacity)]
         assert sum(batch_sizes) == 21
         assert all(f.done() for f in futures)
+
+    def test_every_request_ends_in_exactly_one_count(self):
+        """Outcome accounting: each submitted request whose client did not
+        cancel it is counted once, as served, expired, failed, shed or
+        errored.  One worker blocks inside a scripted executor while the
+        next batch forms, so each batch below is exactly the one listed."""
+        entered, actions = queue.Queue(), queue.Queue()
+
+        class ScriptedExecutor:
+            name = "scripted"
+
+            def execute(self, job):
+                entered.put(len(job.requests))
+                action = actions.get(timeout=60)
+                if action is not None:
+                    raise action
+                return ([{} for _ in job.requests],
+                        RunResult(backend="cpu", program=job.program.name))
+
+            def stats(self):
+                return {}
+
+            def close(self):
+                pass
+
+        program = poly_ckks()
+        server = FheServer(backend="cpu", workers=1, max_wait_ms=1.0,
+                           executor=ScriptedExecutor())
+        submit = lambda **kw: server.submit(program, width=WIDTH, **kw)  # noqa: E731
+        try:
+            first = submit()
+            assert entered.get(timeout=60) == 1
+            # batch 2: an expired ride-along, an application error and a
+            # cancelled request
+            lapsed, bad, gone = (submit(deadline_ms=1e-3), submit(),
+                                 submit())
+            assert gone.cancel()
+            actions.put(None)
+            assert entered.get(timeout=60) == 2
+            # batch 3: served, with a cancelled request in a held slot
+            served = [submit() for _ in range(3)]
+            assert served[1].cancel()
+            actions.put(ValueError("bad batch"))
+            assert entered.get(timeout=60) == 3
+            # batch 4: retries exhausted, and one more cancelled request
+            failed, dropped = submit(), submit()
+            assert dropped.cancel()
+            actions.put(None)
+            assert entered.get(timeout=60) == 2
+            for _ in range(8):      # a measured, overloaded queue
+                server._shedder.observe_batch(0.2, 1)
+            shed = submit(deadline_ms=5.0)
+            actions.put(RetriesExhausted("every attempt failed",
+                                         [ConnectionError("reset")]))
+        finally:
+            server.close()
+        assert first.result().status == STATUS_OK
+        assert lapsed.result().status == STATUS_EXPIRED
+        with pytest.raises(ValueError, match="bad batch"):
+            bad.result()
+        assert [served[i].result().batch_size for i in (0, 2)] == [3, 3]
+        assert failed.result().status == STATUS_FAILED
+        assert failed.result().stats["causes"] == ["ConnectionError: reset"]
+        assert shed.result().status == STATUS_SHED
+        assert all(f.cancelled() for f in (gone, served[1], dropped))
+        stats = server.stats()
+        submitted, cancelled = 10, 3
+        assert (stats["requests"], stats["expired"], stats["failed"],
+                stats["shed"], stats["errors"]) == (3, 1, 1, 1, 1)
+        assert (stats["requests"] + stats["expired"] + stats["failed"]
+                + stats["shed"] + stats["errors"]) == submitted - cancelled
+        # Latency and queue samples: one per served request.  The
+        # cancelled request held its slot: batch sizes 1 and 3.
+        assert stats["latency_ms"]["count"] == stats["requests"]
+        assert stats["queue_ms"]["count"] == stats["requests"]
+        row = stats["per_signature"][program.signature()]
+        assert row["requests"] == 3 and row["latency_ms"]["count"] == 3
+        assert row["batch_size_histogram"] == {1: 1, 3: 1}
+        assert stats["batches"] == 2 and stats["mean_batch_size"] == 2.0
+        assert stats["metrics"]["serve.occupancy"]["count"] == 2
 
     def test_lone_request_on_a_warm_bucket_is_cut_by_the_quiet_gap(self):
         """Event-driven, nothing sleeps: once a bucket has run a batch,
