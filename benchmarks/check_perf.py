@@ -33,7 +33,8 @@ observability guards: the disabled-tracing span check and a metrics-blob
 histogram merge, and the resilience guards: the per-routing-decision
 circuit-breaker check and the retry wrapper's no-fault dispatch overhead,
 and the paper-side compiler: translation, data-movement scheduling, cycle
-scheduling and the schedule checker on one Table-3 program)
+scheduling and the schedule checker on one Table-3 program, plus
+data-movement scheduling on one that fills the scratchpad)
 and compares each against the recorded baseline in ``BENCH_engine.json``
 next to this script.  A kernel regresses if it is more than ``--tolerance``
 times slower than baseline (generous by default: baselines travel between
@@ -373,7 +374,10 @@ def _kernels():
 
     # The F1 compiler, phase by phase, and the schedule checker, each on the
     # artifacts of the phase before it: Table 3's logistic regression at
-    # scale 0.05 (40 370 instructions, 48 124 movement events).
+    # scale 0.05 (40 370 instructions, 48 124 movement events).  It never
+    # fills the scratchpad, so its phase 2 is the closed-form prefix alone;
+    # bgv_bootstrapping fills it at instruction 10 922 of 22 838 and times
+    # the per-instruction eviction loop too.
     from repro.bench.workloads import benchmark_suite
     from repro.compiler import (
         compile_program,
@@ -386,6 +390,8 @@ def _kernels():
     f1_program = benchmark_suite(scale=0.05)["logistic_regression"]
     f1 = compile_program(f1_program)
     f1_graph = f1.translation.graph
+    pressured = compile_program(
+        benchmark_suite(scale=0.05)["bgv_bootstrapping"]).translation
 
     # The small ring the mixed serving workloads run at, where a call is
     # one block and its fixed cost (~100 numpy calls) is most of it.
@@ -459,6 +465,9 @@ def _kernels():
         ),
         "f1_data_schedule": lambda: schedule_data_movement(
             f1_graph, f1.translation.outputs, f1.config
+        ),
+        "f1_data_schedule_pressured": lambda: schedule_data_movement(
+            pressured.graph, pressured.outputs, f1.config
         ),
         "f1_cycle_schedule": lambda: schedule_cycles(
             f1_graph, f1.movement, f1.config

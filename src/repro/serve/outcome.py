@@ -152,8 +152,7 @@ class Outcomes:
             backend=backend,
             backend_time_ms=time_ms,
             signature=signature,
-            stats=({**stats, "trace": p.request.trace} if executed
-                   else dict(stats)),
+            stats={**stats, "trace": p.request.trace},
             status=outcome,
         ) for p, v in ends]
         m = self.metrics

@@ -156,6 +156,7 @@ class FheServer:
             self.outcomes.finish(group, [_Pending(request, future, now)],
                                  STATUS_SHED, now, estimated_wait_ms=wait_ms,
                                  deadline_ms=deadline_ms)
+            _admit_span(request, group, admit_start)
             return future
         self._admission.acquire()
         self._shedder.admitted()
@@ -183,11 +184,7 @@ class FheServer:
             self._admission.release()
             self._shedder.resolved()
             raise
-        if tr.enabled:
-            # Admission span: validation + layout checks + enqueue.
-            tr.record("admit", perf_to_us(admit_start),
-                      (time.perf_counter() - admit_start) * 1e6,
-                      trace=request.trace, signature=group.signature[:16])
+        _admit_span(request, group, admit_start)
         return future
 
     def request(self, program: Program, inputs=None, plains=None, *,
@@ -392,3 +389,13 @@ class FheServer:
         out["registry"] = self.registry.stats()
         out["executor"] = self.executor.stats()
         return out
+
+
+def _admit_span(request: Request, group: _Group, start: float) -> None:
+    """Admission span: validation, layout checks, then the enqueue or the
+    shed; it carries the trace id every result of the request reports."""
+    tr = tracer()
+    if tr.enabled:
+        tr.record("admit", perf_to_us(start),
+                  (time.perf_counter() - start) * 1e6,
+                  trace=request.trace, signature=group.signature[:16])

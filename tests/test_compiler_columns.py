@@ -4,9 +4,9 @@ Deterministic counts, no wall-clock: the same program compiles to the same
 columns; the record views agree with the columns and hand back Python
 scalars; a compile leaves no per-instruction objects behind for the collector
 and stays within a fixed number of bytes per instruction; and the data-
-movement scheduler, whose eviction index exists only once the scratchpad has
-filled, emits exactly the events of the eager-heap scheduler it replaced
-(kept below as the oracle).
+movement scheduler, closed-form until the scratchpad first fills and with an
+eviction index only from there, emits exactly the events of the eager-heap
+scheduler it replaced (kept below as the oracle).
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ import pytest
 from repro.bench.workloads import benchmark_suite
 from repro.compiler.csr_scheduler import csr_order
 from repro.compiler.data_scheduler import (
-    EVENT_KINDS, TrafficStats, graph_capacity, schedule_data_movement)
+    EVENT_KINDS, TrafficStats, _eviction_free_prefix, graph_capacity,
+    schedule_data_movement)
 from repro.compiler.hecompiler import KsChoice, compile_to_instructions
 from repro.compiler.pipeline import compile_program
 from repro.core.config import F1Config
-from repro.core.isa import InstrKind, ValueKind
+from repro.core.isa import (
+    INSTR_KINDS, VALUE_KINDS, InstrKind, InstructionGraph, ValueKind)
 from repro.dsl.program import Program
 from repro.sim.simulator import check_schedule
 
@@ -433,3 +435,174 @@ def test_on_demand_eviction_index_equals_the_eager_heap(seed):
             pressured += "evict" in {kind for kind, _, _ in events} \
                 or traffic.intermediate_stores > 0
     assert pressured >= 3          # the index was built, not just skipped
+
+
+# --------------------------------- the eviction-free prefix and its handoff
+class _Hand:
+    """A hand-built instruction graph at N = 32768, where a 1 MB scratchpad
+    holds 8 RVecs: ``offchip()`` names an off-chip value, ``op(a, b)``
+    appends an instruction (``b = -1``: unary) and returns its result."""
+
+    def __init__(self):
+        self.kinds, self.rows = [], []
+
+    def offchip(self, kind=ValueKind.INPUT) -> int:
+        self.kinds.append(VALUE_KINDS.index(kind))
+        return len(self.kinds) - 1
+
+    def op(self, a: int, b: int = -1) -> int:
+        out = self.offchip(ValueKind.INTERMEDIATE)
+        self.rows.append((a, b, out))
+        return out
+
+    def graph(self) -> InstructionGraph:
+        a, b, out = (np.array(column, np.int32) for column in zip(*self.rows))
+        producer = np.full(len(self.kinds), -1, np.int32)
+        producer[out] = np.arange(len(out))
+        kind = np.where(b < 0, INSTR_KINDS.index(InstrKind.NTT),
+                        INSTR_KINDS.index(InstrKind.ADD)).astype(np.int8)
+        return InstructionGraph(
+            32768, kind=kind, in0=a, in1=b, out=out,
+            he_op=np.full(len(out), -1, np.int32),
+            rotate_exponent=np.zeros(len(out), np.int32),
+            value_kind=np.array(self.kinds, np.int8), producer=producer,
+            hint=np.full(len(self.kinds), -1, np.int32), hints=[])
+
+    def held(self, count: int) -> list[int]:
+        """``count`` steps, each leaving one result resident (read later)."""
+        return [self.op(self.offchip()) for _ in range(count)]
+
+    def consume(self, acc: int, values: list[int]) -> int:
+        for vid in values:
+            acc = self.op(acc, vid)
+        return acc
+
+
+def _b_load_does_not_fit():
+    """7 resident: ``a``'s load takes the last slot, ``b``'s evicts."""
+    h = _Hand()
+    held = h.held(7)
+    last = h.consume(h.op(h.offchip(), h.offchip()), held)
+    return h.graph(), {last}, 7
+
+
+def _result_does_not_fit():
+    """6 resident: both loads fit, the result evicts."""
+    h = _Hand()
+    held = h.held(6)
+    last = h.consume(h.op(h.offchip(), h.offchip()), held)
+    return h.graph(), {last}, 6
+
+
+def _double_read_at_the_stop():
+    """``y * y`` at step 0 and ``x * x`` at the stop load once each; the
+    handed-over cursor counts ``y``'s two reads, so ``y``, read again last,
+    is the first victim; ``x`` is read again too."""
+    h = _Hand()
+    y = h.offchip(ValueKind.PLAIN)
+    square = h.op(y, y)
+    held = h.held(5)
+    x = h.offchip(ValueKind.PLAIN)
+    last = h.consume(h.op(x, x), [square, *held, x, y])
+    return h.graph(), {last}, 6
+
+
+def _unread_result_holds_a_slot():
+    """Seven results nothing reads (not outputs) fill the scratchpad and
+    are evicted clean-dead, never stored."""
+    h = _Hand()
+    hint = h.offchip(ValueKind.KSH)
+    for _ in range(7):
+        h.op(hint)
+    last = h.consume(h.op(h.offchip()), h.held(3))
+    return h.graph(), {last}, 7
+
+
+def _output_read_again():
+    """An output read again at step 1 stays resident past its last read;
+    it is the first victim, stored once."""
+    h = _Hand()
+    out = h.op(h.offchip(), h.offchip())
+    reread = h.op(out, h.offchip())
+    held = h.held(5)
+    last = h.consume(h.op(h.offchip(), h.offchip()), [reread, *held])
+    return h.graph(), {out, last}, 7
+
+
+HAND_CASES = {case.__name__.strip("_"): case for case in (
+    _b_load_does_not_fit, _result_does_not_fit, _double_read_at_the_stop,
+    _unread_result_holds_a_slot, _output_read_again)}
+ONE_MB = dataclasses.replace(F1Config(), scratchpad_mb=1)
+
+
+def _assert_equals_the_eager_heap(graph, outputs, config, order=None):
+    movement = schedule_data_movement(graph, outputs, config, order=order)
+    events, traffic = _eager_heap_schedule(graph, outputs, config, order=order)
+    assert [tuple(e) for e in movement.events] == events
+    assert movement.traffic == traffic
+    return movement
+
+
+@pytest.mark.parametrize("case", sorted(HAND_CASES))
+def test_prefix_hands_the_loop_its_state_where_it_stops(case):
+    graph, outputs, stop = HAND_CASES[case]()
+    graph.validate()
+    capacity = graph_capacity(graph, ONE_MB)
+    assert capacity == 8
+    assert _eviction_free_prefix(graph, outputs, capacity, None).steps == stop
+    movement = _assert_equals_the_eager_heap(graph, outputs, ONE_MB)
+    assert {EVENT_KINDS[k] for k in movement.kind[stop:]} & {"evict", "store"}
+
+
+def test_a_non_topological_order_raises_the_loops_error():
+    """Read before it is made: inside the prefix, the closed form raises;
+    after the first fill, the loop does; both name the same instruction
+    and value."""
+    graph, outputs, stop = _output_read_again()
+    steps, out = len(graph.kind), graph.out.tolist()
+    for late in (1, stop + 3):      # each reads the value made at late - 1
+        order = list(range(steps))
+        order[late - 1], order[late] = late, late - 1
+        with pytest.raises(RuntimeError, match=(
+                rf"^instr {late} needs value {out[late - 1]} which is "
+                r"neither resident nor recoverable \(order not topological")):
+            schedule_data_movement(graph, outputs, ONE_MB, order=order)
+        if late > stop:
+            prefix = _eviction_free_prefix(graph, outputs, 8, order)
+            assert prefix.steps == stop
+        else:
+            with pytest.raises(RuntimeError, match=rf"^instr {late} "):
+                _eviction_free_prefix(graph, outputs, 8, order)
+
+
+@pytest.mark.parametrize("scratchpad_mb", [64, 3])   # 1024, 48 RVecs
+@pytest.mark.parametrize("name", ["lola_mnist_uw", "bgv_bootstrapping"])
+def test_suite_handoff_equals_the_eager_heap(name, scratchpad_mb):
+    """lola_mnist_uw never fills the scratchpad at 1024 RVecs;
+    bgv_bootstrapping fills it midway; at 48 both fill early."""
+    config = dataclasses.replace(F1Config(), scratchpad_mb=scratchpad_mb)
+    program = benchmark_suite(scale=SCALE)[name]
+    translation = compile_to_instructions(
+        program, capacity_rvecs=config.scratchpad_capacity_rvecs(program.n))
+    graph = translation.graph
+    for order in (None, csr_order(graph)):
+        _assert_equals_the_eager_heap(graph, translation.outputs, config,
+                                      order)
+
+
+def test_most_of_the_suite_skips_the_eviction_loop():
+    """Phase 2's speed, counted, not timed: at the default scratchpad the
+    closed form covers six Table-3 programs whole and bgv_bootstrapping up
+    to its first fill, so only 11 916 of 147 617 instructions go through
+    the per-instruction loop."""
+    lengths = {}
+    for name, program in benchmark_suite(scale=SCALE).items():
+        capacity = F1Config().scratchpad_capacity_rvecs(program.n)
+        translation = compile_to_instructions(program, capacity_rvecs=capacity)
+        graph = translation.graph
+        prefix = _eviction_free_prefix(graph, translation.outputs, capacity,
+                                       None)
+        lengths[name] = (prefix.steps, len(graph.kind))
+    assert {name: steps for name, (steps, total) in lengths.items()
+            if steps < total} == {"bgv_bootstrapping": 10_922}
+    assert sum(total for _, total in lengths.values()) == 147_617

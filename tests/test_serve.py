@@ -13,6 +13,7 @@ The serving-layer invariants:
 - malformed ``repro.run`` requests fail fast with clear errors.
 """
 
+import json
 import math
 import queue
 import random
@@ -26,6 +27,7 @@ import pytest
 import repro
 from repro.backends import FunctionalBackend, RunResult, validate_run_args
 from repro.dsl.program import Program
+from repro.obs.trace import tracer
 from repro.serve import (
     STATUS_EXPIRED,
     STATUS_FAILED,
@@ -412,6 +414,30 @@ class TestSlotBatcher:
         assert batcher.occupancy(2) == pytest.approx(0.25)
 
 
+class ScriptedExecutor:
+    """Runs each batch on the test's cue: ``entered`` receives the batch's
+    size, then the next ``actions`` item is raised (``None``: serve it)."""
+
+    name = "scripted"
+
+    def __init__(self):
+        self.entered, self.actions = queue.Queue(), queue.Queue()
+
+    def execute(self, job):
+        self.entered.put(len(job.requests))
+        action = self.actions.get(timeout=60)
+        if action is not None:
+            raise action
+        return ([{} for _ in job.requests],
+                RunResult(backend="cpu", program=job.program.name))
+
+    def stats(self):
+        return {}
+
+    def close(self):
+        pass
+
+
 class TestFheServer:
     def test_serves_and_matches_solo_runs(self):
         program = poly_ckks()
@@ -637,28 +663,11 @@ class TestFheServer:
         cancel it is counted once, as served, expired, failed, shed or
         errored.  One worker blocks inside a scripted executor while the
         next batch forms, so each batch below is exactly the one listed."""
-        entered, actions = queue.Queue(), queue.Queue()
-
-        class ScriptedExecutor:
-            name = "scripted"
-
-            def execute(self, job):
-                entered.put(len(job.requests))
-                action = actions.get(timeout=60)
-                if action is not None:
-                    raise action
-                return ([{} for _ in job.requests],
-                        RunResult(backend="cpu", program=job.program.name))
-
-            def stats(self):
-                return {}
-
-            def close(self):
-                pass
-
+        executor = ScriptedExecutor()
+        entered, actions = executor.entered, executor.actions
         program = poly_ckks()
         server = FheServer(backend="cpu", workers=1, max_wait_ms=1.0,
-                           executor=ScriptedExecutor())
+                           executor=executor)
         submit = lambda **kw: server.submit(program, width=WIDTH, **kw)  # noqa: E731
         try:
             first = submit()
@@ -711,6 +720,43 @@ class TestFheServer:
         assert row["batch_size_histogram"] == {1: 1, 3: 1}
         assert stats["batches"] == 2 and stats["mean_batch_size"] == 2.0
         assert stats["metrics"]["serve.occupancy"]["count"] == 2
+
+    def test_every_result_carries_its_requests_trace_id(self, tmp_path):
+        """The join from a result to its exported spans: under
+        ``trace=True`` a served, an expired, a shed and a failed result
+        each report the trace id of their request's ``admit`` span."""
+        executor = ScriptedExecutor()
+        program = poly_ckks()
+        tracer().clear()
+        server = FheServer(backend="cpu", workers=1, max_wait_ms=1.0,
+                           executor=executor, trace=True)
+        submit = lambda **kw: server.submit(program, width=WIDTH, **kw)  # noqa: E731
+        try:
+            served = submit()
+            assert executor.entered.get(timeout=60) == 1
+            lapsed, failed = submit(deadline_ms=1e-3), submit()
+            for _ in range(8):      # a measured, overloaded queue
+                server._shedder.observe_batch(0.2, 1)
+            shed = submit(deadline_ms=5.0)
+            executor.actions.put(None)
+            assert executor.entered.get(timeout=60) == 1    # lapsed expired
+            executor.actions.put(RetriesExhausted(
+                "every attempt failed", [ConnectionError("reset")]))
+            results = [f.result(timeout=60)
+                       for f in (served, lapsed, failed, shed)]
+        finally:
+            server.close()
+            path = tmp_path / "trace.json"
+            server.dump_trace(str(path))
+            tracer().clear()
+        assert [r.status for r in results] == [
+            STATUS_OK, STATUS_EXPIRED, STATUS_FAILED, STATUS_SHED]
+        events = json.loads(path.read_text())["traceEvents"]
+        admitted = [e["args"]["trace"] for e in events
+                    if e["ph"] == "X" and e["name"] == "admit"]
+        # one thread submits, so the admit spans are in submission order
+        assert len(set(admitted)) == 4 and None not in admitted
+        assert [r.stats["trace"] for r in results] == admitted
 
     def test_lone_request_on_a_warm_bucket_is_cut_by_the_quiet_gap(self):
         """Event-driven, nothing sleeps: once a bucket has run a batch,
