@@ -82,6 +82,18 @@ _INTERMEDIATE = VALUE_KINDS.index(ValueKind.INTERMEDIATE)
 _AUT = INSTR_KINDS.index(InstrKind.AUT)
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative integer keys below
+    2^32, as radix passes: numpy sorts a 16-bit type stably by radix and a
+    wider one by timsort.  The low 16 bits go first (``astype`` keeps them),
+    then the high 16 bits, if any key has them."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    if keys.max(initial=0) >> 16:
+        order = order[np.argsort((keys[order] >> 16).astype(np.uint16),
+                                 kind="stable")]
+    return order
+
+
 class Value(NamedTuple):
     """One residue vector flowing through the instruction DFG."""
 
@@ -150,7 +162,7 @@ class InstructionGraph:
         operands = np.stack((in0, in1), axis=1).ravel()
         slots = np.flatnonzero(operands >= 0)
         read = operands[slots]
-        self.users = (slots[np.argsort(read, kind="stable")] >> 1).astype(np.int32)
+        self.users = (slots[stable_order(read)] >> 1).astype(np.int32)
         self.user_ptr = np.zeros(len(value_kind) + 1, np.int32)
         np.cumsum(np.bincount(read, minlength=len(value_kind)),
                   out=self.user_ptr[1:])

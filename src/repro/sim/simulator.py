@@ -46,7 +46,7 @@ from repro.compiler.cycle_scheduler import CycleSchedule
 from repro.compiler.data_scheduler import (
     EVENT_KINDS, EVICT, EXEC, LOAD, STORE, DataMovementSchedule)
 from repro.core.config import F1Config
-from repro.core.isa import InstructionGraph
+from repro.core.isa import InstructionGraph, stable_order
 
 
 @dataclass
@@ -127,9 +127,8 @@ def _transfer_of_event(movement: DataMovementSchedule, schedule: CycleSchedule,
     transfers = np.flatnonzero(schedule.transfer_kind == kind)
     # Group both sides by value, each group in its own order, and pair the
     # groups' members by rank.
-    events = events[np.argsort(movement.target[events], kind="stable")]
-    transfers = transfers[
-        np.argsort(schedule.transfer_value[transfers], kind="stable")]
+    events = events[stable_order(movement.target[events])]
+    transfers = transfers[stable_order(schedule.transfer_value[transfers])]
     value = movement.target[events]
     num_values = 1 + max(value.max(initial=-1),
                          schedule.transfer_value[transfers].max(initial=-1))
@@ -178,7 +177,7 @@ def _replay_events(graph: InstructionGraph, movement: DataMovementSchedule,
                       np.where(is_exec, graph.in1[instr], -1),
                       np.where(is_exec, graph.out[instr], target)), 1).ravel()
     step = np.flatnonzero(steps >= 0).astype(np.int32)
-    step = step[np.argsort(steps[step], kind="stable")]
+    step = step[stable_order(steps[step])]
     value, event, own = steps[step], (step // 3).astype(np.int32), step % 3 == 2
     del steps, step, instr, issue_of
     of_kind, read = kind[event], ~own

@@ -32,7 +32,8 @@ from repro.compiler.hecompiler import KsChoice, compile_to_instructions
 from repro.compiler.pipeline import compile_program
 from repro.core.config import F1Config
 from repro.core.isa import (
-    INSTR_KINDS, VALUE_KINDS, InstrKind, InstructionGraph, ValueKind)
+    INSTR_KINDS, VALUE_KINDS, InstrKind, InstructionGraph, ValueKind,
+    stable_order)
 from repro.dsl.program import Program
 from repro.sim.simulator import check_schedule
 
@@ -606,3 +607,24 @@ def test_most_of_the_suite_skips_the_eviction_loop():
     assert {name: steps for name, (steps, total) in lengths.items()
             if steps < total} == {"bgv_bootstrapping": 10_922}
     assert sum(total for _, total in lengths.values()) == 147_617
+
+
+# ------------------------------------------- the radix group-by-value order
+EDGE_KEYS = (0, (1 << 16) - 1, 1 << 16, (1 << 32) - 1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stable_order_is_the_stable_argsort(seed):
+    """Two 16-bit radix passes order keys as numpy's stable sort does: the
+    edges of each pass, runs of equal keys, both key widths the compiler
+    and the checker sort, and empty and all-equal arrays."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, 3_000))
+    pool = np.array(EDGE_KEYS + tuple(rng.integers(0, 1 << 32, 8).tolist()),
+                    np.int64)
+    keys = pool[rng.integers(len(pool), size=size)]
+    low = rng.integers(0, 1 << 16, size)          # one pass suffices
+    for case in (keys, keys.astype(np.uint32), low.astype(np.int32),
+                 keys[:0], np.full(size, keys[0] if size else 7, np.int64)):
+        assert np.array_equal(stable_order(case),
+                              np.argsort(case, kind="stable")), case.dtype

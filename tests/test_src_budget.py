@@ -13,7 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: ``find src -name '*.py' | xargs wc -l`` total, rounded up to the next 50
-SRC_LINE_BUDGET = 14_400
+SRC_LINE_BUDGET = 14_500
 
 #: library packages: importable without the table/figure harnesses
 LIBRARY = ("core", "rns", "poly", "fhe", "dsl", "compiler", "sim", "serve",
